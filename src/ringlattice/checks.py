@@ -686,30 +686,11 @@ def module_lattice_correspondence(a):
             (a.E.base & N) != {S.zero} or \
             len(a.E.base) * len(N) != len(a.E.top):
         return _na("top is not base plus a square-zero complement")
-    # enumerate submodules: join-closure of cyclic module closures
-    base_arr = a.E.base_arr
-
-    def mod_closure(gens):
-        cur = fr.as_index_array(list(gens) + [S.zero])
-        while True:
-            cur = S.additive_closure(cur)
-            nxt = np.union1d(cur, np.unique(S.mul[np.ix_(cur, base_arr)]))
-            if nxt.size == cur.size:
-                return frozenset(int(x) for x in cur.tolist())
-            cur = nxt
-
-    subs = {mod_closure([v]) for v in N.__iter__()}
-    subs.add(frozenset({S.zero}))
-    frontier = list(subs)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(subs):
-                z = mod_closure(x | y)
-                if z not in subs:
-                    subs.add(z)
-                    fresh.append(z)
-        frontier = fresh
+    # enumerate submodules: join-closure of the cyclic submodules
+    cyclic = {frozenset(S.ideal_closure(a.E.base_arr, [v]).tolist()) for v in N}
+    subs = fr.join_closure(
+        cyclic, lambda x, y: frozenset(S.additive_closure(x | y).tolist()),
+        a.node_limit, "submodule enumeration")
     mapped = {frozenset(S.additive_closure(sorted(a.E.base | V)).tolist())
               for V in subs}
     if mapped != set(a.nodes):

@@ -465,20 +465,6 @@ def pretty(spec: InstanceSpec) -> str:
 # ----------------------------------------------------------------------
 # building
 
-def _to_ringspec(ast, built_specs):
-    if isinstance(ast, RZmod):
-        return fr.Zmod(ast.n)
-    if isinstance(ast, RGf):
-        return fr.GF(ast.p, ast.k)
-    if isinstance(ast, RQuotient):
-        return fr.Quotient(built_specs[ast.base], tuple(p.terms for p in ast.relations))
-    if isinstance(ast, RProduct):
-        return fr.Product(tuple(built_specs[f] for f in ast.factors))
-    if isinstance(ast, RIdealization):
-        return None  # handled separately (needs matrix conversion)
-    raise TypeError(ast)
-
-
 def eval_elem(ring: fr.FiniteRing, e) -> int:
     """Evaluate an element expression in a ring; raises RingError on
     structural mismatch (tuple vs non-product, unknown generator)."""

@@ -210,31 +210,14 @@ def enumerate_interval(E: Extension, node_limit=DEFAULT_NODE_LIMIT) -> Extension
             return b
         if b <= a:
             return a
-        key = (a, b) if sorted(a) <= sorted(b) else (b, a)
-        if key not in join_memo:
-            join_memo[key] = frozenset(S.subring_closure(list(a | b)).tolist())
-        return join_memo[key]
+        j = join_memo.get((a, b))
+        if j is None:
+            j = frozenset(S.subring_closure(a | b).tolist())
+            join_memo[(a, b)] = join_memo[(b, a)] = j
+        return j
 
-    nodes = set(monogenic_subrings(E))
-    if len(nodes) > node_limit:
-        raise fr.RingError(
-            f"interval enumeration exceeded {node_limit} nodes; "
-            "raise the limit to continue")
-    frontier = sorted(nodes, key=lambda t: (len(t), sorted(t)))
-    while frontier:
-        fresh = []
-        existing = sorted(nodes, key=lambda t: (len(t), sorted(t)))
-        for a in frontier:
-            for b in existing:
-                j = join_of(a, b)
-                if j not in nodes:
-                    nodes.add(j)
-                    fresh.append(j)
-                    if len(nodes) > node_limit:
-                        raise fr.RingError(
-                            f"interval enumeration exceeded {node_limit} nodes; "
-                            "raise the limit to continue")
-        frontier = sorted(fresh, key=lambda t: (len(t), sorted(t)))
+    nodes = fr.join_closure(monogenic_subrings(E), join_of, node_limit,
+                            "interval enumeration")
     if E.top not in nodes:
         raise TheoremViolation("join closure failed to reach the top ring")
     return ExtensionLattice(nodes, join_of, ambient=S)

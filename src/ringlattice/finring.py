@@ -54,6 +54,35 @@ def as_index_array(xs) -> np.ndarray:
     return np.unique(np.array(xs, dtype=np.int32))
 
 
+def _index_vector(xs) -> np.ndarray:
+    """int32 array of the indices in ``xs``, in iteration order."""
+    if isinstance(xs, np.ndarray):
+        return xs.astype(np.int32, copy=False)
+    return np.fromiter(xs, dtype=np.int32)
+
+
+def join_closure(atoms, join, limit, what) -> set:
+    """Every join of a non-empty set of ``atoms`` under the binary
+    ``join``.  Each such join is an atom joined onto a smaller one, so
+    joining the atoms onto every newly found element reaches all of them.
+    Raises RingError once more than ``limit`` elements are found."""
+    atoms = list(set(atoms))
+    found, frontier = set(atoms), atoms
+    while frontier:
+        fresh = []
+        for x in frontier:
+            if len(found) > limit:
+                raise RingError(f"{what} exceeded {limit} nodes; "
+                                "raise the limit to continue")
+            for a in atoms:
+                y = join(x, a)
+                if y not in found:
+                    found.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return found
+
+
 class FiniteRing:
     """A finite commutative unital ring with full operation tables.
 
@@ -324,30 +353,54 @@ class FiniteRing:
 
     # ------------------------------------------------------------------
     # subset machinery: closures over element-index sets
+    #
+    # Subgroups, ideals and subrings are all one thing: the smallest
+    # additive subgroup containing a generator set and closed under
+    # x -> x*m for every m in a multiplier set (none for subgroups, the
+    # ambient subring for ideals, the seed itself for subrings).  The span
+    # of generators g_i is closed under a multiplier m as soon as every
+    # g_i*m lies in it, because (sum c_i g_i)*m = sum c_i (g_i m); so
+    # _span_closure only ever multiplies generators, never the span.
+
+    def _span_closure(self, gens, mults=()) -> np.ndarray:
+        """The closure described above, as a sorted index array; each new
+        generator adds its cosets, then queues its products."""
+        inside = np.zeros(self.size, dtype=bool)
+        inside[self.zero] = True
+        span = np.array([self.zero], dtype=np.int32)
+        mults = _index_vector(mults)
+        pending = [_index_vector(gens)]
+        while pending:
+            cand = pending[-1]
+            cand = cand[~inside[cand]]
+            if cand.size == 0:
+                pending.pop()
+                continue
+            g = cand[0]
+            pending[-1] = cand[1:]
+            # span + <g> is the union of the cosets k*g + span
+            cosets = [span]
+            c = g
+            while not inside[c]:
+                coset = self.add[c, span]
+                inside[coset] = True
+                cosets.append(coset)
+                c = self.add[c, g]
+            span = np.concatenate(cosets)
+            if mults.size:
+                pending.append(self.mul[g, mults])
+        return np.flatnonzero(inside).astype(np.int32)
 
     def additive_closure(self, seed) -> np.ndarray:
-        """Subgroup of (R,+) generated by ``seed``, as a sorted index array."""
-        cur = as_index_array(list(seed) + [self.zero])
-        while True:
-            if cur.size == self.size:
-                return cur.astype(np.int32)
-            nxt = np.unique(self.add[np.ix_(cur, cur)])
-            if nxt.size == cur.size:
-                return cur.astype(np.int32)
-            cur = nxt
+        """Subgroup of (R,+) generated by ``seed`` (no multipliers)."""
+        return self._span_closure(seed)
 
     def subring_closure(self, seed) -> np.ndarray:
-        """Smallest unital subring containing ``seed``, as a sorted index array."""
-        cur = as_index_array(list(seed) + [self.zero, self.one])
-        while True:
-            cur = self.additive_closure(cur)
-            if cur.size == self.size:
-                return cur
-            prods = np.unique(self.mul[np.ix_(cur, cur)])
-            nxt = np.union1d(cur, prods)
-            if nxt.size == cur.size:
-                return cur.astype(np.int32)
-            cur = nxt
+        """Smallest unital subring containing ``seed``: the span of 1 and
+        the seed, closed under the seed as multipliers, holds every monomial
+        in the seed."""
+        seed = list(seed)
+        return self._span_closure(seed + [self.one], seed)
 
     def is_subring(self, subset) -> bool:
         s = as_index_array(subset)
@@ -357,16 +410,9 @@ class FiniteRing:
                     and np.isin(self.mul[np.ix_(s, s)], s).all())
 
     def ideal_closure(self, within, gens) -> np.ndarray:
-        """Ideal of the subring ``within`` generated by ``gens``."""
-        within = as_index_array(within)
-        cur = as_index_array(list(gens) + [self.zero])
-        while True:
-            cur = self.additive_closure(cur)
-            prods = np.unique(self.mul[np.ix_(cur, within)])
-            nxt = np.union1d(cur, prods)
-            if nxt.size == cur.size:
-                return cur.astype(np.int32)
-            cur = nxt
+        """Ideal of the subring ``within`` generated by ``gens`` (multipliers
+        ``within``)."""
+        return self._span_closure(gens, within)
 
     def is_ideal_of(self, within, subset) -> bool:
         within = as_index_array(within)
@@ -385,21 +431,10 @@ class FiniteRing:
         """Every ideal of the subring ``within``: join-closure of the
         principal ideals (every ideal is a finite sum of principal ones)."""
         within = as_index_array(within)
-        found = set()
-        for g in within.tolist():
-            found.add(frozenset(self.ideal_closure(within, [g]).tolist()))
-        frontier = list(found)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for b in list(found):
-                    c = frozenset(self.additive_closure(list(a | b)).tolist())
-                    if c not in found:
-                        found.add(c)
-                        fresh.append(c)
-                        if len(found) > limit:
-                            raise RingError("ideal enumeration limit exceeded")
-            frontier = fresh
+        found = join_closure(
+            {frozenset(self.ideal_closure(within, [g]).tolist()) for g in within},
+            lambda a, b: frozenset(self.additive_closure(a | b).tolist()),
+            limit, "ideal enumeration")
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def idempotents_in(self, subset) -> list[int]:

@@ -83,6 +83,8 @@ class ExtensionLattice:
                     jj = self.index[v]
                 self.join[i, j] = self.join[j, i] = jj
         self._levels = {}
+        self._distributive = None
+        self._verdict = None
         if verify:
             self.verify_axioms()
 
@@ -341,7 +343,13 @@ class ExtensionLattice:
         return True, None
 
     def check_distributive(self):
-        """Distributivity by three independent routes; they must agree."""
+        """Distributivity by three independent routes; they must agree.
+        Computed once: the tables never change after construction."""
+        if self._distributive is None:
+            self._distributive = self._distributive_routes()
+        return self._distributive
+
+    def _distributive_routes(self):
         tri = self.distributive_law_scan()
         law_ok = tri is None
         witness = self.forbidden_sublattice()
@@ -427,6 +435,12 @@ class ExtensionLattice:
         return ok, wit
 
     def verdict(self) -> LatticeVerdict:
+        """All order verdicts, computed once (like check_distributive)."""
+        if self._verdict is None:
+            self._verdict = self._compute_verdict()
+        return self._verdict
+
+    def _compute_verdict(self) -> LatticeVerdict:
         dist, wit = self.check_distributive()
         modular, mwit = self.check_modular()
         boolean, is_b2 = self.check_boolean()

@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlattice import finring as fr
 
-from oracles import largest_common_ideal
+from oracles import brute_force_ideals, brute_force_subrings, largest_common_ideal
 
 
 def test_zmod4_shape():
@@ -205,12 +207,36 @@ def test_constructed_rings_satisfy_structure_invariants(spec):
     assert np.array_equal(R.mul, R2.mul) and np.array_equal(R.add, R2.add)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sets(st.integers(0, 15), max_size=5))
-def test_closure_is_idempotent_and_minimal(seed):
-    R = fr.zmod(16)
+@functools.lru_cache(maxsize=None)
+def _small_ring(name):
+    F2 = fr.gf(2)
+    return {
+        "F2[x]/(x^3)": lambda: fr.quotient_by_relations(
+            F2, [fr.resolve_relation(F2, [((("x", 3),), 1)])]),
+        "F2xF4": lambda: fr.product_ring([F2, fr.gf(2, 2)]),
+        "F2+F2^2": lambda: fr.idealization(F2, (2, 2)),
+        "Z4xZ2": lambda: fr.product_ring([fr.zmod(4), fr.zmod(2)]),
+    }[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2"]),
+       st.sets(st.integers(0, 7), max_size=3),
+       st.sets(st.integers(0, 7), max_size=2))
+def test_closure_is_idempotent_and_minimal(name, seed, within_seed):
+    R = _small_ring(name)
+    subrings = brute_force_subrings(R, {R.zero, R.one})
     c1 = R.subring_closure(seed)
     assert R.is_subring(c1)
     assert np.array_equal(c1, R.subring_closure(c1))
-    ideal = R.ideal_closure(np.arange(16), seed)
-    assert R.is_ideal_of(np.arange(16), ideal)
+    over_seed = [T for T in subrings if seed <= T]
+    assert frozenset(c1.tolist()) == frozenset.intersection(*over_seed)
+
+    for within in (np.arange(R.size), R.subring_closure(within_seed)):
+        ideals = brute_force_ideals(R, within.tolist())
+        assert R.all_ideals(within) == ideals
+        gens = seed & frozenset(within.tolist())
+        ideal = R.ideal_closure(within, gens)
+        assert R.is_ideal_of(within, ideal)
+        assert frozenset(ideal.tolist()) == frozenset.intersection(
+            *[I for I in ideals if gens <= I])

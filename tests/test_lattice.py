@@ -29,6 +29,7 @@ def test_chain_verdict(chain16):
     assert v.length == 2
     assert not v.boolean_lattice      # middle node has no complement
     assert v.witness is None
+    assert L.verdict() is v           # computed once per lattice
 
 
 def test_two_node_lattice(e1):
