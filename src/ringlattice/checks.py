@@ -289,30 +289,39 @@ def product_transfer(a):
                 {"factor_verdicts": verdicts})
 
 
+def doubled_ring(S, top):
+    """The idealization T(+)T of the subring ``top`` = T of S, with
+    (r1,m1)(r2,m2) = (r1r2, r1m2 + r2m1).  The pair (r, m) has index
+    i(r)*n + i(m), where i is the position in sorted ``top``."""
+    top = fr.as_index_array(top)
+    n = top.size
+    pos = np.full(S.size, -1, dtype=np.int32)
+    pos[top] = np.arange(n, dtype=np.int32)
+    tadd = pos[S.add[np.ix_(top, top)]]
+    tmul = pos[S.mul[np.ix_(top, top)]]
+    # axes (r1, m1, r2, m2) flatten to row (r1, m1), column (r2, m2)
+    r1, m1, r2, m2 = np.ix_(*[np.arange(n)] * 4)
+    add = tadd[r1, r2] * n + tadd[m1, m2]
+    mul = tmul[r1, r2] * n + tadd[tmul[r1, m2], tmul[r2, m1]]
+    m = n * n
+    one = int(pos[S.one]) * n + int(pos[S.zero])
+    return fr.FiniteRing.from_tables(
+        add.reshape(m, m), mul.reshape(m, m), one,
+        label=f"{S.label}(+)M", kind="derived", size_cap=max(m, S.size_cap))
+
+
 @check("idealization_transfer",
        "distributivity is preserved and reflected by gluing a square-zero "
        "copy of the top ring onto both sides")
 def idealization_transfer(a):
     if not _proper(a):
         return _na("trivial extension")
-    S = a.S
     n = len(a.E.top)
     if n > 16:
         return _na("top ring too large for the doubled construction")
-    top = sorted(a.E.top)
-    pos = {x: i for i, x in enumerate(top)}
-    m = n * n
-    add = np.empty((m, m), dtype=np.int32)
-    mul = np.empty((m, m), dtype=np.int32)
-    for i, (r1, m1) in enumerate(itertools.product(top, top)):
-        for j, (r2, m2) in enumerate(itertools.product(top, top)):
-            add[i, j] = pos[S.a(r1, r2)] * n + pos[S.a(m1, m2)]
-            mul[i, j] = pos[S.m(r1, r2)] * n + \
-                pos[S.a(S.m(r1, m2), S.m(r2, m1))]
-    one = pos[S.one] * n + pos[S.zero]
-    big = fr.FiniteRing.from_tables(add, mul, one, label=f"{S.label}(+)M",
-                                    kind="derived", size_cap=max(m, S.size_cap))
-    base = frozenset(pos[r] * n + pos[mm] for r in sorted(a.E.base) for mm in top)
+    big = doubled_ring(a.S, a.E.top_arr)
+    pos = {x: i for i, x in enumerate(sorted(a.E.top))}
+    base = frozenset(pos[r] * n + i for r in sorted(a.E.base) for i in range(n))
     sub = Analysis(a.name + "(+)M", ex.Extension(big, base))
     return _iff(a.verdict.distributive, sub.verdict.distributive,
                 {"doubled_verdict": sub.verdict.distributive})

@@ -6,7 +6,8 @@ additive structure constants (:meth:`FiniteRing.from_struct`, used by all
 the named constructors ``zmod`` / ``gf`` / ``product_ring`` /
 ``quotient_by_relations`` / ``idealization``) or directly from tables
 (:meth:`FiniteRing.from_tables`, used for quotients, subset rings and
-localizations).  Everything is exact integer arithmetic.
+localizations of rings built from structure constants).  Everything is
+exact integer arithmetic.
 
 Subrings and ideals are plain sorted element-index sets (frozensets at the
 API level, numpy int32 arrays at the working level), so equality is set
@@ -22,14 +23,13 @@ import math
 
 import numpy as np
 
+# Ring axioms are checked once, exactly, on the additive generators by
+# from_struct: multiplication is the bilinear extension of the structure
+# constants, and two multilinear maps agree iff they agree on generators, so
+# the check covers every element at every size.  from_tables only builds
+# closed subsets and quotients of rings built that way, which inherit the
+# axioms; it checks just what its arguments can break (zero, negatives, unit).
 DEFAULT_SIZE_CAP = 4096
-# Full element-level triple scans (associativity, distributivity) are O(n^3);
-# above this size they are backed by a seeded sample.  The generator-level
-# verification run by from_struct is exact at every size: multiplication is
-# the multilinear extension of the structure constants, and two multilinear
-# maps agree iff they agree on generators.
-EXHAUSTIVE_AXIOM_CAP = 512
-_AXIOM_SAMPLE = 20000
 
 
 class RingError(Exception):
@@ -128,7 +128,7 @@ class FiniteRing:
     @classmethod
     def from_struct(cls, orders, struct, one_vec, *, label, kind,
                     varmap=None, monomials=None, factors=None,
-                    size_cap=DEFAULT_SIZE_CAP, validate=True):
+                    size_cap=DEFAULT_SIZE_CAP):
         """Build a ring from additive structure constants.
 
         ``orders`` lists the orders of the additive generators (the additive
@@ -136,6 +136,7 @@ class FiniteRing:
         ``struct[i][j]`` is the coefficient vector of the product of
         generators i and j; multiplication is its bilinear extension;
         ``one_vec`` is the coefficient vector of the multiplicative identity.
+        The ring axioms are verified exactly on the generators.
         """
         orders = tuple(int(c) for c in orders)
         if not orders or any(c < 2 for c in orders):
@@ -148,8 +149,7 @@ class FiniteRing:
         struct = np.asarray(struct, dtype=np.int64).reshape(k, k, k) % ordv
         one_vec = np.asarray(one_vec, dtype=np.int64).reshape(k) % ordv
 
-        if validate:
-            cls._validate_struct(orders, struct, one_vec)
+        cls._validate_struct(orders, struct, one_vec)
 
         # mixed-radix indexing: index = coeffs . radix, last coordinate fastest
         radix = np.ones(k, dtype=np.int64)
@@ -172,36 +172,41 @@ class FiniteRing:
             mul[lo:hi] = encode(block)
         one = int(encode(one_vec[None, :])[0])
 
-        ring = cls(size=size, add=add, mul=mul, neg=neg, zero=0, one=one,
+        return cls(size=size, add=add, mul=mul, neg=neg, zero=0, one=one,
                    label=label, kind=kind, orders=orders, coeffs=coeffs,
                    varmap=varmap, monomials=monomials, factors=factors,
                    size_cap=size_cap)
-        if validate:
-            ring._validate_tables()
-        return ring
 
     @classmethod
     def from_tables(cls, add, mul, one, *, label, kind, elem_names=None,
-                    size_cap=DEFAULT_SIZE_CAP, validate=True):
-        """Build a ring directly from operation tables (derived rings)."""
+                    size_cap=DEFAULT_SIZE_CAP):
+        """Build a ring directly from operation tables.
+
+        The tables must come from a validated ring: a closed subset of it
+        re-indexed (:meth:`subset_ring`), a quotient by an ideal
+        (:func:`quotient_of_subring`), or the square-zero doubling of one.
+        Such tables inherit associativity, commutativity and
+        distributivity; only the additive identity, the negatives and the
+        given ``one`` are checked here.
+        """
         add = np.asarray(add, dtype=np.int32)
         mul = np.asarray(mul, dtype=np.int32)
         size = add.shape[0]
         if size > size_cap:
             raise SizeCapError(f"ring size {size} exceeds cap {size_cap}")
         idx = np.arange(size, dtype=np.int32)
-        zeros = [z for z in range(size) if np.array_equal(add[z], idx)]
-        if len(zeros) != 1:
+        zeros = np.flatnonzero((add == idx).all(axis=1))
+        if zeros.size != 1:
             raise RingError("addition table has no unique identity")
-        zero = zeros[0]
+        zero = int(zeros[0])
         inv_rows = (add == zero)
         if not (inv_rows.sum(axis=1) == 1).all():
             raise RingError("addition table is not a group table")
         neg = inv_rows.argmax(axis=1).astype(np.int32)
+        if not np.array_equal(mul[one], idx):
+            raise RingError("identity law fails")
         ring = cls(size=size, add=add, mul=mul, neg=neg, zero=zero, one=int(one),
                    label=label, kind=kind, elem_names=elem_names, size_cap=size_cap)
-        if validate:
-            ring._validate_tables()
         ring.orders = ring.additive_invariants()
         return ring
 
@@ -230,41 +235,6 @@ class FiniteRing:
                                           vec_mul(eye[i], struct[j, l])):
                         raise RingError(
                             f"multiplication not associative on generators ({i},{j},{l})")
-
-    def _validate_tables(self):
-        """Element-level axioms: exhaustive up to EXHAUSTIVE_AXIOM_CAP, sampled above."""
-        n, add, mul = self.size, self.add, self.mul
-        idx = np.arange(n, dtype=np.int32)
-        if not np.array_equal(mul, mul.T):
-            raise RingError("multiplication table not commutative")
-        if not np.array_equal(add, add.T):
-            raise RingError("addition table not commutative")
-        if not np.array_equal(mul[self.one], idx):
-            raise RingError("identity law fails")
-        if not np.array_equal(add[self.zero], idx):
-            raise RingError("zero law fails")
-        if n <= EXHAUSTIVE_AXIOM_CAP:
-            chunk = max(1, (1 << 24) // max(1, n * n))
-            for lo in range(0, n, chunk):
-                blk = slice(lo, min(n, lo + chunk))
-                if not np.array_equal(mul[mul[blk]], mul[blk][:, mul]):
-                    raise RingError("multiplication not associative")
-                if not np.array_equal(add[add[blk]], add[blk][:, add]):
-                    raise RingError("addition not associative")
-                lhs = mul[blk][:, add]
-                rhs = add[mul[blk][:, :, None], mul[blk][:, None, :]]
-                if not np.array_equal(lhs, rhs):
-                    raise RingError("multiplication does not distribute over addition")
-        else:
-            rng = np.random.default_rng(0)
-            xs, ys, zs = rng.integers(0, n, size=(3, _AXIOM_SAMPLE))
-            if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
-                raise RingError("multiplication not associative (sampled)")
-            if not np.array_equal(add[add[xs, ys], zs], add[xs, add[ys, zs]]):
-                raise RingError("addition not associative (sampled)")
-            if not np.array_equal(mul[xs, add[ys, zs]],
-                                  add[mul[xs, ys], mul[xs, zs]]):
-                raise RingError("distributivity fails (sampled)")
 
     # ------------------------------------------------------------------
     # basic queries
@@ -440,11 +410,6 @@ class FiniteRing:
     def idempotents_in(self, subset) -> list[int]:
         s = as_index_array(subset)
         return [int(e) for e in s.tolist() if self.mul[e, e] == e]
-
-    def units_in(self, subset, unit) -> set[int]:
-        s = as_index_array(subset)
-        has_inv = (self.mul[np.ix_(s, s)] == unit).any(axis=1)
-        return {int(x) for x, ok in zip(s.tolist(), has_inv) if ok}
 
     def subset_ring(self, subset, unit, label=None):
         """Re-index a closed subset as a standalone ring with the given unit.
@@ -764,14 +729,6 @@ def product_element(prod, comps):
     for i, c in enumerate(comps):
         x = int(prod.add[x, embed_in_product(prod, i, c)])
     return x
-
-
-def project_from_product(prod, which, elem):
-    """Component of ``elem`` in factor ``which``."""
-    off = sum(len(f.orders) for f in prod.factors[:which])
-    fac = prod.factors[which]
-    vec = prod.coeffs[elem][off:off + len(fac.orders)]
-    return vec_index(fac, vec)
 
 
 # ----------------------------------------------------------------------

@@ -76,3 +76,40 @@ def distributive_by_definition(nodes):
                 if lhs != rhs:
                     return False
     return True
+
+
+def assert_ring_axioms(R):
+    """Exhaustive element-level scan of the commutative-ring axioms on the
+    tables of R: both operations commutative and associative, additive
+    inverses, multiplication distributive over addition, and zero and one
+    acting as identities.  O(n^3); one row of the triple scan at a time."""
+    n, add, mul = R.size, R.add, R.mul
+    idx = np.arange(n)
+    assert np.array_equal(add[R.zero], idx), "zero is not an additive identity"
+    assert np.array_equal(mul[R.one], idx), "one is not a multiplicative identity"
+    assert np.array_equal(add, add.T), "addition not commutative"
+    assert np.array_equal(mul, mul.T), "multiplication not commutative"
+    assert (add[idx, R.neg] == R.zero).all(), "neg is not an additive inverse"
+    for x in range(n):
+        # (x+y)+z = x+(y+z), (xy)z = x(yz), x(y+z) = xy + xz for all y, z
+        assert np.array_equal(add[add[x]], add[x][add]), f"+ not associative at {x}"
+        assert np.array_equal(mul[mul[x]], mul[x][mul]), f"* not associative at {x}"
+        assert np.array_equal(mul[x][add], add[np.ix_(mul[x], mul[x])]), \
+            f"* does not distribute over + at {x}"
+
+
+def doubled_ring_tables(S, top):
+    """(add, mul, one) of the idealization T(+)T of the subring ``top`` by
+    the element-wise definition (r1,m1)(r2,m2) = (r1r2, r1m2 + r2m1); the
+    pair (r, m) has index i(r)*n + i(m), i the position in sorted ``top``."""
+    top = sorted(int(x) for x in top)
+    n = len(top)
+    pos = {x: i for i, x in enumerate(top)}
+    pairs = list(itertools.product(top, top))
+    add = np.empty((n * n, n * n), dtype=np.int32)
+    mul = np.empty((n * n, n * n), dtype=np.int32)
+    for i, (r1, m1) in enumerate(pairs):
+        for j, (r2, m2) in enumerate(pairs):
+            add[i, j] = pos[S.a(r1, r2)] * n + pos[S.a(m1, m2)]
+            mul[i, j] = pos[S.m(r1, r2)] * n + pos[S.a(S.m(r1, m2), S.m(r2, m1))]
+    return add, mul, pos[S.one] * n + pos[S.zero]

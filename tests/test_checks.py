@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from ringlattice import dsl, verify
+from ringlattice import checks, dsl, verify
 from ringlattice import extension as ex
+
+from oracles import doubled_ring_tables
 
 
 def analysis_of(name):
@@ -115,3 +118,15 @@ def test_failed_check_carries_witness(a5):
         cat.CatalogInstance("E4", "", inst.spec, (broken,)), a)
     assert res[0].status == "fail"
     assert res[0].witness == {"expected": 6, "measured": 5, "tag": "DERIVED"}
+
+
+@pytest.mark.parametrize("fixture", ["e1", "e4", "e5"])
+def test_doubled_ring_matches_elementwise_definition(fixture, request):
+    E = request.getfixturevalue(fixture)
+    # the top, and the base as a proper subring whose indices are re-mapped
+    for T in (E.top, E.base):
+        big = checks.doubled_ring(E.ambient, sorted(T))
+        add, mul, one = doubled_ring_tables(E.ambient, T)
+        assert np.array_equal(big.add, add)
+        assert np.array_equal(big.mul, mul)
+        assert big.one == one and big.size == len(T) ** 2

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlattice import finring as fr
+from ringlattice.checks import doubled_ring
 
-from oracles import brute_force_ideals, brute_force_subrings, largest_common_ideal
+from oracles import (assert_ring_axioms, brute_force_ideals, brute_force_subrings,
+                     largest_common_ideal)
 
 
 def test_zmod4_shape():
@@ -72,6 +74,14 @@ def test_idealization_rejects_bad_action():
     # the zero action is fine: t acts as 0 on the module
     ok = fr.idealization(Rt, (2,), action={"t": [[0]]})
     assert ok.size == 8
+    # above 512 elements the generator-level check is just as exact: t acts
+    # by a matrix A with A^2 != 0 (m1 -> m2 -> m3) on an 8-generator module
+    A = np.zeros((8, 8), dtype=int)
+    A[0, 1] = A[1, 2] = 1
+    with pytest.raises(fr.RingError, match="action"):
+        fr.idealization(Rt, (2,) * 8, action={"t": A})
+    A[1, 2] = 0  # now A^2 = 0
+    assert fr.idealization(Rt, (2,) * 8, action={"t": A}).size == 1024
 
 
 def test_quotient_relations_collapse_detected():
@@ -161,6 +171,9 @@ def test_subset_ring_roundtrip():
     assert sub.size == 3
     assert fr.is_field(sub)
     assert fr.rings_isomorphic(sub, fr.zmod(3))
+    # 2 is in the closed subset {0, 2, 4} but is not its identity
+    with pytest.raises(fr.RingError):
+        R.subset_ring([0, 2, 4], 2)
 
 
 def test_conductor_against_ideal_scan():
@@ -240,3 +253,31 @@ def test_closure_is_idempotent_and_minimal(name, seed, within_seed):
         assert R.is_ideal_of(within, ideal)
         assert frozenset(ideal.tolist()) == frozenset.intersection(
             *[I for I in ideals if gens <= I])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2"]),
+       st.data())
+def test_derived_rings_satisfy_ring_axioms(name, data):
+    # rings built from tables are checked only for zero, negatives and the
+    # unit; the remaining axioms must hold by construction on every route
+    R = _small_ring(name)
+    everything = np.arange(R.size)
+    dec = fr.primitive_idempotents(R)
+    e = data.draw(st.sampled_from(dec.idempotents))
+    sub, _ = R.subset_ring(np.unique(R.mul[e]), e)
+    assert_ring_axioms(sub)
+
+    ideals = [I for I in R.all_ideals(everything) if len(I) < R.size]
+    ideal = data.draw(st.sampled_from(ideals))
+    quo, _ = fr.quotient_ring(R, fr.as_index_array(ideal))
+    assert_ring_axioms(quo)
+    quo_struct, _ = fr.as_struct_ring(quo)
+    assert_ring_axioms(quo_struct)
+
+    M = data.draw(st.sampled_from(fr.maximal_ideals(R)))
+    field, _ = fr.residue_field(R, fr.as_index_array(M))
+    assert_ring_axioms(field)
+
+    seed = data.draw(st.sets(st.integers(0, R.size - 1), max_size=2))
+    assert_ring_axioms(doubled_ring(R, R.subring_closure(seed)))
