@@ -168,9 +168,18 @@ class Extension:
         return self._cache["decomp"]
 
     def localized(self, M) -> "Extension":
+        """The localization at the maximal ideal M of the base.  A local
+        base has the primitive idempotent 1, so when the top is the whole
+        ambient ring the localization is this extension itself (sharing its
+        cached lattice and flags)."""
         key = ("loc", M)
         if key not in self._cache:
-            self._cache[key] = localize_at(self, M)
+            dec = self.base_decomposition()
+            if dec.maximal_ideals == [frozenset(M)] and \
+                    len(self.top) == self.ambient.size:
+                self._cache[key] = self
+            else:
+                self._cache[key] = localize_at(self, M)
         return self._cache[key]
 
 
@@ -220,7 +229,9 @@ def enumerate_interval(E: Extension, node_limit=DEFAULT_NODE_LIMIT) -> Extension
                             "interval enumeration")
     if E.top not in nodes:
         raise TheoremViolation("join closure failed to reach the top ring")
-    return ExtensionLattice(nodes, join_of, ambient=S)
+    # the memo holds every incomparable (node, monogenic subring) join, and
+    # every join-irreducible node is monogenic
+    return ExtensionLattice(nodes, join_memo, ambient=S)
 
 
 def maximal_chain(E: Extension) -> list[frozenset]:
@@ -293,10 +304,7 @@ def localize_at(E: Extension, M) -> Extension:
     ring, old = S.subset_ring(eS, e, label=f"({S.label})_loc")
     pos = {int(x): i for i, x in enumerate(old.tolist())}
     base = frozenset(pos[int(x)] for x in eR.tolist())
-    ext = Extension(ring, base, name=(E.name or "E") + "@loc")
-    ext._cache["loc_idempotent"] = e
-    ext._cache["loc_old_index"] = old
-    return ext
+    return Extension(ring, base, name=(E.name or "E") + "@loc")
 
 
 def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:

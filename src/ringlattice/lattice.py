@@ -15,14 +15,53 @@ import itertools
 
 import numpy as np
 
-# Exhaustive associativity scans of the meet/join tables up to this many
-# nodes; sampled above (fixed seed, recorded in reports).
-EXHAUSTIVE_LATTICE_CAP = 512
 SUBINTERVAL_SAMPLE_SEED = 0xD15717B
 # Exhaustive 5-subset forbidden-sublattice sweep only below this node count;
 # the constructive witness from a failing triple is used at every size and
 # the law scan is always the ground truth.
 _FIVE_SUBSET_CAP = 16
+
+
+def _bitset(indices):
+    """The int with bit x set for every x in ``indices``."""
+    b = 0
+    for x in indices:
+        b |= 1 << x
+    return b
+
+
+def _bit_rows(masks, n):
+    """The n x n bool matrix whose row i holds the bits of masks[i]."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                        dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(bool)
+
+
+def _tables(bits, up, down):
+    """meet/join tables (lists of rows) from the upper and lower sets.
+    Nodes are sorted by size, so the lowest common upper bound is the least
+    one if any is, and the highest common lower bound is the intersection
+    if that is a node; both are checked."""
+    n = len(bits)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ui, di, bi = up[i], down[i], bits[i]
+        for j in range(i, n):
+            if ui >> j & 1:
+                m, v = i, j
+            else:
+                above = ui & up[j]
+                v = (above & -above).bit_length() - 1
+                if up[v] != above:
+                    raise LatticeError("nodes have no least common upper bound")
+                m = (di & down[j]).bit_length() - 1
+                if bits[m] != bi & bits[j]:
+                    raise LatticeError("intersection of nodes escapes the node set")
+            meet[i][j] = meet[j][i] = m
+            join[i][j] = join[j][i] = v
+    return meet, join
 
 
 class LatticeError(Exception):
@@ -47,46 +86,76 @@ class ExtensionLattice:
     nodes: frozensets of ambient element indices, sorted by (size, element
     tuple), so node 0 is the bottom and node n-1 the top.  ``leq`` is the
     full order matrix, ``covers`` the Hasse edges, ``meet``/``join`` the
-    binary operation tables (meet = intersection, join = generated subring,
-    both guaranteed to land in the node set).
+    binary operation tables.
+
+    The tables are read off the inclusion order alone.  Each node is held
+    once as an int bitset of its elements and gets an upper-set and a
+    lower-set mask of node indices.  Nodes are sorted by size, so the join
+    of i and j is the lowest node above both and the meet the highest node
+    below both.  The constructor raises :class:`LatticeError` unless the
+    join is the least common upper bound and the meet is the intersection
+    of the two nodes, so the meet is also the greatest common lower bound.
+
+    joins: optional facts ``{(a, b): generated subring of a | b}`` from the
+    caller.  Each must equal the table join, and they must cover every
+    incomparable (node, join-irreducible node) pair.  Every node is a join
+    of join-irreducible ones, so the facts then prove that the table join
+    is the generated subring for every pair.  Without facts the join is
+    the least upper bound in the node set only (a sub-interval of a
+    checked lattice needs no more).
     """
 
-    def __init__(self, nodes, join_of, ambient=None, verify=True):
+    def __init__(self, nodes, joins=None, ambient=None, verify=True):
         self.ambient = ambient
         self.nodes = sorted(nodes, key=lambda s: (len(s), sorted(s)))
         self.index = {s: i for i, s in enumerate(self.nodes)}
         n = self.n = len(self.nodes)
-        self.leq = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(self.nodes):
-            for j, b in enumerate(self.nodes):
-                self.leq[i, j] = a <= b
-        if not self.leq[0].all() or not self.leq[:, n - 1].all():
+        bits = [_bitset(s) for s in self.nodes]
+        # up[i] / down[i]: the nodes above / below node i, as index bitsets;
+        # a node lies only inside itself and larger nodes, which sort later
+        up = [1 << i for i in range(n)]
+        down = list(up)
+        for j, b in enumerate(bits):
+            for i in range(j):
+                if bits[i] & b == bits[i]:
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        everything = (1 << n) - 1
+        if up[0] != everything or down[n - 1] != everything:
             raise LatticeError("node set has no global bottom/top")
+        self.leq = _bit_rows(up, n)
         lt = self.leq & ~np.eye(n, dtype=bool)
         self.covers = lt & ~(lt @ lt)
-        self.meet = np.empty((n, n), dtype=np.int32)
-        self.join = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(self.nodes):
-            for j in range(i, n):
-                m = a & self.nodes[j]
-                if m not in self.index:
-                    raise LatticeError("intersection of nodes escapes the node set")
-                self.meet[i, j] = self.meet[j, i] = self.index[m]
-                if self.leq[i, j]:
-                    jj = j
-                elif self.leq[j, i]:
-                    jj = i
-                else:
-                    v = join_of(a, self.nodes[j])
-                    if v not in self.index:
-                        raise LatticeError("join of nodes escapes the node set")
-                    jj = self.index[v]
-                self.join[i, j] = self.join[j, i] = jj
+        meet, join = _tables(bits, up, down)
+        if joins is not None:
+            self._check_join_facts(joins, join, up, down)
+        self.meet = np.array(meet, dtype=np.int32).reshape(n, n)
+        self.join = np.array(join, dtype=np.int32).reshape(n, n)
         self._levels = {}
         self._distributive = None
         self._verdict = None
         if verify:
             self.verify_axioms()
+
+    def _check_join_facts(self, joins, join, up, down):
+        """Every fact equals the table join, and the facts cover every
+        incomparable (node, join-irreducible node) pair."""
+        index, nodes = self.index, self.nodes
+        for (a, b), v in joins.items():
+            i, j, k = index.get(a), index.get(b), index.get(v)
+            if k is None or i is None or j is None or join[i][j] != k:
+                raise LatticeError("join of nodes escapes the node set")
+        for j in range(1, self.n):
+            # j is join-irreducible iff the largest node below it lies above
+            # every node below it
+            below = down[j] ^ (1 << j)
+            if down[below.bit_length() - 1] != below:
+                continue
+            comparable = up[j] | down[j]
+            for i in range(self.n):
+                if not comparable >> i & 1 and (nodes[i], nodes[j]) not in joins \
+                        and (nodes[j], nodes[i]) not in joins:
+                    raise LatticeError("join facts miss a join-irreducible node")
 
     # ------------------------------------------------------------------
     # basics
@@ -103,9 +172,9 @@ class ExtensionLattice:
         return self.n - 1
 
     def verify_axioms(self):
-        """Lattice axioms on the tables: idempotence, absorption and
-        consistency with the order everywhere; associativity exhaustively up
-        to EXHAUSTIVE_LATTICE_CAP nodes, seeded-sampled above."""
+        """Lattice axioms on the tables, exhaustively at every size:
+        idempotence, absorption, consistency with the order and
+        associativity (the triple scan one block of rows at a time)."""
         n, meet, join, leq = self.n, self.meet, self.join, self.leq
         rng_idx = np.arange(n)
         if not (meet[rng_idx, rng_idx] == rng_idx).all():
@@ -122,21 +191,13 @@ class ExtensionLattice:
             raise LatticeError("meet table inconsistent with order")
         if not np.array_equal(leq, join == rng_idx[None, :]):
             raise LatticeError("join table inconsistent with order")
-        if n <= EXHAUSTIVE_LATTICE_CAP:
-            chunk = max(1, (1 << 23) // max(1, n * n))
-            for lo in range(0, n, chunk):
-                blk = slice(lo, min(n, lo + chunk))
-                if not np.array_equal(meet[meet[blk]], meet[blk][:, meet]):
-                    raise LatticeError("meet not associative")
-                if not np.array_equal(join[join[blk]], join[blk][:, join]):
-                    raise LatticeError("join not associative")
-        else:
-            rng = np.random.default_rng(SUBINTERVAL_SAMPLE_SEED)
-            xs, ys, zs = rng.integers(0, n, size=(3, 20000))
-            if not np.array_equal(meet[meet[xs, ys], zs], meet[xs, meet[ys, zs]]):
-                raise LatticeError("meet not associative (sampled)")
-            if not np.array_equal(join[join[xs, ys], zs], join[xs, join[ys, zs]]):
-                raise LatticeError("join not associative (sampled)")
+        chunk = max(1, (1 << 23) // max(1, n * n))
+        for lo in range(0, n, chunk):
+            blk = slice(lo, min(n, lo + chunk))
+            if not np.array_equal(meet[meet[blk]], meet[blk][:, meet]):
+                raise LatticeError("meet not associative")
+            if not np.array_equal(join[join[blk]], join[blk][:, join]):
+                raise LatticeError("join not associative")
 
     def atoms(self):
         return [int(v) for v in np.flatnonzero(self.covers[0])]
@@ -182,11 +243,7 @@ class ExtensionLattice:
         if not self.leq[a, b]:
             raise LatticeError("interval endpoints are not comparable")
         sel = [self.nodes[v] for v in self.interval_nodes(a, b)]
-
-        def join_of(x, y):
-            return self.nodes[self.join[self.index[x], self.index[y]]]
-
-        return ExtensionLattice(sel, join_of, ambient=self.ambient, verify=False)
+        return ExtensionLattice(sel, ambient=self.ambient, verify=False)
 
     # ------------------------------------------------------------------
     # catenarity and length

@@ -303,9 +303,10 @@ def regen_expectation(inst: cat.CatalogInstance, expect, a: Analysis):
             oracle = "subset-scan"
         else:
             return None, None
-        L = ExtensionLattice(
-            nodes, lambda x, y: frozenset(S.subring_closure(list(x | y)).tolist()),
-            ambient=S)
+        joins = {(x, y): frozenset(S.subring_closure(list(x | y)).tolist())
+                 for x, y in itertools.combinations(nodes, 2)
+                 if not (x <= y or y <= x)}
+        L = ExtensionLattice(nodes, joins, ambient=S)
         val = {
             "node_count": len(nodes),
             "length": L.length,

@@ -3,14 +3,31 @@
 These deliberately avoid the library's closure-based enumeration and
 criterion shortcuts: subrings and ideals are found by scanning all subsets
 against the operation tables, so the main code paths are checked against a
-different computation.
+different computation.  ``small_ring`` builds the tiny rings they run on.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
 from ringlattice import finring as fr
+
+
+SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
+
+
+@functools.lru_cache(maxsize=None)
+def small_ring(name):
+    """One of the SMALL_RINGS (8 elements each), built once."""
+    F2 = fr.gf(2)
+    return {
+        "F2[x]/(x^3)": lambda: fr.quotient_by_relations(
+            F2, [fr.resolve_relation(F2, [((("x", 3),), 1)])]),
+        "F2xF4": lambda: fr.product_ring([F2, fr.gf(2, 2)]),
+        "F2+F2^2": lambda: fr.idealization(F2, (2, 2)),
+        "Z4xZ2": lambda: fr.product_ring([fr.zmod(4), fr.zmod(2)]),
+    }[name]()
 
 
 def brute_force_subrings(S, base):
@@ -76,6 +93,26 @@ def distributive_by_definition(nodes):
                 if lhs != rhs:
                     return False
     return True
+
+
+def closure_lattice_tables(S, nodes):
+    """(leq, covers, meet, join) of the subrings ``nodes`` of S by the
+    element-wise definitions: inclusion, covers with no node strictly
+    between, meet the node equal to the intersection, join the node equal
+    to the generated subring.  Node order as in ExtensionLattice."""
+    nodes = sorted(nodes, key=lambda s: (len(s), sorted(s)))
+    index = {s: i for i, s in enumerate(nodes)}
+    n = len(nodes)
+    leq = np.array([[a <= b for b in nodes] for a in nodes], dtype=bool)
+    covers = np.zeros((n, n), dtype=bool)
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            covers[i, j] = a < b and not any(a < c < b for c in nodes)
+            meet[i, j] = index[a & b]
+            join[i, j] = index[frozenset(S.subring_closure(sorted(a | b)).tolist())]
+    return leq, covers, meet, join
 
 
 def assert_ring_axioms(R):

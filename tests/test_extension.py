@@ -115,6 +115,22 @@ def test_localize_local_base_is_identity_shape(e1):
     assert len(loc.top) == len(e1.top) and len(loc.base) == len(e1.base)
 
 
+def test_localized_local_base_full_top_is_the_extension(e1, e5):
+    # a local base has the primitive idempotent 1: R_M = R and S_M = S
+    M = e1.max_ideals_base()[0]
+    assert e1.localized(M) is e1
+    copy = ex.localize_at(e1, M)
+    assert (copy.base, copy.top) == (e1.base, e1.top)
+    assert copy.lattice().nodes == e1.lattice().nodes
+    with pytest.raises(fr.RingError, match="not a maximal ideal"):
+        e1.localized(e1.base)
+    # a proper top still goes through the re-indexed ring
+    part = ex.Extension(e5.ambient, e5.base, e5.decomposition().t)
+    M5 = part.max_ideals_base()[0]
+    loc = part.localized(M5)
+    assert loc is not part and len(loc.top) == len(part.top)
+
+
 def test_fibers_examples(e1, e2, e6):
     f1 = ex.fibers(e1)
     assert [len(v) for v in f1.values()] == [1]

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from ringlattice import finring as fr
 from ringlattice.checks import doubled_ring
 
-from oracles import (assert_ring_axioms, brute_force_ideals, brute_force_subrings,
-                     largest_common_ideal)
+from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
+                     brute_force_subrings, largest_common_ideal, small_ring)
 
 
 def test_zmod4_shape():
@@ -220,24 +218,12 @@ def test_constructed_rings_satisfy_structure_invariants(spec):
     assert np.array_equal(R.mul, R2.mul) and np.array_equal(R.add, R2.add)
 
 
-@functools.lru_cache(maxsize=None)
-def _small_ring(name):
-    F2 = fr.gf(2)
-    return {
-        "F2[x]/(x^3)": lambda: fr.quotient_by_relations(
-            F2, [fr.resolve_relation(F2, [((("x", 3),), 1)])]),
-        "F2xF4": lambda: fr.product_ring([F2, fr.gf(2, 2)]),
-        "F2+F2^2": lambda: fr.idealization(F2, (2, 2)),
-        "Z4xZ2": lambda: fr.product_ring([fr.zmod(4), fr.zmod(2)]),
-    }[name]()
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2"]),
+@given(st.sampled_from(SMALL_RINGS),
        st.sets(st.integers(0, 7), max_size=3),
        st.sets(st.integers(0, 7), max_size=2))
 def test_closure_is_idempotent_and_minimal(name, seed, within_seed):
-    R = _small_ring(name)
+    R = small_ring(name)
     subrings = brute_force_subrings(R, {R.zero, R.one})
     c1 = R.subring_closure(seed)
     assert R.is_subring(c1)
@@ -256,12 +242,12 @@ def test_closure_is_idempotent_and_minimal(name, seed, within_seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2"]),
+@given(st.sampled_from(SMALL_RINGS),
        st.data())
 def test_derived_rings_satisfy_ring_axioms(name, data):
     # rings built from tables are checked only for zero, negatives and the
     # unit; the remaining axioms must hold by construction on every route
-    R = _small_ring(name)
+    R = small_ring(name)
     everything = np.arange(R.size)
     dec = fr.primitive_idempotents(R)
     e = data.draw(st.sampled_from(dec.idempotents))

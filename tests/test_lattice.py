@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice.lattice import ExtensionLattice, LatticeError
 
-from oracles import distributive_by_definition
+from oracles import (SMALL_RINGS, closure_lattice_tables,
+                     distributive_by_definition, small_ring)
 
 
 @pytest.fixture(scope="module")
@@ -151,11 +153,88 @@ def test_maximal_chains_enumeration(e5):
     assert all(len(c) == 4 for c in chains)     # all of length 3
 
 
+def _sets(*nodes):
+    return [frozenset(n) for n in nodes]
+
+
 def test_lattice_axioms_guard():
-    # a node set missing an intersection must be rejected
-    S = fr.idealization(fr.gf(2), (2, 2))
-    E = ex.Extension(S, ex.prime_subring(S))
-    L = E.lattice()
-    bad = [n for i, n in enumerate(L.nodes) if i != 0]
+    # each construction guard on its own node set (plain index sets)
+    with pytest.raises(LatticeError, match="no global bottom/top"):
+        ExtensionLattice(_sets({0, 1}, {0, 2}, {0, 1, 2}))
+    # an order lattice (a square) whose meet {0} is not the intersection {0, 1}
+    with pytest.raises(LatticeError, match="intersection of nodes escapes"):
+        ExtensionLattice(_sets({0}, {0, 1, 2}, {0, 1, 3}, {0, 1, 2, 3}))
+    # {0, 1} and {0, 2} lie below two incomparable nodes and the top
+    with pytest.raises(LatticeError, match="no least common upper bound"):
+        ExtensionLattice(_sets({0}, {0, 1}, {0, 2}, {0, 1, 2, 3},
+                               {0, 1, 2, 4}, {0, 1, 2, 3, 4}))
+    # a lattice in order, but the generated subring of a | b is the top
+    square = _sets({0}, {0, 1}, {0, 2}, {0, 1, 2}, {0, 1, 2, 3})
+    a, b, ab, top = square[1], square[2], square[3], square[4]
+    assert ExtensionLattice(square, {(a, b): ab}).join[1, 2] == 3
+    with pytest.raises(LatticeError, match="join of nodes escapes"):
+        ExtensionLattice(square, {(a, b): top})
+    # no fact for the incomparable join-irreducible pair (a, b)
+    with pytest.raises(LatticeError, match="join facts miss"):
+        ExtensionLattice(square, {})
+
+
+def test_verify_axioms_rejects_a_broken_table(e5):
+    L = ex.enumerate_interval(e5)
+    L.join[1, 2] = L.join[2, 1] = L.top if L.join[1, 2] != L.top else 0
     with pytest.raises(LatticeError):
-        ExtensionLattice(bad, lambda a, b: a | b, ambient=S)
+        L.verify_axioms()
+
+
+@pytest.fixture(scope="module")
+def big_lattices():
+    # Pi5 (52 subrings of F2^5) and the 67 subrings F2 + V of F2 + F2^4
+    out = []
+    for S in (fr.product_ring([fr.gf(2)] * 5),
+              fr.idealization(fr.gf(2), (2, 2, 2, 2))):
+        out.append(ex.Extension(S, ex.prime_subring(S)))
+    return out
+
+
+def _assert_tables_match(E):
+    L = E.lattice()
+    leq, covers, meet, join = closure_lattice_tables(E.ambient, L.nodes)
+    assert np.array_equal(L.leq, leq)
+    assert np.array_equal(L.covers, covers)
+    assert np.array_equal(L.meet, meet)
+    assert np.array_equal(L.join, join)
+
+
+def test_order_tables_match_closure_tables(big_lattices):
+    assert [len(E.lattice()) for E in big_lattices] == [52, 67]
+    for E in big_lattices:
+        _assert_tables_match(E)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_order_tables_match_closure_tables_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_tables_match(ex.Extension(R, R.subring_closure(seed)))
+
+
+def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
+    # the tables come from the order; only the enumeration closes subsets
+    closures, per_build = [0], []
+    closure, build = fr.FiniteRing.subring_closure, ExtensionLattice.__init__
+
+    def counting_closure(self, seed):
+        closures[0] += 1
+        return closure(self, seed)
+
+    def counting_build(self, *args, **kwargs):
+        before = closures[0]
+        build(self, *args, **kwargs)
+        per_build.append(closures[0] - before)
+
+    monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
+    monkeypatch.setattr(ExtensionLattice, "__init__", counting_build)
+    E = big_lattices[0]
+    L = ex.enumerate_interval(E)
+    L.interval(1, L.top)
+    assert closures[0] > 0 and per_build == [0, 0]
