@@ -1161,56 +1161,3 @@ def rings_isomorphic(A, B) -> bool:
         return False
 
     return bool(search(0, {A.zero: B.zero}))
-
-
-# ----------------------------------------------------------------------
-# RingSpec: structured construction specs (the DSL compiles to these)
-
-@dataclass(frozen=True)
-class Zmod:
-    n: int
-
-
-@dataclass(frozen=True)
-class GF:
-    p: int
-    k: int = 1
-
-
-@dataclass(frozen=True)
-class Quotient:
-    base: object
-    relations: tuple  # of raw relations: tuples of (monomial, int coeff)
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Idealization:
-    base: object
-    module_orders: tuple
-    action: tuple = ()  # ((varname, ((row...), ...)), ...)
-
-
-def construct_ring(spec, size_cap=DEFAULT_SIZE_CAP):
-    """Build a validated FiniteRing from a structured spec.  Deterministic:
-    the same spec yields the identical ring, element ordering included."""
-    if isinstance(spec, Zmod):
-        return zmod(spec.n, size_cap)
-    if isinstance(spec, GF):
-        return gf(spec.p, spec.k, size_cap)
-    if isinstance(spec, Product):
-        return product_ring([construct_ring(f, size_cap) for f in spec.factors],
-                            size_cap)
-    if isinstance(spec, Quotient):
-        base = construct_ring(spec.base, size_cap)
-        rels = [resolve_relation(base, rel) for rel in spec.relations]
-        return quotient_by_relations(base, rels, size_cap)
-    if isinstance(spec, Idealization):
-        base = construct_ring(spec.base, size_cap)
-        action = {name: [list(row) for row in rows] for name, rows in spec.action}
-        return idealization(base, spec.module_orders, action, size_cap)
-    raise RingError(f"unknown ring spec {spec!r}")

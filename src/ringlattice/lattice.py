@@ -95,6 +95,11 @@ class ExtensionLattice:
     below both.  The constructor raises :class:`LatticeError` unless the
     join is the least common upper bound and the meet is the intersection
     of the two nodes, so the meet is also the greatest common lower bound.
+    These guards, with the bottom/top check, are the only runtime check:
+    idempotence, absorption, agreement with the order and associativity
+    are theorems of a poset with all least upper and greatest lower
+    bounds, so they hold by construction (the tests scan them on every
+    lattice they build).
 
     joins: optional facts ``{(a, b): generated subring of a | b}`` from the
     caller.  Each must equal the table join, and they must cover every
@@ -105,7 +110,7 @@ class ExtensionLattice:
     checked lattice needs no more).
     """
 
-    def __init__(self, nodes, joins=None, ambient=None, verify=True):
+    def __init__(self, nodes, joins=None, ambient=None):
         self.ambient = ambient
         self.nodes = sorted(nodes, key=lambda s: (len(s), sorted(s)))
         self.index = {s: i for i, s in enumerate(self.nodes)}
@@ -134,8 +139,6 @@ class ExtensionLattice:
         self._levels = {}
         self._distributive = None
         self._verdict = None
-        if verify:
-            self.verify_axioms()
 
     def _check_join_facts(self, joins, join, up, down):
         """Every fact equals the table join, and the facts cover every
@@ -171,39 +174,8 @@ class ExtensionLattice:
     def top(self):
         return self.n - 1
 
-    def verify_axioms(self):
-        """Lattice axioms on the tables, exhaustively at every size:
-        idempotence, absorption, consistency with the order and
-        associativity (the triple scan one block of rows at a time)."""
-        n, meet, join, leq = self.n, self.meet, self.join, self.leq
-        rng_idx = np.arange(n)
-        if not (meet[rng_idx, rng_idx] == rng_idx).all():
-            raise LatticeError("meet not idempotent")
-        if not (join[rng_idx, rng_idx] == rng_idx).all():
-            raise LatticeError("join not idempotent")
-        # absorption: x ^ (x v y) = x and x v (x ^ y) = x
-        if not (meet[rng_idx[:, None], join] == rng_idx[:, None]).all():
-            raise LatticeError("absorption fails for meet over join")
-        if not (join[rng_idx[:, None], meet] == rng_idx[:, None]).all():
-            raise LatticeError("absorption fails for join over meet")
-        # order consistency: x <= y iff x ^ y = x iff x v y = y
-        if not np.array_equal(leq, meet == rng_idx[:, None]):
-            raise LatticeError("meet table inconsistent with order")
-        if not np.array_equal(leq, join == rng_idx[None, :]):
-            raise LatticeError("join table inconsistent with order")
-        chunk = max(1, (1 << 23) // max(1, n * n))
-        for lo in range(0, n, chunk):
-            blk = slice(lo, min(n, lo + chunk))
-            if not np.array_equal(meet[meet[blk]], meet[blk][:, meet]):
-                raise LatticeError("meet not associative")
-            if not np.array_equal(join[join[blk]], join[blk][:, join]):
-                raise LatticeError("join not associative")
-
     def atoms(self):
         return [int(v) for v in np.flatnonzero(self.covers[0])]
-
-    def coatoms(self):
-        return [int(v) for v in np.flatnonzero(self.covers[:, self.n - 1])]
 
     def is_chain(self):
         return bool((self.leq | self.leq.T).all())
@@ -243,7 +215,7 @@ class ExtensionLattice:
         if not self.leq[a, b]:
             raise LatticeError("interval endpoints are not comparable")
         sel = [self.nodes[v] for v in self.interval_nodes(a, b)]
-        return ExtensionLattice(sel, ambient=self.ambient, verify=False)
+        return ExtensionLattice(sel, ambient=self.ambient)
 
     # ------------------------------------------------------------------
     # catenarity and length

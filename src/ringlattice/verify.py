@@ -287,28 +287,45 @@ def frobenius_subfields(S, base):
     return sorted(set(out), key=lambda s: (len(s), sorted(s)))
 
 
-def regen_expectation(inst: cat.CatalogInstance, expect, a: Analysis):
-    """Recompute a DERIVED expectation from an independent oracle.
+# expectations read off the oracle lattice
+LATTICE_MEASURES = ("node_count", "length", "distributive", "chained",
+                    "modular", "catenarian", "boolean", "is_b2",
+                    "atom_count", "witness_kind")
+
+
+def oracle_lattice(a: Analysis):
+    """The lattice of a's interval on an independent node set (Frobenius
+    fixed subfields or subset scan), every incomparable join closed
+    directly.  Returns (lattice, oracle_name), or (None, None) when no
+    oracle applies at this size."""
+    S, E = a.S, a.E
+    small = len(E.top) - len(E.base) <= 16
+    if fr.is_field(S) and not small:
+        nodes = frobenius_subfields(S, E.base)
+        oracle = "frobenius-fixed-subfields"
+    elif small:
+        nodes = brute_force_subrings(S, E.base)
+        oracle = "subset-scan"
+    else:
+        return None, None
+    joins = {(x, y): frozenset(S.subring_closure(list(x | y)).tolist())
+             for x, y in itertools.combinations(nodes, 2)
+             if not (x <= y or y <= x)}
+    return ExtensionLattice(nodes, joins, ambient=S), oracle
+
+
+def regen_expectation(expect, a: Analysis, lattice):
+    """Recompute a DERIVED expectation from an independent oracle; a lattice
+    measure is read off ``lattice``, the result of oracle_lattice(a).
     Returns (value, oracle_name) or (None, None) when no oracle applies."""
     S, E = a.S, a.E
     small = len(E.top) - len(E.base) <= 16
-    if expect.measure in ("node_count", "length", "distributive", "chained",
-                          "modular", "catenarian", "boolean", "is_b2",
-                          "atom_count", "witness_kind"):
-        if fr.is_field(S) and not small:
-            nodes = frobenius_subfields(S, E.base)
-            oracle = "frobenius-fixed-subfields"
-        elif small:
-            nodes = brute_force_subrings(S, E.base)
-            oracle = "subset-scan"
-        else:
+    if expect.measure in LATTICE_MEASURES:
+        L, oracle = lattice
+        if L is None:
             return None, None
-        joins = {(x, y): frozenset(S.subring_closure(list(x | y)).tolist())
-                 for x, y in itertools.combinations(nodes, 2)
-                 if not (x <= y or y <= x)}
-        L = ExtensionLattice(nodes, joins, ambient=S)
         val = {
-            "node_count": len(nodes),
+            "node_count": len(L.nodes),
             "length": L.length,
             "distributive": L.verdict().distributive,
             "chained": L.is_chain(),
@@ -561,10 +578,12 @@ def regen_report(pattern=None, size_cap=None):
     rows = []
     bad = 0
     for inst, a in pairs:
-        for e in inst.expectations:
-            if e.tag != "DERIVED":
-                continue
-            val, oracle = regen_expectation(inst, e, a)
+        derived = [e for e in inst.expectations if e.tag == "DERIVED"]
+        lattice = (oracle_lattice(a)
+                   if any(e.measure in LATTICE_MEASURES for e in derived)
+                   else (None, None))
+        for e in derived:
+            val, oracle = regen_expectation(e, a, lattice)
             if oracle is None:
                 rows.append({"instance": inst.name, "measure": e.measure,
                              "stored": _canon(e.value), "oracle": None,

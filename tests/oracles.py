@@ -115,6 +115,33 @@ def closure_lattice_tables(S, nodes):
     return leq, covers, meet, join
 
 
+def assert_lattice_axioms(L):
+    """Exhaustive scan of the lattice axioms on the tables of the
+    ExtensionLattice L: idempotence, absorption, consistency with the order
+    and associativity (the triple scan one block of rows at a time)."""
+    n, meet, join, leq = L.n, L.meet, L.join, L.leq
+    idx = np.arange(n)
+    assert (meet[idx, idx] == idx).all(), "meet not idempotent"
+    assert (join[idx, idx] == idx).all(), "join not idempotent"
+    # absorption: x ^ (x v y) = x and x v (x ^ y) = x
+    assert (meet[idx[:, None], join] == idx[:, None]).all(), \
+        "absorption fails for meet over join"
+    assert (join[idx[:, None], meet] == idx[:, None]).all(), \
+        "absorption fails for join over meet"
+    # order consistency: x <= y iff x ^ y = x iff x v y = y
+    assert np.array_equal(leq, meet == idx[:, None]), \
+        "meet table inconsistent with order"
+    assert np.array_equal(leq, join == idx[None, :]), \
+        "join table inconsistent with order"
+    chunk = max(1, (1 << 23) // max(1, n * n))
+    for lo in range(0, n, chunk):
+        blk = slice(lo, min(n, lo + chunk))
+        assert np.array_equal(meet[meet[blk]], meet[blk][:, meet]), \
+            "meet not associative"
+        assert np.array_equal(join[join[blk]], join[blk][:, join]), \
+            "join not associative"
+
+
 def assert_ring_axioms(R):
     """Exhaustive element-level scan of the commutative-ring axioms on the
     tables of R: both operations commutative and associative, additive

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlattice import finring as fr
+from ringlattice import dsl, finring as fr
 from ringlattice.checks import doubled_ring
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
@@ -187,26 +187,33 @@ def test_conductor_against_ideal_scan():
 
 
 @st.composite
-def small_ring_spec(draw):
+def small_ring_text(draw):
+    """DSL text declaring a small ring R: zmod, gf, a product of two zmod
+    rings, or a truncated polynomial ring over a prime field."""
     kind = draw(st.sampled_from(["zmod", "gf", "product", "trunc"]))
     if kind == "zmod":
-        return fr.Zmod(draw(st.integers(2, 16)))
+        return f"ring R = zmod({draw(st.integers(2, 16))})"
     if kind == "gf":
-        return fr.GF(draw(st.sampled_from([2, 3])), draw(st.integers(1, 3)))
+        p, k = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+        return f"ring R = gf({p}, {k})"
     if kind == "product":
         n = draw(st.integers(2, 8))
         m = draw(st.integers(2, 4))
-        return fr.Product((fr.Zmod(n), fr.Zmod(m)))
+        return f"ring A = zmod({n})\nring B = zmod({m})\nring R = product(A, B)"
     p = draw(st.sampled_from([2, 3]))
     d = draw(st.integers(2, 3))
-    x_power_rel = (((("x", d),), 1),)  # single term: x^d with coefficient 1
-    return fr.Quotient(fr.GF(p), (x_power_rel,))
+    return f"ring F = gf({p})\nring R = quotient(F, [x^{d}])"
+
+
+def _build_ring(text):
+    rings, _ = dsl.build(dsl.parse_spec(text))
+    return rings["R"]
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_ring_spec())
-def test_constructed_rings_satisfy_structure_invariants(spec):
-    R = fr.construct_ring(spec)
+@given(small_ring_text())
+def test_constructed_rings_satisfy_structure_invariants(text):
+    R = _build_ring(text)
     dec = fr.primitive_idempotents(R)
     # orthogonal idempotents summing to one, factor count = |Max(R)|
     assert len(dec.idempotents) == len(fr.maximal_ideals(R))
@@ -214,7 +221,7 @@ def test_constructed_rings_satisfy_structure_invariants(spec):
         k, _ = fr.residue_field(R, fr.as_index_array(M))
         assert fr.is_field(k)
     # determinism: rebuilding gives identical tables
-    R2 = fr.construct_ring(spec)
+    R2 = _build_ring(text)
     assert np.array_equal(R.mul, R2.mul) and np.array_equal(R.add, R2.add)
 
 

@@ -6,7 +6,7 @@ from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice.lattice import ExtensionLattice, LatticeError
 
-from oracles import (SMALL_RINGS, closure_lattice_tables,
+from oracles import (SMALL_RINGS, assert_lattice_axioms, closure_lattice_tables,
                      distributive_by_definition, small_ring)
 
 
@@ -107,6 +107,11 @@ def test_interval_sublattice(e5, bool64):
     assert len(sub8.nodes) == 2
     with pytest.raises(LatticeError):
         L8.interval(f8, next(i for i, n in enumerate(L8.nodes) if len(n) == 4))
+    for piece in (sub, full, sub8):
+        assert_lattice_axioms(piece)
+    # every sub-interval of the two-ladder is a lattice as well
+    for a, b in np.argwhere(L5.leq).tolist():
+        assert_lattice_axioms(L5.interval(a, b))
 
 
 def test_loewy_series_shapes(e4, e5, chain16):
@@ -171,7 +176,9 @@ def test_lattice_axioms_guard():
     # a lattice in order, but the generated subring of a | b is the top
     square = _sets({0}, {0, 1}, {0, 2}, {0, 1, 2}, {0, 1, 2, 3})
     a, b, ab, top = square[1], square[2], square[3], square[4]
-    assert ExtensionLattice(square, {(a, b): ab}).join[1, 2] == 3
+    L = ExtensionLattice(square, {(a, b): ab})
+    assert L.join[1, 2] == 3
+    assert_lattice_axioms(L)
     with pytest.raises(LatticeError, match="join of nodes escapes"):
         ExtensionLattice(square, {(a, b): top})
     # no fact for the incomparable join-irreducible pair (a, b)
@@ -180,10 +187,41 @@ def test_lattice_axioms_guard():
 
 
 def test_verify_axioms_rejects_a_broken_table(e5):
+    # the axiom scan is a test oracle: the build's guards make it hold
     L = ex.enumerate_interval(e5)
+    assert_lattice_axioms(L)
     L.join[1, 2] = L.join[2, 1] = L.top if L.join[1, 2] != L.top else 0
-    with pytest.raises(LatticeError):
-        L.verify_axioms()
+    with pytest.raises(AssertionError):
+        assert_lattice_axioms(L)
+
+
+def _tamper_meet_idempotence(L):
+    atom = L.atoms()[0]
+    L.meet[atom, atom] = L.bottom
+
+
+def _tamper_absorption(L):
+    # atom ^ (atom v top) = atom ^ top must be the atom
+    atom = L.atoms()[0]
+    L.meet[atom, L.top] = L.meet[L.top, atom] = L.bottom
+
+
+def _tamper_join_order(L):
+    # bottom <= atom, so bottom v atom must be the atom; the one-sided entry
+    # keeps idempotence and both absorption laws intact
+    L.join[L.bottom, L.atoms()[0]] = L.top
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_tamper_meet_idempotence, "meet not idempotent"),
+    (_tamper_absorption, "absorption fails for meet over join"),
+    (_tamper_join_order, "join table inconsistent with order"),
+])
+def test_lattice_axiom_oracle_rejects_tampered_tables(e5, tamper, message):
+    L = ex.enumerate_interval(e5)
+    tamper(L)
+    with pytest.raises(AssertionError, match=message):
+        assert_lattice_axioms(L)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +236,7 @@ def big_lattices():
 
 def _assert_tables_match(E):
     L = E.lattice()
+    assert_lattice_axioms(L)
     leq, covers, meet, join = closure_lattice_tables(E.ambient, L.nodes)
     assert np.array_equal(L.leq, leq)
     assert np.array_equal(L.covers, covers)

@@ -5,6 +5,8 @@ import pytest
 
 from ringlattice import verify, catalog as cat, dsl
 
+from oracles import assert_lattice_axioms
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -70,11 +72,32 @@ def test_random_interval_agreement_smoke():
     assert done == 50 and bad is None
 
 
-def test_regen_matches_frozen_values():
+def test_regen_matches_frozen_values(monkeypatch):
+    # one oracle node set and lattice per instance, whatever the number of
+    # lattice measures read off it (E4 has six)
+    node_sets, lattices = [0], []
+    oracle_lattice = verify.oracle_lattice
+
+    def counting(node_set):
+        def build(*args):
+            node_sets[0] += 1
+            return node_set(*args)
+        return build
+
+    def keeping(a):
+        L, oracle = oracle_lattice(a)
+        lattices.append(L)
+        return L, oracle
+
+    for name in ("brute_force_subrings", "frobenius_subfields"):
+        monkeypatch.setattr(verify, name, counting(getattr(verify, name)))
+    monkeypatch.setattr(verify, "oracle_lattice", keeping)
     rows, bad = verify.regen_report(pattern="E4")
     assert bad == 0
     oracles = {r["oracle"] for r in rows if r["oracle"]}
     assert "subset-scan" in oracles
+    assert node_sets[0] == 1 and len(lattices) == 1
+    assert_lattice_axioms(lattices[0])
 
 
 def test_run_check_accepts_extension_directly():
