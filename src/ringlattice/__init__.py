@@ -5,7 +5,7 @@ from .finring import (
     zmod, gf, product_ring, idealization, quotient_by_relations,
     quotient_ring, quotient_of_subring, residue_field, maximal_ideals,
     primitive_idempotents, LocalFactorDecomposition, is_field, is_local,
-    rings_isomorphic, DEFAULT_SIZE_CAP,
+    rings_isomorphic, resolve_relation, DEFAULT_SIZE_CAP,
 )
 from .extension import (
     Extension, TheoremViolation, MinimalType, CanonicalDecomposition,

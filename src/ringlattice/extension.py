@@ -135,16 +135,12 @@ class Extension:
         return self._cache["lattice"]
 
     def base_decomposition(self) -> fr.LocalFactorDecomposition:
-        if "basedec" not in self._cache:
-            self._cache["basedec"] = fr.primitive_idempotents(
-                self.ambient, self.base_arr, unit=self.ambient.one)
-        return self._cache["basedec"]
+        return fr.primitive_idempotents(self.ambient, self.base_arr,
+                                        unit=self.ambient.one)
 
     def top_decomposition(self) -> fr.LocalFactorDecomposition:
-        if "topdec" not in self._cache:
-            self._cache["topdec"] = fr.primitive_idempotents(
-                self.ambient, self.top_arr, unit=self.ambient.one)
-        return self._cache["topdec"]
+        return fr.primitive_idempotents(self.ambient, self.top_arr,
+                                        unit=self.ambient.one)
 
     def max_ideals_base(self) -> list[frozenset]:
         return sorted(self.base_decomposition().maximal_ideals, key=sorted)
@@ -259,12 +255,10 @@ def maximal_chain(E: Extension) -> list[frozenset]:
 def conductor_pair(S: fr.FiniteRing, lo, hi) -> frozenset:
     """(lo : hi) = {z in lo : z*hi <= lo}, the largest common ideal."""
     lo_arr, hi_arr = as_index_array(lo), as_index_array(hi)
-    keep = np.isin(S.mul[np.ix_(lo_arr, hi_arr)], lo_arr).all(axis=1)
-    cond = frozenset(int(z) for z, ok in zip(lo_arr.tolist(), keep) if ok)
-    if not S.is_ideal_of(lo_arr, as_index_array(cond)) or \
-            not S.is_ideal_of(hi_arr, as_index_array(cond)):
+    cond = lo_arr[S.mask(lo_arr)[S.mul[np.ix_(lo_arr, hi_arr)]].all(axis=1)]
+    if not S.is_ideal_of(lo_arr, cond) or not S.is_ideal_of(hi_arr, cond):
         raise TheoremViolation("conductor is not an ideal of both rings")
-    return cond
+    return frozenset(cond.tolist())
 
 
 def conductor(E: Extension) -> frozenset:
@@ -401,16 +395,14 @@ def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
     lo_arr, hi_arr = as_index_array(lo), as_index_array(hi)
     M = conductor_pair(S, lo, hi)
     M_arr = as_index_array(M)
-    # M maximal in lo <=> lo/M is a field
-    kR, _ = fr.quotient_of_subring(S, lo_arr, M_arr)
-    if not fr.is_field(kR):
+    if M not in fr.maximal_ideals(S, lo_arr):
         raise TheoremViolation("conductor of a minimal extension is not maximal")
-    q = kR.size
+    q = len(lo) // len(M)
     max_hi = fr.maximal_ideals(S, hi_arr)
-    over = [Q for Q in max_hi if frozenset(Q) & lo == M]
+    over = [Q for Q in max_hi if Q & lo == M]
 
     cases = []
-    if M in [frozenset(Q) for Q in max_hi]:
+    if M in max_hi:
         kS, projS = fr.quotient_of_subring(S, hi_arr, M_arr)
         if fr.is_field(kS):
             img = frozenset(int(projS[x]) for x in lo)
@@ -419,14 +411,14 @@ def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
                 cases.append(MinimalType.INERT)
     if len(over) == 2:
         Q1, Q2 = over
-        if frozenset(Q1) & frozenset(Q2) == M and \
+        if Q1 & Q2 == M and \
                 len(hi) // len(Q1) == q and len(hi) // len(Q2) == q:
             cases.append(MinimalType.DECOMPOSED)
     if len(over) == 1:
         Qp = as_index_array(over[0])
         sq = S.additive_closure(np.unique(S.mul[np.ix_(Qp, Qp)]))
-        sq_in_M = bool(np.isin(sq, M_arr).all())
-        if sq_in_M and M < frozenset(over[0]) and \
+        sq_in_M = bool(S.mask(M_arr)[sq].all())
+        if sq_in_M and M < over[0] and \
                 len(hi) // len(M) == q * q and len(hi) // len(over[0]) == q:
             cases.append(MinimalType.RAMIFIED)
     if len(cases) != 1:
@@ -459,44 +451,44 @@ def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
 # ----------------------------------------------------------------------
 # element-level closure predicates (pairs of nested subrings)
 
+def _outside(S: fr.FiniteRing, lo, hi):
+    """(membership mask of lo, the elements of hi - lo)."""
+    hi_arr = as_index_array(hi)
+    in_lo = S.mask(as_index_array(lo))
+    return in_lo, hi_arr[~in_lo[hi_arr]]
+
+
 def is_seminormal(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2, b^3 in lo."""
-    lo_arr = as_index_array(lo)
-    out = np.setdiff1d(as_index_array(hi), lo_arr)
-    if out.size == 0:
-        return True
+    in_lo, out = _outside(S, lo, hi)
     b2 = S.mul[out, out]
     b3 = S.mul[b2, out]
-    return not (np.isin(b2, lo_arr) & np.isin(b3, lo_arr)).any()
+    return not (in_lo[b2] & in_lo[b3]).any()
 
 
 def is_u_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2-b, b^3-b^2 in lo."""
-    lo_arr = as_index_array(lo)
-    out = np.setdiff1d(as_index_array(hi), lo_arr)
-    if out.size == 0:
-        return True
+    in_lo, out = _outside(S, lo, hi)
     b2 = S.mul[out, out]
     b3 = S.mul[b2, out]
     c1 = S.add[b2, S.neg[out]]
     c2 = S.add[b3, S.neg[b2]]
-    return not (np.isin(c1, lo_arr) & np.isin(c2, lo_arr)).any()
+    return not (in_lo[c1] & in_lo[c2]).any()
 
 
 def is_t_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo and r in lo with b^2-rb, b^3-rb^2 in lo."""
-    lo_arr = as_index_array(lo)
-    out = np.setdiff1d(as_index_array(hi), lo_arr)
+    in_lo, out = _outside(S, lo, hi)
     if out.size == 0:
         return True
     b2 = S.mul[out, out]
     b3 = S.mul[b2, out]
-    for r in lo_arr.tolist():
+    for r in np.flatnonzero(in_lo).tolist():
         rb = S.mul[r, out]
         rb2 = S.mul[r, b2]
         c1 = S.add[b2, S.neg[rb]]
         c2 = S.add[b3, S.neg[rb2]]
-        if (np.isin(c1, lo_arr) & np.isin(c2, lo_arr)).any():
+        if (in_lo[c1] & in_lo[c2]).any():
             return False
     return True
 
@@ -568,7 +560,7 @@ def is_delta(E: Extension) -> bool:
             if L.leq[i, j] or L.leq[j, i]:
                 continue
             tu = np.unique(S.add[np.ix_(arrs[i], arrs[j])])
-            if not np.isin(S.mul[np.ix_(tu, tu)], tu).all():
+            if not S.mask(tu)[S.mul[np.ix_(tu, tu)]].all():
                 return False
     return True
 

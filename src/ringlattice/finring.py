@@ -121,6 +121,8 @@ class FiniteRing:
         self.factors = factors          # component rings of a product
         self.elem_names = elem_names    # explicit element names (derived rings)
         self.size_cap = size_cap
+        # subring index bytes -> primitive decomposition (primitive_idempotents)
+        self._decompositions = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -372,12 +374,20 @@ class FiniteRing:
         seed = list(seed)
         return self._span_closure(seed + [self.one], seed)
 
+    def mask(self, subset) -> np.ndarray:
+        """Length-``size`` boolean membership mask of an index set, so a
+        membership test is the gather ``mask[X]`` instead of a sort."""
+        inside = np.zeros(self.size, dtype=bool)
+        inside[_index_vector(subset)] = True
+        return inside
+
     def is_subring(self, subset) -> bool:
         s = as_index_array(subset)
-        if self.one not in set(s.tolist()):
+        inside = self.mask(s)
+        if not inside[self.one]:
             return False
-        return bool(np.isin(self.add[np.ix_(s, s)], s).all()
-                    and np.isin(self.mul[np.ix_(s, s)], s).all())
+        return bool(inside[self.add[np.ix_(s, s)]].all()
+                    and inside[self.mul[np.ix_(s, s)]].all())
 
     def ideal_closure(self, within, gens) -> np.ndarray:
         """Ideal of the subring ``within`` generated by ``gens`` (multipliers
@@ -387,15 +397,16 @@ class FiniteRing:
     def is_ideal_of(self, within, subset) -> bool:
         within = as_index_array(within)
         s = as_index_array(subset)
-        if self.zero not in set(s.tolist()):
+        inside = self.mask(s)
+        if not inside[self.zero]:
             return False
-        if not np.isin(s, within).all():
+        if not self.mask(within)[s].all():
             return False
-        if not np.isin(self.add[np.ix_(s, s)], s).all():
+        # a finite set holding 0 and closed under + is a subgroup, so it
+        # holds the negatives too
+        if not inside[self.add[np.ix_(s, s)]].all():
             return False
-        if not np.isin(self.neg[s], s).all():
-            return False
-        return bool(np.isin(self.mul[np.ix_(s, within)], s).all())
+        return bool(inside[self.mul[np.ix_(s, within)]].all())
 
     def all_ideals(self, within, limit=100000) -> list[frozenset]:
         """Every ideal of the subring ``within``: join-closure of the
@@ -1050,22 +1061,38 @@ class LocalFactorDecomposition:
 
 
 def subring_unit(S, T):
+    """The multiplicative identity of the closed subset T; RingError unless
+    exactly one element acts as 1 on T."""
     T = as_index_array(T)
-    tl = T.tolist()
-    units = [u for u in tl if all(S.mul[u, x] == x for x in tl)]
-    if len(units) != 1:
+    units = T[(S.mul[np.ix_(T, T)] == T).all(axis=1)]
+    if units.size != 1:
         raise RingError("subset has no unique multiplicative identity")
-    return units[0]
+    return int(units[0])
 
 
 def primitive_idempotents(S, subring=None, unit=None) -> LocalFactorDecomposition:
     """Complete orthogonal set of primitive idempotents of a subring, found
     by exhaustive scan of e^2 = e refined by mutual multiplication; the
-    factor count equals |Max| of the subring."""
+    factor count equals |Max| of the subring.  Each subring is decomposed
+    once per ring (memoised on S by its index set); every call gets fresh
+    lists and checks the sum against its own ``unit``."""
     T = as_index_array(subring) if subring is not None \
         else np.arange(S.size, dtype=np.int32)
     if unit is None:
         unit = S.one if subring is None else subring_unit(S, T)
+    key = T.tobytes()
+    dec = S._decompositions.get(key)
+    if dec is None:
+        dec = S._decompositions[key] = _primitive_decomposition(S, T)
+    total, prim, factors, maxideals = dec
+    if total != unit:
+        raise RingError("primitive idempotents do not sum to 1")
+    return LocalFactorDecomposition(list(prim), list(factors), list(maxideals))
+
+
+def _primitive_decomposition(S, T):
+    """(sum, primitive idempotents, factors e*T, maximal ideals) of the
+    subring T; the factor arrays are read-only because they are shared."""
     idems = [e for e in S.idempotents_in(T) if e != S.zero]
     prim = sorted(e for e in idems
                   if not any(g != e and S.mul[g, e] == g for g in idems))
@@ -1075,17 +1102,16 @@ def primitive_idempotents(S, subring=None, unit=None) -> LocalFactorDecompositio
         for f in prim[i + 1:]:
             if S.mul[e, f] != S.zero:
                 raise RingError("primitive idempotents are not orthogonal")
-    if acc != unit:
-        raise RingError("primitive idempotents do not sum to 1")
     factors, maxideals = [], []
     for e in prim:
         fac = np.unique(S.mul[e, T])
+        fac.flags.writeable = False
+        # the maximal ideal of e*T is its non-units; M = {x : e*x in it}
         inv = (S.mul[np.ix_(fac, fac)] == e).any(axis=1)
-        m_fac = {int(y) for y, ok in zip(fac.tolist(), inv) if not ok}
-        m_t = frozenset(int(x) for x in T.tolist() if int(S.mul[e, x]) in m_fac)
+        non_unit = S.mask(fac[~inv])
         factors.append(fac)
-        maxideals.append(m_t)
-    return LocalFactorDecomposition(prim, factors, maxideals)
+        maxideals.append(frozenset(T[non_unit[S.mul[e, T]]].tolist()))
+    return acc, prim, factors, maxideals
 
 
 def maximal_ideals(S, subring=None) -> list[frozenset]:

@@ -3,7 +3,10 @@
 These deliberately avoid the library's closure-based enumeration and
 criterion shortcuts: subrings and ideals are found by scanning all subsets
 against the operation tables, so the main code paths are checked against a
-different computation.  ``small_ring`` builds the tiny rings they run on.
+different computation.  The ``isin_*`` and ``loop_*`` functions are the
+earlier np.isin and Python-loop versions of the membership kernels, kept as
+references for the mask and vectorised ones.  ``small_ring`` builds the
+tiny rings they run on.
 """
 
 import functools
@@ -12,6 +15,7 @@ import itertools
 import numpy as np
 
 from ringlattice import finring as fr
+from ringlattice.extension import TheoremViolation
 
 
 SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
@@ -28,6 +32,52 @@ def small_ring(name):
         "F2+F2^2": lambda: fr.idealization(F2, (2, 2)),
         "Z4xZ2": lambda: fr.product_ring([fr.zmod(4), fr.zmod(2)]),
     }[name]()
+
+
+def isin_subring(S, subset):
+    """FiniteRing.is_subring by np.isin membership (the reference for the
+    mask version)."""
+    s = fr.as_index_array(subset)
+    if S.one not in set(s.tolist()):
+        return False
+    return bool(np.isin(S.add[np.ix_(s, s)], s).all()
+                and np.isin(S.mul[np.ix_(s, s)], s).all())
+
+
+def isin_ideal_of(S, within, subset):
+    """FiniteRing.is_ideal_of by np.isin membership."""
+    within = fr.as_index_array(within)
+    s = fr.as_index_array(subset)
+    if S.zero not in set(s.tolist()):
+        return False
+    if not np.isin(s, within).all():
+        return False
+    if not np.isin(S.add[np.ix_(s, s)], s).all():
+        return False
+    if not np.isin(S.neg[s], s).all():
+        return False
+    return bool(np.isin(S.mul[np.ix_(s, within)], s).all())
+
+
+def isin_conductor_pair(S, lo, hi):
+    """extension.conductor_pair by np.isin membership."""
+    lo_arr, hi_arr = fr.as_index_array(lo), fr.as_index_array(hi)
+    keep = np.isin(S.mul[np.ix_(lo_arr, hi_arr)], lo_arr).all(axis=1)
+    cond = frozenset(int(z) for z, ok in zip(lo_arr.tolist(), keep) if ok)
+    if not isin_ideal_of(S, lo_arr, fr.as_index_array(cond)) or \
+            not isin_ideal_of(S, hi_arr, fr.as_index_array(cond)):
+        raise TheoremViolation("conductor is not an ideal of both rings")
+    return cond
+
+
+def loop_subring_unit(S, T):
+    """finring.subring_unit by a double loop over T."""
+    T = fr.as_index_array(T)
+    tl = T.tolist()
+    units = [u for u in tl if all(S.mul[u, x] == x for x in tl)]
+    if len(units) != 1:
+        raise fr.RingError("subset has no unique multiplicative identity")
+    return units[0]
 
 
 def brute_force_subrings(S, base):

@@ -5,6 +5,7 @@ captured output of a failing run) and enforces its stated time budget.
 All comparisons are exact; there are no tolerances anywhere.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -206,3 +207,6 @@ def test_criterion_9_full_suite_green():
             ok, 300.0, elapsed,
             f"{rep.meta['instances']} instances, {rep.meta['pass']} pass, "
             f"{rep.failures} fail, zero-applicable={flagged}")
+    # the report bytes are the behavioural contract (same as verify --all --json)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+        "093fd922c5c56abd492f1d2e8b1de2f2d63730bbdd2de09621bee1b8060f2e8f"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ringlattice import dsl, finring as fr
+from ringlattice import dsl, extension as ex, finring as fr
 from ringlattice.checks import doubled_ring
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
-                     brute_force_subrings, largest_common_ideal, small_ring)
+                     brute_force_subrings, isin_conductor_pair, isin_ideal_of,
+                     isin_subring, largest_common_ideal, loop_subring_unit,
+                     small_ring)
 
 
 def test_zmod4_shape():
@@ -181,7 +183,6 @@ def test_conductor_against_ideal_scan():
     x = S.varmap["x"]
     base = S.subring_closure([S.m(x, x)])  # F2[x^2] inside F2[x]/(x^3)
     base_set = frozenset(int(b) for b in base.tolist())
-    from ringlattice import extension as ex
     cond = ex.conductor_pair(S, base_set, frozenset(range(S.size)))
     assert cond == largest_common_ideal(S, base_set)
 
@@ -274,3 +275,61 @@ def test_derived_rings_satisfy_ring_axioms(name, data):
 
     seed = data.draw(st.sets(st.integers(0, R.size - 1), max_size=2))
     assert_ring_axioms(doubled_ring(R, R.subring_closure(seed)))
+
+
+@st.composite
+def _membership_case(draw):
+    """(ring, subring, candidate): the candidate is a subring, an ideal of
+    the subring or an additive group holding 1, with up to two indices
+    toggled, so closed and non-closed sets and sets missing 0 or 1 all
+    occur."""
+    R = small_ring(draw(st.sampled_from(SMALL_RINGS)))
+    idx = st.integers(0, R.size - 1)
+    within = R.subring_closure(draw(st.sets(idx, max_size=2)))
+    seed = sorted(draw(st.sets(idx, max_size=3)))
+    closed = draw(st.sampled_from([
+        R.subring_closure(seed),
+        R.ideal_closure(within, seed),
+        R.additive_closure(seed + [R.one]),
+    ]))
+    toggled = frozenset(closed.tolist()) ^ draw(st.sets(idx, max_size=2))
+    return R, within, toggled
+
+
+_TRUNC = small_ring("F2[x]/(x^3)")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_membership_case())
+# {0, x, 1, 1 + x} holds 1 and is closed under + but not under *, a case
+# the toggled draws reach only rarely
+@example((_TRUNC, _TRUNC.subring_closure([]), frozenset({0, 2, 4, 6})))
+def test_mask_membership_matches_isin(case):
+    R, within, cand = case
+    assert R.is_subring(cand) == isin_subring(R, cand)
+    assert R.is_ideal_of(within, cand) == isin_ideal_of(R, within, cand)
+    hi = R.subring_closure(sorted(cand | frozenset(within.tolist())))
+    assert ex.conductor_pair(R, within, hi) == isin_conductor_pair(R, within, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=3))
+def test_subring_unit_matches_loop(name, seed):
+    R = small_ring(name)
+    T = R.subring_closure(seed)
+    assert fr.subring_unit(R, T) == loop_subring_unit(R, T) == R.one
+    # each factor e*T is a ring whose unit is e, not the unit of R
+    for e in fr.primitive_idempotents(R, T).idempotents:
+        eT = np.unique(R.mul[e, T])
+        assert fr.subring_unit(R, eT) == loop_subring_unit(R, eT) == e
+    # a maximal ideal has a unit only when an idempotent generates it
+    for M in fr.maximal_ideals(R, T):
+        assert _unit_or_error(fr.subring_unit, R, M) == \
+            _unit_or_error(loop_subring_unit, R, M)
+
+
+def _unit_or_error(subring_unit, R, X):
+    try:
+        return subring_unit(R, X)
+    except fr.RingError as exc:
+        return str(exc)

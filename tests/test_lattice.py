@@ -277,3 +277,81 @@ def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
     L = ex.enumerate_interval(E)
     L.interval(1, L.top)
     assert closures[0] > 0 and per_build == [0, 0]
+
+
+def test_covers_and_decomposition_decompose_each_subring_once(
+        monkeypatch, big_lattices):
+    # the primitive decomposition of a subring is memoised on its ring, so
+    # every cover and every sub-extension of the decomposition reuses it
+    S = big_lattices[0].ambient
+    monkeypatch.setattr(S, "_decompositions", {})
+    decomposed, decompose = [], fr._primitive_decomposition
+
+    def counting_decompose(ring, T):
+        decomposed.append((ring, T.tobytes()))
+        return decompose(ring, T)
+
+    monkeypatch.setattr(fr, "_primitive_decomposition", counting_decompose)
+    E = ex.Extension(S, big_lattices[0].base)
+    ex.cover_types(E)
+    E.decomposition()
+    keys = [(id(ring), T) for ring, T in decomposed]
+    assert len(keys) == len(set(keys))
+    nodes = {fr.as_index_array(T).tobytes() for T in E.lattice().nodes}
+    assert {T for ring, T in decomposed if ring is S} >= nodes
+
+
+def test_no_quotient_ring_for_decomposed_or_ramified_covers(
+        monkeypatch, big_lattices):
+    # maximality of the conductor is read off the memoised maximal ideals;
+    # only the inert pattern builds a quotient ring (hi/M)
+    quotients, quotient = [0], fr.quotient_of_subring
+
+    def counting_quotient(*args, **kwargs):
+        quotients[0] += 1
+        return quotient(*args, **kwargs)
+
+    monkeypatch.setattr(fr, "quotient_of_subring", counting_quotient)
+    seen = set()
+    for E in big_lattices:
+        L = E.lattice()
+        for i, j in np.argwhere(L.covers).tolist():
+            seen.add(ex.classify_minimal_pair(E.ambient, L.nodes[i], L.nodes[j],
+                                              assume_minimal=True))
+    assert seen == {ex.MinimalType.DECOMPOSED, ex.MinimalType.RAMIFIED}
+    assert quotients[0] == 0
+
+
+def test_memoised_decomposition_hands_out_fresh_results(big_lattices):
+    E = big_lattices[0]
+    S, T = E.ambient, fr.as_index_array(E.lattice().nodes[-2])
+    first = fr.maximal_ideals(S, T)
+    expected = list(first)
+    first.clear()
+    assert fr.maximal_ideals(S, T) == expected
+    dec = fr.primitive_idempotents(S, T)
+    dec.idempotents.append(S.zero)
+    dec.maximal_ideals.pop()
+    with pytest.raises(ValueError):
+        dec.factors[0][0] = S.one          # shared arrays are read-only
+    again = fr.primitive_idempotents(S, T)
+    assert len(again.idempotents) == len(again.maximal_ideals) == len(expected)
+    assert sorted(again.maximal_ideals, key=sorted) == expected
+    base = E.max_ideals_base()
+    base.append(frozenset())
+    assert frozenset() not in E.max_ideals_base()
+
+
+def test_memo_hit_still_checks_the_unit(big_lattices):
+    E = big_lattices[0]
+    S = E.ambient
+    dec = fr.primitive_idempotents(S, E.top_arr, unit=S.one)
+    assert len(dec.idempotents) == 5
+    with pytest.raises(fr.RingError, match="do not sum to 1"):
+        fr.primitive_idempotents(S, E.top_arr, unit=dec.idempotents[0])
+    # a subring's own unit is the sum of its primitive idempotents
+    e = dec.idempotents[0]
+    eS = np.unique(S.mul[e, E.top_arr])
+    assert fr.primitive_idempotents(S, eS).idempotents == [e]
+    with pytest.raises(fr.RingError, match="do not sum to 1"):
+        fr.primitive_idempotents(S, eS, unit=S.one)
