@@ -19,9 +19,6 @@ from . import finring as fr
 from .lattice import LatticeError
 from .verify import Analysis, CheckResult, check
 
-_B2_INTERVAL_CAP = 80
-_PAIR_SAMPLE_CAP = 150
-
 
 def _na(reason):
     return CheckResult("", "", "n/a", reason=reason)
@@ -45,20 +42,32 @@ def _proper(a: Analysis):
     return not a.E.trivial
 
 
+def _pinched_at_t(a: Analysis):
+    """The interval is pinched at the t-closure (trivially so when the
+    t-closure is an endpoint)."""
+    d, L = a.decomp, a.L
+    return d.t in (a.E.base, a.E.top) or L.is_pinched_at([L.index[d.t]])
+
+
+def _type_sets(a: Analysis):
+    """{set of minimal types: one witness chain} over every maximal chain."""
+    types = a.cover_types
+    return a.L.chain_label_sets(lambda u, v: types[(u, v)].value)
+
+
 # ----------------------------------------------------------------------
-# minimal-extension structure along chains
+# minimal-extension structure along chains (folds over the Hasse diagram:
+# each reports on every maximal chain without enumerating them)
 
 @check("chain_type_profile",
-       "closure predicates match the multiset of minimal types along every "
+       "closure predicates match the set of minimal types along every "
        "maximal chain (ramified <-> subintegral, decomposed <-> seminormal "
        "infra-integral, both <-> infra-integral, inert <-> t-closed)")
 def chain_type_profile(a):
     if not _proper(a):
         return _na("trivial extension")
     f = a.flags
-    chains = a.L.maximal_chains(0, a.L.top, cap=2000)
-    for chain in chains:
-        types = {a.cover_types[(u, v)].value for u, v in zip(chain, chain[1:])}
+    for types, chain in _type_sets(a).items():
         rules = [
             (f.subintegral, types <= {"ramified"}),
             (f.seminormal and f.infra_integral, types <= {"decomposed"}),
@@ -83,10 +92,7 @@ def isotopic_chain_suffices(a):
     if not _proper(a):
         return _na("trivial extension")
     all_types = {t.value for t in a.cover_types.values()}
-    chains = a.L.maximal_chains(0, a.L.top, cap=2000)
-    exists_monotype = any(
-        len({a.cover_types[(u, v)].value for u, v in zip(c, c[1:])}) == 1
-        for c in chains)
+    exists_monotype = any(len(types) == 1 for types in _type_sets(a))
     return _iff(len(all_types) == 1, exists_monotype,
                 {"cover_types": sorted(all_types)})
 
@@ -98,13 +104,11 @@ def support_via_chain_conductors(a):
     if not _proper(a):
         return _na("trivial extension")
     msupp = set(a.profile.msupp)
-    chains = a.L.maximal_chains(0, a.L.top, cap=2000)
-    sample = chains if len(chains) <= 50 else chains[:50]
-    for chain in sample:
-        contracted = set()
-        for u, v in zip(chain, chain[1:]):
-            cond = ex.conductor_pair(a.S, a.nodes[u], a.nodes[v])
-            contracted.add(frozenset(cond) & a.E.base)
+
+    def contracted_conductor(u, v):
+        return ex.conductor_pair(a.S, a.nodes[u], a.nodes[v]) & a.E.base
+
+    for contracted, chain in a.L.chain_label_sets(contracted_conductor).items():
         if contracted != msupp:
             return CheckResult("", "", "fail", witness={
                 "chain": chain,
@@ -120,22 +124,15 @@ def cover_minimality_consistency(a):
     if not _proper(a):
         return _na("trivial extension")
     L = a.L
-    n = len(L.nodes)
-    pairs = [(i, j) for i in range(n) for j in range(n)
-             if i != j and L.leq[i, j]]
-    if len(pairs) > _PAIR_SAMPLE_CAP:
-        pairs = pairs[:_PAIR_SAMPLE_CAP]
-    for i, j in pairs:
+    # cover_types classified every cover (raising unless exactly one type
+    # pattern holds), so its keys are the classified pairs
+    classified = a.cover_types
+    for i, j in np.argwhere(L.leq & ~np.eye(len(L), dtype=bool)).tolist():
         minimal = ex.is_minimal_pair(a.S, L.nodes[i], L.nodes[j])
-        if minimal != bool(L.covers[i, j]):
+        if minimal != ((i, j) in classified):
             return CheckResult("", "", "fail",
                                witness={"pair": [i, j], "cover": bool(L.covers[i, j]),
                                         "definitional": minimal})
-        if minimal:
-            # the search above is the classifier's own minimality test; it
-            # raises unless exactly one of the three type patterns holds
-            ex.classify_minimal_pair(a.S, L.nodes[i], L.nodes[j],
-                                     assume_minimal=True)
     return CheckResult("", "", "pass")
 
 
@@ -166,17 +163,13 @@ def canonical_diagram_types(a):
         return _na("trivial extension")
     d = a.decomp
     mid = d.u & d.plus
+    S = a.S
     checks = [
-        ("base<=u^plus subintegral",
-         ex.is_subintegral_pair(a.E.sub(a.E.base, mid))),
-        ("u^plus<=u seminormal",
-         ex.is_seminormal(a.S, mid, d.u)),
-        ("u^plus<=u infra-integral",
-         ex.is_infra_integral_pair(a.E.sub(mid, d.u))),
-        ("u<=t subintegral",
-         ex.is_subintegral_pair(a.E.sub(d.u, d.t))),
-        ("t<=top t-closed",
-         ex.is_t_closed(a.S, d.t, a.E.top)),
+        ("base<=u^plus subintegral", ex.is_subintegral_pair(S, a.E.base, mid)),
+        ("u^plus<=u seminormal", ex.is_seminormal(S, mid, d.u)),
+        ("u^plus<=u infra-integral", ex.is_infra_integral_pair(S, mid, d.u)),
+        ("u<=t subintegral", ex.is_subintegral_pair(S, d.u, d.t)),
+        ("t<=top t-closed", ex.is_t_closed(S, d.t, a.E.top)),
     ]
     bad = [name for name, ok in checks if not ok]
     return CheckResult("", "", "pass" if not bad else "fail",
@@ -232,7 +225,7 @@ def shared_ideal_quotient_equivalence(a):
     shared = [I for I in S.all_ideals(np.arange(S.size, dtype=np.int32))
               if I <= a.E.base]
     verdicts = []
-    for I in shared[:40]:
+    for I in shared:
         quo, proj = fr.quotient_of_subring(S, np.arange(S.size, dtype=np.int32),
                                            fr.as_index_array(I))
         base_img = frozenset(int(proj[x]) for x in a.E.base)
@@ -254,7 +247,7 @@ def quotient_transfer(a):
     S = a.S
     ideals = S.all_ideals(a.E.top_arr if len(a.E.top) != S.size
                           else np.arange(S.size, dtype=np.int32))
-    for J in ideals[:40]:
+    for J in ideals:
         if J == a.E.top:
             continue
         quo, proj = fr.quotient_of_subring(S, a.E.top_arr, fr.as_index_array(J))
@@ -473,9 +466,8 @@ def atom_join_is_simple(a):
     gens = {}
     for t in atoms:
         gens[t] = min(a.nodes[t] - a.E.base)
-    subsets = [c for r in range(2, len(atoms) + 1)
-               for c in itertools.combinations(atoms, r)][:32]
-    for combo in subsets:
+    for combo in itertools.chain.from_iterable(
+            itertools.combinations(atoms, r) for r in range(2, len(atoms) + 1)):
         join = combo[0]
         for t in combo[1:]:
             join = int(L.join[join, t])
@@ -558,7 +550,7 @@ def two_atom_composite_profile(a):
         if inert_t and inert_u:
             continue  # no claim for two inert steps over one ideal
         cat_ok = sub.check_catenarian()[0]
-        infra = ex.is_infra_integral_pair(a.E.sub(a.E.base, a.nodes[j]))
+        infra = ex.is_infra_integral_pair(S, a.E.base, a.nodes[j])
         if not cat_ok or not infra:
             return CheckResult("", "", "fail", witness={
                 "atoms": [t, u], "case": "two non-inert",
@@ -598,8 +590,6 @@ def b2_structure_cases(a):
         pairs.extend((v, int(w)) for w in np.flatnonzero(lev == 2))
     if not pairs:
         return _na("no length-2 subinterval")
-    if len(pairs) > _B2_INTERVAL_CAP:
-        pairs = pairs[:_B2_INTERVAL_CAP]
     S = a.S
     for v, w in pairs:
         V, W = a.nodes[v], a.nodes[w]
@@ -613,11 +603,11 @@ def b2_structure_cases(a):
             rhs = True
         elif len(prof.msupp) == 1:
             M = prof.crucial
-            if pa.flags.infra_integral:
+            if ex.is_infra_integral_pair(S, V, W):
                 plus = pa.decomp.plus
                 if plus not in (V, W) and cond == M:
                     rhs = True
-            if not rhs and pa.flags.t_closed and cond == M:
+            if not rhs and cond == M and ex.is_t_closed(S, V, W):
                 # residue interval must have exactly 4 subfields
                 Wq, projW = fr.quotient_of_subring(S, fr.as_index_array(W),
                                                    fr.as_index_array(M))
@@ -736,8 +726,7 @@ def unbranched_characterization(a):
         t_idx = L.index[d.t]
         lower = (d.t == loc.E.base) or L.interval(0, t_idx).is_chain()
         upper = L.interval(t_idx, L.top).check_distributive()[0]
-        pinched = (d.t in (loc.E.base, loc.E.top)
-                   or L.is_pinched_at([t_idx]))
+        pinched = _pinched_at_t(loc)
         rhs = lower and upper and pinched
         if loc.verdict.distributive != rhs:
             return CheckResult("", "", "fail", witness={
@@ -984,7 +973,7 @@ def pinch_lifts_from_lower_part(a):
         lower_pinched = lowerL.is_pinched_at([lowerL.index[d.plus]])
     if not lower_pinched:
         return _na("lower part not pinched at the seminormalization")
-    pinched = d.t in (a.E.base, a.E.top) or L.is_pinched_at([L.index[d.t]])
+    pinched = _pinched_at_t(a)
     return CheckResult("", "", "pass" if pinched else "fail",
                        witness=None if pinched else {"pinched": False})
 
@@ -1004,7 +993,7 @@ def branched_characterization(a):
                and len(fr.maximal_ideals(a.S, fr.as_index_array(d.u))) == 2)
     lower_dist = L.interval(0, t_idx).check_distributive()[0]
     upper_dist = L.interval(t_idx, L.top).check_distributive()[0]
-    pinched = d.t in (a.E.base, a.E.top) or L.is_pinched_at([t_idx])
+    pinched = _pinched_at_t(a)
     case2 = False
     if not pinched:
         usub = a.sub(d.u, a.E.top)
@@ -1031,8 +1020,7 @@ def branched_splitter_ladder(a):
     L = a.L
     d = a.decomp
     t_idx = L.index[d.t]
-    pinched = d.t in (a.E.base, a.E.top) or L.is_pinched_at([t_idx])
-    if pinched:
+    if _pinched_at_t(a):
         return _na("pinched at the t-closure (ladder case not exercised)")
     usub = a.sub(d.u, a.E.top)
     ut = a.sub(d.u, d.t)
@@ -1085,11 +1073,8 @@ def branched_splitter_ladder(a):
 def branched_splitter_consistency(a):
     if not _proper(a) or not a.flags.branched or not a.verdict.distributive:
         return _na("needs a distributive branched extension")
-    L = a.L
     d = a.decomp
-    t_idx = L.index[d.t]
-    pinched = d.t in (a.E.base, a.E.top) or L.is_pinched_at([t_idx])
-    if pinched:
+    if _pinched_at_t(a):
         return _na("pinched at the t-closure")
     maxT = fr.maximal_ideals(a.S, fr.as_index_array(d.t))
     if len(maxT) != 2:
@@ -1122,9 +1107,7 @@ def pinched_iff_single_u_support(a):
     d = a.decomp
     if d.u == d.t:
         return _na("u-closure equals t-closure")
-    L = a.L
-    t_idx = L.index[d.t]
-    pinched = d.t in (a.E.base, a.E.top) or L.is_pinched_at([t_idx])
+    pinched = _pinched_at_t(a)
     usub = a.sub(d.u, a.E.top)
     return _iff(pinched, len(usub.profile.msupp) == 1,
                 {"u_support": len(usub.profile.msupp)})

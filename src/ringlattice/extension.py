@@ -123,10 +123,6 @@ class Extension:
     def trivial(self):
         return self.base == self.top
 
-    def sub(self, lo, hi):
-        """The subextension lo <= hi (frozensets of ambient indices)."""
-        return Extension(self.ambient, lo, hi)
-
     # cached heavy analyses -------------------------------------------
 
     def lattice(self, node_limit=DEFAULT_NODE_LIMIT) -> ExtensionLattice:
@@ -143,10 +139,10 @@ class Extension:
                                         unit=self.ambient.one)
 
     def max_ideals_base(self) -> list[frozenset]:
-        return sorted(self.base_decomposition().maximal_ideals, key=sorted)
+        return _max_ideals(self.ambient, self.base_arr)
 
     def max_ideals_top(self) -> list[frozenset]:
-        return sorted(self.top_decomposition().maximal_ideals, key=sorted)
+        return _max_ideals(self.ambient, self.top_arr)
 
     def profile(self) -> SupportProfile:
         if "profile" not in self._cache:
@@ -350,14 +346,18 @@ def residual_extension(E: Extension, Q):
     return kR, kS, embed
 
 
-def residual_degrees(E: Extension) -> list[tuple[int, int]]:
-    """(|kappa_base(QcapR)|, |kappa_top(Q)|) for each Q in Max(top)."""
-    S = E.ambient
-    out = []
-    for Q in E.max_ideals_top():
-        P = Q & E.base
-        out.append((len(E.base) // len(P), len(E.top) // len(Q)))
-    return out
+def _max_ideals(S: fr.FiniteRing, T) -> list[frozenset]:
+    """Max(T) for a unital subring T of S, sorted, read off the per-ring
+    decomposition memo."""
+    dec = fr.primitive_idempotents(S, T, unit=S.one)
+    return sorted(dec.maximal_ideals, key=sorted)
+
+
+def residual_degrees(S: fr.FiniteRing, lo, hi) -> list[tuple[int, int]]:
+    """(|kappa_lo(Q cap lo)|, |kappa_hi(Q)|) for each Q in Max(hi)."""
+    lo = frozenset(lo)
+    return [(len(lo) // len(Q & lo), len(hi) // len(Q))
+            for Q in _max_ideals(S, hi)]
 
 
 # ----------------------------------------------------------------------
@@ -493,35 +493,32 @@ def is_t_closed(S: fr.FiniteRing, lo, hi) -> bool:
     return True
 
 
-def spectrum_map(E: Extension) -> list[tuple[frozenset, frozenset]]:
-    """(Q, Q cap base) for Q in Max(top); contractions are maximal."""
+def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
+    """(Q, Q cap lo) for Q in Max(hi); contractions are maximal."""
+    lo = frozenset(lo)
+    maxR = _max_ideals(S, lo)
     out = []
-    maxR = E.max_ideals_base()
-    for Q in E.max_ideals_top():
-        P = frozenset(Q) & E.base
+    for Q in _max_ideals(S, hi):
+        P = Q & lo
         if P not in maxR:
             raise TheoremViolation("contraction of a maximal ideal is not maximal")
         out.append((Q, P))
     return out
 
 
-def is_infra_integral_pair(E: Extension) -> bool:
+def is_infra_integral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """All residual extensions are isomorphisms (finite fields: equal size)."""
-    return all(a == b for a, b in residual_degrees(E))
+    return all(a == b for a, b in residual_degrees(S, lo, hi))
 
 
-def is_subintegral_pair(E: Extension) -> bool:
+def is_subintegral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Infra-integral with bijective spectrum map."""
-    sm = spectrum_map(E)
-    contractions = [P for _, P in sm]
-    bijective = (len(set(contractions)) == len(contractions)
-                 and set(contractions) == set(E.max_ideals_base()))
-    return bijective and is_infra_integral_pair(E)
+    contractions = sorted((P for _, P in spectrum_map(S, lo, hi)), key=sorted)
+    return contractions == _max_ideals(S, lo) and is_infra_integral_pair(S, lo, hi)
 
 
-def is_i_extension_pair(E: Extension) -> bool:
-    sm = spectrum_map(E)
-    contractions = [P for _, P in sm]
+def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:
+    contractions = [P for _, P in spectrum_map(S, lo, hi)]
     return len(set(contractions)) == len(contractions)
 
 
@@ -575,12 +572,12 @@ def extension_flags(E: Extension) -> ExtensionFlags:
     base_local = len(E.max_ideals_base()) == 1
     return ExtensionFlags(
         trivial=False,
-        subintegral=is_subintegral_pair(E),
+        subintegral=is_subintegral_pair(S, E.base, E.top),
         seminormal=is_seminormal(S, E.base, E.top),
-        infra_integral=is_infra_integral_pair(E),
+        infra_integral=is_infra_integral_pair(S, E.base, E.top),
         t_closed=is_t_closed(S, E.base, E.top),
         u_closed=is_u_closed(S, E.base, E.top),
-        i_extension=is_i_extension_pair(E),
+        i_extension=is_i_extension_pair(S, E.base, E.top),
         simple=is_simple(E),
         chained=E.lattice().is_chain(),
         branched=bool(base_local and len(E.max_ideals_top()) > 1),
@@ -624,7 +621,7 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
     L = E.lattice()
     nodes = L.nodes
 
-    sub_over_base = [T for T in nodes if is_subintegral_pair(E.sub(E.base, T))]
+    sub_over_base = [T for T in nodes if is_subintegral_pair(S, E.base, T)]
     plus = _unique_max(E, sub_over_base, "seminormalization (greatest subintegral)")
     semi_under_top = [T for T in nodes if is_seminormal(S, T, E.top)]
     plus2 = _unique_min(E, semi_under_top, "seminormalization (least seminormal)")
@@ -632,7 +629,7 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
         raise TheoremViolation("the two characterizations of the "
                                "seminormalization disagree")
 
-    infra_over_base = [T for T in nodes if is_infra_integral_pair(E.sub(E.base, T))]
+    infra_over_base = [T for T in nodes if is_infra_integral_pair(S, E.base, T)]
     t = _unique_max(E, infra_over_base, "t-closure (greatest infra-integral)")
     tcl_under_top = [T for T in nodes if is_t_closed(S, T, E.top)]
     t2 = _unique_min(E, tcl_under_top, "t-closure (least t-closed)")
@@ -642,14 +639,14 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
     ucl_under_top = [T for T in nodes if is_u_closed(S, T, E.top)]
     u = _unique_min(E, ucl_under_top, "u-closure (least u-closed)")
 
-    sub_under_top = [T for T in nodes if is_subintegral_pair(E.sub(T, E.top))]
+    sub_under_top = [T for T in nodes if is_subintegral_pair(S, T, E.top)]
     minima = [T for T in sub_under_top if not any(U < T for U in sub_under_top)]
     cosub = minima[0] if len(minima) == 1 else None
 
     prod = nodes[L.join[L.index[u], L.index[plus]]]
     if prod != t:
         raise TheoremViolation("u-closure times seminormalization is not the t-closure")
-    if is_infra_integral_pair(E) and cosub != u:
+    if is_infra_integral_pair(S, E.base, E.top) and cosub != u:
         raise TheoremViolation("infra-integral extension: u-closure differs from "
                                "the co-subintegral closure")
     return CanonicalDecomposition(plus=plus, t=t, u=u, cosub=cosub)

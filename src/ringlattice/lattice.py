@@ -185,12 +185,10 @@ class ExtensionLattice:
         Within any interval [a,b] these are the longest-chain lengths from a."""
         if a in self._levels:
             return self._levels[a]
-        n = self.n
-        lev = np.full(n, -1, dtype=np.int32)
+        lev = np.full(self.n, -1, dtype=np.int32)
         lev[a] = 0
-        order = sorted(np.flatnonzero(self.leq[a]).tolist(),
-                       key=lambda v: int(self.leq[:, v].sum()))
-        for v in order:
+        # nodes sort by size, so index order is a topological order
+        for v in np.flatnonzero(self.leq[a]).tolist():
             if v == a:
                 continue
             preds = np.flatnonzero(self.covers[:, v] & (self.leq[a] != 0))
@@ -235,8 +233,35 @@ class ExtensionLattice:
                                        "levels": [int(lev[u]), int(lev[v])]}
         return True, None
 
+    def chain_label_sets(self, label):
+        """{set of labels: one witness chain} over all maximal chains from
+        the bottom to the top, where ``label(u, v)`` labels the cover u < v.
+
+        One pass over the Hasse diagram in node order, which is topological
+        because nodes sort by size.  Each node keeps the label sets that its
+        paths from the bottom reach, each with a back-pointer to the
+        (node, label set) it was first reached from; ``label`` runs once per
+        cover.  Exact on every lattice, in time linear in the covers times
+        the number of distinct label sets."""
+        reach = [{} for _ in range(self.n)]
+        reach[0][frozenset()] = None
+        for u, v in np.argwhere(self.covers).tolist():
+            lab = label(u, v)
+            for state in reach[u]:
+                reach[v].setdefault(state | {lab}, (u, state))
+        out = {}
+        for state, back in reach[self.top].items():
+            chain = [self.top]
+            while back is not None:
+                v, s = back
+                chain.append(v)
+                back = reach[v][s]
+            out[state] = chain[::-1]
+        return out
+
     def maximal_chains(self, a, b, cap=100000):
-        """All maximal chains from a to b (lists of node ids)."""
+        """All maximal chains from a to b (lists of node ids); the
+        brute-force reference for :meth:`chain_label_sets`."""
         out = []
         stack = [[a]]
         while stack:

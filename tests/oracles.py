@@ -5,8 +5,9 @@ criterion shortcuts: subrings and ideals are found by scanning all subsets
 against the operation tables, so the main code paths are checked against a
 different computation.  The ``isin_*`` and ``loop_*`` functions are the
 earlier np.isin and Python-loop versions of the membership kernels, kept as
-references for the mask and vectorised ones.  ``small_ring`` builds the
-tiny rings they run on.
+references for the mask and vectorised ones; maximal-chain enumeration is
+the reference for the Hasse-diagram fold.  ``small_ring`` builds the tiny
+rings they run on.
 """
 
 import functools
@@ -123,6 +124,17 @@ def largest_common_ideal(S, base):
     """The largest ideal of S contained in base, by scanning the subsets
     of base (ideals inside base are closed under sums, so it is unique)."""
     return max(_ideal_subsets(S, base, range(S.size)), key=len)
+
+
+def chain_label_sets_by_enumeration(L, label):
+    """{set of labels: every maximal chain carrying it}, by enumerating the
+    maximal chains from the bottom to the top (the reference for
+    ``ExtensionLattice.chain_label_sets``)."""
+    out = {}
+    for chain in L.maximal_chains(0, L.top):
+        key = frozenset(label(u, v) for u, v in zip(chain, chain[1:]))
+        out.setdefault(key, []).append(chain)
+    return out
 
 
 def distributive_by_definition(nodes):

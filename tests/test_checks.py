@@ -130,3 +130,63 @@ def test_doubled_ring_matches_elementwise_definition(fixture, request):
         assert np.array_equal(big.add, add)
         assert np.array_equal(big.mul, mul)
         assert big.one == one and big.size == len(T) ** 2
+
+
+def _partition_analysis(n):
+    # F2^n over F2: its subrings are the Bell(n) Boolean subalgebras
+    spec = ("ring F2 = gf(2)\nring S = product(" + ", ".join(["F2"] * n)
+            + f")\next P{n} = extension(S, base=[])\n")
+    return verify.Analysis(f"P{n}", dsl.build_extension(spec))
+
+
+@pytest.fixture(scope="module")
+def p5():
+    return _partition_analysis(5)
+
+
+def test_full_suite_on_pi6_is_exhaustive():
+    # 203 nodes and 2,700 maximal chains: the path checks fold over the
+    # Hasse diagram, so no check stops at a cap
+    a = _partition_analysis(6)
+    assert len(a.nodes) == 203
+    results = {cid: verify.run_check(cid, a) for cid in sorted(verify.CHECKS)}
+    failed = {cid: r.witness for cid, r in results.items() if r.status == "fail"}
+    assert failed == {}
+    for cid in ("chain_type_profile", "isotopic_chain_suffices",
+                "support_via_chain_conductors", "cover_minimality_consistency",
+                "b2_structure_cases"):
+        assert results[cid].status == "pass", cid
+
+
+def test_chain_type_profile_reports_a_real_chain(monkeypatch, p5):
+    # every cover of F2^5 over F2 is decomposed; one tampered cover makes
+    # the chains through it disagree with "seminormal infra-integral"
+    L, types = p5.L, p5.cover_types
+    assert {t.value for t in types.values()} == {"decomposed"}
+    assert verify.run_check("chain_type_profile", p5).status == "pass"
+    cover = (0, L.atoms()[0])
+    monkeypatch.setitem(types, cover, ex.MinimalType.INERT)
+    r = verify.run_check("chain_type_profile", p5)
+    assert r.status == "fail" and r.witness["rule"] == 1
+    chain = r.witness["chain"]
+    assert chain in L.maximal_chains(0, L.top)
+    steps = list(zip(chain, chain[1:]))
+    assert cover in steps
+    assert r.witness["types"] == sorted({types[s].value for s in steps}) \
+        == ["decomposed", "inert"]
+
+
+def test_cover_minimality_reads_the_cover_types(monkeypatch, p5):
+    # cover_types already classified every cover; the check does not
+    # classify again
+    assert p5.cover_types
+    calls = [0]
+    classify = ex.classify_minimal_pair
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "classify_minimal_pair", counting)
+    assert verify.run_check("cover_minimality_consistency", p5).status == "pass"
+    assert calls[0] == 0

@@ -148,7 +148,7 @@ def test_residual_extension_degrees(e1, e3, e5):
     kR, kS, _ = ex.residual_extension(e1, Q)
     assert kR.size == 2 and kS.size == 2
     # E5: the maximal ideal over the F4 factor has residue F4
-    degs = sorted(ex.residual_degrees(e5))
+    degs = sorted(ex.residual_degrees(e5.ambient, e5.base, e5.top))
     assert degs == [(2, 2), (2, 4)]
 
 

@@ -6,7 +6,8 @@ from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice.lattice import ExtensionLattice, LatticeError
 
-from oracles import (SMALL_RINGS, assert_lattice_axioms, closure_lattice_tables,
+from oracles import (SMALL_RINGS, assert_lattice_axioms,
+                     chain_label_sets_by_enumeration, closure_lattice_tables,
                      distributive_by_definition, small_ring)
 
 
@@ -355,3 +356,73 @@ def test_memo_hit_still_checks_the_unit(big_lattices):
     assert fr.primitive_idempotents(S, eS).idempotents == [e]
     with pytest.raises(fr.RingError, match="do not sum to 1"):
         fr.primitive_idempotents(S, eS, unit=S.one)
+
+
+def _label_kinds(E):
+    """The fold's two labels (minimal type, contracted conductor) and the
+    cover itself, which gives every maximal chain its own label set."""
+    S, L = E.ambient, E.lattice()
+    types = ex.cover_types(E)
+    return {
+        "type": lambda u, v: types[(u, v)].value,
+        "conductor": lambda u, v: ex.conductor_pair(S, L.nodes[u], L.nodes[v]) & E.base,
+        "cover": lambda u, v: (u, v),
+    }
+
+
+def _assert_fold_matches_enumeration(E):
+    L = E.lattice()
+    for kind, label in _label_kinds(E).items():
+        calls = []
+
+        def counting(u, v):
+            calls.append((u, v))
+            return label(u, v)
+
+        folded = L.chain_label_sets(counting)
+        # one label per cover
+        assert sorted(calls) == sorted(map(tuple, np.argwhere(L.covers).tolist()))
+        enumerated = chain_label_sets_by_enumeration(L, label)
+        assert set(folded) == set(enumerated), kind
+        for key, chain in folded.items():
+            assert chain[0] == L.bottom and chain[-1] == L.top
+            assert all(L.covers[u, v] for u, v in zip(chain, chain[1:]))
+            assert frozenset(label(u, v) for u, v in zip(chain, chain[1:])) == key
+            assert chain in enumerated[key]
+    return folded
+
+
+def test_chain_label_sets_match_chain_enumeration(big_lattices):
+    for E in big_lattices:
+        by_cover = _assert_fold_matches_enumeration(E)
+        # with the cover as label, each maximal chain is its own label set
+        L = E.lattice()
+        assert len(by_cover) == len(L.maximal_chains(0, L.top))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_chain_label_sets_match_chain_enumeration_on_small_rings(name, seed):
+    R = small_ring(name)
+    E = ex.Extension(R, R.subring_closure(seed))
+    if not E.trivial:
+        _assert_fold_matches_enumeration(E)
+
+
+def test_decomposition_builds_no_sub_extensions(monkeypatch, big_lattices):
+    # the pair predicates take (S, lo, hi): no Extension per node, so no
+    # is_subring re-check of nodes that are already lattice nodes
+    built, init = [0], ex.Extension.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    S = big_lattices[0].ambient
+    E = ex.Extension(S, big_lattices[0].base)
+    E.lattice()
+    monkeypatch.setattr(ex.Extension, "__init__", counting_init)
+    d = E.decomposition()
+    assert built[0] == 0
+    # F2^5 over F2 is seminormal and infra-integral
+    assert d.plus == E.base and d.t == d.u == d.cosub == E.top
