@@ -10,7 +10,7 @@ from .finring import (
 from .extension import (
     Extension, TheoremViolation, MinimalType, CanonicalDecomposition,
     SupportProfile, ExtensionFlags,
-    prime_subring, generated_subring, enumerate_interval, maximal_chain,
+    prime_subring, generated_subring, enumerate_interval,
     conductor, support_profile, localize_at, fibers, residual_extension,
     classify_minimal, extension_flags, canonical_decomposition, splitter,
     is_pinched_at, complements,

@@ -226,6 +226,10 @@ def shared_ideal_quotient_equivalence(a):
               if I <= a.E.base]
     verdicts = []
     for I in shared:
+        if len(I) == 1:
+            # S/{0} is the extension itself
+            verdicts.append(a.verdict.distributive)
+            continue
         quo, proj = fr.quotient_of_subring(S, np.arange(S.size, dtype=np.int32),
                                            fr.as_index_array(I))
         base_img = frozenset(int(proj[x]) for x in a.E.base)
@@ -248,7 +252,8 @@ def quotient_transfer(a):
     ideals = S.all_ideals(a.E.top_arr if len(a.E.top) != S.size
                           else np.arange(S.size, dtype=np.int32))
     for J in ideals:
-        if J == a.E.top:
+        # top/{0} is the extension itself, top/top is no ring
+        if len(J) == 1 or J == a.E.top:
             continue
         quo, proj = fr.quotient_of_subring(S, a.E.top_arr, fr.as_index_array(J))
         base_img = frozenset(int(proj[x]) for x in a.E.base)
@@ -474,7 +479,7 @@ def atom_join_is_simple(a):
         s = S.zero
         for t in combo:
             s = S.a(s, gens[t])
-        gen = ex.generated_subring(S, a.E.base, [s])
+        gen = S.adjoin(a.E.base, s)
         if gen != a.nodes[join]:
             return CheckResult("", "", "fail",
                                witness={"atoms": list(combo),
@@ -1238,15 +1243,7 @@ def one_generator_idempotent_like_fibers(a):
     if not _proper(a):
         return _na("trivial extension")
     S, E = a.S, a.E
-    base_list = sorted(E.base)
-    gen = None
-    for s in sorted(E.top - E.base):
-        s2, s3 = S.m(s, s), S.m(S.m(s, s), s)
-        if S.sub(s2, s) in E.base and S.sub(s3, s2) in E.base and \
-                frozenset(S.subring_closure(base_list + [s]).tolist()) == E.top:
-            gen = s
-            break
-    if gen is None:
+    if ex.idempotent_style_generator(E) is None:
         return _na("no single idempotent-style generator")
     sizes = sorted(len(v) for v in a.fibers.values())
     if any(s > 2 for s in sizes):
@@ -1482,7 +1479,7 @@ def chain_ring_quadratic_distributive(a):
     base_list = sorted(E.base)
     quad = None
     for s in sorted(E.top - E.base):
-        if frozenset(S.subring_closure(base_list + [s]).tolist()) != E.top:
+        if S.adjoin(E.base, s) != E.top:
             continue
         lin_span = S.additive_closure(
             base_list + [S.m(s, r) for r in base_list])

@@ -46,7 +46,7 @@ def node_label(E: ex.Extension, T: frozenset) -> str:
         if s in cur:
             continue
         gens.append(s)
-        cur = ex.generated_subring(S, E.base, gens)
+        cur = S.adjoin(cur, s)
         if cur == T:
             break
     # drop redundant generators

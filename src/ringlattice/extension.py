@@ -184,65 +184,59 @@ def prime_subring(S: fr.FiniteRing) -> frozenset:
 
 
 def generated_subring(S: fr.FiniteRing, base, elems) -> frozenset:
-    """Smallest subring of S containing base and elems (closure to fixpoint)."""
-    return frozenset(S.subring_closure(list(base) + [int(e) for e in elems]).tolist())
+    """Smallest subring of S containing the subring ``base`` and ``elems``:
+    adjoin them one at a time."""
+    T = frozenset(base)
+    for e in elems:
+        T = S.adjoin(T, int(e))
+    return T
 
 
-def monogenic_subrings(E: Extension) -> list[frozenset]:
-    """All base[s] for s in top, deduplicated, base included."""
+def monogenic_subrings(E: Extension) -> dict[frozenset, int]:
+    """{base[s]: least such s} over s in top; the base maps to its least
+    element."""
     S = E.ambient
-    base_list = sorted(E.base)
-    seen = {E.base}
+    gens = {E.base: min(E.base)}
     for s in sorted(E.top - E.base):
-        T = frozenset(S.subring_closure(base_list + [s]).tolist())
-        seen.add(T)
-    return sorted(seen, key=lambda t: (len(t), sorted(t)))
+        gens.setdefault(S.adjoin(E.base, s), s)
+    return gens
 
 
 def enumerate_interval(E: Extension, node_limit=DEFAULT_NODE_LIMIT) -> ExtensionLattice:
     """The complete lattice [base, top]: every intermediate ring is a join
     of monogenic ones, so the node set is the join-closure of
-    {base[s] : s in top} and the enumeration is exhaustive."""
+    {base[s] : s in top} and the enumeration is exhaustive.  Every node x
+    contains the base, so its join with base[s] is x[s]."""
     S = E.ambient
-    join_memo = {}
+    gens = monogenic_subrings(E)
+    joins = {}
 
-    def join_of(a, b):
-        if a <= b:
-            return b
-        if b <= a:
+    def join_of(x, a):
+        if x <= a:
             return a
-        j = join_memo.get((a, b))
-        if j is None:
-            j = frozenset(S.subring_closure(a | b).tolist())
-            join_memo[(a, b)] = join_memo[(b, a)] = j
+        if a <= x:
+            return x
+        j = joins[(x, a)] = S.adjoin(x, gens[a])
         return j
 
-    nodes = fr.join_closure(monogenic_subrings(E), join_of, node_limit,
-                            "interval enumeration")
+    nodes = fr.join_closure(gens, join_of, node_limit, "interval enumeration")
     if E.top not in nodes:
         raise TheoremViolation("join closure failed to reach the top ring")
-    # the memo holds every incomparable (node, monogenic subring) join, and
+    # the facts hold every incomparable (node, monogenic subring) join, and
     # every join-irreducible node is monogenic
-    return ExtensionLattice(nodes, join_memo, ambient=S)
+    return ExtensionLattice(nodes, joins, ambient=S)
 
 
-def maximal_chain(E: Extension) -> list[frozenset]:
-    """A deterministic maximal chain from base to top: at each step adjoin
-    the element giving the smallest monogenic extension (which is then a
-    minimal step), ties broken by element index."""
+def idempotent_style_generator(E: Extension) -> int | None:
+    """The least s with base[s] = top and s^2 - s, s^3 - s^2 in the base,
+    or None."""
     S = E.ambient
-    chain = [E.base]
-    cur = E.base
-    while cur != E.top:
-        best = None
-        for s in sorted(E.top - cur):
-            T = frozenset(S.subring_closure(sorted(cur) + [s]).tolist())
-            if best is None or len(T) < len(best) or \
-                    (len(T) == len(best) and sorted(T) < sorted(best)):
-                best = T
-        chain.append(best)
-        cur = best
-    return chain
+    for s in sorted(E.top - E.base):
+        s2 = S.m(s, s)
+        if S.sub(s2, s) in E.base and S.sub(S.m(s2, s), s2) in E.base and \
+                S.adjoin(E.base, s) == E.top:
+            return s
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -368,14 +362,7 @@ def is_minimal_pair(S: fr.FiniteRing, lo, hi) -> bool:
     lo < lo[s] < hi.  (If every lo[s] = hi for s outside lo, any strictly
     intermediate ring would contain such an lo[s].)"""
     lo, hi = frozenset(lo), frozenset(hi)
-    if lo == hi:
-        return False
-    lo_list = sorted(lo)
-    for s in sorted(hi - lo):
-        T = frozenset(S.subring_closure(lo_list + [s]).tolist())
-        if T != hi:
-            return False
-    return True
+    return lo != hi and all(S.adjoin(lo, s) == hi for s in sorted(hi - lo))
 
 
 def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
@@ -524,10 +511,7 @@ def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:
 
 def is_simple(E: Extension) -> bool:
     S = E.ambient
-    base_list = sorted(E.base)
-    return any(
-        frozenset(S.subring_closure(base_list + [s]).tolist()) == E.top
-        for s in sorted(E.top - E.base))
+    return any(S.adjoin(E.base, s) == E.top for s in sorted(E.top - E.base))
 
 
 def is_locally_minimal(E: Extension) -> bool:

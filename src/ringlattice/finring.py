@@ -119,10 +119,13 @@ class FiniteRing:
         # monomial it represents; () is the unit basis element
         self.monomials = monomials
         self.factors = factors          # component rings of a product
-        self.elem_names = elem_names    # explicit element names (derived rings)
+        self.elem_names = elem_names    # given for derived rings, else built by elem_str
         self.size_cap = size_cap
         # subring index bytes -> primitive decomposition (primitive_idempotents)
         self._decompositions = {}
+        # (lo, s) -> lo[s] (adjoin), and each such subring once (interning)
+        self._adjoined = {}
+        self._subrings = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -289,32 +292,41 @@ class FiniteRing:
         return int(self.neg[self.times(-c, self.one)])
 
     def elem_str(self, i):
-        i = int(i)
-        if self.elem_names is not None:
-            return self.elem_names[i]
+        """The name of element i; the ring names all its elements at the
+        first call."""
+        if self.elem_names is None:
+            self.elem_names = self._element_names()
+        return self.elem_names[int(i)]
+
+    def _element_names(self) -> list[str]:
+        """Component tuples for products, polynomial expressions for rings
+        with monomial generators, ``#i`` otherwise."""
         if self.factors is not None:
-            parts = []
-            off = 0
+            columns, off = [], 0
             for fac in self.factors:
                 kf = len(fac.orders)
-                vec = self.coeffs[i][off:off + kf]
-                parts.append(fac.elem_str(vec_index(fac, vec)))
+                idx = self.coeffs[:, off:off + kf] @ fac.radix()
+                columns.append([fac.elem_str(j) for j in idx.tolist()])
                 off += kf
-            return "(" + ", ".join(parts) + ")"
-        if self.coeffs is not None and self.monomials is not None:
+            return ["(" + ", ".join(parts) + ")" for parts in zip(*columns)]
+        if self.coeffs is None or self.monomials is None:
+            return [f"#{i}" for i in range(self.size)]
+        mstrs = ["*".join(f"{v}^{e}" if e > 1 else v for v, e in mono)
+                 for mono in self.monomials]
+        names = []
+        for row in self.coeffs.tolist():
             terms = []
-            for c, mono in zip(self.coeffs[i], self.monomials):
+            for c, mstr in zip(row, mstrs):
                 if c == 0:
                     continue
-                mstr = "*".join(f"{v}^{e}" if e > 1 else v for v, e in mono)
                 if not mstr:
-                    terms.append(str(int(c)))
+                    terms.append(str(c))
                 elif c == 1:
                     terms.append(mstr)
                 else:
-                    terms.append(f"{int(c)}*{mstr}")
-            return " + ".join(terms) if terms else "0"
-        return f"#{i}"
+                    terms.append(f"{c}*{mstr}")
+            names.append(" + ".join(terms) if terms else "0")
+        return names
 
     def radix(self):
         k = len(self.orders)
@@ -373,6 +385,17 @@ class FiniteRing:
         in the seed."""
         seed = list(seed)
         return self._span_closure(seed + [self.one], seed)
+
+    def adjoin(self, lo, s) -> frozenset:
+        """lo[s], the subring generated by the frozenset ``lo`` and the
+        element ``s``.  Memoised on the ring by (lo, s); equal results are
+        one shared frozenset."""
+        key = (lo, s)
+        T = self._adjoined.get(key)
+        if T is None:
+            T = frozenset(self.subring_closure(sorted(lo) + [s]).tolist())
+            T = self._adjoined[key] = self._subrings.setdefault(T, T)
+        return T
 
     def mask(self, subset) -> np.ndarray:
         """Length-``size`` boolean membership mask of an index set, so a
@@ -685,8 +708,7 @@ def as_struct_ring(ring):
     out = FiniteRing.from_struct(
         orders, struct, coords[ring.one], label=ring.label, kind=ring.kind,
         size_cap=ring.size_cap)
-    out.elem_names = [ring.elem_names[int(o)] if ring.elem_names is not None
-                      else f"#{int(o)}" for o in old_of_new]
+    out.elem_names = [ring.elem_str(o) for o in old_of_new.tolist()]
     out.varmap = {name: pos[idx] for name, idx in ring.varmap.items()}
     return out, old_of_new
 

@@ -143,15 +143,7 @@ def _closure_chain_types(a: Analysis):
 
 
 def _u_elementary(a: Analysis):
-    S, E = a.S, a.E
-    base_list = sorted(E.base)
-    for s in sorted(E.top - E.base):
-        s2 = S.m(s, s)
-        s3 = S.m(s2, s)
-        if S.sub(s2, s) in E.base and S.sub(s3, s2) in E.base and \
-                frozenset(S.subring_closure(base_list + [s]).tolist()) == E.top:
-            return True
-    return False
+    return ex.idempotent_style_generator(a.E) is not None
 
 
 def _splitter_sizes(a: Analysis):
@@ -492,9 +484,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def build_catalog_analyses(pattern=None, size_cap=None,
-                           node_limit=ex.DEFAULT_NODE_LIMIT,
-                           random_count=0, random_seed=0):
+def build_catalog_analyses(pattern=None, size_cap=None, random_count=0,
+                           random_seed=0):
     instances = list(cat.CATALOG)
     if random_count:
         instances += generate_random_instances(random_seed, random_count)
@@ -503,18 +494,16 @@ def build_catalog_analyses(pattern=None, size_cap=None,
     out = []
     for inst in instances:
         E = dsl.build_extension(inst.spec, size_cap=size_cap)
-        out.append((inst, Analysis(inst.name, E, node_limit)))
+        out.append((inst, Analysis(inst.name, E)))
     return out
 
 
-def run_catalog(pattern=None, size_cap=None, node_limit=ex.DEFAULT_NODE_LIMIT,
-                random_count=0, random_seed=0,
+def run_catalog(pattern=None, size_cap=None, random_count=0, random_seed=0,
                 interval_samples=0) -> Report:
     """Run every known check on every matching instance; deterministic
     ordering (instance, then check)."""
     from . import checks  # noqa: F401
-    pairs = build_catalog_analyses(pattern, size_cap, node_limit,
-                                   random_count, random_seed)
+    pairs = build_catalog_analyses(pattern, size_cap, random_count, random_seed)
     results = []
     for inst, a in pairs:
         for name in sorted(CHECKS):

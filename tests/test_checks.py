@@ -3,6 +3,7 @@ import pytest
 
 from ringlattice import checks, dsl, verify
 from ringlattice import extension as ex
+from ringlattice import finring as fr
 
 from oracles import doubled_ring_tables
 
@@ -156,6 +157,23 @@ def test_full_suite_on_pi6_is_exhaustive():
                 "support_via_chain_conductors", "cover_minimality_consistency",
                 "b2_structure_cases"):
         assert results[cid].status == "pass", cid
+
+
+def test_zero_ideal_builds_no_quotient(monkeypatch, p5, a5):
+    # S/{0} is the extension itself; the only ideal of F2^5 inside the
+    # base F2 is {0}
+    quotient = fr.quotient_of_subring
+    calls = []
+
+    def counting(S, subring, ideal, label=None):
+        calls.append(len(ideal))
+        return quotient(S, subring, ideal, label)
+
+    monkeypatch.setattr(fr, "quotient_of_subring", counting)
+    assert verify.run_check("shared_ideal_quotient_equivalence", p5).status == "pass"
+    assert calls == []
+    assert verify.run_check("quotient_transfer", a5).status == "pass"
+    assert calls and 1 not in calls
 
 
 def test_chain_type_profile_reports_a_real_chain(monkeypatch, p5):

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 
-from oracles import brute_force_subrings, largest_common_ideal
+from oracles import (SMALL_RINGS, brute_force_subrings, largest_common_ideal,
+                     small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -45,6 +46,17 @@ def test_generated_subring_reaches_field(F4):
 
 def test_generated_subring_empty_is_base(e5):
     assert ex.generated_subring(e5.ambient, e5.base, []) == e5.base
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2),
+       st.lists(st.integers(0, 7), max_size=3))
+def test_generated_subring_fold_is_one_closure(name, seed, elems):
+    # adjoining the elements one at a time reaches the one-shot closure
+    R = small_ring(name)
+    base = frozenset(R.subring_closure(seed).tolist())
+    gen = ex.generated_subring(R, base, elems)
+    assert gen == frozenset(R.subring_closure(sorted(base) + elems).tolist())
 
 
 def test_generated_subring_e5_seminormalization(e5):
@@ -305,15 +317,6 @@ def test_pinched_and_complements_extension_surface(e5):
     assert ex.complements(e5, d.plus) == [d.cosub]  # the opposite ladder corner
     with pytest.raises(fr.RingError):
         ex.is_pinched_at(e5, [frozenset({0})])
-
-
-def test_maximal_chain_is_minimal_steps(e5, e6):
-    for E in (e5, e6):
-        chain = ex.maximal_chain(E)
-        assert chain[0] == E.base and chain[-1] == E.top
-        for lo, hi in zip(chain, chain[1:]):
-            assert lo < hi
-            assert ex.is_minimal_pair(E.ambient, lo, hi)
 
 
 # -- property tests ----------------------------------------------------------

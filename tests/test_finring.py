@@ -277,6 +277,28 @@ def test_derived_rings_satisfy_ring_axioms(name, data):
     assert_ring_axioms(doubled_ring(R, R.subring_closure(seed)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=3),
+       st.integers(0, 7))
+def test_adjoin_is_the_memoised_closure(name, lo, s):
+    R = small_ring(name)
+    lo = frozenset(lo)
+    T = R.adjoin(lo, s)
+    assert T == frozenset(R.subring_closure(sorted(lo) + [s]).tolist())
+    assert R.adjoin(lo, s) is T
+    # equal subrings are one object, whatever (lo, s) produced them
+    assert R.adjoin(T, s) is T
+
+
+def test_product_names_are_component_tuples():
+    F4, Z4 = fr.gf(2, 2), fr.zmod(4)
+    P = fr.product_ring([F4, Z4])
+    for a in range(F4.size):
+        for b in range(Z4.size):
+            assert P.elem_str(fr.product_element(P, [a, b])) == \
+                f"({F4.elem_str(a)}, {Z4.elem_str(b)})"
+
+
 @st.composite
 def _membership_case(draw):
     """(ring, subring, candidate): the candidate is a subring, an ideal of

@@ -275,9 +275,30 @@ def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
     monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
     monkeypatch.setattr(ExtensionLattice, "__init__", counting_build)
     E = big_lattices[0]
+    # the fixture ring is shared, so empty its adjoin memo first
+    monkeypatch.setattr(E.ambient, "_adjoined", {})
     L = ex.enumerate_interval(E)
     L.interval(1, L.top)
     assert closures[0] > 0 and per_build == [0, 0]
+
+
+def test_second_enumeration_runs_no_closures(monkeypatch):
+    # every base[s] and x[s] of the first enumeration is memoised on the ring
+    S = fr.product_ring([fr.gf(2)] * 4)
+    base = ex.prime_subring(S)
+    first = ex.enumerate_interval(ex.Extension(S, base))
+    closures = [0]
+    closure = fr.FiniteRing.subring_closure
+
+    def counting_closure(self, seed):
+        closures[0] += 1
+        return closure(self, seed)
+
+    monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
+    second = ex.enumerate_interval(ex.Extension(S, base))
+    assert closures[0] == 0
+    assert second.nodes == first.nodes and len(first) == 15
+    assert np.array_equal(second.join, first.join)
 
 
 def test_covers_and_decomposition_decompose_each_subring_once(
