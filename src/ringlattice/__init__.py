@@ -11,7 +11,7 @@ from .extension import (
     Extension, TheoremViolation, MinimalType, CanonicalDecomposition,
     SupportProfile, ExtensionFlags,
     prime_subring, generated_subring, enumerate_interval,
-    conductor, support_profile, localize_at, fibers, residual_extension,
+    conductor, support_profile, quotient_extension, localize_at, fibers,
     classify_minimal, extension_flags, canonical_decomposition, splitter,
     is_pinched_at, complements,
 )

@@ -221,20 +221,12 @@ def localization_equivalence(a):
 def shared_ideal_quotient_equivalence(a):
     if not _proper(a):
         return _na("trivial extension")
-    S = a.S
-    shared = [I for I in S.all_ideals(np.arange(S.size, dtype=np.int32))
-              if I <= a.E.base]
-    verdicts = []
-    for I in shared:
-        if len(I) == 1:
-            # S/{0} is the extension itself
-            verdicts.append(a.verdict.distributive)
-            continue
-        quo, proj = fr.quotient_of_subring(S, np.arange(S.size, dtype=np.int32),
-                                           fr.as_index_array(I))
-        base_img = frozenset(int(proj[x]) for x in a.E.base)
-        sub = Analysis(a.name + "/I", ex.Extension(quo, base_img))
-        verdicts.append(sub.verdict.distributive)
+    # an ideal of the top inside the base lies in the conductor
+    shared = a.S.all_ideals(a.E.top_arr, gens=ex.conductor(a.E))
+    # the quotient by {0} is the extension itself
+    verdicts = [a.verdict.distributive if len(I) == 1 else
+                ex.quotient_extension(a.S, a.E.base, a.E.top, I)
+                .lattice().verdict().distributive for I in shared]
     ok = all(v == a.verdict.distributive for v in verdicts)
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"verdicts": verdicts,
@@ -248,17 +240,12 @@ def shared_ideal_quotient_equivalence(a):
 def quotient_transfer(a):
     if not _proper(a) or not a.verdict.distributive:
         return _na("extension not distributive")
-    S = a.S
-    ideals = S.all_ideals(a.E.top_arr if len(a.E.top) != S.size
-                          else np.arange(S.size, dtype=np.int32))
-    for J in ideals:
+    for J in a.S.all_ideals(a.E.top_arr):
         # top/{0} is the extension itself, top/top is no ring
         if len(J) == 1 or J == a.E.top:
             continue
-        quo, proj = fr.quotient_of_subring(S, a.E.top_arr, fr.as_index_array(J))
-        base_img = frozenset(int(proj[x]) for x in a.E.base)
-        sub = Analysis(a.name + "/J", ex.Extension(quo, base_img))
-        if not sub.verdict.distributive:
+        sub = ex.quotient_extension(a.S, a.E.base, a.E.top, J)
+        if not sub.lattice().verdict().distributive:
             return CheckResult("", "", "fail",
                                witness={"ideal_size": len(J)})
     return CheckResult("", "", "pass")
@@ -274,16 +261,10 @@ def product_transfer(a):
     if len(dec_top.idempotents) < 2 or \
             not all(e in a.E.base for e in dec_top.idempotents):
         return _na("base does not decompose along the top ring's factors")
-    S = a.S
-    verdicts = []
-    for e in dec_top.idempotents:
-        eS = np.unique(S.mul[e, a.E.top_arr])
-        eR = np.unique(S.mul[e, a.E.base_arr])
-        ring, old = S.subset_ring(eS, e)
-        pos = {int(x): i for i, x in enumerate(old.tolist())}
-        base = frozenset(pos[int(x)] for x in eR.tolist())
-        verdicts.append(Analysis(a.name + "@factor",
-                                 ex.Extension(ring, base)).verdict.distributive)
+    # the top's primitive idempotents are then the base's own, so each
+    # factor is the localization at a maximal ideal of the base
+    verdicts = [a.loc(M).verdict.distributive
+                for M in a.E.base_decomposition().maximal_ideals]
     return _iff(a.verdict.distributive, all(verdicts),
                 {"factor_verdicts": verdicts})
 
@@ -614,13 +595,8 @@ def b2_structure_cases(a):
                     rhs = True
             if not rhs and cond == M and ex.is_t_closed(S, V, W):
                 # residue interval must have exactly 4 subfields
-                Wq, projW = fr.quotient_of_subring(S, fr.as_index_array(W),
-                                                   fr.as_index_array(M))
-                if fr.is_field(Wq):
-                    img = frozenset(int(projW[x]) for x in V)
-                    res = Analysis(a.name + "@res", ex.Extension(Wq, img))
-                    if len(res.nodes) == 4:
-                        rhs = True
+                res = ex.quotient_extension(S, V, W, M)
+                rhs = fr.is_field(res.ambient) and len(res.lattice().nodes) == 4
         if lhs != rhs:
             return CheckResult("", "", "fail", witness={
                 "interval": [v, w], "b2": lhs, "cases": rhs})
@@ -670,7 +646,8 @@ def seminormal_infra_iff_locally_minimal(a):
 def t_closed_residual_distributivity(a):
     if not _proper(a) or not a.flags.t_closed:
         return _na("extension not t-closed")
-    res = [r.verdict.distributive for _, r in a.residual_analyses()]
+    res = [ex.quotient_extension(a.S, a.E.base, a.E.top, Q)
+           .lattice().verdict().distributive for Q in a.E.max_ideals_top()]
     return _iff(a.verdict.distributive, all(res), {"residual_verdicts": res})
 
 

@@ -3,10 +3,12 @@
 An :class:`Extension` is a pair of nested unital subrings (``base``,
 ``top``) of an ambient :class:`~ringlattice.finring.FiniteRing`; the usual
 case is ``top`` = the whole ambient ring.  This module provides the
-interval enumeration, conductor and support machinery, localization by
-primitive idempotents, minimal-extension classification and the canonical
-closure operations (seminormalization, t-closure, u-closure,
-co-subintegral closure), plus splitters and complements.
+interval enumeration, conductor and support machinery, minimal-extension
+classification and the canonical closure operations (seminormalization,
+t-closure, u-closure, co-subintegral closure), plus splitters and
+complements.  Every derived extension on a new ring is a quotient
+(:func:`quotient_extension`): the localization at a maximal ideal M of the
+base, the residue-field extensions and the transfers modulo a shared ideal.
 
 All predicates are computed from their element-level or spectrum-level
 definitions by exhaustive scans; closure operations filter the enumerated
@@ -256,39 +258,33 @@ def conductor(E: Extension) -> frozenset:
 
 
 def support_profile(E: Extension) -> SupportProfile:
-    """MSupp(top/base) via localization by the primitive idempotents of the
-    base; for integral finite extensions Supp = MSupp."""
-    S = E.ambient
-    dec = E.base_decomposition()
-    msupp = []
-    for e, M in zip(dec.idempotents, dec.maximal_ideals):
-        eR = np.unique(S.mul[e, E.base_arr])
-        eS = np.unique(S.mul[e, E.top_arr])
-        if eR.size != eS.size:
-            msupp.append(M)
-    msupp.sort(key=sorted)
+    """MSupp(top/base); for integral finite extensions Supp = MSupp."""
+    msupp = msupp_of_pair(E, E.base, E.top)
     crucial = msupp[0] if len(msupp) == 1 else None
     return SupportProfile(msupp=msupp, crucial=crucial, conductor=conductor(E))
 
 
+def quotient_extension(S: fr.FiniteRing, lo, hi, I) -> Extension:
+    """(lo + I)/I <= hi/I for subrings lo <= hi of S and an ideal I of hi,
+    on the ring quotient_of_subring(S, hi, I)."""
+    ring, proj = fr.quotient_of_subring(S, hi, I)
+    return Extension(ring, frozenset(proj[as_index_array(lo)].tolist()))
+
+
 def localize_at(E: Extension, M) -> Extension:
-    """The localization of the extension at a maximal ideal M of the base,
-    realized as multiplication by the primitive idempotent attached to M
-    (for Artinian rings this is the classical localization).  Returns a
-    fresh extension on the re-indexed ring e*top."""
+    """The localization of the extension at a maximal ideal M of the base.
+    With e the primitive idempotent of the base attached to M, the finite
+    (Artinian) localization is top/(1 - e)top over the image of the base."""
     S = E.ambient
     dec = E.base_decomposition()
     try:
-        i = dec.maximal_ideals.index(frozenset(M))
+        e = dec.idempotents[dec.maximal_ideals.index(frozenset(M))]
     except ValueError:
         raise fr.RingError("not a maximal ideal of the base ring") from None
-    e = dec.idempotents[i]
-    eS = np.unique(S.mul[e, E.top_arr])
-    eR = np.unique(S.mul[e, E.base_arr])
-    ring, old = S.subset_ring(eS, e, label=f"({S.label})_loc")
-    pos = {int(x): i for i, x in enumerate(old.tolist())}
-    base = frozenset(pos[int(x)] for x in eR.tolist())
-    return Extension(ring, base, name=(E.name or "E") + "@loc")
+    loc = quotient_extension(S, E.base, E.top,
+                             S.mul[S.sub(S.one, e), E.top_arr])
+    loc.name = (E.name or "E") + "@loc"
+    return loc
 
 
 def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:
@@ -306,38 +302,10 @@ def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:
 def fibers(E: Extension) -> dict[frozenset, list[frozenset]]:
     """For each maximal ideal P of the base, the maximal ideals of the top
     contracting to it; the fibers cover Max(top)."""
-    maxR = E.max_ideals_base()
-    maxS = E.max_ideals_top()
-    out = {P: [] for P in maxR}
-    for Q in maxS:
-        P = frozenset(Q) & E.base
-        if P not in out:
-            raise TheoremViolation("contraction of a maximal ideal is not maximal "
-                                   "(extension not integral?)")
+    out = {P: [] for P in E.max_ideals_base()}
+    for Q, P in spectrum_map(E.ambient, E.base, E.top):
         out[P].append(Q)
-    if sum(len(v) for v in out.values()) != len(maxS):
-        raise TheoremViolation("fibers do not cover Max(top)")
     return out
-
-
-def residual_extension(E: Extension, Q):
-    """(kappa_base(Q cap base), kappa_top(Q), embedding array) for Q maximal
-    in the top ring; both are finite fields."""
-    S = E.ambient
-    Q = frozenset(Q)
-    if Q not in E.max_ideals_top():
-        raise fr.RingError("Q is not a maximal ideal of the top ring")
-    P = Q & E.base
-    kR, projR = fr.residue_field(S, as_index_array(P), E.base_arr,
-                                 label="kappa(base)")
-    kS, projS = fr.residue_field(S, as_index_array(Q), E.top_arr,
-                                 label="kappa(top)")
-    embed = np.full(kR.size, -1, dtype=np.int32)
-    for x in sorted(E.base):
-        embed[projR[x]] = projS[x]
-    if (embed < 0).any() or len(set(embed.tolist())) != kR.size:
-        raise TheoremViolation("residual embedding is not well-defined/injective")
-    return kR, kS, embed
 
 
 def _max_ideals(S: fr.FiniteRing, T) -> list[frozenset]:
@@ -390,12 +358,9 @@ def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
 
     cases = []
     if M in max_hi:
-        kS, projS = fr.quotient_of_subring(S, hi_arr, M_arr)
-        if fr.is_field(kS):
-            img = frozenset(int(projS[x]) for x in lo)
-            sub = Extension(kS, img)
-            if len(sub.lattice().nodes) == 2:
-                cases.append(MinimalType.INERT)
+        res = quotient_extension(S, lo_arr, hi_arr, M_arr)
+        if fr.is_field(res.ambient) and len(res.lattice().nodes) == 2:
+            cases.append(MinimalType.INERT)
     if len(over) == 2:
         Q1, Q2 = over
         if Q1 & Q2 == M and \

@@ -30,6 +30,7 @@ import numpy as np
 # closed subsets and quotients of rings built that way, which inherit the
 # axioms; it checks just what its arguments can break (zero, negatives, unit).
 DEFAULT_SIZE_CAP = 4096
+IDEAL_LIMIT = 100000   # most ideals all_ideals enumerates before it raises
 
 
 class RingError(Exception):
@@ -45,8 +46,13 @@ class InconsistentRelationsError(RingError):
 
 
 def as_index_array(xs) -> np.ndarray:
-    """Canonical sorted unique int32 array from any iterable of indices."""
+    """Canonical sorted unique int32 array from any iterable of indices.
+    A 1-D strictly increasing int32 array is already canonical and is
+    returned as it is (callers only read the result)."""
     if isinstance(xs, np.ndarray):
+        if xs.dtype == np.int32 and xs.ndim == 1 and \
+                (xs[1:] > xs[:-1]).all():
+            return xs
         return np.unique(xs).astype(np.int32)
     xs = list(xs)
     if not xs:
@@ -431,14 +437,17 @@ class FiniteRing:
             return False
         return bool(inside[self.mul[np.ix_(s, within)]].all())
 
-    def all_ideals(self, within, limit=100000) -> list[frozenset]:
-        """Every ideal of the subring ``within``: join-closure of the
-        principal ideals (every ideal is a finite sum of principal ones)."""
+    def all_ideals(self, within, gens=None) -> list[frozenset]:
+        """Every ideal of the subring ``within`` generated by elements of
+        ``gens`` (default: all of ``within``): join-closure of their
+        principal ideals (every ideal is a finite sum of principal ones).
+        When ``gens`` is an ideal, these are the ideals inside it."""
         within = as_index_array(within)
+        pool = within if gens is None else as_index_array(gens)
         found = join_closure(
-            {frozenset(self.ideal_closure(within, [g]).tolist()) for g in within},
+            {frozenset(self.ideal_closure(within, [g]).tolist()) for g in pool},
             lambda a, b: frozenset(self.additive_closure(a | b).tolist()),
-            limit, "ideal enumeration")
+            IDEAL_LIMIT, "ideal enumeration")
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def idempotents_in(self, subset) -> list[int]:

@@ -94,11 +94,15 @@ class Analysis:
         return self.L.index[frozenset(T)]
 
     def sub(self, lo, hi) -> "Analysis":
-        """Analysis of a subextension, fresh enumeration, cached."""
+        """Analysis of the subextension lo <= hi for nodes lo, hi, cached.
+        Its lattice is the parent's interval [lo, hi]: every ring between
+        them is a node, and the parent's tables are already proved."""
         key = (frozenset(lo), frozenset(hi))
         if key not in self._subs:
             sub = ex.Extension(self.S, key[0], key[1],
                                name=f"{self.name}[sub]")
+            L = self.L
+            sub._cache["lattice"] = L.interval(L.index[key[0]], L.index[key[1]])
             self._subs[key] = Analysis(f"{self.name}[sub]", sub, self.node_limit)
         return self._subs[key]
 
@@ -108,15 +112,6 @@ class Analysis:
             self._locs[key] = Analysis(f"{self.name}@loc",
                                        self.E.localized(key), self.node_limit)
         return self._locs[key]
-
-    def residual_analyses(self):
-        """Analysis of each residual field extension kappa(P) <= kappa(Q)."""
-        out = []
-        for Q in self.E.max_ideals_top():
-            kR, kS, embed = ex.residual_extension(self.E, Q)
-            img = frozenset(int(v) for v in embed.tolist())
-            out.append((Q, Analysis(f"{self.name}@res", ex.Extension(kS, img))))
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,9 @@ against the operation tables, so the main code paths are checked against a
 different computation.  The ``isin_*`` and ``loop_*`` functions are the
 earlier np.isin and Python-loop versions of the membership kernels, kept as
 references for the mask and vectorised ones; maximal-chain enumeration is
-the reference for the Hasse-diagram fold.  ``small_ring`` builds the tiny
-rings they run on.
+the reference for the Hasse-diagram fold; the corner e*top is the
+reference for the localization as a quotient.  ``small_ring`` builds the
+tiny rings they run on.
 """
 
 import functools
@@ -16,7 +17,7 @@ import itertools
 import numpy as np
 
 from ringlattice import finring as fr
-from ringlattice.extension import TheoremViolation
+from ringlattice.extension import Extension, TheoremViolation
 
 
 SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
@@ -124,6 +125,18 @@ def largest_common_ideal(S, base):
     """The largest ideal of S contained in base, by scanning the subsets
     of base (ideals inside base are closed under sums, so it is unique)."""
     return max(_ideal_subsets(S, base, range(S.size)), key=len)
+
+
+def corner_localization(E, M):
+    """The localization of E at the maximal ideal M of its base as the
+    corner e*base <= e*top, with e the primitive idempotent of M, on e*top
+    re-indexed by ``subset_ring`` (the reference for ``localize_at``)."""
+    S = E.ambient
+    dec = E.base_decomposition()
+    e = dec.idempotents[dec.maximal_ideals.index(frozenset(M))]
+    ring, old = S.subset_ring(np.unique(S.mul[e, E.top_arr]), e)
+    pos = {x: i for i, x in enumerate(old.tolist())}
+    return Extension(ring, {pos[x] for x in S.mul[e, E.base_arr].tolist()})
 
 
 def chain_label_sets_by_enumeration(L, label):

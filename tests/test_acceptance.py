@@ -210,3 +210,9 @@ def test_criterion_9_full_suite_green():
     # the report bytes are the behavioural contract (same as verify --all --json)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
         "093fd922c5c56abd492f1d2e8b1de2f2d63730bbdd2de09621bee1b8060f2e8f"
+    # so are the seeded random instances with the sub-interval stress
+    # (verify RND_ --random 10 --seed 3 --intervals 200 --json)
+    rnd = verify.run_catalog(pattern="RND_", random_count=10, random_seed=3,
+                             interval_samples=200)
+    assert hashlib.sha256(rnd.to_json().encode()).hexdigest() == \
+        "3ee46561ade632792577c3bd9000067a8dfef60254813455b6f7b8fdd55f53a1"

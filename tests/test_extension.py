@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 
-from oracles import (SMALL_RINGS, brute_force_subrings, largest_common_ideal,
-                     small_ring)
+from oracles import (SMALL_RINGS, brute_force_subrings, corner_localization,
+                     largest_common_ideal, small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -143,6 +145,29 @@ def test_localized_local_base_full_top_is_the_extension(e1, e5):
     assert loc is not part and len(loc.top) == len(part.top)
 
 
+def _assert_localizations_match_corners(E):
+    # top/(1 - e)top over the base's image is the corner e*top over e*base
+    for M in E.max_ideals_base():
+        loc, corner = ex.localize_at(E, M), corner_localization(E, M)
+        assert (len(loc.base), len(loc.top)) == (len(corner.base), len(corner.top))
+        L, C = loc.lattice(), corner.lattice()
+        assert len(L.nodes) == len(C.nodes)
+        assert replace(L.verdict(), witness=None) == replace(C.verdict(), witness=None)
+        assert fr.rings_isomorphic(loc.ambient, corner.ambient)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_localization_matches_corner_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_localizations_match_corners(ex.Extension(R, R.subring_closure(seed)))
+
+
+def test_localization_matches_corner(e5, e6):
+    for E in (e5, e6, ex.Extension(e5.ambient, e5.base, e5.decomposition().t)):
+        _assert_localizations_match_corners(E)
+
+
 def test_fibers_examples(e1, e2, e6):
     f1 = ex.fibers(e1)
     assert [len(v) for v in f1.values()] == [1]
@@ -153,12 +178,15 @@ def test_fibers_examples(e1, e2, e6):
 
 
 def test_residual_extension_degrees(e1, e3, e5):
+    # the residue-field extension at Q is (base + Q)/Q <= top/Q
     S = e3.ambient
-    kR, kS, embed = ex.residual_extension(e3, frozenset({S.zero}))
-    assert kR.size == 2 and kS.size == 4
+    res = ex.quotient_extension(S, e3.base, e3.top, [S.zero])
+    assert len(res.base) == 2 and res.ambient.size == 4
+    assert fr.is_field(res.ambient)
     Q = e1.max_ideals_top()[0]
-    kR, kS, _ = ex.residual_extension(e1, Q)
-    assert kR.size == 2 and kS.size == 2
+    res = ex.quotient_extension(e1.ambient, e1.base, e1.top, Q)
+    assert len(res.base) == 2 and res.ambient.size == 2
+    assert fr.is_field(res.ambient)
     # E5: the maximal ideal over the F4 factor has residue F4
     degs = sorted(ex.residual_degrees(e5.ambient, e5.base, e5.top))
     assert degs == [(2, 2), (2, 4)]

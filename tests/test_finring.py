@@ -290,6 +290,21 @@ def test_adjoin_is_the_memoised_closure(name, lo, s):
     assert R.adjoin(T, s) is T
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2),
+       st.sets(st.integers(0, 7), max_size=2))
+def test_ideals_inside_the_base_come_from_the_conductor(name, seed, more):
+    # an ideal of the top inside the base lies in the conductor, and the
+    # ideals generated by conductor elements are the ideals inside it
+    R = small_ring(name)
+    base = frozenset(R.subring_closure(seed).tolist())
+    for top in (np.arange(R.size, dtype=np.int32),
+                R.subring_closure(sorted(seed | more))):
+        cond = ex.conductor_pair(R, base, top)
+        assert R.all_ideals(top, gens=cond) == \
+            [I for I in R.all_ideals(top) if I <= base]
+
+
 def test_product_names_are_component_tuples():
     F4, Z4 = fr.gf(2, 2), fr.zmod(4)
     P = fr.product_ring([F4, Z4])

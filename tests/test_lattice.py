@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringlattice import finring as fr
 from ringlattice import extension as ex
+from ringlattice import verify
 from ringlattice.lattice import ExtensionLattice, LatticeError
 
 from oracles import (SMALL_RINGS, assert_lattice_axioms,
@@ -447,3 +448,25 @@ def test_decomposition_builds_no_sub_extensions(monkeypatch, big_lattices):
     assert built[0] == 0
     # F2^5 over F2 is seminormal and infra-integral
     assert d.plus == E.base and d.t == d.u == d.cosub == E.top
+
+
+def test_sub_analysis_takes_the_parent_interval(monkeypatch, big_lattices):
+    # every ring between two nodes is a node: a sub-analysis enumerates nothing
+    enumerate_interval, calls = ex.enumerate_interval, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return enumerate_interval(*args, **kwargs)
+
+    E = big_lattices[0]
+    a = verify.Analysis("P5", ex.Extension(E.ambient, E.base))
+    L = a.L
+    pairs = [(v, int(w)) for v in range(len(L.nodes))
+             for w in np.flatnonzero(L.levels_from(v) == 2)]
+    monkeypatch.setattr(ex, "enumerate_interval", counting)
+    subs = [a.sub(L.nodes[v], L.nodes[w]).L for v, w in pairs]
+    assert calls[0] == 0 and len(pairs) > 0
+    for (v, w), sub in zip(pairs, subs):
+        fresh = enumerate_interval(ex.Extension(E.ambient, L.nodes[v], L.nodes[w]))
+        assert sub.nodes == fresh.nodes
+        assert np.array_equal(sub.join, fresh.join)
