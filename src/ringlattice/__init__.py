@@ -4,7 +4,7 @@ from .finring import (
     FiniteRing, RingError, SizeCapError, InconsistentRelationsError,
     zmod, gf, product_ring, idealization, quotient_by_relations,
     quotient_ring, quotient_of_subring, residue_field, maximal_ideals,
-    primitive_idempotents, LocalFactorDecomposition, is_field, is_local,
+    primitive_idempotents, LocalFactorDecomposition, is_field,
     rings_isomorphic, resolve_relation, DEFAULT_SIZE_CAP,
 )
 from .extension import (

@@ -222,7 +222,7 @@ def shared_ideal_quotient_equivalence(a):
     if not _proper(a):
         return _na("trivial extension")
     # an ideal of the top inside the base lies in the conductor
-    shared = a.S.all_ideals(a.E.top_arr, gens=ex.conductor(a.E))
+    shared = a.S.all_ideals(a.E.top, gens=ex.conductor(a.E))
     # the quotient by {0} is the extension itself
     verdicts = [a.verdict.distributive if len(I) == 1 else
                 ex.quotient_extension(a.S, a.E.base, a.E.top, I)
@@ -240,7 +240,7 @@ def shared_ideal_quotient_equivalence(a):
 def quotient_transfer(a):
     if not _proper(a) or not a.verdict.distributive:
         return _na("extension not distributive")
-    for J in a.S.all_ideals(a.E.top_arr):
+    for J in a.S.all_ideals(a.E.top):
         # top/{0} is the extension itself, top/top is no ring
         if len(J) == 1 or J == a.E.top:
             continue
@@ -273,7 +273,7 @@ def doubled_ring(S, top):
     """The idealization T(+)T of the subring ``top`` = T of S, with
     (r1,m1)(r2,m2) = (r1r2, r1m2 + r2m1).  The pair (r, m) has index
     i(r)*n + i(m), where i is the position in sorted ``top``."""
-    top = fr.as_index_array(top)
+    top = S.arr(top)
     n = top.size
     pos = np.full(S.size, -1, dtype=np.int32)
     pos[top] = np.arange(n, dtype=np.int32)
@@ -299,7 +299,7 @@ def idealization_transfer(a):
     n = len(a.E.top)
     if n > 16:
         return _na("top ring too large for the doubled construction")
-    big = doubled_ring(a.S, a.E.top_arr)
+    big = doubled_ring(a.S, a.E.top)
     pos = {x: i for i, x in enumerate(sorted(a.E.top))}
     base = frozenset(pos[r] * n + i for r in sorted(a.E.base) for i in range(n))
     sub = Analysis(a.name + "(+)M", ex.Extension(big, base))
@@ -514,8 +514,8 @@ def two_atom_composite_profile(a):
     for t, u in itertools.combinations(atoms, 2):
         T, U = a.nodes[t], a.nodes[u]
         j = int(L.join[t, u])
-        M = frozenset(ex.conductor_pair(S, a.E.base, T))
-        N = frozenset(ex.conductor_pair(S, a.E.base, U))
+        M = ex.conductor_pair(S, a.E.base, T)
+        N = ex.conductor_pair(S, a.E.base, U)
         typ_t = a.cover_types[(0, t)]
         typ_u = a.cover_types[(0, u)]
         sub = L.interval(0, j)
@@ -541,16 +541,15 @@ def two_atom_composite_profile(a):
             return CheckResult("", "", "fail", witness={
                 "atoms": [t, u], "case": "two non-inert",
                 "catenarian": cat_ok, "infra_integral": infra})
-        over_t = [Q for Q in fr.maximal_ideals(S, fr.as_index_array(T))
-                  if frozenset(Q) & a.E.base == M]
-        over_u = [Q for Q in fr.maximal_ideals(S, fr.as_index_array(U))
-                  if frozenset(Q) & a.E.base == M]
+        over_t = [Q for Q in fr.maximal_ideals(S, T) if Q & a.E.base == M]
+        over_u = [Q for Q in fr.maximal_ideals(S, U) if Q & a.E.base == M]
+        in_M = S.mask(M)
         prod_in = False
         for P in over_t:
             for Q in over_u:
-                Pa, Qa = fr.as_index_array(P), fr.as_index_array(Q)
-                span = S.additive_closure(np.unique(S.mul[np.ix_(Pa, Qa)]))
-                if frozenset(int(x) for x in span.tolist()) <= M:
+                span = S.additive_closure(
+                    np.unique(S.mul[np.ix_(S.arr(P), S.arr(Q))]))
+                if in_M[span].all():
                     prod_in = True
         want = 2 if prod_in else 3
         if sub.length != want:
@@ -660,16 +659,15 @@ def module_lattice_correspondence(a):
         return _na("trivial extension")
     S = a.S
     sq_zero = [s for s in sorted(a.E.top) if S.m(s, s) == S.zero]
-    N = frozenset(int(x) for x in
-                  S.ideal_closure(a.E.top_arr, sq_zero).tolist())
-    Na = fr.as_index_array(N)
+    N = frozenset(S.ideal_closure(a.E.top, sq_zero).tolist())
+    Na = S.arr(N)
     prods = S.mul[np.ix_(Na, Na)]
     if (prods != S.zero).any() or \
             (a.E.base & N) != {S.zero} or \
             len(a.E.base) * len(N) != len(a.E.top):
         return _na("top is not base plus a square-zero complement")
     # enumerate submodules: join-closure of the cyclic submodules
-    cyclic = {frozenset(S.ideal_closure(a.E.base_arr, [v]).tolist()) for v in N}
+    cyclic = {frozenset(S.ideal_closure(a.E.base, [v]).tolist()) for v in N}
     subs = fr.join_closure(
         cyclic, lambda x, y: frozenset(S.additive_closure(x | y).tolist()),
         a.node_limit, "submodule enumeration")
@@ -879,7 +877,7 @@ def splitter_existence(a):
     idems = [e for e, M in zip(dec.idempotents, dec.maximal_ideals) if M in ms]
     seen = set()
     for T in a.nodes:
-        key = tuple(tuple(np.unique(S.mul[e, fr.as_index_array(T)]).tolist())
+        key = tuple(tuple(np.unique(S.mul[e, S.arr(T)]).tolist())
                     for e in idems)
         if key in seen:
             return CheckResult("", "", "fail",
@@ -972,7 +970,7 @@ def branched_characterization(a):
     d = a.decomp
     t_idx = L.index[d.t]
     two_max = (len(a.E.max_ideals_top()) == 2
-               and len(fr.maximal_ideals(a.S, fr.as_index_array(d.u))) == 2)
+               and len(fr.maximal_ideals(a.S, d.u)) == 2)
     lower_dist = L.interval(0, t_idx).check_distributive()[0]
     upper_dist = L.interval(t_idx, L.top).check_distributive()[0]
     pinched = _pinched_at_t(a)
@@ -1058,7 +1056,7 @@ def branched_splitter_consistency(a):
     d = a.decomp
     if _pinched_at_t(a):
         return _na("pinched at the t-closure")
-    maxT = fr.maximal_ideals(a.S, fr.as_index_array(d.t))
+    maxT = fr.maximal_ideals(a.S, d.t)
     if len(maxT) != 2:
         return CheckResult("", "", "fail", witness={"max_t": len(maxT)})
     tsub = a.sub(d.t, a.E.top)
@@ -1066,7 +1064,7 @@ def branched_splitter_consistency(a):
         return CheckResult("", "", "pass")
     ut = a.sub(d.u, d.t)
     M = ut.profile.msupp[0]
-    over = [N for N in maxT if frozenset(N) & d.u == M]
+    over = [N for N in maxT if N & d.u == M]
     prime_n = [N for N in maxT if N not in over]
     if len(prime_n) != 1:
         return CheckResult("", "", "fail", witness={"case": "no unique off ideal"})
@@ -1225,9 +1223,9 @@ def one_generator_idempotent_like_fibers(a):
     sizes = sorted(len(v) for v in a.fibers.values())
     if any(s > 2 for s in sizes):
         return CheckResult("", "", "fail", witness={"fiber_sizes": sizes})
-    I = fr.as_index_array(a.profile.conductor)
-    SI, _ = fr.quotient_of_subring(S, E.top_arr, I)
-    RI, _ = fr.quotient_of_subring(S, E.base_arr, I)
+    I = a.profile.conductor
+    SI, _ = fr.quotient_of_subring(S, E.top, I)
+    RI, _ = fr.quotient_of_subring(S, E.base, I)
     doubled = fr.product_ring([RI, RI], size_cap=max(S.size_cap, RI.size ** 2))
     ok = fr.rings_isomorphic(SI, doubled)
     return CheckResult("", "", "pass" if ok else "fail",
@@ -1289,7 +1287,7 @@ def count_formula_local(a):
         return _na("needs a distributive extension over a local base")
     L = a.L
     d = a.decomp
-    max_u = fr.maximal_ideals(a.S, fr.as_index_array(d.u))
+    max_u = fr.maximal_ideals(a.S, d.u)
     ut = a.sub(d.u, d.t)
     supp_ut = ut.profile.msupp
     if len(max_u) > 2 or len(supp_ut) > 1:
@@ -1447,9 +1445,9 @@ def chain_ring_quadratic_distributive(a):
     maxR = a.E.max_ideals_base()
     if len(maxR) != 1:
         return _na("base not local")
-    M = fr.as_index_array(maxR[0])
+    M = S.arr(maxR[0])
     principal = any(
-        np.array_equal(S.ideal_closure(E.base_arr, [m]), M)
+        np.array_equal(S.ideal_closure(E.base, [m]), M)
         for m in M.tolist())
     if not principal:
         return _na("maximal ideal of the base not principal")

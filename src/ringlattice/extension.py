@@ -24,7 +24,6 @@ import enum
 import numpy as np
 
 from . import finring as fr
-from .finring import as_index_array
 from .lattice import ExtensionLattice
 
 DEFAULT_NODE_LIMIT = 100000
@@ -100,7 +99,9 @@ class Extension:
             raise fr.RingError("base is not contained in top")
         if not ambient.is_subring(self.base):
             raise fr.RingError("base is not a unital subring of the ambient ring")
-        if len(self.top) != ambient.size and not ambient.is_subring(self.top):
+        # arr rejects indices outside the ring, so a top of full size is it
+        if len(ambient.arr(self.top)) != ambient.size and \
+                not ambient.is_subring(self.top):
             raise fr.RingError("top is not a unital subring of the ambient ring")
         self._cache = {}
 
@@ -108,18 +109,6 @@ class Extension:
         nm = f"{self.name}: " if self.name else ""
         return (f"Extension({nm}{len(self.base)} <= {len(self.top)} "
                 f"in {self.ambient.label})")
-
-    @property
-    def base_arr(self):
-        if "base_arr" not in self._cache:
-            self._cache["base_arr"] = as_index_array(self.base)
-        return self._cache["base_arr"]
-
-    @property
-    def top_arr(self):
-        if "top_arr" not in self._cache:
-            self._cache["top_arr"] = as_index_array(self.top)
-        return self._cache["top_arr"]
 
     @property
     def trivial(self):
@@ -133,18 +122,18 @@ class Extension:
         return self._cache["lattice"]
 
     def base_decomposition(self) -> fr.LocalFactorDecomposition:
-        return fr.primitive_idempotents(self.ambient, self.base_arr,
+        return fr.primitive_idempotents(self.ambient, self.base,
                                         unit=self.ambient.one)
 
     def top_decomposition(self) -> fr.LocalFactorDecomposition:
-        return fr.primitive_idempotents(self.ambient, self.top_arr,
+        return fr.primitive_idempotents(self.ambient, self.top,
                                         unit=self.ambient.one)
 
     def max_ideals_base(self) -> list[frozenset]:
-        return _max_ideals(self.ambient, self.base_arr)
+        return fr.maximal_ideals(self.ambient, self.base)
 
     def max_ideals_top(self) -> list[frozenset]:
-        return _max_ideals(self.ambient, self.top_arr)
+        return fr.maximal_ideals(self.ambient, self.top)
 
     def profile(self) -> SupportProfile:
         if "profile" not in self._cache:
@@ -246,11 +235,12 @@ def idempotent_style_generator(E: Extension) -> int | None:
 
 def conductor_pair(S: fr.FiniteRing, lo, hi) -> frozenset:
     """(lo : hi) = {z in lo : z*hi <= lo}, the largest common ideal."""
-    lo_arr, hi_arr = as_index_array(lo), as_index_array(hi)
-    cond = lo_arr[S.mask(lo_arr)[S.mul[np.ix_(lo_arr, hi_arr)]].all(axis=1)]
-    if not S.is_ideal_of(lo_arr, cond) or not S.is_ideal_of(hi_arr, cond):
+    lo_arr = S.arr(lo)
+    cond = frozenset(lo_arr[S.mask(lo)[S.mul[np.ix_(lo_arr, S.arr(hi))]]
+                            .all(axis=1)].tolist())
+    if not S.is_ideal_of(lo, cond) or not S.is_ideal_of(hi, cond):
         raise TheoremViolation("conductor is not an ideal of both rings")
-    return frozenset(cond.tolist())
+    return cond
 
 
 def conductor(E: Extension) -> frozenset:
@@ -268,7 +258,7 @@ def quotient_extension(S: fr.FiniteRing, lo, hi, I) -> Extension:
     """(lo + I)/I <= hi/I for subrings lo <= hi of S and an ideal I of hi,
     on the ring quotient_of_subring(S, hi, I)."""
     ring, proj = fr.quotient_of_subring(S, hi, I)
-    return Extension(ring, frozenset(proj[as_index_array(lo)].tolist()))
+    return Extension(ring, frozenset(proj[S.arr(lo)].tolist()))
 
 
 def localize_at(E: Extension, M) -> Extension:
@@ -282,7 +272,7 @@ def localize_at(E: Extension, M) -> Extension:
     except ValueError:
         raise fr.RingError("not a maximal ideal of the base ring") from None
     loc = quotient_extension(S, E.base, E.top,
-                             S.mul[S.sub(S.one, e), E.top_arr])
+                             S.mul[S.sub(S.one, e), S.arr(E.top)])
     loc.name = (E.name or "E") + "@loc"
     return loc
 
@@ -291,7 +281,7 @@ def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:
     """MSupp_base(hi/lo) for base <= lo <= hi <= top, as ideals of base."""
     S = E.ambient
     dec = E.base_decomposition()
-    lo_arr, hi_arr = as_index_array(lo), as_index_array(hi)
+    lo_arr, hi_arr = S.arr(lo), S.arr(hi)
     out = []
     for e, M in zip(dec.idempotents, dec.maximal_ideals):
         if np.unique(S.mul[e, lo_arr]).size != np.unique(S.mul[e, hi_arr]).size:
@@ -308,18 +298,10 @@ def fibers(E: Extension) -> dict[frozenset, list[frozenset]]:
     return out
 
 
-def _max_ideals(S: fr.FiniteRing, T) -> list[frozenset]:
-    """Max(T) for a unital subring T of S, sorted, read off the per-ring
-    decomposition memo."""
-    dec = fr.primitive_idempotents(S, T, unit=S.one)
-    return sorted(dec.maximal_ideals, key=sorted)
-
-
 def residual_degrees(S: fr.FiniteRing, lo, hi) -> list[tuple[int, int]]:
     """(|kappa_lo(Q cap lo)|, |kappa_hi(Q)|) for each Q in Max(hi)."""
-    lo = frozenset(lo)
     return [(len(lo) // len(Q & lo), len(hi) // len(Q))
-            for Q in _max_ideals(S, hi)]
+            for Q in fr.maximal_ideals(S, hi)]
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +311,6 @@ def is_minimal_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Definitional minimality by monogenic search: no s with
     lo < lo[s] < hi.  (If every lo[s] = hi for s outside lo, any strictly
     intermediate ring would contain such an lo[s].)"""
-    lo, hi = frozenset(lo), frozenset(hi)
     return lo != hi and all(S.adjoin(lo, s) == hi for s in sorted(hi - lo))
 
 
@@ -342,23 +323,20 @@ def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
       ramified    unique M' with M'^2 <= M < M', dim 2, trivial residue.
     Exactly one case must hold; anything else raises, it is never guessed.
     """
-    lo, hi = frozenset(lo), frozenset(hi)
     if not assume_minimal and not is_minimal_pair(S, lo, hi):
         return None
     if lo == hi:
         return None
-    lo_arr, hi_arr = as_index_array(lo), as_index_array(hi)
     M = conductor_pair(S, lo, hi)
-    M_arr = as_index_array(M)
-    if M not in fr.maximal_ideals(S, lo_arr):
+    if M not in fr.maximal_ideals(S, lo):
         raise TheoremViolation("conductor of a minimal extension is not maximal")
     q = len(lo) // len(M)
-    max_hi = fr.maximal_ideals(S, hi_arr)
+    max_hi = fr.maximal_ideals(S, hi)
     over = [Q for Q in max_hi if Q & lo == M]
 
     cases = []
     if M in max_hi:
-        res = quotient_extension(S, lo_arr, hi_arr, M_arr)
+        res = quotient_extension(S, lo, hi, M)
         if fr.is_field(res.ambient) and len(res.lattice().nodes) == 2:
             cases.append(MinimalType.INERT)
     if len(over) == 2:
@@ -367,9 +345,9 @@ def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
                 len(hi) // len(Q1) == q and len(hi) // len(Q2) == q:
             cases.append(MinimalType.DECOMPOSED)
     if len(over) == 1:
-        Qp = as_index_array(over[0])
+        Qp = S.arr(over[0])
         sq = S.additive_closure(np.unique(S.mul[np.ix_(Qp, Qp)]))
-        sq_in_M = bool(S.mask(M_arr)[sq].all())
+        sq_in_M = bool(S.mask(M)[sq].all())
         if sq_in_M and M < over[0] and \
                 len(hi) // len(M) == q * q and len(hi) // len(over[0]) == q:
             cases.append(MinimalType.RAMIFIED)
@@ -405,8 +383,8 @@ def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
 
 def _outside(S: fr.FiniteRing, lo, hi):
     """(membership mask of lo, the elements of hi - lo)."""
-    hi_arr = as_index_array(hi)
-    in_lo = S.mask(as_index_array(lo))
+    hi_arr = S.arr(hi)
+    in_lo = S.mask(lo)
     return in_lo, hi_arr[~in_lo[hi_arr]]
 
 
@@ -447,10 +425,9 @@ def is_t_closed(S: fr.FiniteRing, lo, hi) -> bool:
 
 def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
     """(Q, Q cap lo) for Q in Max(hi); contractions are maximal."""
-    lo = frozenset(lo)
-    maxR = _max_ideals(S, lo)
+    maxR = fr.maximal_ideals(S, lo)
     out = []
-    for Q in _max_ideals(S, hi):
+    for Q in fr.maximal_ideals(S, hi):
         P = Q & lo
         if P not in maxR:
             raise TheoremViolation("contraction of a maximal ideal is not maximal")
@@ -466,7 +443,8 @@ def is_infra_integral_pair(S: fr.FiniteRing, lo, hi) -> bool:
 def is_subintegral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Infra-integral with bijective spectrum map."""
     contractions = sorted((P for _, P in spectrum_map(S, lo, hi)), key=sorted)
-    return contractions == _max_ideals(S, lo) and is_infra_integral_pair(S, lo, hi)
+    return contractions == fr.maximal_ideals(S, lo) and \
+        is_infra_integral_pair(S, lo, hi)
 
 
 def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:
@@ -500,13 +478,14 @@ def is_delta(E: Extension) -> bool:
     """The node set is closed under addition: T + U is again a subring."""
     S = E.ambient
     L = E.lattice()
-    arrs = [as_index_array(t) for t in L.nodes]
+    arrs = [S.arr(t) for t in L.nodes]
     for i in range(len(arrs)):
         for j in range(i + 1, len(arrs)):
             if L.leq[i, j] or L.leq[j, i]:
                 continue
-            tu = np.unique(S.add[np.ix_(arrs[i], arrs[j])])
-            if not S.mask(tu)[S.mul[np.ix_(tu, tu)]].all():
+            in_tu = S.mask(S.add[np.ix_(arrs[i], arrs[j])])
+            tu = np.flatnonzero(in_tu)
+            if not in_tu[S.mul[np.ix_(tu, tu)]].all():
                 return False
     return True
 

@@ -9,9 +9,11 @@ the named constructors ``zmod`` / ``gf`` / ``product_ring`` /
 localizations of rings built from structure constants).  Everything is
 exact integer arithmetic.
 
-Subrings and ideals are plain sorted element-index sets (frozensets at the
-API level, numpy int32 arrays at the working level), so equality is set
-equality and all orderings in the package are reproducible.
+Subrings and ideals are frozensets of element indices, so equality is set
+equality and all orderings in the package are reproducible.  The ring owns
+the one conversion to a working array: :meth:`FiniteRing.arr` memoises each
+set's sorted int32 index array, and :func:`primitive_idempotents` memoises
+each subring's decomposition (with Max of the subring) by the set itself.
 """
 
 from __future__ import annotations
@@ -43,21 +45,6 @@ class SizeCapError(RingError):
 
 class InconsistentRelationsError(RingError):
     """Quotient relations collapse the ring (e.g. force 1 = 0) or are malformed."""
-
-
-def as_index_array(xs) -> np.ndarray:
-    """Canonical sorted unique int32 array from any iterable of indices.
-    A 1-D strictly increasing int32 array is already canonical and is
-    returned as it is (callers only read the result)."""
-    if isinstance(xs, np.ndarray):
-        if xs.dtype == np.int32 and xs.ndim == 1 and \
-                (xs[1:] > xs[:-1]).all():
-            return xs
-        return np.unique(xs).astype(np.int32)
-    xs = list(xs)
-    if not xs:
-        return np.empty(0, np.int32)
-    return np.unique(np.array(xs, dtype=np.int32))
 
 
 def _index_vector(xs) -> np.ndarray:
@@ -127,7 +114,9 @@ class FiniteRing:
         self.factors = factors          # component rings of a product
         self.elem_names = elem_names    # given for derived rings, else built by elem_str
         self.size_cap = size_cap
-        # subring index bytes -> primitive decomposition (primitive_idempotents)
+        # frozenset -> its index array (arr); subring -> its primitive
+        # decomposition (primitive_idempotents)
+        self._arrays = {}
         self._decompositions = {}
         # (lo, s) -> lo[s] (adjoin), and each such subring once (interning)
         self._adjoined = {}
@@ -403,15 +392,33 @@ class FiniteRing:
             T = self._adjoined[key] = self._subrings.setdefault(T, T)
         return T
 
+    def arr(self, X) -> np.ndarray:
+        """The sorted, read-only int32 index array of the element set X;
+        memoised on the ring when X is a frozenset.  Raises RingError for an
+        index outside ``range(size)``."""
+        a = self._arrays.get(X) if isinstance(X, frozenset) else None
+        if a is None:
+            a = np.unique(X if isinstance(X, np.ndarray)
+                          else np.fromiter(X, dtype=np.int64))
+            if a.size and (a[0] < 0 or a[-1] >= self.size):
+                raise RingError(f"element index outside 0..{self.size - 1}")
+            a = a.astype(np.int32)
+            a.flags.writeable = False
+            if isinstance(X, frozenset):
+                self._arrays[X] = a
+        return a
+
     def mask(self, subset) -> np.ndarray:
-        """Length-``size`` boolean membership mask of an index set, so a
-        membership test is the gather ``mask[X]`` instead of a sort."""
+        """Length-``size`` boolean membership mask of a frozenset or an
+        index array, so a membership test is the gather ``mask[X]``
+        instead of a sort."""
         inside = np.zeros(self.size, dtype=bool)
-        inside[_index_vector(subset)] = True
+        inside[self.arr(subset) if isinstance(subset, frozenset)
+               else _index_vector(subset)] = True
         return inside
 
     def is_subring(self, subset) -> bool:
-        s = as_index_array(subset)
+        s = self.arr(subset)
         inside = self.mask(s)
         if not inside[self.one]:
             return False
@@ -421,11 +428,11 @@ class FiniteRing:
     def ideal_closure(self, within, gens) -> np.ndarray:
         """Ideal of the subring ``within`` generated by ``gens`` (multipliers
         ``within``)."""
-        return self._span_closure(gens, within)
+        return self._span_closure(gens, self.arr(within))
 
     def is_ideal_of(self, within, subset) -> bool:
-        within = as_index_array(within)
-        s = as_index_array(subset)
+        within = self.arr(within)
+        s = self.arr(subset)
         inside = self.mask(s)
         if not inside[self.zero]:
             return False
@@ -442,22 +449,17 @@ class FiniteRing:
         ``gens`` (default: all of ``within``): join-closure of their
         principal ideals (every ideal is a finite sum of principal ones).
         When ``gens`` is an ideal, these are the ideals inside it."""
-        within = as_index_array(within)
-        pool = within if gens is None else as_index_array(gens)
+        pool = self.arr(within if gens is None else gens)
         found = join_closure(
             {frozenset(self.ideal_closure(within, [g]).tolist()) for g in pool},
             lambda a, b: frozenset(self.additive_closure(a | b).tolist()),
             IDEAL_LIMIT, "ideal enumeration")
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
-    def idempotents_in(self, subset) -> list[int]:
-        s = as_index_array(subset)
-        return [int(e) for e in s.tolist() if self.mul[e, e] == e]
-
     def subset_ring(self, subset, unit, label=None):
         """Re-index a closed subset as a standalone ring with the given unit.
         Returns (ring, old-index array new->old)."""
-        s = as_index_array(subset)
+        s = self.arr(subset)
         pos = np.full(self.size, -1, dtype=np.int32)
         pos[s] = np.arange(s.size, dtype=np.int32)
         if pos[unit] < 0:
@@ -479,7 +481,7 @@ class FiniteRing:
     def additive_invariants(self, subset=None) -> tuple[int, ...]:
         """Invariant factors of the additive group (largest first), from
         kernel counts of multiplication by prime powers."""
-        s = as_index_array(subset) if subset is not None \
+        s = self.arr(subset) if subset is not None \
             else np.arange(self.size, dtype=np.int32)
         n = s.size
         per_prime = {}
@@ -518,7 +520,7 @@ class FiniteRing:
         order product is asserted to reach the group size, so a failure of
         the strategy cannot pass silently.
         """
-        s = as_index_array(subset) if subset is not None \
+        s = self.arr(subset) if subset is not None \
             else np.arange(self.size, dtype=np.int32)
         n = s.size
         basis = []
@@ -1048,10 +1050,9 @@ def quotient_of_subring(S, subring, ideal, label=None):
     Returns (quotient ring, projection array: ambient index -> class index,
     -1 off the subring).
     """
-    subring = as_index_array(subring)
-    ideal = as_index_array(ideal)
     if not S.is_ideal_of(subring, ideal):
         raise RingError("quotient by a set that is not an ideal of the subring")
+    subring, ideal = S.arr(subring), S.arr(ideal)
     if ideal.size == subring.size:
         raise RingError("quotient by the whole ring")
     proj = np.full(S.size, -1, dtype=np.int32)
@@ -1094,7 +1095,7 @@ class LocalFactorDecomposition:
 def subring_unit(S, T):
     """The multiplicative identity of the closed subset T; RingError unless
     exactly one element acts as 1 on T."""
-    T = as_index_array(T)
+    T = S.arr(T)
     units = T[(S.mul[np.ix_(T, T)] == T).all(axis=1)]
     if units.size != 1:
         raise RingError("subset has no unique multiplicative identity")
@@ -1104,27 +1105,35 @@ def subring_unit(S, T):
 def primitive_idempotents(S, subring=None, unit=None) -> LocalFactorDecomposition:
     """Complete orthogonal set of primitive idempotents of a subring, found
     by exhaustive scan of e^2 = e refined by mutual multiplication; the
-    factor count equals |Max| of the subring.  Each subring is decomposed
-    once per ring (memoised on S by its index set); every call gets fresh
-    lists and checks the sum against its own ``unit``."""
-    T = as_index_array(subring) if subring is not None \
-        else np.arange(S.size, dtype=np.int32)
-    if unit is None:
-        unit = S.one if subring is None else subring_unit(S, T)
-    key = T.tobytes()
-    dec = S._decompositions.get(key)
-    if dec is None:
-        dec = S._decompositions[key] = _primitive_decomposition(S, T)
-    total, prim, factors, maxideals = dec
-    if total != unit:
+    factor count equals |Max| of the subring.  Every call gets fresh lists;
+    a given ``unit`` must be the sum."""
+    total, prim, factors, maxideals, _ = _decomposition(S, subring)
+    if unit is not None and total != unit:
         raise RingError("primitive idempotents do not sum to 1")
     return LocalFactorDecomposition(list(prim), list(factors), list(maxideals))
 
 
+def _decomposition(S, T):
+    """The memo entry of the subring T (None for S itself), keyed by its
+    frozenset: each subring is decomposed once per ring, and on that first
+    call the sum of its primitive idempotents must be its own unit."""
+    if not isinstance(T, frozenset):
+        T = frozenset(range(S.size) if T is None else S.arr(T).tolist())
+    dec = S._decompositions.get(T)
+    if dec is None:
+        arr = S.arr(T)
+        dec = _primitive_decomposition(S, arr)
+        if dec[0] != subring_unit(S, arr):
+            raise RingError("primitive idempotents do not sum to 1")
+        S._decompositions[T] = dec
+    return dec
+
+
 def _primitive_decomposition(S, T):
-    """(sum, primitive idempotents, factors e*T, maximal ideals) of the
-    subring T; the factor arrays are read-only because they are shared."""
-    idems = [e for e in S.idempotents_in(T) if e != S.zero]
+    """(sum, primitive idempotents, factors e*T, maximal ideals, the same
+    ideals sorted) of the subring with index array T; the factor arrays are
+    read-only because they are shared."""
+    idems = [e for e in T.tolist() if e != S.zero and S.mul[e, e] == e]
     prim = sorted(e for e in idems
                   if not any(g != e and S.mul[g, e] == g for g in idems))
     acc = S.zero
@@ -1142,20 +1151,18 @@ def _primitive_decomposition(S, T):
         non_unit = S.mask(fac[~inv])
         factors.append(fac)
         maxideals.append(frozenset(T[non_unit[S.mul[e, T]]].tolist()))
-    return acc, prim, factors, maxideals
+    return acc, prim, factors, maxideals, sorted(maxideals, key=sorted)
 
 
 def maximal_ideals(S, subring=None) -> list[frozenset]:
     """All maximal ideals of a subring (= Spec for finite rings), sorted."""
-    dec = primitive_idempotents(S, subring)
-    return sorted(dec.maximal_ideals, key=sorted)
+    return list(_decomposition(S, subring)[4])
 
 
 def residue_field(S, M, subring=None, label=None):
     """(kappa(M), projection) for a maximal ideal M of a subring."""
-    T = as_index_array(subring) if subring is not None \
-        else np.arange(S.size, dtype=np.int32)
-    fld, proj = quotient_of_subring(S, T, as_index_array(M), label=label)
+    T = subring if subring is not None else np.arange(S.size, dtype=np.int32)
+    fld, proj = quotient_of_subring(S, T, M, label=label)
     if not is_field(fld):
         raise RingError("quotient is not a field: ideal not maximal")
     return fld, proj
@@ -1166,10 +1173,6 @@ def is_field(R) -> bool:
     if not nonzero:
         return False
     return all((R.mul[x, nonzero] == R.one).any() for x in nonzero)
-
-
-def is_local(S, subring=None) -> bool:
-    return len(primitive_idempotents(S, subring).idempotents) == 1
 
 
 def rings_isomorphic(A, B) -> bool:

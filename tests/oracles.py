@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's closure-based enumeration and
-criterion shortcuts: subrings and ideals are found by scanning all subsets
-against the operation tables, so the main code paths are checked against a
-different computation.  The ``isin_*`` and ``loop_*`` functions are the
+criterion shortcuts: ideals are found by scanning all subsets against the
+operation tables (subrings by ``verify.brute_force_subrings``, the same scan
+that ``--regen-expectations`` uses), so the main code paths are checked
+against a different computation.  The ``isin_*`` and ``loop_*`` functions are the
 earlier np.isin and Python-loop versions of the membership kernels, kept as
 references for the mask and vectorised ones; maximal-chain enumeration is
 the reference for the Hasse-diagram fold; the corner e*top is the
@@ -39,7 +40,7 @@ def small_ring(name):
 def isin_subring(S, subset):
     """FiniteRing.is_subring by np.isin membership (the reference for the
     mask version)."""
-    s = fr.as_index_array(subset)
+    s = S.arr(subset)
     if S.one not in set(s.tolist()):
         return False
     return bool(np.isin(S.add[np.ix_(s, s)], s).all()
@@ -48,8 +49,8 @@ def isin_subring(S, subset):
 
 def isin_ideal_of(S, within, subset):
     """FiniteRing.is_ideal_of by np.isin membership."""
-    within = fr.as_index_array(within)
-    s = fr.as_index_array(subset)
+    within = S.arr(within)
+    s = S.arr(subset)
     if S.zero not in set(s.tolist()):
         return False
     if not np.isin(s, within).all():
@@ -63,41 +64,22 @@ def isin_ideal_of(S, within, subset):
 
 def isin_conductor_pair(S, lo, hi):
     """extension.conductor_pair by np.isin membership."""
-    lo_arr, hi_arr = fr.as_index_array(lo), fr.as_index_array(hi)
+    lo_arr, hi_arr = S.arr(lo), S.arr(hi)
     keep = np.isin(S.mul[np.ix_(lo_arr, hi_arr)], lo_arr).all(axis=1)
     cond = frozenset(int(z) for z, ok in zip(lo_arr.tolist(), keep) if ok)
-    if not isin_ideal_of(S, lo_arr, fr.as_index_array(cond)) or \
-            not isin_ideal_of(S, hi_arr, fr.as_index_array(cond)):
+    if not isin_ideal_of(S, lo_arr, S.arr(cond)) or \
+            not isin_ideal_of(S, hi_arr, S.arr(cond)):
         raise TheoremViolation("conductor is not an ideal of both rings")
     return cond
 
 
 def loop_subring_unit(S, T):
     """finring.subring_unit by a double loop over T."""
-    T = fr.as_index_array(T)
-    tl = T.tolist()
+    tl = S.arr(T).tolist()
     units = [u for u in tl if all(S.mul[u, x] == x for x in tl)]
     if len(units) != 1:
         raise fr.RingError("subset has no unique multiplicative identity")
     return units[0]
-
-
-def brute_force_subrings(S, base):
-    """Every subring of S containing base, by exhaustive subset scan.
-    Only usable when |S - base| is small (2^k subsets)."""
-    base = frozenset(base)
-    rest = sorted(set(range(S.size)) - base)
-    assert len(rest) <= 16, "oracle only meant for tiny ambient rings"
-    out = []
-    base_arr = sorted(base)
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            cand = np.array(base_arr + list(combo), dtype=np.int32)
-            cand.sort()
-            if np.isin(S.add[np.ix_(cand, cand)], cand).all() and \
-                    np.isin(S.mul[np.ix_(cand, cand)], cand).all():
-                out.append(frozenset(int(x) for x in cand))
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def _ideal_subsets(S, pool, within):
@@ -134,9 +116,9 @@ def corner_localization(E, M):
     S = E.ambient
     dec = E.base_decomposition()
     e = dec.idempotents[dec.maximal_ideals.index(frozenset(M))]
-    ring, old = S.subset_ring(np.unique(S.mul[e, E.top_arr]), e)
+    ring, old = S.subset_ring(np.unique(S.mul[e, S.arr(E.top)]), e)
     pos = {x: i for i, x in enumerate(old.tolist())}
-    return Extension(ring, {pos[x] for x in S.mul[e, E.base_arr].tolist()})
+    return Extension(ring, {pos[x] for x in S.mul[e, S.arr(E.base)].tolist()})
 
 
 def chain_label_sets_by_enumeration(L, label):

@@ -117,6 +117,17 @@ def test_verify_seed_env_fallback(runner, tmp_path, monkeypatch):
     assert js1.read_bytes() == js2.read_bytes()
 
 
+def test_interval_sampling_without_nodes_is_na(runner, tmp_path):
+    # no instance matches, so no interval can be drawn: n/a, not a pass
+    js = tmp_path / "rep.json"
+    res = runner.invoke(cli.main, ["verify", "NOPE", "--intervals", "10",
+                                   "--json", str(js)])
+    assert res.exit_code == 0, res.output
+    (row,) = json.loads(js.read_text())["results"]
+    assert row["check"] == "random_interval_route_agreement"
+    assert row["status"] == "n/a" and "two or more" in row["reason"]
+
+
 def test_catalog_list(runner):
     res = runner.invoke(cli.main, ["catalog", "list"])
     assert res.exit_code == 0

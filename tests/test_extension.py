@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 
-from oracles import (SMALL_RINGS, brute_force_subrings, corner_localization,
-                     largest_common_ideal, small_ring)
+from ringlattice.verify import brute_force_subrings
+
+from oracles import (SMALL_RINGS, corner_localization, largest_common_ideal,
+                     small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------

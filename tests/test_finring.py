@@ -4,11 +4,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from ringlattice import dsl, extension as ex, finring as fr
 from ringlattice.checks import doubled_ring
+from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
-                     brute_force_subrings, isin_conductor_pair, isin_ideal_of,
-                     isin_subring, largest_common_ideal, loop_subring_unit,
-                     small_ring)
+                     isin_conductor_pair, isin_ideal_of, isin_subring,
+                     largest_common_ideal, loop_subring_unit, small_ring)
 
 
 def test_zmod4_shape():
@@ -219,7 +219,7 @@ def test_constructed_rings_satisfy_structure_invariants(text):
     # orthogonal idempotents summing to one, factor count = |Max(R)|
     assert len(dec.idempotents) == len(fr.maximal_ideals(R))
     for M in dec.maximal_ideals:
-        k, _ = fr.residue_field(R, fr.as_index_array(M))
+        k, _ = fr.residue_field(R, R.arr(M))
         assert fr.is_field(k)
     # determinism: rebuilding gives identical tables
     R2 = _build_ring(text)
@@ -264,13 +264,13 @@ def test_derived_rings_satisfy_ring_axioms(name, data):
 
     ideals = [I for I in R.all_ideals(everything) if len(I) < R.size]
     ideal = data.draw(st.sampled_from(ideals))
-    quo, _ = fr.quotient_ring(R, fr.as_index_array(ideal))
+    quo, _ = fr.quotient_ring(R, R.arr(ideal))
     assert_ring_axioms(quo)
     quo_struct, _ = fr.as_struct_ring(quo)
     assert_ring_axioms(quo_struct)
 
     M = data.draw(st.sampled_from(fr.maximal_ideals(R)))
-    field, _ = fr.residue_field(R, fr.as_index_array(M))
+    field, _ = fr.residue_field(R, R.arr(M))
     assert_ring_axioms(field)
 
     seed = data.draw(st.sets(st.integers(0, R.size - 1), max_size=2))
@@ -347,6 +347,30 @@ def test_mask_membership_matches_isin(case):
     assert R.is_ideal_of(within, cand) == isin_ideal_of(R, within, cand)
     hi = R.subring_closure(sorted(cand | frozenset(within.tolist())))
     assert ex.conductor_pair(R, within, hi) == isin_conductor_pair(R, within, hi)
+
+
+def test_indices_outside_the_ring_are_rejected():
+    # numpy would wrap -1 and fail late on 7, 8 and 9; the ring rejects them
+    S = fr.product_ring([fr.gf(2), fr.gf(2)])
+    with pytest.raises(fr.RingError, match="outside"):
+        ex.Extension(S, [0, -1], [0, 1, 2, -1])
+    with pytest.raises(fr.RingError, match="outside"):
+        ex.Extension(S, [0, 3], [0, 3, 7, 8])
+    with pytest.raises(fr.RingError, match="outside"):
+        S.is_subring([0, -1])
+    with pytest.raises(fr.RingError, match="outside"):
+        S.is_subring([0, 3, 9])
+
+
+def test_arr_is_memoised_for_frozensets():
+    S = fr.zmod(6)
+    X = frozenset({4, 0, 2})
+    a = S.arr(X)
+    assert a.tolist() == [0, 2, 4] and a.dtype == np.int32
+    assert S.arr(frozenset({0, 2, 4})) is a
+    with pytest.raises(ValueError):
+        a[0] = 1
+    assert S.arr([4, 2, 2, 0]).tolist() == [0, 2, 4]
 
 
 @settings(max_examples=40, deadline=None)

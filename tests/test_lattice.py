@@ -320,8 +320,47 @@ def test_covers_and_decomposition_decompose_each_subring_once(
     E.decomposition()
     keys = [(id(ring), T) for ring, T in decomposed]
     assert len(keys) == len(set(keys))
-    nodes = {fr.as_index_array(T).tobytes() for T in E.lattice().nodes}
+    nodes = {S.arr(T).tobytes() for T in E.lattice().nodes}
     assert {T for ring, T in decomposed if ring is S} >= nodes
+
+
+def test_every_set_is_converted_and_decomposed_once_per_ring(monkeypatch):
+    # a fresh Pi5, so its memos start empty; the lists keep every ring
+    # alive, so no id is reused
+    S = fr.product_ring([fr.gf(2)] * 5)
+    calls, built, arr = [0], [], fr.FiniteRing.arr
+
+    def counting_arr(ring, X):
+        if isinstance(X, frozenset):
+            calls[0] += 1
+            if X not in ring._arrays:
+                built.append((ring, X))
+        return arr(ring, X)
+
+    decomposed, decompose = [], fr._primitive_decomposition
+
+    def counting_decompose(ring, T):
+        decomposed.append((ring, T.tobytes()))
+        return decompose(ring, T)
+
+    monkeypatch.setattr(fr.FiniteRing, "arr", counting_arr)
+    monkeypatch.setattr(fr, "_primitive_decomposition", counting_decompose)
+    E = ex.Extension(S, ex.prime_subring(S), name="Pi5")
+    ex.cover_types(E)
+    E.decomposition()
+    E.flags()
+    a = verify.Analysis("Pi5", E)
+    assert all(verify.run_check(name, a).status != "fail"
+               for name in sorted(verify.CHECKS))
+    built_keys = [(id(ring), X) for ring, X in built]
+    assert len(built_keys) == len(set(built_keys))
+    decomposed_keys = [(id(ring), T) for ring, T in decomposed]
+    assert len(decomposed_keys) == len(set(decomposed_keys))
+    nodes = E.lattice().nodes
+    assert {X for ring, X in built if ring is S} >= set(nodes)
+    assert {T for ring, T in decomposed if ring is S} >= \
+        {S.arr(T).tobytes() for T in nodes}
+    assert calls[0] > 10 * len(built)
 
 
 def test_no_quotient_ring_for_decomposed_or_ramified_covers(
@@ -347,7 +386,7 @@ def test_no_quotient_ring_for_decomposed_or_ramified_covers(
 
 def test_memoised_decomposition_hands_out_fresh_results(big_lattices):
     E = big_lattices[0]
-    S, T = E.ambient, fr.as_index_array(E.lattice().nodes[-2])
+    S, T = E.ambient, E.ambient.arr(E.lattice().nodes[-2])
     first = fr.maximal_ideals(S, T)
     expected = list(first)
     first.clear()
@@ -368,13 +407,13 @@ def test_memoised_decomposition_hands_out_fresh_results(big_lattices):
 def test_memo_hit_still_checks_the_unit(big_lattices):
     E = big_lattices[0]
     S = E.ambient
-    dec = fr.primitive_idempotents(S, E.top_arr, unit=S.one)
+    dec = fr.primitive_idempotents(S, E.top, unit=S.one)
     assert len(dec.idempotents) == 5
     with pytest.raises(fr.RingError, match="do not sum to 1"):
-        fr.primitive_idempotents(S, E.top_arr, unit=dec.idempotents[0])
+        fr.primitive_idempotents(S, E.top, unit=dec.idempotents[0])
     # a subring's own unit is the sum of its primitive idempotents
     e = dec.idempotents[0]
-    eS = np.unique(S.mul[e, E.top_arr])
+    eS = np.unique(S.mul[e, S.arr(E.top)])
     assert fr.primitive_idempotents(S, eS).idempotents == [e]
     with pytest.raises(fr.RingError, match="do not sum to 1"):
         fr.primitive_idempotents(S, eS, unit=S.one)
