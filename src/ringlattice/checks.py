@@ -510,12 +510,13 @@ def two_atom_composite_profile(a):
     atoms = L.atoms()
     if len(atoms) < 2:
         return _na("fewer than two atoms")
-    S = a.S
+    S, base = a.S, a.E.base
+    cond = {t: ex.conductor_pair(S, base, a.nodes[t]) for t in atoms}
+    over = {t: [Q for Q in fr.maximal_ideals(S, a.nodes[t])
+                if Q & base == cond[t]] for t in atoms}
     for t, u in itertools.combinations(atoms, 2):
-        T, U = a.nodes[t], a.nodes[u]
         j = int(L.join[t, u])
-        M = ex.conductor_pair(S, a.E.base, T)
-        N = ex.conductor_pair(S, a.E.base, U)
+        M, N = cond[t], cond[u]
         typ_t = a.cover_types[(0, t)]
         typ_u = a.cover_types[(0, u)]
         sub = L.interval(0, j)
@@ -536,17 +537,15 @@ def two_atom_composite_profile(a):
         if inert_t and inert_u:
             continue  # no claim for two inert steps over one ideal
         cat_ok = sub.check_catenarian()[0]
-        infra = ex.is_infra_integral_pair(S, a.E.base, a.nodes[j])
+        infra = ex.is_infra_integral_pair(S, base, a.nodes[j])
         if not cat_ok or not infra:
             return CheckResult("", "", "fail", witness={
                 "atoms": [t, u], "case": "two non-inert",
                 "catenarian": cat_ok, "infra_integral": infra})
-        over_t = [Q for Q in fr.maximal_ideals(S, T) if Q & a.E.base == M]
-        over_u = [Q for Q in fr.maximal_ideals(S, U) if Q & a.E.base == M]
         in_M = S.mask(M)
         prod_in = False
-        for P in over_t:
-            for Q in over_u:
+        for P in over[t]:
+            for Q in over[u]:
                 span = S.additive_closure(
                     np.unique(S.mul[np.ix_(S.arr(P), S.arr(Q))]))
                 if in_M[span].all():
@@ -578,9 +577,8 @@ def b2_structure_cases(a):
     S = a.S
     for v, w in pairs:
         V, W = a.nodes[v], a.nodes[w]
-        sub = L.interval(v, w)
-        lhs = sub.check_boolean()[0]
         pa = a.sub(V, W)
+        lhs = pa.L.check_boolean()[0]
         prof = pa.profile
         cond = prof.conductor
         rhs = False
@@ -1339,13 +1337,13 @@ def field_interval_is_divisor_lattice(a):
     if not fr.is_field(S) or len(a.E.top) != S.size:
         return _na("top ring is not a field")
     q = len(a.E.base)
-    n = 1
-    while q ** n < S.size:
-        n += 1
-    if q ** n != S.size:
+    # independent construction: fixed points of x -> x^(q^d)
+    fixed = fr.power_fixed_sets(S, q)
+    if fixed is None:
         return CheckResult("", "", "fail",
                            witness={"case": "size not a base power"})
-    divs = fr.divisors(n)
+    divs = list(fixed)
+    n = divs[-1]
     if len(a.nodes) != len(divs):
         return CheckResult("", "", "fail",
                            witness={"nodes": len(a.nodes), "divisors": len(divs)})
@@ -1356,9 +1354,7 @@ def field_interval_is_divisor_lattice(a):
         if len(by_size.get(q ** d, [])) != 1:
             return CheckResult("", "", "fail",
                                witness={"case": f"no unique node of size q^{d}"})
-        # independent construction: fixed points of x -> x^(q^d)
-        fixed = frozenset(x for x in range(S.size) if S.power(x, q ** d) == x)
-        if fixed != a.nodes[by_size[q ** d][0]]:
+        if fixed[d] != a.nodes[by_size[q ** d][0]]:
             return CheckResult("", "", "fail",
                                witness={"case": f"power-map subfield mismatch "
                                                 f"at degree {d}"})

@@ -258,10 +258,14 @@ class FiniteRing:
         return int(self.add[x, self.neg[y]])
 
     def power(self, x, k):
-        r = self.one
-        for _ in range(k):
-            r = int(self.mul[r, x])
-        return r
+        """x^k, elementwise for an index array x (repeated squaring)."""
+        r, b = np.full(np.shape(x), self.one, dtype=np.int32), np.asarray(x)
+        while k:
+            if k & 1:
+                r = self.mul[r, b]
+            b = self.mul[b, b]
+            k >>= 1
+        return int(r) if r.ndim == 0 else r
 
     def times(self, c, x):
         """c*x for a non-negative integer c (binary addition)."""
@@ -1169,10 +1173,19 @@ def residue_field(S, M, subring=None, label=None):
 
 
 def is_field(R) -> bool:
-    nonzero = [x for x in range(R.size) if x != R.zero]
-    if not nonzero:
-        return False
-    return all((R.mul[x, nonzero] == R.one).any() for x in nonzero)
+    """Every nonzero row of mul contains one (the zero row only in 0 = 1)."""
+    return int((R.mul == R.one).any(axis=1).sum()) == R.size - 1
+
+
+def power_fixed_sets(S, q) -> dict[int, frozenset] | None:
+    """{d: fixed points of x -> x^(q^d)} over the divisors d of the n with
+    |S| = q^n, or None when there is no such n."""
+    n = round(math.log(S.size, q))
+    if q ** n != S.size:
+        return None
+    x = np.arange(S.size, dtype=np.int32)
+    return {d: frozenset(np.flatnonzero(S.power(x, q ** d) == x).tolist())
+            for d in divisors(n)}
 
 
 def rings_isomorphic(A, B) -> bool:

@@ -256,19 +256,10 @@ def frobenius_subfields(S, base):
     sets of the power maps x -> x^(q^d).  Independent of the closure code."""
     if not fr.is_field(S):
         raise fr.RingError("Frobenius oracle needs a field")
-    q = len(base)
-    n = 1
-    size = S.size
-    while q ** n < size:
-        n += 1
-    if q ** n != size:
+    fixed = fr.power_fixed_sets(S, len(base))
+    if fixed is None:
         raise fr.RingError("ambient size is not a power of the base size")
-    out = []
-    for d in fr.divisors(n):
-        qd = q ** d
-        fixed = frozenset(x for x in range(S.size) if S.power(x, qd) == x)
-        out.append(fixed)
-    return sorted(set(out), key=lambda s: (len(s), sorted(s)))
+    return sorted(set(fixed.values()), key=lambda s: (len(s), sorted(s)))
 
 
 # expectations read off the oracle lattice

@@ -5,11 +5,12 @@ criterion shortcuts: ideals are found by scanning all subsets against the
 operation tables (subrings by ``verify.brute_force_subrings``, the same scan
 that ``--regen-expectations`` uses), so the main code paths are checked
 against a different computation.  The ``isin_*`` and ``loop_*`` functions are the
-earlier np.isin and Python-loop versions of the membership kernels, kept as
-references for the mask and vectorised ones; maximal-chain enumeration is
-the reference for the Hasse-diagram fold; the corner e*top is the
-reference for the localization as a quotient.  ``small_ring`` builds the
-tiny rings they run on.
+earlier np.isin and Python-loop versions of the membership kernels, the
+power map and the field test, kept as references for the mask and
+vectorised ones; maximal-chain enumeration is the reference for the
+Hasse-diagram fold; the corner e*top is the reference for the localization
+as a quotient; the residue quotient hi/M is the reference for the inert
+test.  ``small_ring`` builds the tiny rings they run on.
 """
 
 import functools
@@ -18,7 +19,8 @@ import itertools
 import numpy as np
 
 from ringlattice import finring as fr
-from ringlattice.extension import Extension, TheoremViolation
+from ringlattice.extension import (Extension, TheoremViolation,
+                                   quotient_extension)
 
 
 SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
@@ -80,6 +82,30 @@ def loop_subring_unit(S, T):
     if len(units) != 1:
         raise fr.RingError("subset has no unique multiplicative identity")
     return units[0]
+
+
+def loop_power(S, x, k):
+    """FiniteRing.power by k multiplications of one element."""
+    r = S.one
+    for _ in range(k):
+        r = int(S.mul[r, x])
+    return r
+
+
+def loop_is_field(R):
+    """finring.is_field by a Python loop over the nonzero elements."""
+    nonzero = [x for x in range(R.size) if x != R.zero]
+    if not nonzero:
+        return False
+    return all((R.mul[x, nonzero] == R.one).any() for x in nonzero)
+
+
+def quotient_route_is_inert(S, lo, hi):
+    """Whether the minimal pair lo < hi is inert by the quotient route: with
+    M = (lo : hi), hi/M is a field and [lo/M, hi/M] has two nodes (the
+    reference for reading the inert case off Max(hi))."""
+    res = quotient_extension(S, lo, hi, isin_conductor_pair(S, lo, hi))
+    return loop_is_field(res.ambient) and len(res.lattice().nodes) == 2
 
 
 def _ideal_subsets(S, pool, within):

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from ringlattice import finring as fr
 from ringlattice import extension as ex
+from ringlattice import verify
 
 from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, corner_localization, largest_common_ideal,
-                     small_ring)
+                     quotient_route_is_inert, small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -241,6 +242,19 @@ def test_classify_agrees_with_definitional_minimality(e4, e5, e6):
                     continue
                 is_cover = bool(L.covers[i, j])
                 assert ex.is_minimal_pair(E.ambient, L.nodes[i], L.nodes[j]) == is_cover
+
+
+def test_inert_covers_agree_with_the_quotient_route():
+    # on every cover of every catalog instance, M = (lo : hi) in Max(hi)
+    # decides the inert case exactly when hi/M is a field over a 2-node
+    # residue interval
+    seen = {True: 0, False: 0}
+    for inst, a in verify.build_catalog_analyses():
+        for (i, j), t in a.cover_types.items():
+            inert = quotient_route_is_inert(a.S, a.nodes[i], a.nodes[j])
+            assert (t is ex.MinimalType.INERT) == inert, (inst.name, i, j)
+            seen[inert] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 # -- flags ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +10,8 @@ from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
                      isin_conductor_pair, isin_ideal_of, isin_subring,
-                     largest_common_ideal, loop_subring_unit, small_ring)
+                     largest_common_ideal, loop_is_field, loop_power,
+                     loop_subring_unit, small_ring)
 
 
 def test_zmod4_shape():
@@ -114,6 +117,36 @@ def test_gf_is_field():
         fr.gf(4)
     with pytest.raises(fr.RingError):
         fr.gf(2, 0)
+
+
+FIELDS = tuple((2, n) for n in range(1, 7)) + tuple((3, n) for n in range(1, 5))
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, n):
+    return fr.gf(p, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(SMALL_RINGS).map(small_ring),
+                 st.sampled_from(FIELDS).map(lambda pn: _field(*pn))),
+       st.integers(2, 250), st.data())
+def test_power_map_matches_the_loop(R, k, data):
+    x = np.arange(R.size, dtype=np.int32)
+    for e in (0, 1, k):
+        assert R.power(x, e).tolist() == [loop_power(R, y, e) for y in range(R.size)]
+    y = data.draw(st.integers(0, R.size - 1))
+    assert R.power(y, k) == loop_power(R, y, k)
+    assert type(R.power(y, k)) is int
+
+
+def test_is_field_matches_the_loop():
+    rings = ([small_ring(name) for name in SMALL_RINGS]
+             + [fr.zmod(n) for n in range(2, 13)]
+             + [_field(p, n) for p, n in FIELDS] + [fr.gf(5, 2), fr.gf(7)])
+    verdicts = [fr.is_field(R) for R in rings]
+    assert verdicts == [loop_is_field(R) for R in rings]
+    assert True in verdicts and False in verdicts
 
 
 def test_maximal_ideals_examples():

@@ -364,9 +364,12 @@ def test_every_set_is_converted_and_decomposed_once_per_ring(monkeypatch):
 
 
 def test_no_quotient_ring_for_decomposed_or_ramified_covers(
-        monkeypatch, big_lattices):
-    # maximality of the conductor is read off the memoised maximal ideals;
-    # only the inert pattern builds a quotient ring (hi/M)
+        monkeypatch, big_lattices, e3, e5):
+    # maximality of the conductor and the inert case (M in Max(hi)) are
+    # read off the memoised maximal ideals: no cover builds a quotient ring,
+    # the inert covers of E3, E5 and gf(5, 4) included
+    G5_4 = fr.gf(5, 4)
+    inert = [e3, e5, ex.Extension(G5_4, ex.prime_subring(G5_4))]
     quotients, quotient = [0], fr.quotient_of_subring
 
     def counting_quotient(*args, **kwargs):
@@ -375,12 +378,12 @@ def test_no_quotient_ring_for_decomposed_or_ramified_covers(
 
     monkeypatch.setattr(fr, "quotient_of_subring", counting_quotient)
     seen = set()
-    for E in big_lattices:
+    for E in big_lattices + inert:
         L = E.lattice()
         for i, j in np.argwhere(L.covers).tolist():
             seen.add(ex.classify_minimal_pair(E.ambient, L.nodes[i], L.nodes[j],
                                               assume_minimal=True))
-    assert seen == {ex.MinimalType.DECOMPOSED, ex.MinimalType.RAMIFIED}
+    assert seen == set(ex.MinimalType)
     assert quotients[0] == 0
 
 
