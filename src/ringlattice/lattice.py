@@ -38,6 +38,15 @@ def _bit_rows(masks, n):
     return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(bool)
 
 
+def _first_true(bad):
+    """The index tuple of the first True entry of ``bad`` in C order (what
+    ``np.argwhere(bad)[0]`` gives, without listing every True), or None."""
+    k = int(bad.argmax(axis=None))
+    if not bad.flat[k]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(k, bad.shape))
+
+
 def _tables(bits, up, down):
     """meet/join tables (lists of rows) from the upper and lower sets.
     Nodes are sorted by size, so the lowest common upper bound is the least
@@ -281,18 +290,20 @@ class ExtensionLattice:
     # distributivity: three independent routes
 
     def distributive_law_scan(self):
-        """Full triple scan of x ^ (y v z) = (x ^ y) v (x ^ z); returns a
-        failing triple or None.  This is the ground-truth route."""
+        """Full triple scan of x ^ (y v z) = (x ^ y) v (x ^ z); returns the
+        first failing triple in (x, y, z) order, or None.  This is the
+        ground-truth route.  Blocks of rows of about 2^18 triples bound the
+        memory, and the scan stops at the first block that fails."""
         n, meet, join = self.n, self.meet, self.join
-        chunk = max(1, (1 << 23) // max(1, n * n))
+        chunk = max(1, (1 << 18) // max(1, n * n))
         for lo in range(0, n, chunk):
             blk = slice(lo, min(n, lo + chunk))
             lhs = meet[blk][:, join]
             rhs = join[meet[blk][:, :, None], meet[blk][:, None, :]]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                x, y, z = bad[0]
-                return int(x) + lo, int(y), int(z)
+            hit = _first_true(lhs != rhs)
+            if hit is not None:
+                x, y, z = hit
+                return x + lo, y, z
         return None
 
     def modular_law_scan(self):
@@ -302,10 +313,10 @@ class ExtensionLattice:
             zs = np.flatnonzero(leq[x])
             lhs = join[x, meet[:, zs]]          # y, z
             rhs = meet[join[x][:, None], zs[None, :]]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                y, zi = bad[0]
-                return int(x), int(y), int(zs[zi])
+            hit = _first_true(lhs != rhs)
+            if hit is not None:
+                y, zi = hit
+                return int(x), y, int(zs[zi])
         return None
 
     def _is_m3(self, o, a, b, c, i):

@@ -10,7 +10,11 @@ power map and the field test, kept as references for the mask and
 vectorised ones; maximal-chain enumeration is the reference for the
 Hasse-diagram fold; the corner e*top is the reference for the localization
 as a quotient; the residue quotient hi/M is the reference for the inert
-test.  ``small_ring`` builds the tiny rings they run on.
+test.  ``closure_enumeration``, ``list_distributive_law_scan`` and
+``list_modular_law_scan`` are the earlier interval enumeration, with one
+closure per join, and the law scans that list every failing triple; they
+are the references for the join derivation and the first-failure scans.
+``small_ring`` builds the tiny rings they run on.
 """
 
 import functools
@@ -19,7 +23,8 @@ import itertools
 import numpy as np
 
 from ringlattice import finring as fr
-from ringlattice.extension import (Extension, TheoremViolation,
+from ringlattice.extension import (DEFAULT_NODE_LIMIT, Extension,
+                                   TheoremViolation, monogenic_subrings,
                                    quotient_extension)
 
 
@@ -176,6 +181,57 @@ def distributive_by_definition(nodes):
                 if lhs != rhs:
                     return False
     return True
+
+
+def closure_enumeration(E, node_limit=DEFAULT_NODE_LIMIT):
+    """(nodes, joins) of the interval [base, top] with every incomparable
+    (node, monogenic subring) join found by a closure (the reference for
+    ``extension.enumerate_interval``, which derives most of them)."""
+    S = E.ambient
+    gens = monogenic_subrings(E)
+    joins = {}
+
+    def join_of(x, a):
+        if x <= a:
+            return a
+        if a <= x:
+            return x
+        j = joins[(x, a)] = S.adjoin(x, gens[a])
+        return j
+
+    nodes = fr.join_closure(gens, join_of, node_limit, "interval enumeration")
+    return nodes, joins
+
+
+def list_distributive_law_scan(L):
+    """ExtensionLattice.distributive_law_scan by listing every failing
+    triple of each block of rows with np.argwhere."""
+    n, meet, join = L.n, L.meet, L.join
+    chunk = max(1, (1 << 23) // max(1, n * n))
+    for lo in range(0, n, chunk):
+        blk = slice(lo, min(n, lo + chunk))
+        lhs = meet[blk][:, join]
+        rhs = join[meet[blk][:, :, None], meet[blk][:, None, :]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            x, y, z = bad[0]
+            return int(x) + lo, int(y), int(z)
+    return None
+
+
+def list_modular_law_scan(L):
+    """ExtensionLattice.modular_law_scan by listing every failing pair of
+    each row with np.argwhere."""
+    n, meet, join, leq = L.n, L.meet, L.join, L.leq
+    for x in range(n):
+        zs = np.flatnonzero(leq[x])
+        lhs = join[x, meet[:, zs]]          # y, z
+        rhs = meet[join[x][:, None], zs[None, :]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            y, zi = bad[0]
+            return int(x), int(y), int(zs[zi])
+    return None
 
 
 def closure_lattice_tables(S, nodes):

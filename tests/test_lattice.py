@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringlattice import catalog as cat
+from ringlattice import dsl
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice import verify
 from ringlattice.lattice import ExtensionLattice, LatticeError
 
 from oracles import (SMALL_RINGS, assert_lattice_axioms,
-                     chain_label_sets_by_enumeration, closure_lattice_tables,
-                     distributive_by_definition, small_ring)
+                     chain_label_sets_by_enumeration, closure_enumeration,
+                     closure_lattice_tables, distributive_by_definition,
+                     list_distributive_law_scan, list_modular_law_scan,
+                     small_ring)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +306,105 @@ def test_second_enumeration_runs_no_closures(monkeypatch):
     assert closures[0] == 0
     assert second.nodes == first.nodes and len(first) == 15
     assert np.array_equal(second.join, first.join)
+
+
+@pytest.fixture(scope="module")
+def catalog_extensions():
+    return [dsl.build_extension(inst.spec) for inst in cat.CATALOG]
+
+
+def _captured_enumeration(E):
+    """(nodes, joins) that enumerate_interval(E) hands to ExtensionLattice."""
+    seen, build = [], ExtensionLattice.__init__
+
+    def capturing_build(self, nodes, joins=None, ambient=None):
+        seen.append((nodes, joins))
+        build(self, nodes, joins, ambient)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExtensionLattice, "__init__", capturing_build)
+        ex.enumerate_interval(E)
+    (nodes, joins), = seen
+    return nodes, joins
+
+
+def _assert_enumeration_matches_closures(E):
+    nodes, joins = _captured_enumeration(E)
+    ref_nodes, ref_joins = closure_enumeration(E)
+    assert nodes == ref_nodes
+    # the same facts, recorded in the same order
+    assert list(joins.items()) == list(ref_joins.items())
+    S = E.ambient
+    for (x, a), j in joins.items():
+        assert j == frozenset(S.subring_closure(sorted(x | a)).tolist())
+
+
+def test_enumeration_matches_closure_oracle(catalog_extensions, big_lattices):
+    for E in catalog_extensions + big_lattices:
+        _assert_enumeration_matches_closures(E)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_enumeration_matches_closure_oracle_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_enumeration_matches_closures(ex.Extension(R, R.subring_closure(seed)))
+
+
+def test_enumeration_derives_most_joins(monkeypatch):
+    # a fresh Pi5, so its adjoin memo starts empty
+    S = fr.product_ring([fr.gf(2)] * 5)
+    E = ex.Extension(S, ex.prime_subring(S))
+    closures, closure = [0], fr.FiniteRing.subring_closure
+
+    def counting_closure(self, seed):
+        closures[0] += 1
+        return closure(self, seed)
+
+    monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
+    _, joins = _captured_enumeration(E)
+    assert 0 < closures[0] < len(joins)
+
+
+def _assert_scans_match_listing(L):
+    """Both first-failure scans give the listing oracles' triple; returns
+    whether L is distributive."""
+    witness = L.distributive_law_scan()
+    assert witness == list_distributive_law_scan(L)
+    assert L.modular_law_scan() == list_modular_law_scan(L)
+    return witness is None
+
+
+def test_law_scans_match_listing_oracles(catalog_extensions, big_lattices):
+    verdicts = {_assert_scans_match_listing(E.lattice())
+                for E in catalog_extensions}
+    for E in big_lattices:
+        L = E.lattice()
+        for a, b in np.argwhere(L.leq).tolist():
+            verdicts.add(_assert_scans_match_listing(L.interval(a, b)))
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_law_scans_match_listing_oracles_on_small_rings(name, seed):
+    R = small_ring(name)
+    L = ex.Extension(R, R.subring_closure(seed)).lattice()
+    for a, b in np.argwhere(L.leq).tolist():
+        _assert_scans_match_listing(L.interval(a, b))
+
+
+def test_law_scan_memory_is_bounded():
+    # Pi6 has 203 nodes: 8.4 M triples, 3.58 M of them failing
+    S = fr.product_ring([fr.gf(2)] * 6)
+    L = ex.Extension(S, ex.prime_subring(S)).lattice()
+    tracemalloc.start()
+    try:
+        witness = L.distributive_law_scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is not None and peak < 16 << 20
 
 
 def test_covers_and_decomposition_decompose_each_subring_once(
