@@ -664,11 +664,7 @@ def module_lattice_correspondence(a):
             (a.E.base & N) != {S.zero} or \
             len(a.E.base) * len(N) != len(a.E.top):
         return _na("top is not base plus a square-zero complement")
-    # enumerate submodules: join-closure of the cyclic submodules
-    cyclic = {frozenset(S.ideal_closure(a.E.base, [v]).tolist()) for v in N}
-    subs = fr.join_closure(
-        cyclic, lambda x, y: frozenset(S.additive_closure(x | y).tolist()),
-        a.node_limit, "submodule enumeration")
+    subs = S.all_ideals(a.E.base, gens=N)
     mapped = {frozenset(S.additive_closure(sorted(a.E.base | V)).tolist())
               for V in subs}
     if mapped != set(a.nodes):

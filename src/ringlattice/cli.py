@@ -23,6 +23,8 @@ from . import finring as fr
 from . import verify as vf
 from .lattice import LatticeError
 
+_INPUT_ERRORS = (dsl.DslError, fr.RingError, ex.TheoremViolation, LatticeError)
+
 
 def _env_default(name, fallback):
     val = os.environ.get(name)
@@ -206,7 +208,7 @@ def analyze(specfile, dot_path, json_path, cap):
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(_analysis_doc(a), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    except (dsl.DslError, fr.RingError, ex.TheoremViolation, LatticeError) as exc:
+    except _INPUT_ERRORS as exc:
         raise click.ClickException(str(exc))
 
 
@@ -233,21 +235,24 @@ def verify_cmd(pattern, run_all, random_count, seed, intervals, json_path,
     cap = cap if cap is not None else _env_default("RINGLATTICE_CAP",
                                                    fr.DEFAULT_SIZE_CAP)
     seed = seed if seed is not None else _env_default("RINGLATTICE_SEED", 0)
-    if regen_expectations:
-        rows, bad = vf.regen_report(pattern=None if run_all else pattern,
-                                    size_cap=cap)
-        for row in rows:
-            click.echo(f"{row['instance']:>6} {row['measure']:<22} "
-                       f"stored={row['stored']!r:<18} "
-                       f"{row.get('oracle') or '-':<28} {row['status']}")
-        click.echo(f"{len(rows)} derived expectations, {bad} mismatches")
-        sys.exit(1 if bad else 0)
-    if not run_all and pattern is None:
-        run_all = True
-    rep = vf.run_catalog(pattern=None if run_all else pattern,
-                         size_cap=cap,
-                         random_count=random_count, random_seed=seed,
-                         interval_samples=intervals)
+    if seed < 0:
+        raise click.UsageError(f"seed must be a non-negative integer, got {seed}")
+    try:
+        if regen_expectations:
+            rows, bad = vf.regen_report(pattern=None if run_all else pattern,
+                                        size_cap=cap)
+            for row in rows:
+                click.echo(f"{row['instance']:>6} {row['measure']:<22} "
+                           f"stored={row['stored']!r:<18} "
+                           f"{row.get('oracle') or '-':<28} {row['status']}")
+            click.echo(f"{len(rows)} derived expectations, {bad} mismatches")
+            sys.exit(1 if bad else 0)
+        rep = vf.run_catalog(pattern=None if run_all else pattern,
+                             size_cap=cap,
+                             random_count=random_count, random_seed=seed,
+                             interval_samples=intervals)
+    except _INPUT_ERRORS as exc:
+        raise click.ClickException(str(exc))
     click.echo(rep.summary_text(), nl=False)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:

@@ -197,37 +197,11 @@ def enumerate_interval(E: Extension, node_limit=DEFAULT_NODE_LIMIT) -> Extension
     """The complete lattice [base, top]: every intermediate ring is a join
     of monogenic ones, so the node set is the join-closure of
     {base[s] : s in top} and the enumeration is exhaustive.  Every node x
-    contains the base, so its join with base[s] is x[s].
-
-    The join is associative: a node x first found as y v b, with b
-    monogenic, has x v a = (y v a) v b.  The join closure joins y with
-    every monogenic a one round before it reaches x, so y v a is known,
-    and a closure runs only when (y v a) v b is not known yet."""
+    contains the base, so its join with base[s] is x[s]."""
     S = E.ambient
     gens = monogenic_subrings(E)
-    joins, parent = {}, {}
-
-    def known(x, a):
-        if x <= a:
-            return a
-        if a <= x:
-            return x
-        return joins.get((x, a))
-
-    def join_of(x, a):
-        j = known(x, a)
-        if j is None:
-            if x in parent:
-                y, b = parent[x]
-                j = known(known(y, a), b)
-            if j is None:
-                j = S.adjoin(x, gens[a])
-            joins[(x, a)] = j
-            if j not in gens:
-                parent.setdefault(j, (x, a))
-        return j
-
-    nodes = fr.join_closure(gens, join_of, node_limit, "interval enumeration")
+    nodes, joins = fr.join_closure(gens, lambda x, a: S.adjoin(x, gens[a]),
+                                   node_limit, "interval enumeration")
     if E.top not in nodes:
         raise TheoremViolation("join closure failed to reach the top ring")
     # the facts hold every incomparable (node, monogenic subring) join, and

@@ -54,13 +54,26 @@ def _index_vector(xs) -> np.ndarray:
     return np.fromiter(xs, dtype=np.int32)
 
 
-def join_closure(atoms, join, limit, what) -> set:
-    """Every join of a non-empty set of ``atoms`` under the binary
-    ``join``.  Each such join is an atom joined onto a smaller one, so
-    joining the atoms onto every newly found element reaches all of them.
-    Raises RingError once more than ``limit`` elements are found."""
+def join_closure(atoms, join, limit, what) -> tuple[set, dict]:
+    """(found, joins): every join of the frozenset ``atoms``, found by
+    joining the atoms onto each newly found element, and
+    ``joins[(x, a)] = x v a`` for each incomparable found x and atom a, in
+    the order met.  ``join`` must be the join of a closure system (subrings,
+    ideals, submodules): comparable sets join to the larger one, and an x
+    first found as y v b has x v a = (y v a) v b, with y v a known because
+    y met every atom a round earlier.  ``join`` runs only on the pairs these
+    two rules leave open.  Raises RingError past ``limit`` elements."""
     atoms = list(set(atoms))
     found, frontier = set(atoms), atoms
+    joins, parent = {}, {}
+
+    def known(x, a):
+        if x <= a:
+            return a
+        if a <= x:
+            return x
+        return joins.get((x, a))
+
     while frontier:
         fresh = []
         for x in frontier:
@@ -68,12 +81,20 @@ def join_closure(atoms, join, limit, what) -> set:
                 raise RingError(f"{what} exceeded {limit} nodes; "
                                 "raise the limit to continue")
             for a in atoms:
-                y = join(x, a)
+                y = known(x, a)
+                if y is None:
+                    if x in parent:
+                        p, b = parent[x]
+                        y = known(known(p, a), b)
+                    if y is None:
+                        y = join(x, a)
+                    joins[(x, a)] = y
                 if y not in found:
                     found.add(y)
                     fresh.append(y)
+                    parent[y] = (x, a)
         frontier = fresh
-    return found
+    return found, joins
 
 
 class FiniteRing:
@@ -452,9 +473,11 @@ class FiniteRing:
         """Every ideal of the subring ``within`` generated by elements of
         ``gens`` (default: all of ``within``): join-closure of their
         principal ideals (every ideal is a finite sum of principal ones).
-        When ``gens`` is an ideal, these are the ideals inside it."""
+        When ``gens`` is an ideal, these are the ideals inside it; for
+        ``gens`` outside ``within``, they are the ``within``-submodules
+        generated by elements of ``gens``."""
         pool = self.arr(within if gens is None else gens)
-        found = join_closure(
+        found, _ = join_closure(
             {frozenset(self.ideal_closure(within, [g]).tolist()) for g in pool},
             lambda a, b: frozenset(self.additive_closure(a | b).tolist()),
             IDEAL_LIMIT, "ideal enumeration")

@@ -10,10 +10,12 @@ power map and the field test, kept as references for the mask and
 vectorised ones; maximal-chain enumeration is the reference for the
 Hasse-diagram fold; the corner e*top is the reference for the localization
 as a quotient; the residue quotient hi/M is the reference for the inert
-test.  ``closure_enumeration``, ``list_distributive_law_scan`` and
-``list_modular_law_scan`` are the earlier interval enumeration, with one
-closure per join, and the law scans that list every failing triple; they
-are the references for the join derivation and the first-failure scans.
+test.  ``frontier_join_closure`` is the earlier join closure, one join
+per (element, atom) pair with no shortcut; ``closure_enumeration``,
+``list_distributive_law_scan`` and ``list_modular_law_scan`` are the
+earlier interval enumeration, with one closure per join, and the law scans
+that list every failing triple; they are the references for the join
+shortcuts and the first-failure scans.
 ``small_ring`` builds the tiny rings they run on.
 """
 
@@ -183,6 +185,28 @@ def distributive_by_definition(nodes):
     return True
 
 
+def frontier_join_closure(atoms, join, limit, what) -> set:
+    """Every join of a non-empty set of ``atoms`` under the binary
+    ``join``, by joining the atoms onto every newly found element: one
+    ``join`` call per (element, atom) pair, comparable pairs included.
+    Raises RingError once more than ``limit`` elements are found."""
+    atoms = list(set(atoms))
+    found, frontier = set(atoms), atoms
+    while frontier:
+        fresh = []
+        for x in frontier:
+            if len(found) > limit:
+                raise fr.RingError(f"{what} exceeded {limit} nodes; "
+                                   "raise the limit to continue")
+            for a in atoms:
+                y = join(x, a)
+                if y not in found:
+                    found.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return found
+
+
 def closure_enumeration(E, node_limit=DEFAULT_NODE_LIMIT):
     """(nodes, joins) of the interval [base, top] with every incomparable
     (node, monogenic subring) join found by a closure (the reference for
@@ -199,7 +223,8 @@ def closure_enumeration(E, node_limit=DEFAULT_NODE_LIMIT):
         j = joins[(x, a)] = S.adjoin(x, gens[a])
         return j
 
-    nodes = fr.join_closure(gens, join_of, node_limit, "interval enumeration")
+    nodes = frontier_join_closure(gens, join_of, node_limit,
+                                  "interval enumeration")
     return nodes, joins
 
 

@@ -208,3 +208,23 @@ def test_cover_minimality_reads_the_cover_types(monkeypatch, p5):
     monkeypatch.setattr(ex, "classify_minimal_pair", counting)
     assert verify.run_check("cover_minimality_consistency", p5).status == "pass"
     assert calls[0] == 0
+
+
+def test_module_check_joins_each_submodule_pair_once(monkeypatch):
+    # V4 = F2 + F2^4 over F2: the 67 submodules come from all_ideals, which
+    # skips comparable pairs and derives most joins by associativity
+    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    a = verify.Analysis("V4", ex.Extension(S, ex.prime_subring(S)))
+    for M in a.profile.msupp:
+        a.loc(M).verdict
+    closures, closure = [0], fr.FiniteRing.additive_closure
+
+    def counting_closure(self, seed):
+        closures[0] += 1
+        return closure(self, seed)
+
+    monkeypatch.setattr(fr.FiniteRing, "additive_closure", counting_closure)
+    r = verify.run_check("module_lattice_correspondence", a)
+    assert r.status == "pass" and len(a.nodes) == 67
+    # 356 joins and one closure per submodule mapped to its ring
+    assert closures[0] == 423

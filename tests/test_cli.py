@@ -83,6 +83,27 @@ def test_analyze_cap_flag_beats_env(runner, tmp_path, monkeypatch):
     assert res2.exit_code == 0
 
 
+def test_verify_cap_flag_beats_env(runner, monkeypatch):
+    # E5 has 16 elements: a cap of 8 is a reported error, not a traceback
+    res = runner.invoke(cli.main, ["verify", "--cap", "8", "E5"])
+    assert res.exit_code == 1 and "exceeds cap 8" in res.output
+    monkeypatch.setenv("RINGLATTICE_CAP", "8")
+    res = runner.invoke(cli.main, ["verify", "E5"])
+    assert res.exit_code == 1 and "exceeds cap 8" in res.output
+    res2 = runner.invoke(cli.main, ["verify", "E5", "--cap", "64"])
+    assert res2.exit_code == 0, res2.output
+
+
+def test_verify_rejects_a_negative_seed(runner, monkeypatch):
+    # the seed is part of each random instance's name (RND_<seed>_<i>)
+    res = runner.invoke(cli.main, ["verify", "E2", "--random", "1",
+                                   "--seed", "-1"])
+    assert res.exit_code == 2 and "non-negative" in res.output
+    monkeypatch.setenv("RINGLATTICE_SEED", "-1")
+    res = runner.invoke(cli.main, ["verify", "E2", "--random", "1"])
+    assert res.exit_code == 2 and "non-negative" in res.output
+
+
 def test_verify_single_instance(runner, tmp_path):
     js = tmp_path / "rep.json"
     res = runner.invoke(cli.main, ["verify", "E10", "--json", str(js)])

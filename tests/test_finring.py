@@ -9,9 +9,9 @@ from ringlattice.checks import doubled_ring
 from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
-                     isin_conductor_pair, isin_ideal_of, isin_subring,
-                     largest_common_ideal, loop_is_field, loop_power,
-                     loop_subring_unit, small_ring)
+                     frontier_join_closure, isin_conductor_pair,
+                     isin_ideal_of, isin_subring, largest_common_ideal,
+                     loop_is_field, loop_power, loop_subring_unit, small_ring)
 
 
 def test_zmod4_shape():
@@ -336,6 +336,64 @@ def test_ideals_inside_the_base_come_from_the_conductor(name, seed, more):
         cond = ex.conductor_pair(R, base, top)
         assert R.all_ideals(top, gens=cond) == \
             [I for I in R.all_ideals(top) if I <= base]
+
+
+def _reference_join_closure(atoms, join):
+    """(found, facts) of the plain frontier loop, with the facts of every
+    incomparable pair it joins, in order."""
+    facts = {}
+
+    def recording(x, a):
+        y = join(x, a)
+        if not (x <= a or a <= x):
+            facts[(x, a)] = y
+        return y
+
+    return frontier_join_closure(atoms, recording, fr.IDEAL_LIMIT, "ref"), facts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_join_closure_joins_each_open_pair_once(name, seed):
+    # on the ideal lattices of the ring and of a generated subring, join runs
+    # on no comparable and no repeated pair, and the closure and its facts
+    # are the plain loop's
+    R = small_ring(name)
+    for within in (np.arange(R.size), R.subring_closure(seed)):
+        principal = {frozenset(R.ideal_closure(within, [g]).tolist())
+                     for g in within.tolist()}
+        seen = set()
+
+        def join(x, a):
+            return frozenset(R.additive_closure(x | a).tolist())
+
+        def strict_join(x, a):
+            assert not (x <= a or a <= x) and (x, a) not in seen
+            seen.add((x, a))
+            return join(x, a)
+
+        found, joins = fr.join_closure(principal, strict_join, fr.IDEAL_LIMIT,
+                                       "ideal enumeration")
+        ref_found, ref_joins = _reference_join_closure(principal, join)
+        assert found == ref_found == set(R.all_ideals(within))
+        assert list(joins.items()) == list(ref_joins.items())
+
+
+def test_submodules_of_the_idealization_are_the_subspaces():
+    # F2 + F2^4 over F2: the F2-submodules of N = F2^4 are its 67 subspaces
+    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    base = ex.prime_subring(S)
+    N = frozenset(S.ideal_closure(np.arange(S.size), [
+        s for s in range(S.size) if S.m(s, s) == S.zero]).tolist())
+    subs = S.all_ideals(base, gens=N)
+    assert len(N) == 16 and len(subs) == 67
+    assert [len(V) for V in subs].count(4) == 35
+    assert all(V <= N and frozenset(S.additive_closure(sorted(V)).tolist()) == V
+               for V in subs)
+    cyclic = {frozenset(S.ideal_closure(base, [v]).tolist()) for v in N}
+    assert set(subs) == frontier_join_closure(
+        cyclic, lambda x, y: frozenset(S.additive_closure(x | y).tolist()),
+        fr.IDEAL_LIMIT, "submodule enumeration")
 
 
 def test_product_names_are_component_tuples():

@@ -105,3 +105,10 @@ def test_run_check_accepts_extension_directly():
     r = verify.run_check("u_closed_iff_i_extension", E)
     assert r.status == "pass"
     assert r.instance == "E3"
+
+
+def test_random_generator_does_not_retry_its_own_dsl_errors():
+    # RND_-1_0 is not a DSL name: the generator raises instead of drawing
+    # again forever
+    with pytest.raises(dsl.DslError):
+        verify.generate_random_instances(-1, 1)
