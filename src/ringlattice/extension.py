@@ -117,9 +117,12 @@ class Extension:
     # cached heavy analyses -------------------------------------------
 
     def lattice(self, node_limit=DEFAULT_NODE_LIMIT) -> ExtensionLattice:
-        if "lattice" not in self._cache:
-            self._cache["lattice"] = enumerate_interval(self, node_limit)
-        return self._cache["lattice"]
+        L = self._cache.get("lattice")
+        if L is None:
+            L = self._cache["lattice"] = enumerate_interval(self, node_limit)
+        # a cached lattice answers to the limit it would be enumerated under
+        fr.check_limit(len(L.nodes), node_limit, "interval enumeration")
+        return L
 
     def base_decomposition(self) -> fr.LocalFactorDecomposition:
         return fr.primitive_idempotents(self.ambient, self.base,

@@ -1,13 +1,13 @@
 """Exact arithmetic and structure theory for finite commutative unital rings.
 
 A ring is a set of canonically indexed elements ``0..n-1`` together with
-complete addition and multiplication tables.  Rings are built either from
-additive structure constants (:meth:`FiniteRing.from_struct`, used by all
-the named constructors ``zmod`` / ``gf`` / ``product_ring`` /
-``quotient_by_relations`` / ``idealization``) or directly from tables
-(:meth:`FiniteRing.from_tables`, used for quotients, subset rings and
-localizations of rings built from structure constants).  Everything is
-exact integer arithmetic.
+complete addition and multiplication tables.  Rings defined by generators
+are built from additive structure constants (:meth:`FiniteRing.from_struct`,
+used by ``zmod`` / ``gf`` / ``quotient_by_relations`` / ``idealization``);
+every derived ring is built directly from tables
+(:meth:`FiniteRing.from_tables`, used by ``product_ring`` and for quotients,
+subset rings, localizations and doubled rings).  Everything is exact
+integer arithmetic.
 
 Subrings and ideals are frozensets of element indices, so equality is set
 equality and all orderings in the package are reproducible.  The ring owns
@@ -29,8 +29,9 @@ import numpy as np
 # from_struct: multiplication is the bilinear extension of the structure
 # constants, and two multilinear maps agree iff they agree on generators, so
 # the check covers every element at every size.  from_tables only builds
-# closed subsets and quotients of rings built that way, which inherit the
-# axioms; it checks just what its arguments can break (zero, negatives, unit).
+# closed subsets, quotients and products of rings built that way, which
+# inherit the axioms; it checks just what its arguments can break (zero,
+# negatives, unit).
 DEFAULT_SIZE_CAP = 4096
 IDEAL_LIMIT = 100000   # most ideals all_ideals enumerates before it raises
 
@@ -52,6 +53,23 @@ def _index_vector(xs) -> np.ndarray:
     if isinstance(xs, np.ndarray):
         return xs.astype(np.int32, copy=False)
     return np.fromiter(xs, dtype=np.int32)
+
+
+def mixed_radix(sizes) -> np.ndarray:
+    """Weights of the mixed-radix index over ``sizes``, the first digit most
+    significant and the last fastest."""
+    radix = np.ones(len(sizes), dtype=np.int64)
+    for i in range(len(sizes) - 2, -1, -1):
+        radix[i] = radix[i + 1] * sizes[i + 1]
+    return radix
+
+
+def check_limit(count, limit, what):
+    """RingError when an enumeration of ``what`` holds more than ``limit``
+    elements."""
+    if count > limit:
+        raise RingError(f"{what} exceeded {limit} nodes; "
+                        "raise the limit to continue")
 
 
 def join_closure(atoms, join, limit, what) -> tuple[set, dict]:
@@ -77,9 +95,7 @@ def join_closure(atoms, join, limit, what) -> tuple[set, dict]:
     while frontier:
         fresh = []
         for x in frontier:
-            if len(found) > limit:
-                raise RingError(f"{what} exceeded {limit} nodes; "
-                                "raise the limit to continue")
+            check_limit(len(found), limit, what)
             for a in atoms:
                 y = known(x, a)
                 if y is None:
@@ -105,17 +121,17 @@ class FiniteRing:
         add, mul: ``size x size`` int32 operation tables.
         neg: length-``size`` additive-inverse table.
         zero, one: element indices of the identities.
-        orders: additive orders of the construction generators (struct path)
-            or invariant factors of the additive group (derived rings).
+        orders: additive orders of the construction generators; ``None``
+            for every ring built from tables, products included.
         coeffs: ``size x k`` coefficient vectors over the construction
-            generators; ``None`` for table-derived rings.
+            generators; ``None`` for every ring built from tables.
         varmap: algebra generators usable in element expressions.
         label: human-readable construction description.
     """
 
     def __init__(self, *, size, add, mul, neg, zero, one, label, kind,
                  orders=None, coeffs=None, varmap=None, monomials=None,
-                 factors=None, elem_names=None, size_cap=DEFAULT_SIZE_CAP):
+                 elem_names=None, size_cap=DEFAULT_SIZE_CAP):
         self.size = int(size)
         if self.size > size_cap:
             raise SizeCapError(f"ring size {size} exceeds cap {size_cap}")
@@ -132,7 +148,7 @@ class FiniteRing:
         # per construction generator: tuple of (var, exp) pairs describing the
         # monomial it represents; () is the unit basis element
         self.monomials = monomials
-        self.factors = factors          # component rings of a product
+        self.factors = None             # component rings of a product
         self.elem_names = elem_names    # given for derived rings, else built by elem_str
         self.size_cap = size_cap
         # frozenset -> its index array (arr); subring -> its primitive
@@ -148,8 +164,7 @@ class FiniteRing:
 
     @classmethod
     def from_struct(cls, orders, struct, one_vec, *, label, kind,
-                    varmap=None, monomials=None, factors=None,
-                    size_cap=DEFAULT_SIZE_CAP):
+                    varmap=None, monomials=None, size_cap=DEFAULT_SIZE_CAP):
         """Build a ring from additive structure constants.
 
         ``orders`` lists the orders of the additive generators (the additive
@@ -173,9 +188,7 @@ class FiniteRing:
         cls._validate_struct(orders, struct, one_vec)
 
         # mixed-radix indexing: index = coeffs . radix, last coordinate fastest
-        radix = np.ones(k, dtype=np.int64)
-        for i in range(k - 2, -1, -1):
-            radix[i] = radix[i + 1] * orders[i + 1]
+        radix = mixed_radix(orders)
         coeffs = np.indices(orders).reshape(k, size).T.astype(np.int64)
 
         def encode(vecs):
@@ -195,17 +208,17 @@ class FiniteRing:
 
         return cls(size=size, add=add, mul=mul, neg=neg, zero=0, one=one,
                    label=label, kind=kind, orders=orders, coeffs=coeffs,
-                   varmap=varmap, monomials=monomials, factors=factors,
-                   size_cap=size_cap)
+                   varmap=varmap, monomials=monomials, size_cap=size_cap)
 
     @classmethod
     def from_tables(cls, add, mul, one, *, label, kind, elem_names=None,
                     size_cap=DEFAULT_SIZE_CAP):
         """Build a ring directly from operation tables.
 
-        The tables must come from a validated ring: a closed subset of it
+        The tables must come from validated rings: a closed subset of one
         re-indexed (:meth:`subset_ring`), a quotient by an ideal
-        (:func:`quotient_of_subring`), or the square-zero doubling of one.
+        (:func:`quotient_of_subring`), the square-zero doubling of one, or a
+        product of several (:func:`product_ring`).
         Such tables inherit associativity, commutativity and
         distributivity; only the additive identity, the negatives and the
         given ``one`` are checked here.
@@ -226,10 +239,8 @@ class FiniteRing:
         neg = inv_rows.argmax(axis=1).astype(np.int32)
         if not np.array_equal(mul[one], idx):
             raise RingError("identity law fails")
-        ring = cls(size=size, add=add, mul=mul, neg=neg, zero=zero, one=int(one),
+        return cls(size=size, add=add, mul=mul, neg=neg, zero=zero, one=int(one),
                    label=label, kind=kind, elem_names=elem_names, size_cap=size_cap)
-        ring.orders = ring.additive_invariants()
-        return ring
 
     @staticmethod
     def _validate_struct(orders, struct, one_vec):
@@ -322,12 +333,10 @@ class FiniteRing:
         """Component tuples for products, polynomial expressions for rings
         with monomial generators, ``#i`` otherwise."""
         if self.factors is not None:
-            columns, off = [], 0
-            for fac in self.factors:
-                kf = len(fac.orders)
-                idx = self.coeffs[:, off:off + kf] @ fac.radix()
-                columns.append([fac.elem_str(j) for j in idx.tolist()])
-                off += kf
+            comps = np.unravel_index(np.arange(self.size),
+                                     [fac.size for fac in self.factors])
+            columns = [[fac.elem_str(j) for j in idx.tolist()]
+                       for fac, idx in zip(self.factors, comps)]
             return ["(" + ", ".join(parts) + ")" for parts in zip(*columns)]
         if self.coeffs is None or self.monomials is None:
             return [f"#{i}" for i in range(self.size)]
@@ -347,13 +356,6 @@ class FiniteRing:
                     terms.append(f"{c}*{mstr}")
             names.append(" + ".join(terms) if terms else "0")
         return names
-
-    def radix(self):
-        k = len(self.orders)
-        radix = np.ones(k, dtype=np.int64)
-        for i in range(k - 2, -1, -1):
-            radix[i] = radix[i + 1] * self.orders[i + 1]
-        return radix
 
     # ------------------------------------------------------------------
     # subset machinery: closures over element-index sets
@@ -505,41 +507,7 @@ class FiniteRing:
     # ------------------------------------------------------------------
     # additive group structure
 
-    def additive_invariants(self, subset=None) -> tuple[int, ...]:
-        """Invariant factors of the additive group (largest first), from
-        kernel counts of multiplication by prime powers."""
-        s = self.arr(subset) if subset is not None \
-            else np.arange(self.size, dtype=np.int32)
-        n = s.size
-        per_prime = {}
-        for p in prime_factors(n):
-            exps = []
-            prev = 0
-            j = 1
-            while True:
-                kills = sum(1 for x in s.tolist() if self.times(p ** j, int(x)) == self.zero)
-                lam = round(math.log(kills, p))
-                if lam - prev == 0:
-                    break
-                exps.append(lam - prev)
-                prev = lam
-                j += 1
-            counts = []
-            for i in range(len(exps)):
-                nxt = exps[i + 1] if i + 1 < len(exps) else 0
-                counts += [i + 1] * (exps[i] - nxt)
-            per_prime[p] = sorted((p ** e for e in counts), reverse=True)
-        width = max((len(v) for v in per_prime.values()), default=0)
-        invs = []
-        for i in range(width):
-            f = 1
-            for lst in per_prime.values():
-                if i < len(lst):
-                    f *= lst[i]
-            invs.append(f)
-        return tuple(invs)
-
-    def abelian_basis(self, subset=None) -> list[tuple[int, int]]:
+    def abelian_basis(self) -> list[tuple[int, int]]:
         """A direct-sum basis of the additive group as (element, order) pairs.
 
         Greedy per prime component: repeatedly adjoin the largest-order
@@ -547,13 +515,11 @@ class FiniteRing:
         order product is asserted to reach the group size, so a failure of
         the strategy cannot pass silently.
         """
-        s = self.arr(subset) if subset is not None \
-            else np.arange(self.size, dtype=np.int32)
-        n = s.size
+        n = self.size
         basis = []
         for p in prime_factors(n):
             pe = p ** padic_val(n, p)
-            comp = [int(x) for x in s.tolist() if self.times(pe, int(x)) == self.zero]
+            comp = [x for x in range(n) if self.times(pe, x) == self.zero]
             span_set = {self.zero}
             orders = {x: self.additive_order(x) for x in comp}
             while len(span_set) < len(comp):
@@ -615,7 +581,7 @@ def is_squarefree(n):
 def vec_index(ring, vec):
     """Element index of a coefficient vector in a struct-built ring."""
     return int((np.asarray(vec, dtype=np.int64) % np.array(ring.orders, dtype=np.int64))
-               @ ring.radix())
+               @ mixed_radix(ring.orders))
 
 
 # ----------------------------------------------------------------------
@@ -723,9 +689,7 @@ def as_struct_ring(ring):
     gens = [g for g, _ in basis]
     orders = [o for _, o in basis]
     k = len(gens)
-    radix = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        radix[i] = radix[i + 1] * orders[i + 1]
+    radix = mixed_radix(orders)
     size = math.prod(orders)
     old_of_new = np.empty(size, dtype=np.int32)
     coords = {}
@@ -752,54 +716,38 @@ def as_struct_ring(ring):
 
 
 def product_ring(rings, size_cap=DEFAULT_SIZE_CAP, label=None):
-    """Direct product of finitely many rings."""
+    """Direct product of finitely many rings.  The tuple (x_1, ..., x_m) has
+    the mixed-radix index over the factor sizes, the first factor most
+    significant, and the tables are the factors' tables componentwise.  A
+    product of rings is a ring, so from_tables' checks are all it needs."""
     if not rings:
         raise RingError("product needs at least one factor")
-    structs = [as_struct_ring(r)[0] for r in rings]
-    size = math.prod(r.size for r in structs)
+    size = math.prod(r.size for r in rings)
     if size > size_cap:
         raise SizeCapError(f"product size {size} exceeds cap {size_cap}")
-    orders = [o for r in structs for o in r.orders]
-    k = len(orders)
-    struct = np.zeros((k, k, k), dtype=np.int64)
-    one_vec = np.zeros(k, dtype=np.int64)
-    off = 0
-    for r in structs:
-        kf = len(r.orders)
-        eye = np.eye(kf, dtype=np.int64)
-        for i in range(kf):
-            for j in range(kf):
-                prod_idx = r.mul[vec_index(r, eye[i]), vec_index(r, eye[j])]
-                struct[off + i, off + j, off:off + kf] = r.coeffs[prod_idx]
-        one_vec[off:off + kf] = r.coeffs[r.one]
-        off += kf
-    lab = label or "product(" + ", ".join(r.label for r in structs) + ")"
-    return FiniteRing.from_struct(orders, struct, one_vec, label=lab,
-                                  kind="product", factors=structs,
+
+    def componentwise(table, fac_table):
+        m, n = len(table), len(fac_table)
+        return (table[:, None, :, None] * n
+                + fac_table[None, :, None, :]).reshape(m * n, m * n)
+
+    add = mul = np.zeros((1, 1), dtype=np.int32)
+    one = 0
+    for r in rings:
+        add, mul = componentwise(add, r.add), componentwise(mul, r.mul)
+        one = one * r.size + r.one
+    lab = label or "product(" + ", ".join(r.label for r in rings) + ")"
+    ring = FiniteRing.from_tables(add, mul, one, label=lab, kind="product",
                                   size_cap=size_cap)
-
-
-def embed_in_product(prod, which, elem):
-    """Index in the product of the element that is ``elem`` in factor
-    ``which`` and 0 elsewhere."""
-    vec = np.zeros(len(prod.orders), dtype=np.int64)
-    off = 0
-    for i, fac in enumerate(prod.factors):
-        kf = len(fac.orders)
-        if i == which:
-            vec[off:off + kf] = fac.coeffs[elem]
-        off += kf
-    return vec_index(prod, vec)
+    ring.factors = list(rings)
+    return ring
 
 
 def product_element(prod, comps):
     """Index of the tuple (c_0, ..., c_m) in the product ring."""
     if len(comps) != len(prod.factors):
         raise RingError("component count mismatch")
-    x = prod.zero
-    for i, c in enumerate(comps):
-        x = int(prod.add[x, embed_in_product(prod, i, c)])
-    return x
+    return int(np.ravel_multi_index(comps, [fac.size for fac in prod.factors]))
 
 
 # ----------------------------------------------------------------------
@@ -873,14 +821,13 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
 
     ``relations``: list of Poly over R (see :func:`resolve_relation`).
     """
-    Rs, _ = as_struct_ring(R)
-    if Rs.monomials is None:
+    if R.monomials is None:
         raise RingError("quotient base must expose a monomial basis "
                         "(build it with zmod/gf/quotient)")
     newvars = sorted({v for rel in relations for m, _ in rel.terms for v, _ in m})
     if not newvars:
         raise InconsistentRelationsError("quotient relations adjoin no new variable")
-    clash = [v for v in newvars if v in Rs.varmap]
+    clash = [v for v in newvars if v in R.varmap]
     if clash:
         raise InconsistentRelationsError(
             f"variable name(s) {', '.join(clash)} already used by the base ring")
@@ -891,11 +838,11 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
         if not rel.terms:
             continue
         mono, coeff = max(rel.terms, key=lambda t: (mono_deg(t[0]), t[0]))
-        if (len(mono) == 1 and mono[0][0] not in power_rule and coeff == Rs.one
+        if (len(mono) == 1 and mono[0][0] not in power_rule and coeff == R.one
                 and all(mono_deg(m) < mono_deg(mono) for m, _ in rel.terms if m != mono)):
             v, d = mono[0]
-            rest = {m: int(Rs.neg[c]) for m, c in rel.terms if m != mono}
-            power_rule[v] = (d, poly_from_dict(Rs, rest))
+            rest = {m: int(R.neg[c]) for m, c in rel.terms if m != mono}
+            power_rule[v] = (d, poly_from_dict(R, rest))
         else:
             extra.append(rel)
     missing = [v for v in newvars if v not in power_rule]
@@ -906,9 +853,9 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
             "and lower-degree tail")
 
     degs = {v: power_rule[v][0] for v in newvars}
-    if math.prod(degs.values()) * Rs.size > size_cap:
+    if math.prod(degs.values()) * R.size > size_cap:
         raise SizeCapError(
-            f"truncated quotient size {math.prod(degs.values()) * Rs.size} "
+            f"truncated quotient size {math.prod(degs.values()) * R.size} "
             f"exceeds cap {size_cap}")
 
     def reduce_poly(poly):
@@ -928,53 +875,53 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
             d, tail = power_rule[v]
             rest = tuple(sorted([(w, f) for w, f in m if w != v] +
                                 ([(v, e - d)] if e > d else [])))
-            repl = poly_mul(Rs, Poly(((rest, c),)), tail)
-            poly = poly_add(Rs, Poly(tuple(t for t in poly.terms if t[0] != m)), repl)
+            repl = poly_mul(R, Poly(((rest, c),)), tail)
+            poly = poly_add(R, Poly(tuple(t for t in poly.terms if t[0] != m)), repl)
 
     monos = [tuple((v, e) for v, e in zip(newvars, exps) if e)
              for exps in itertools.product(*(range(degs[v]) for v in newvars))]
     monos.sort(key=lambda m: (mono_deg(m), m))
     mono_pos = {m: i for i, m in enumerate(monos)}
-    kR = len(Rs.orders)
+    kR = len(R.orders)
     kA = len(monos) * kR
-    orders = [o for _ in monos for o in Rs.orders]
+    orders = [o for _ in monos for o in R.orders]
 
     def poly_to_vec(poly):
         vec = np.zeros(kA, dtype=np.int64)
         for m, c in poly.terms:
-            vec[mono_pos[m] * kR:(mono_pos[m] + 1) * kR] += Rs.coeffs[c]
+            vec[mono_pos[m] * kR:(mono_pos[m] + 1) * kR] += R.coeffs[c]
         return vec
 
     eyeR = np.eye(kR, dtype=np.int64)
-    base_gen_elem = [vec_index(Rs, eyeR[b]) for b in range(kR)]
+    base_gen_elem = [vec_index(R, eyeR[b]) for b in range(kR)]
     struct = np.zeros((kA, kA, kA), dtype=np.int64)
     for i in range(kA):
         mi, bi = divmod(i, kR)
         for j in range(i, kA):
             mj, bj = divmod(j, kR)
-            prod = poly_mul(Rs,
+            prod = poly_mul(R,
                             Poly(((monos[mi], base_gen_elem[bi]),)),
                             Poly(((monos[mj], base_gen_elem[bj]),)))
             vec = poly_to_vec(reduce_poly(prod))
             struct[i, j] = vec
             struct[j, i] = vec
     one_vec = np.zeros(kA, dtype=np.int64)
-    one_vec[:kR] = Rs.coeffs[Rs.one]
+    one_vec[:kR] = R.coeffs[R.one]
 
-    base_monos = Rs.monomials
+    base_monos = R.monomials
     new_monomials = [mono_mul(m, tuple(base_monos[b]))
                      for m in monos for b in range(kR)]
-    lab = label or f"{Rs.label}[{','.join(newvars)}]/(rels)"
+    lab = label or f"{R.label}[{','.join(newvars)}]/(rels)"
     trunc = FiniteRing.from_struct(
         orders, struct, one_vec, label=lab, kind="quotient",
         monomials=new_monomials, size_cap=size_cap)
     trunc.varmap = {}
-    for name, idx in Rs.varmap.items():
+    for name, idx in R.varmap.items():
         vec = np.zeros(kA, dtype=np.int64)
-        vec[:kR] = Rs.coeffs[idx]
+        vec[:kR] = R.coeffs[idx]
         trunc.varmap[name] = vec_index(trunc, vec)
     for v in newvars:
-        red = reduce_poly(Poly(((((v, 1),), Rs.one),)))
+        red = reduce_poly(Poly(((((v, 1),), R.one),)))
         trunc.varmap[v] = vec_index(trunc, poly_to_vec(red))
 
     if not extra:
@@ -1007,21 +954,20 @@ def idealization(R, module_orders, action=None, size_cap=DEFAULT_SIZE_CAP,
     the variables.  Ill-defined or non-associative action data is rejected by
     the generator-level axiom verification.
     """
-    Rs, _ = as_struct_ring(R)
-    if Rs.monomials is None:
+    if R.monomials is None:
         raise RingError("idealization base must expose a monomial basis "
                         "(build it with zmod/gf/quotient)")
     module_orders = tuple(int(o) for o in module_orders)
     if not module_orders or any(o < 2 for o in module_orders):
         raise RingError("module generator orders must all be >= 2")
-    kR, kM = len(Rs.orders), len(module_orders)
+    kR, kM = len(R.orders), len(module_orders)
     action = {k: np.asarray(v, dtype=np.int64) for k, v in (action or {}).items()}
     for name, mat in action.items():
-        if name not in Rs.varmap:
+        if name not in R.varmap:
             raise RingError(f"action names unknown variable {name!r}")
         if mat.shape != (kM, kM):
             raise RingError(f"action matrix for {name!r} must be {kM}x{kM}")
-    missing = [v for v in Rs.varmap if v not in action]
+    missing = [v for v in R.varmap if v not in action]
     if missing:
         raise RingError(
             f"idealization action missing for variable(s) {', '.join(missing)}")
@@ -1035,23 +981,23 @@ def idealization(R, module_orders, action=None, size_cap=DEFAULT_SIZE_CAP,
                 mat = (mat @ action[v]) % modv[None, :]
         return mat % modv[None, :]
 
-    orders = Rs.orders + module_orders
+    orders = R.orders + module_orders
     k = kR + kM
     struct = np.zeros((k, k, k), dtype=np.int64)
     eyeR = np.eye(kR, dtype=np.int64)
     for i in range(kR):
         for j in range(kR):
-            prod = Rs.mul[vec_index(Rs, eyeR[i]), vec_index(Rs, eyeR[j])]
-            struct[i, j, :kR] = Rs.coeffs[prod]
+            prod = R.mul[vec_index(R, eyeR[i]), vec_index(R, eyeR[j])]
+            struct[i, j, :kR] = R.coeffs[prod]
     for i in range(kR):
-        mat = mono_action(tuple(Rs.monomials[i]))
+        mat = mono_action(tuple(R.monomials[i]))
         for j in range(kM):
             struct[i, kR + j, kR:] = mat[j]
             struct[kR + j, i, kR:] = mat[j]
     one_vec = np.zeros(k, dtype=np.int64)
-    one_vec[:kR] = Rs.coeffs[Rs.one]
-    lab = label or f"idealization({Rs.label}, module{list(module_orders)})"
-    monos = [tuple(m) for m in Rs.monomials] + [((f"m{j+1}", 1),) for j in range(kM)]
+    one_vec[:kR] = R.coeffs[R.one]
+    lab = label or f"idealization({R.label}, module{list(module_orders)})"
+    monos = [tuple(m) for m in R.monomials] + [((f"m{j+1}", 1),) for j in range(kM)]
     try:
         ring = FiniteRing.from_struct(
             orders, struct, one_vec, label=lab, kind="idealization",
@@ -1060,7 +1006,7 @@ def idealization(R, module_orders, action=None, size_cap=DEFAULT_SIZE_CAP,
         raise
     except RingError as exc:
         raise RingError(f"non-associative or ill-defined module action: {exc}") from exc
-    ring.varmap = dict(Rs.varmap)
+    ring.varmap = dict(R.varmap)
     for j in range(kM):
         vec = np.zeros(k, dtype=np.int64)
         vec[kR + j] = 1
@@ -1215,12 +1161,13 @@ def rings_isomorphic(A, B) -> bool:
     """Exhaustive ring-isomorphism test via additive bases (desk scale)."""
     if A.size != B.size:
         return False
-    if A.additive_invariants() != B.additive_invariants():
-        return False
     if A.additive_order(A.one) != B.additive_order(B.one):
         return False
-    basis = A.abelian_basis()
     b_order = {x: B.additive_order(x) for x in range(B.size)}
+    # the multiset of element orders determines a finite abelian group
+    if sorted(map(A.additive_order, range(A.size))) != sorted(b_order.values()):
+        return False
+    basis = A.abelian_basis()
 
     def consistent(phi):
         for x in phi:

@@ -15,7 +15,9 @@ per (element, atom) pair with no shortcut; ``closure_enumeration``,
 ``list_distributive_law_scan`` and ``list_modular_law_scan`` are the
 earlier interval enumeration, with one closure per join, and the law scans
 that list every failing triple; they are the references for the join
-shortcuts and the first-failure scans.
+shortcuts and the first-failure scans.  ``struct_product_ring`` is the
+earlier direct product, assembled from the factors' structure constants;
+it is the reference for ``product_ring``'s tables, indices and names.
 ``small_ring`` builds the tiny rings they run on.
 """
 
@@ -34,16 +36,54 @@ SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
 
 
 @functools.lru_cache(maxsize=None)
-def small_ring(name):
-    """One of the SMALL_RINGS (8 elements each), built once."""
+def small_ring(name, product=fr.product_ring):
+    """One of the SMALL_RINGS (8 elements each), built once; the two
+    products are built by ``product``."""
     F2 = fr.gf(2)
     return {
         "F2[x]/(x^3)": lambda: fr.quotient_by_relations(
             F2, [fr.resolve_relation(F2, [((("x", 3),), 1)])]),
-        "F2xF4": lambda: fr.product_ring([F2, fr.gf(2, 2)]),
+        "F2xF4": lambda: product([F2, fr.gf(2, 2)]),
         "F2+F2^2": lambda: fr.idealization(F2, (2, 2)),
-        "Z4xZ2": lambda: fr.product_ring([fr.zmod(4), fr.zmod(2)]),
+        "Z4xZ2": lambda: product([fr.zmod(4), fr.zmod(2)]),
     }[name]()
+
+
+def struct_product_ring(rings, size_cap=fr.DEFAULT_SIZE_CAP, label=None):
+    """The direct product from structure constants: each factor through
+    ``as_struct_ring``, the generators' products filled block by block into
+    one k x k x k tensor, then ``from_struct``.  A product element is named
+    by the tuple of its factors' names, each factor's index read off its
+    block of coefficients."""
+    if not rings:
+        raise fr.RingError("product needs at least one factor")
+    structs = [fr.as_struct_ring(r)[0] for r in rings]
+    orders = [o for r in structs for o in r.orders]
+    k = len(orders)
+    struct = np.zeros((k, k, k), dtype=np.int64)
+    one_vec = np.zeros(k, dtype=np.int64)
+    off = 0
+    for r in structs:
+        kf = len(r.orders)
+        eye = np.eye(kf, dtype=np.int64)
+        for i in range(kf):
+            for j in range(kf):
+                prod_idx = r.mul[fr.vec_index(r, eye[i]), fr.vec_index(r, eye[j])]
+                struct[off + i, off + j, off:off + kf] = r.coeffs[prod_idx]
+        one_vec[off:off + kf] = r.coeffs[r.one]
+        off += kf
+    lab = label or "product(" + ", ".join(r.label for r in structs) + ")"
+    P = fr.FiniteRing.from_struct(orders, struct, one_vec, label=lab,
+                                  kind="product", size_cap=size_cap)
+    P.factors = structs
+    columns, off = [], 0
+    for fac in structs:
+        kf = len(fac.orders)
+        idx = P.coeffs[:, off:off + kf] @ fr.mixed_radix(fac.orders)
+        columns.append([fac.elem_str(j) for j in idx.tolist()])
+        off += kf
+    P.elem_names = ["(" + ", ".join(parts) + ")" for parts in zip(*columns)]
+    return P
 
 
 def isin_subring(S, subset):

@@ -40,6 +40,20 @@ def test_node_limit_guard(e5):
         ex.enumerate_interval(fresh, node_limit=3)
 
 
+def test_cached_lattice_honours_the_node_limit():
+    # the limit raises the same error whether or not the lattice is cached
+    S = fr.product_ring([fr.gf(2)] * 4)
+    msg = "interval enumeration exceeded 3 nodes"
+    with pytest.raises(fr.RingError, match=msg):
+        ex.Extension(S, ex.prime_subring(S)).lattice(node_limit=3)
+    E = ex.Extension(S, ex.prime_subring(S))
+    L = E.lattice()
+    assert len(L.nodes) == 15
+    with pytest.raises(fr.RingError, match=msg):
+        E.lattice(node_limit=3)
+    assert E.lattice(node_limit=15) is L
+
+
 # -- generated subrings --------------------------------------------------
 
 def test_generated_subring_reaches_field(F4):

