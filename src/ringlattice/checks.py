@@ -281,12 +281,11 @@ def doubled_ring(S, top):
     tmul = pos[S.mul[np.ix_(top, top)]]
     # axes (r1, m1, r2, m2) flatten to row (r1, m1), column (r2, m2)
     r1, m1, r2, m2 = np.ix_(*[np.arange(n)] * 4)
-    add = tadd[r1, r2] * n + tadd[m1, m2]
     mul = tmul[r1, r2] * n + tadd[tmul[r1, m2], tmul[r2, m1]]
     m = n * n
     one = int(pos[S.one]) * n + int(pos[S.zero])
     return fr.FiniteRing.from_tables(
-        add.reshape(m, m), mul.reshape(m, m), one,
+        fr.componentwise(tadd, tadd), mul.reshape(m, m), one,
         label=f"{S.label}(+)M", kind="derived", size_cap=max(m, S.size_cap))
 
 

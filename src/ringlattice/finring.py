@@ -1,13 +1,12 @@
 """Exact arithmetic and structure theory for finite commutative unital rings.
 
 A ring is a set of canonically indexed elements ``0..n-1`` together with
-complete addition and multiplication tables.  Rings defined by generators
-are built from additive structure constants (:meth:`FiniteRing.from_struct`,
-used by ``zmod`` / ``gf`` / ``quotient_by_relations`` / ``idealization``);
-every derived ring is built directly from tables
-(:meth:`FiniteRing.from_tables`, used by ``product_ring`` and for quotients,
-subset rings, localizations and doubled rings).  Everything is exact
-integer arithmetic.
+complete addition and multiplication tables, and every ring is made by
+:meth:`FiniteRing.from_tables`.  Rings defined by generators (``zmod`` /
+``gf`` / ``quotient_by_relations`` / ``idealization``) get their tables from
+additive structure constants (:meth:`FiniteRing.from_struct`); products,
+quotients, subset rings, localizations and doubled rings from the tables of
+the rings they come from.  Everything is exact integer arithmetic.
 
 Subrings and ideals are frozensets of element indices, so equality is set
 equality and all orderings in the package are reproducible.  The ring owns
@@ -28,10 +27,10 @@ import numpy as np
 # Ring axioms are checked once, exactly, on the additive generators by
 # from_struct: multiplication is the bilinear extension of the structure
 # constants, and two multilinear maps agree iff they agree on generators, so
-# the check covers every element at every size.  from_tables only builds
-# closed subsets, quotients and products of rings built that way, which
-# inherit the axioms; it checks just what its arguments can break (zero,
-# negatives, unit).
+# the check covers every element at every size.  Every other ring is a
+# closed subset, quotient or product of rings built that way and inherits
+# the axioms, so from_tables checks just what its arguments can break
+# (zero, negatives, unit).
 DEFAULT_SIZE_CAP = 4096
 IDEAL_LIMIT = 100000   # most ideals all_ideals enumerates before it raises
 
@@ -62,6 +61,14 @@ def mixed_radix(sizes) -> np.ndarray:
     for i in range(len(sizes) - 2, -1, -1):
         radix[i] = radix[i + 1] * sizes[i + 1]
     return radix
+
+
+def componentwise(table, fac_table):
+    """The table of a product of two rings from one table of each: the pair
+    (x, y) has index x * len(fac_table) + y."""
+    m, n = len(table), len(fac_table)
+    return (table[:, None, :, None] * n
+            + fac_table[None, :, None, :]).reshape(m * n, m * n)
 
 
 def check_limit(count, limit, what):
@@ -121,20 +128,18 @@ class FiniteRing:
         add, mul: ``size x size`` int32 operation tables.
         neg: length-``size`` additive-inverse table.
         zero, one: element indices of the identities.
-        orders: additive orders of the construction generators; ``None``
-            for every ring built from tables, products included.
-        coeffs: ``size x k`` coefficient vectors over the construction
-            generators; ``None`` for every ring built from tables.
+        orders, coeffs, monomials: for a ring built by from_struct, the
+            additive orders of its k generators, the ``size x k``
+            coefficient vectors of its elements and the monomial (tuple of
+            (var, exp) pairs) each generator stands for; ``None`` for every
+            other ring, products included.
         varmap: algebra generators usable in element expressions.
         label: human-readable construction description.
     """
 
-    def __init__(self, *, size, add, mul, neg, zero, one, label, kind,
-                 orders=None, coeffs=None, varmap=None, monomials=None,
+    def __init__(self, *, add, mul, neg, zero, one, label, kind,
                  elem_names=None, size_cap=DEFAULT_SIZE_CAP):
-        self.size = int(size)
-        if self.size > size_cap:
-            raise SizeCapError(f"ring size {size} exceeds cap {size_cap}")
+        self.size = len(add)
         self.add = add
         self.mul = mul
         self.neg = neg
@@ -142,12 +147,8 @@ class FiniteRing:
         self.one = int(one)
         self.label = label
         self.kind = kind
-        self.orders = tuple(orders) if orders is not None else None
-        self.coeffs = coeffs
-        self.varmap = dict(varmap) if varmap else {}
-        # per construction generator: tuple of (var, exp) pairs describing the
-        # monomial it represents; () is the unit basis element
-        self.monomials = monomials
+        self.orders = self.coeffs = self.monomials = None   # see from_struct
+        self.varmap = {}
         self.factors = None             # component rings of a product
         self.elem_names = elem_names    # given for derived rings, else built by elem_str
         self.size_cap = size_cap
@@ -172,7 +173,8 @@ class FiniteRing:
         ``struct[i][j]`` is the coefficient vector of the product of
         generators i and j; multiplication is its bilinear extension;
         ``one_vec`` is the coefficient vector of the multiplicative identity.
-        The ring axioms are verified exactly on the generators.
+        The ring axioms are verified exactly on the generators; the tables
+        then go through :meth:`from_tables`.
         """
         orders = tuple(int(c) for c in orders)
         if not orders or any(c < 2 for c in orders):
@@ -187,38 +189,40 @@ class FiniteRing:
 
         cls._validate_struct(orders, struct, one_vec)
 
-        # mixed-radix indexing: index = coeffs . radix, last coordinate fastest
+        # the additive group is the product of the cyclic groups Z/o, in the
+        # mixed-radix index over the orders (first digit most significant)
+        add = np.zeros((1, 1), dtype=np.int32)
+        for o in orders:
+            z = np.arange(o, dtype=np.int32)
+            add = componentwise(add, (z[:, None] + z) % o)
         radix = mixed_radix(orders)
         coeffs = np.indices(orders).reshape(k, size).T.astype(np.int64)
+        # xe[j, x] = x * e_j.  Digit by digit from the last, the row of
+        # y = d*r_j + t (t < r_j) is the row of y - r_j plus xe[j], since
+        # (d e_j + t) x = ((d - 1) e_j + t) x + e_j x
+        xe = ((np.einsum('xi,ijv->jxv', coeffs, struct) % ordv) @ radix).astype(np.int32)
+        mul = np.zeros((size, size), dtype=np.int32)
+        for j in range(k - 1, -1, -1):
+            r = int(radix[j])
+            for d in range(1, orders[j]):
+                mul[d * r:(d + 1) * r] = add[mul[(d - 1) * r:d * r], xe[j]]
 
-        def encode(vecs):
-            return (np.asarray(vecs, dtype=np.int64) % ordv) @ radix
-
-        add = encode(coeffs[:, None, :] + coeffs[None, :, :]).astype(np.int32)
-        neg = encode(-coeffs).astype(np.int32)
-        # x * e_j for every x and j, then extend bilinearly in y
-        xe = np.einsum('xi,ijv->xjv', coeffs, struct) % ordv
-        mul = np.empty((size, size), dtype=np.int32)
-        chunk = max(1, (1 << 22) // max(1, size * k))
-        for lo in range(0, size, chunk):
-            hi = min(size, lo + chunk)
-            block = np.einsum('yj,xjv->xyv', coeffs, xe[lo:hi]) % ordv
-            mul[lo:hi] = encode(block)
-        one = int(encode(one_vec[None, :])[0])
-
-        return cls(size=size, add=add, mul=mul, neg=neg, zero=0, one=one,
-                   label=label, kind=kind, orders=orders, coeffs=coeffs,
-                   varmap=varmap, monomials=monomials, size_cap=size_cap)
+        ring = cls.from_tables(add, mul, int(one_vec @ radix), label=label,
+                               kind=kind, size_cap=size_cap)
+        ring.orders, ring.coeffs = orders, coeffs
+        ring.varmap, ring.monomials = dict(varmap or {}), monomials
+        return ring
 
     @classmethod
     def from_tables(cls, add, mul, one, *, label, kind, elem_names=None,
                     size_cap=DEFAULT_SIZE_CAP):
         """Build a ring directly from operation tables.
 
-        The tables must come from validated rings: a closed subset of one
-        re-indexed (:meth:`subset_ring`), a quotient by an ideal
-        (:func:`quotient_of_subring`), the square-zero doubling of one, or a
-        product of several (:func:`product_ring`).
+        The tables must come from structure constants proved on their
+        generators (:meth:`from_struct`) or from validated rings: a closed
+        subset of one re-indexed (:meth:`subset_ring`), a quotient by an
+        ideal (:func:`quotient_of_subring`), the square-zero doubling of
+        one, or a product of several (:func:`product_ring`).
         Such tables inherit associativity, commutativity and
         distributivity; only the additive identity, the negatives and the
         given ``one`` are checked here.
@@ -239,7 +243,7 @@ class FiniteRing:
         neg = inv_rows.argmax(axis=1).astype(np.int32)
         if not np.array_equal(mul[one], idx):
             raise RingError("identity law fails")
-        return cls(size=size, add=add, mul=mul, neg=neg, zero=zero, one=int(one),
+        return cls(add=add, mul=mul, neg=neg, zero=zero, one=int(one),
                    label=label, kind=kind, elem_names=elem_names, size_cap=size_cap)
 
     @staticmethod
@@ -726,11 +730,6 @@ def product_ring(rings, size_cap=DEFAULT_SIZE_CAP, label=None):
     if size > size_cap:
         raise SizeCapError(f"product size {size} exceeds cap {size_cap}")
 
-    def componentwise(table, fac_table):
-        m, n = len(table), len(fac_table)
-        return (table[:, None, :, None] * n
-                + fac_table[None, :, None, :]).reshape(m * n, m * n)
-
     add = mul = np.zeros((1, 1), dtype=np.int32)
     one = 0
     for r in rings:
@@ -822,8 +821,9 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
     ``relations``: list of Poly over R (see :func:`resolve_relation`).
     """
     if R.monomials is None:
-        raise RingError("quotient base must expose a monomial basis "
-                        "(build it with zmod/gf/quotient)")
+        raise RingError("quotient base must expose a monomial basis; a product, "
+                        "or a quotient with relations beyond the power rules, "
+                        "has none")
     newvars = sorted({v for rel in relations for m, _ in rel.terms for v, _ in m})
     if not newvars:
         raise InconsistentRelationsError("quotient relations adjoin no new variable")
@@ -955,8 +955,9 @@ def idealization(R, module_orders, action=None, size_cap=DEFAULT_SIZE_CAP,
     the generator-level axiom verification.
     """
     if R.monomials is None:
-        raise RingError("idealization base must expose a monomial basis "
-                        "(build it with zmod/gf/quotient)")
+        raise RingError("idealization base must expose a monomial basis; a product, "
+                        "or a quotient with relations beyond the power rules, "
+                        "has none")
     module_orders = tuple(int(o) for o in module_orders)
     if not module_orders or any(o < 2 for o in module_orders):
         raise RingError("module generator orders must all be >= 2")

@@ -18,11 +18,16 @@ that list every failing triple; they are the references for the join
 shortcuts and the first-failure scans.  ``struct_product_ring`` is the
 earlier direct product, assembled from the factors' structure constants;
 it is the reference for ``product_ring``'s tables, indices and names.
+``einsum_from_struct`` is the earlier ``FiniteRing.from_struct`` table
+build (coefficient-vector sums and an ``einsum`` over them), the reference
+for the digit-wise fold.  ``loop_closed_pair`` is the element loop behind
+the seminormal, u-closed and t-closed predicates.
 ``small_ring`` builds the tiny rings they run on.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -84,6 +89,57 @@ def struct_product_ring(rings, size_cap=fr.DEFAULT_SIZE_CAP, label=None):
         off += kf
     P.elem_names = ["(" + ", ".join(parts) + ")" for parts in zip(*columns)]
     return P
+
+
+def einsum_from_struct(cls, orders, struct, one_vec, *, label, kind,
+                       varmap=None, monomials=None, size_cap=fr.DEFAULT_SIZE_CAP):
+    """FiniteRing.from_struct with the earlier tables: addition encoded from
+    the n x n x k sums of coefficient vectors, multiplication by an
+    ``einsum`` over them in chunks of rows, and the negatives encoded from
+    the negated vectors (checked against from_tables' own)."""
+    orders = tuple(int(c) for c in orders)
+    if not orders or any(c < 2 for c in orders):
+        raise fr.RingError(f"additive generator orders must all be >= 2, got {orders}")
+    k, size = len(orders), math.prod(orders)
+    if size > size_cap:
+        raise fr.SizeCapError(f"ring size {size} exceeds cap {size_cap}")
+    ordv = np.array(orders, dtype=np.int64)
+    struct = np.asarray(struct, dtype=np.int64).reshape(k, k, k) % ordv
+    one_vec = np.asarray(one_vec, dtype=np.int64).reshape(k) % ordv
+    cls._validate_struct(orders, struct, one_vec)
+
+    radix = fr.mixed_radix(orders)
+    coeffs = np.indices(orders).reshape(k, size).T.astype(np.int64)
+
+    def encode(vecs):
+        return (np.asarray(vecs, dtype=np.int64) % ordv) @ radix
+
+    add = encode(coeffs[:, None, :] + coeffs[None, :, :]).astype(np.int32)
+    xe = np.einsum('xi,ijv->xjv', coeffs, struct) % ordv
+    mul = np.empty((size, size), dtype=np.int32)
+    chunk = max(1, (1 << 22) // max(1, size * k))
+    for lo in range(0, size, chunk):
+        hi = min(size, lo + chunk)
+        mul[lo:hi] = encode(np.einsum('yj,xjv->xyv', coeffs, xe[lo:hi]) % ordv)
+    ring = cls.from_tables(add, mul, int(encode(one_vec)), label=label,
+                           kind=kind, size_cap=size_cap)
+    assert ring.zero == 0 and np.array_equal(ring.neg, encode(-coeffs))
+    ring.orders, ring.coeffs = orders, coeffs
+    ring.varmap, ring.monomials = dict(varmap or {}), monomials
+    return ring
+
+
+def loop_closed_pair(S, lo, hi, rs):
+    """Whether no b in hi - lo and r in rs have b^2 - rb and b^3 - rb^2 in
+    lo, by a Python loop over the elements (rs = [0] is seminormality,
+    [1] u-closedness and lo t-closedness of lo in hi)."""
+    for b in sorted(hi - lo):
+        b2 = S.m(b, b)
+        b3 = S.m(b2, b)
+        for r in rs:
+            if S.sub(b2, S.m(r, b)) in lo and S.sub(b3, S.m(r, b2)) in lo:
+                return False
+    return True
 
 
 def isin_subring(S, subset):

@@ -11,7 +11,7 @@ from ringlattice import verify
 from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, corner_localization, largest_common_ideal,
-                     quotient_route_is_inert, small_ring)
+                     loop_closed_pair, quotient_route_is_inert, small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -256,6 +256,25 @@ def test_classify_agrees_with_definitional_minimality(e4, e5, e6):
                     continue
                 is_cover = bool(L.covers[i, j])
                 assert ex.is_minimal_pair(E.ambient, L.nodes[i], L.nodes[j]) == is_cover
+
+
+def test_closure_predicates_match_the_element_loop(e4, e5, e6):
+    # seminormal (r = 0), u-closed (r = 1) and t-closed (r in lo) on every
+    # comparable node pair, V4 = F2 + F2^4 over F2 included
+    V = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    seen = set()
+    for E in (e4, e5, e6, ex.Extension(V, ex.prime_subring(V))):
+        S, L = E.ambient, E.lattice()
+        for i, j in np.argwhere(L.leq).tolist():
+            lo, hi = L.nodes[i], L.nodes[j]
+            got = (ex.is_seminormal(S, lo, hi), ex.is_u_closed(S, lo, hi),
+                   ex.is_t_closed(S, lo, hi))
+            assert got == (loop_closed_pair(S, lo, hi, [S.zero]),
+                           loop_closed_pair(S, lo, hi, [S.one]),
+                           loop_closed_pair(S, lo, hi, sorted(lo))), (E.name, i, j)
+            seen.add(got)
+    # each predicate is seen both true and false
+    assert all({got[k] for got in seen} == {True, False} for k in range(3))
 
 
 def test_inert_covers_agree_with_the_quotient_route():

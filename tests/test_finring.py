@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from ringlattice.checks import doubled_ring
 from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
-                     frontier_join_closure, isin_conductor_pair,
+                     einsum_from_struct, frontier_join_closure, isin_conductor_pair,
                      isin_ideal_of, isin_subring, largest_common_ideal,
                      loop_is_field, loop_power, loop_subring_unit, small_ring,
                      struct_product_ring)
@@ -120,6 +121,107 @@ def test_gf_is_field():
         fr.gf(4)
     with pytest.raises(fr.RingError):
         fr.gf(2, 0)
+
+
+# every GF(p^k) with p^k <= 729
+GF_UPTO_729 = tuple((p, k) for p in range(2, 730) if fr.prime_factors(p) == [p]
+                    for k in range(1, 10) if p ** k <= 729)
+
+
+def test_least_irreducible_against_sympy():
+    # a third oracle: sympy decides irreducibility of each candidate f, and
+    # the field's x satisfies the chosen f
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def irreducible(low, p):
+        f = x ** len(low) + sum(c * x ** i for i, c in enumerate(low))
+        return sympy.Poly(f, x, modulus=p).is_irreducible
+
+    for p, k in GF_UPTO_729:
+        if k == 1:
+            continue
+        low = fr.least_irreducible(p, k)
+        assert irreducible(low, p), (p, k)
+        for hi_first in itertools.product(range(p), repeat=k):
+            if hi_first == tuple(reversed(low)):
+                break
+            assert not irreducible(tuple(reversed(hi_first)), p), (p, k, hi_first)
+        F = fr.gf(p, k)
+        value = F.zero
+        for i, c in enumerate(list(low) + [1]):
+            value = F.a(value, F.times(c, F.power(F.varmap["x"], i)))
+        assert value == F.zero, (p, k)
+
+
+@st.composite
+def _struct_build(draw):
+    """A thunk building a ring from structure constants: zmod(2..12), a
+    field of at most 729 elements, the SMALL_RINGS quotient or
+    idealization, or an idealization over F2, Z4 or F2[t]/(t^2) with random
+    module orders and action (ill-defined data included)."""
+    kind = draw(st.sampled_from(["zmod", "gf", "small", "idealization"]))
+    if kind == "zmod":
+        n = draw(st.integers(2, 12))
+        return lambda: fr.zmod(n)
+    if kind == "gf":
+        pk = draw(st.sampled_from(GF_UPTO_729))
+        return lambda: fr.gf(*pk)
+    if kind == "small":
+        name = draw(st.sampled_from(["F2[x]/(x^3)", "F2+F2^2"]))
+        return lambda: small_ring.__wrapped__(name)    # each side builds its own
+    base = draw(st.sampled_from(["F2", "Z4", "F2[t]/(t^2)"]))
+    orders = tuple(draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3)))
+    action = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(orders),
+                                    max_size=len(orders)),
+                           min_size=len(orders), max_size=len(orders)))
+
+    def build():
+        if base == "F2[t]/(t^2)":
+            F2 = fr.gf(2)
+            R = fr.quotient_by_relations(F2, [fr.resolve_relation(F2, [((("t", 2),), 1)])])
+            return fr.idealization(R, orders, action={"t": action})
+        return fr.idealization(fr.gf(2) if base == "F2" else fr.zmod(4), orders)
+    return build
+
+
+def _built(build):
+    try:
+        return build()
+    except fr.RingError as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None)
+@given(_struct_build())
+@example(lambda: fr.gf(3, 6))
+@example(lambda: fr.gf(2, 9))
+def test_struct_tables_match_the_einsum_build(build):
+    R = _built(build)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fr.FiniteRing, "from_struct", classmethod(einsum_from_struct))
+        ref = _built(build)
+    if isinstance(ref, Exception):
+        assert type(R) is type(ref) and str(R) == str(ref)
+        return
+    for table in ("add", "mul", "neg", "coeffs"):
+        assert np.array_equal(getattr(R, table), getattr(ref, table)), table
+    assert (R.zero, R.one, R.orders, R.varmap, R.monomials) == \
+        (ref.zero, ref.one, ref.orders, ref.varmap, ref.monomials)
+    assert [R.elem_str(i) for i in range(R.size)] == \
+        [ref.elem_str(i) for i in range(ref.size)]
+
+
+def test_struct_build_holds_only_its_tables():
+    # GF(2^10) has two 4 MiB tables; the einsum build traced about 168 MiB
+    fr.least_irreducible(2, 10)     # the sieve is cached, outside the trace
+    tracemalloc.start()
+    try:
+        fr.gf(2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 FIELDS = tuple((2, n) for n in range(1, 7)) + tuple((3, n) for n in range(1, 5))
@@ -485,17 +587,25 @@ def test_rings_isomorphic_on_products():
 
 
 def test_generator_constructors_reject_a_product_base(monkeypatch):
-    # a product has no monomial basis; the check comes before any conversion
+    # a product has no monomial basis, nor has a quotient cut down by an
+    # extra relation (F2[x]/(x^3, x^2)); the message names both causes, and
+    # the check comes before any conversion
     P = fr.product_ring([fr.gf(2), fr.gf(2)])
+    F2 = fr.gf(2)
+    Q = fr.quotient_by_relations(F2, [fr.resolve_relation(F2, [((("x", 3),), 1)]),
+                                      fr.resolve_relation(F2, [((("x", 2),), 1)])])
+    assert Q.size == 4 and Q.monomials is None
 
     def no_conversion(ring):
         raise AssertionError("as_struct_ring called")
 
     monkeypatch.setattr(fr, "as_struct_ring", no_conversion)
-    with pytest.raises(fr.RingError, match="quotient base must expose"):
-        fr.quotient_by_relations(P, [fr.resolve_relation(P, [((("y", 2),), 1)])])
-    with pytest.raises(fr.RingError, match="idealization base must expose"):
-        fr.idealization(P, (2,))
+    cause = "a product, or a quotient with relations beyond the power rules"
+    for R in (P, Q):
+        with pytest.raises(fr.RingError, match=f"quotient base must expose .*{cause}"):
+            fr.quotient_by_relations(R, [fr.resolve_relation(R, [((("y", 2),), 1)])])
+        with pytest.raises(fr.RingError, match=f"idealization base must expose .*{cause}"):
+            fr.idealization(R, (2,))
 
 
 @st.composite
