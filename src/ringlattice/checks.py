@@ -1444,7 +1444,9 @@ def chain_ring_quadratic_distributive(a):
         return _na("maximal ideal of the base not principal")
     base_list = sorted(E.base)
     quad = None
-    for s in sorted(E.top - E.base):
+    # base[s] and whether s^2 lies in base + base*s are the same for every
+    # s in a coset s + base
+    for s in ex.coset_leaders(S, E.base, E.top):
         if S.adjoin(E.base, s) != E.top:
             continue
         lin_span = S.additive_closure(

@@ -186,12 +186,20 @@ def generated_subring(S: fr.FiniteRing, base, elems) -> frozenset:
     return T
 
 
+def coset_leaders(S: fr.FiniteRing, lo, hi) -> list[int]:
+    """The least element of each coset s + lo in hi - lo, ascending.  For b
+    in lo, s and s + b generate each other over lo, so lo[s + b] = lo[s]
+    and one s per coset reaches every lo[s]."""
+    h = S.arr(hi)
+    return fr.orbit_leaders(S.add, h[~S.mask(lo)[h]], S.arr(lo))
+
+
 def monogenic_subrings(E: Extension) -> dict[frozenset, int]:
     """{base[s]: least such s} over s in top; the base maps to its least
     element."""
     S = E.ambient
     gens = {E.base: min(E.base)}
-    for s in sorted(E.top - E.base):
+    for s in coset_leaders(S, E.base, E.top):
         gens.setdefault(S.adjoin(E.base, s), s)
     return gens
 
@@ -305,7 +313,8 @@ def is_minimal_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Definitional minimality by monogenic search: no s with
     lo < lo[s] < hi.  (If every lo[s] = hi for s outside lo, any strictly
     intermediate ring would contain such an lo[s].)"""
-    return lo != hi and all(S.adjoin(lo, s) == hi for s in sorted(hi - lo))
+    return lo != hi and all(S.adjoin(lo, s) == hi
+                            for s in coset_leaders(S, lo, hi))
 
 
 def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
@@ -434,7 +443,8 @@ def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:
 
 def is_simple(E: Extension) -> bool:
     S = E.ambient
-    return any(S.adjoin(E.base, s) == E.top for s in sorted(E.top - E.base))
+    return any(S.adjoin(E.base, s) == E.top
+               for s in coset_leaders(S, E.base, E.top))
 
 
 def is_locally_minimal(E: Extension) -> bool:

@@ -71,6 +71,21 @@ def componentwise(table, fac_table):
             + fac_table[None, :, None, :]).reshape(m * n, m * n)
 
 
+def orbit_leaders(table, pool, group) -> list[int]:
+    """The least element of each orbit {table[x, g] : g in group} that
+    meets the ascending index array ``pool``, in ascending order.  The
+    orbits must partition the elements: ``group`` a subgroup under addition
+    (the cosets x + group) or the units under multiplication (the classes
+    x*units)."""
+    seen = np.zeros(len(table), dtype=bool)
+    leaders = []
+    for x in pool.tolist():
+        if not seen[x]:
+            leaders.append(x)
+            seen[table[x, group]] = True
+    return leaders
+
+
 def check_limit(count, limit, what):
     """RingError when an enumeration of ``what`` holds more than ``limit``
     elements."""
@@ -156,7 +171,8 @@ class FiniteRing:
         # decomposition (primitive_idempotents)
         self._arrays = {}
         self._decompositions = {}
-        # (lo, s) -> lo[s] (adjoin), and each such subring once (interning)
+        # (lo, s) -> lo[s] (adjoin); each subring once (interning), and each
+        # other set adjoin was given -> the subring it generates
         self._adjoined = {}
         self._subrings = {}
 
@@ -371,13 +387,22 @@ class FiniteRing:
     # of generators g_i is closed under a multiplier m as soon as every
     # g_i*m lies in it, because (sum c_i g_i)*m = sum c_i (g_i m); so
     # _span_closure only ever multiplies generators, never the span.
+    #
+    # A closure may start from a set that is already closed, never from one
+    # that is not: an ideal join a v b starts from a, and lo[s] starts from
+    # the subring lo (whose products lie in lo) with multipliers lo and s.
+    # lo[s] depends only on the coset s + lo, so callers close one s per
+    # coset (orbit_leaders), and the principal ideals of all_ideals need
+    # one generator per class g*units.
 
-    def _span_closure(self, gens, mults=()) -> np.ndarray:
-        """The closure described above, as a sorted index array; each new
+    def _span_closure(self, gens, mults=(), start=None) -> np.ndarray:
+        """The closure described above, as a sorted index array, starting
+        from the closed index array ``start`` (default {0}); each new
         generator adds its cosets, then queues its products."""
-        inside = np.zeros(self.size, dtype=bool)
-        inside[self.zero] = True
-        span = np.array([self.zero], dtype=np.int32)
+        if start is None:
+            start = np.array([self.zero], dtype=np.int32)
+        inside = self.mask(start)
+        span = start
         mults = _index_vector(mults)
         pending = [_index_vector(gens)]
         while pending:
@@ -401,27 +426,43 @@ class FiniteRing:
                 pending.append(self.mul[g, mults])
         return np.flatnonzero(inside).astype(np.int32)
 
-    def additive_closure(self, seed) -> np.ndarray:
-        """Subgroup of (R,+) generated by ``seed`` (no multipliers)."""
-        return self._span_closure(seed)
+    def additive_closure(self, seed, start=None) -> np.ndarray:
+        """Subgroup of (R,+) generated by ``seed`` and the subgroup
+        ``start`` (no multipliers)."""
+        return self._span_closure(
+            seed, start=None if start is None else self.arr(start))
 
-    def subring_closure(self, seed) -> np.ndarray:
-        """Smallest unital subring containing ``seed``: the span of 1 and
-        the seed, closed under the seed as multipliers, holds every monomial
-        in the seed."""
-        seed = list(seed)
-        return self._span_closure(seed + [self.one], seed)
+    def subring_closure(self, seed, over=None) -> np.ndarray:
+        """Smallest unital subring containing ``seed`` and the subring
+        ``over``: the span of 1 (or of ``over``) and the seed, closed under
+        ``over`` and the seed as multipliers, holds every monomial in them."""
+        seed = _index_vector(list(seed))
+        if over is None:
+            return self._span_closure(np.append(seed, self.one), seed)
+        T = self.arr(over)
+        return self._span_closure(seed, np.concatenate([T, seed]), start=T)
 
     def adjoin(self, lo, s) -> frozenset:
         """lo[s], the subring generated by the frozenset ``lo`` and the
-        element ``s``.  Memoised on the ring by (lo, s); equal results are
-        one shared frozenset."""
+        element ``s``: the closure of s over the subring that lo generates,
+        which is closed (once) when lo is not an interned subring.
+        Memoised on the ring by (lo, s); equal results are one shared
+        frozenset."""
         key = (lo, s)
         T = self._adjoined.get(key)
         if T is None:
-            T = frozenset(self.subring_closure(sorted(lo) + [s]).tolist())
-            T = self._adjoined[key] = self._subrings.setdefault(T, T)
+            base = self._subrings.get(lo)
+            if base is None:
+                base = self._subrings[lo] = self._intern(
+                    self.subring_closure(sorted(lo)))
+            T = self._adjoined[key] = self._intern(
+                self.subring_closure([s], over=base))
         return T
+
+    def _intern(self, closed) -> frozenset:
+        """The shared frozenset of the subring with index array ``closed``."""
+        T = frozenset(closed.tolist())
+        return self._subrings.setdefault(T, T)
 
     def arr(self, X) -> np.ndarray:
         """The sorted, read-only int32 index array of the element set X;
@@ -482,10 +523,14 @@ class FiniteRing:
         When ``gens`` is an ideal, these are the ideals inside it; for
         ``gens`` outside ``within``, they are the ``within``-submodules
         generated by elements of ``gens``."""
-        pool = self.arr(within if gens is None else gens)
+        # (g) = (u*g) for a unit u of within, so one g per class g*units
+        units = frozenset(self.arr(within).tolist()).difference(
+            *maximal_ideals(self, within))
+        pool = orbit_leaders(self.mul, self.arr(within if gens is None else gens),
+                             self.arr(units))
         found, _ = join_closure(
             {frozenset(self.ideal_closure(within, [g]).tolist()) for g in pool},
-            lambda a, b: frozenset(self.additive_closure(a | b).tolist()),
+            lambda a, b: frozenset(self.additive_closure(b, start=a).tolist()),
             IDEAL_LIMIT, "ideal enumeration")
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 

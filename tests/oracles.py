@@ -21,7 +21,11 @@ it is the reference for ``product_ring``'s tables, indices and names.
 ``einsum_from_struct`` is the earlier ``FiniteRing.from_struct`` table
 build (coefficient-vector sums and an ``einsum`` over them), the reference
 for the digit-wise fold.  ``loop_closed_pair`` is the element loop behind
-the seminormal, u-closed and t-closed predicates.
+the seminormal, u-closed and t-closed predicates.  ``scratch_adjoin`` is
+the earlier ``FiniteRing.adjoin``, one closure of lo and s from {0} with no
+memo; ``every_s_monogenic_subrings``, ``every_s_is_minimal_pair`` and
+``every_s_is_simple`` close lo[s] with it for every s in hi - lo, the
+references for the closures that start from lo and take one s per coset.
 ``small_ring`` builds the tiny rings they run on.
 """
 
@@ -322,6 +326,31 @@ def closure_enumeration(E, node_limit=DEFAULT_NODE_LIMIT):
     nodes = frontier_join_closure(gens, join_of, node_limit,
                                   "interval enumeration")
     return nodes, joins
+
+
+def scratch_adjoin(S, lo, s):
+    """lo[s] as one closure of lo and s from {0}, without the memo."""
+    return frozenset(S.subring_closure(sorted(lo) + [s]).tolist())
+
+
+def every_s_monogenic_subrings(E):
+    """{base[s]: least such s} with one closure per s in top - base; the
+    base maps to its least element."""
+    gens = {E.base: min(E.base)}
+    for s in sorted(E.top - E.base):
+        gens.setdefault(scratch_adjoin(E.ambient, E.base, s), s)
+    return gens
+
+
+def every_s_is_minimal_pair(S, lo, hi):
+    """No s in hi - lo with lo < lo[s] < hi, closing lo[s] for every s."""
+    return lo != hi and all(scratch_adjoin(S, lo, s) == hi
+                            for s in sorted(hi - lo))
+
+
+def every_s_is_simple(S, lo, hi):
+    """Some s in hi - lo with lo[s] = hi, closing lo[s] for every s."""
+    return any(scratch_adjoin(S, lo, s) == hi for s in sorted(hi - lo))
 
 
 def list_distributive_law_scan(L):

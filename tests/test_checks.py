@@ -219,9 +219,9 @@ def test_module_check_joins_each_submodule_pair_once(monkeypatch):
         a.loc(M).verdict
     closures, closure = [0], fr.FiniteRing.additive_closure
 
-    def counting_closure(self, seed):
+    def counting_closure(self, seed, **kw):
         closures[0] += 1
-        return closure(self, seed)
+        return closure(self, seed, **kw)
 
     monkeypatch.setattr(fr.FiniteRing, "additive_closure", counting_closure)
     r = verify.run_check("module_lattice_correspondence", a)

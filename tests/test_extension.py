@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringlattice import catalog as cat
+from ringlattice import dsl
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice import verify
+from ringlattice.checks import doubled_ring
 
 from ringlattice.verify import brute_force_subrings
 
-from oracles import (SMALL_RINGS, corner_localization, largest_common_ideal,
-                     loop_closed_pair, quotient_route_is_inert, small_ring)
+from oracles import (SMALL_RINGS, corner_localization, every_s_is_minimal_pair,
+                     every_s_is_simple, every_s_monogenic_subrings,
+                     largest_common_ideal, loop_closed_pair,
+                     quotient_route_is_inert, small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -76,6 +81,57 @@ def test_generated_subring_fold_is_one_closure(name, seed, elems):
     base = frozenset(R.subring_closure(seed).tolist())
     gen = ex.generated_subring(R, base, elems)
     assert gen == frozenset(R.subring_closure(sorted(base) + elems).tolist())
+
+
+def _doubled(E):
+    """base(+)top <= top(+)top, the doubled extension of
+    idealization_transfer, on a fresh ring."""
+    n = len(E.top)
+    pos = {x: i for i, x in enumerate(sorted(E.top))}
+    return ex.Extension(doubled_ring(E.ambient, E.top),
+                        [pos[r] * n + i for r in sorted(E.base) for i in range(n)])
+
+
+def _assert_monogenic_matches_every_s(E):
+    # the same generators, least ones included, in the same order
+    assert list(ex.monogenic_subrings(E).items()) == \
+        list(every_s_monogenic_subrings(E).items())
+
+
+def test_monogenic_subrings_match_the_every_s_loop():
+    for inst in cat.CATALOG:
+        E = dsl.build_extension(inst.spec)
+        _assert_monogenic_matches_every_s(E)
+        if len(E.top) <= 16:
+            _assert_monogenic_matches_every_s(_doubled(E))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_monogenic_subrings_match_the_every_s_loop_on_small_rings(name, seed):
+    R = small_ring(name)
+    E = ex.Extension(R, R.subring_closure(seed))
+    _assert_monogenic_matches_every_s(E)
+    _assert_monogenic_matches_every_s(_doubled(E))
+
+
+def test_monogenic_subrings_close_one_s_per_coset(monkeypatch, e5):
+    # lo[s + b] = lo[s] for b in lo: a fresh ring runs one closure from the
+    # base per coset of the base in top - base, and the base's own closure
+    S = fr.gf(2, 6)
+    closures, closure = {"over": 0, "scratch": 0}, fr.FiniteRing.subring_closure
+
+    def counting_closure(self, seed, **kw):
+        closures["over" if kw.get("over") is not None else "scratch"] += 1
+        return closure(self, seed, **kw)
+
+    for E in (ex.Extension(S, ex.prime_subring(S)), _doubled(e5)):
+        monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
+        gens = ex.monogenic_subrings(E)
+        monkeypatch.undo()
+        assert closures == {"over": len(E.top) // len(E.base) - 1, "scratch": 1}
+        assert gens == every_s_monogenic_subrings(E)
+        closures.update(over=0, scratch=0)
 
 
 def test_generated_subring_e5_seminormalization(e5):
@@ -256,6 +312,26 @@ def test_classify_agrees_with_definitional_minimality(e4, e5, e6):
                     continue
                 is_cover = bool(L.covers[i, j])
                 assert ex.is_minimal_pair(E.ambient, L.nodes[i], L.nodes[j]) == is_cover
+
+
+def test_minimal_and_simple_agree_with_the_every_s_loop(e4, e5):
+    # on every comparable node pair, one s per coset decides both
+    # predicates as closing lo[s] for every s does, and both sides occur
+    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    v4 = ex.Extension(S, ex.prime_subring(S))
+    seen = set()
+    for E in (e4, e5, v4):
+        S, nodes = E.ambient, E.lattice().nodes
+        for lo in nodes:
+            for hi in nodes:
+                if not lo <= hi:
+                    continue
+                minimal = ex.is_minimal_pair(S, lo, hi)
+                simple = ex.is_simple(ex.Extension(S, lo, hi))
+                assert minimal == every_s_is_minimal_pair(S, lo, hi)
+                assert simple == every_s_is_simple(S, lo, hi)
+                seen.add((minimal, simple))
+    assert seen == {(False, False), (True, True), (False, True)}
 
 
 def test_closure_predicates_match_the_element_loop(e4, e5, e6):

@@ -385,6 +385,48 @@ def test_closure_is_idempotent_and_minimal(name, seed, within_seed):
             *[I for I in ideals if gens <= I])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2),
+       st.sets(st.integers(0, 7), max_size=3))
+def test_closure_from_a_closed_set_is_the_closure_of_the_union(name, under, seed):
+    _assert_closed_start_is_the_union(small_ring(name), under, seed)
+
+
+def test_closure_from_a_closed_set_on_f2_to_the_4():
+    # over T = F2[(1,1,0,0)], s = (1,0,1,0) needs T*s, which no power of s
+    # and no element of T gives: the start must multiply by T too
+    R = fr.product_ring([fr.gf(2)] * 4)
+    for t, s in itertools.product(range(R.size), repeat=2):
+        _assert_closed_start_is_the_union(R, {t}, {s})
+
+
+def _assert_closed_start_is_the_union(R, under, seed):
+    # a closure that starts from a subring T (an ideal a) equals the
+    # closure of seed and T (seed and a) from {0}
+    T = R.subring_closure(under)
+    assert np.array_equal(R.subring_closure(seed, over=frozenset(T.tolist())),
+                          R.subring_closure(seed | set(T.tolist())))
+    a = R.ideal_closure(np.arange(R.size), under)
+    assert np.array_equal(R.additive_closure(seed, start=a),
+                          R.additive_closure(seed | set(a.tolist())))
+
+
+def test_all_ideals_closes_one_principal_ideal_per_associate_class(monkeypatch):
+    # (g) = (u*g) for a unit u: a field closes (0) and (1), Z/12 one ideal
+    # per associate class (six), and F2^4, whose only unit is 1, all 16
+    closures, closure = [0], fr.FiniteRing.ideal_closure
+
+    def counting_closure(self, within, gens):
+        closures[0] += 1
+        return closure(self, within, gens)
+
+    monkeypatch.setattr(fr.FiniteRing, "ideal_closure", counting_closure)
+    for R, count in ((fr.gf(2, 4), 2), (fr.zmod(12), 6),
+                     (fr.product_ring([fr.gf(2)] * 4), 16)):
+        closures[0] = 0
+        assert len(R.all_ideals(np.arange(R.size))) == closures[0] == count
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_RINGS),
        st.data())

@@ -270,9 +270,9 @@ def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
     closures, per_build = [0], []
     closure, build = fr.FiniteRing.subring_closure, ExtensionLattice.__init__
 
-    def counting_closure(self, seed):
+    def counting_closure(self, seed, **kw):
         closures[0] += 1
-        return closure(self, seed)
+        return closure(self, seed, **kw)
 
     def counting_build(self, *args, **kwargs):
         before = closures[0]
@@ -297,9 +297,9 @@ def test_second_enumeration_runs_no_closures(monkeypatch):
     closures = [0]
     closure = fr.FiniteRing.subring_closure
 
-    def counting_closure(self, seed):
+    def counting_closure(self, seed, **kw):
         closures[0] += 1
-        return closure(self, seed)
+        return closure(self, seed, **kw)
 
     monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
     second = ex.enumerate_interval(ex.Extension(S, base))
@@ -357,9 +357,9 @@ def test_enumeration_derives_most_joins(monkeypatch):
     E = ex.Extension(S, ex.prime_subring(S))
     closures, closure = [0], fr.FiniteRing.subring_closure
 
-    def counting_closure(self, seed):
+    def counting_closure(self, seed, **kw):
         closures[0] += 1
-        return closure(self, seed)
+        return closure(self, seed, **kw)
 
     monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
     _, joins = _captured_enumeration(E)
