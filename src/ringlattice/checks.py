@@ -223,10 +223,7 @@ def shared_ideal_quotient_equivalence(a):
         return _na("trivial extension")
     # an ideal of the top inside the base lies in the conductor
     shared = a.S.all_ideals(a.E.top, gens=ex.conductor(a.E))
-    # the quotient by {0} is the extension itself
-    verdicts = [a.verdict.distributive if len(I) == 1 else
-                ex.quotient_extension(a.S, a.E.base, a.E.top, I)
-                .lattice().verdict().distributive for I in shared]
+    verdicts = [a.quotient(I).verdict.distributive for I in shared]
     ok = all(v == a.verdict.distributive for v in verdicts)
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"verdicts": verdicts,
@@ -241,11 +238,9 @@ def quotient_transfer(a):
     if not _proper(a) or not a.verdict.distributive:
         return _na("extension not distributive")
     for J in a.S.all_ideals(a.E.top):
-        # top/{0} is the extension itself, top/top is no ring
-        if len(J) == 1 or J == a.E.top:
+        if J == a.E.top:        # top/top is no ring
             continue
-        sub = ex.quotient_extension(a.S, a.E.base, a.E.top, J)
-        if not sub.lattice().verdict().distributive:
+        if not a.quotient(J).verdict.distributive:
             return CheckResult("", "", "fail",
                                witness={"ideal_size": len(J)})
     return CheckResult("", "", "pass")
@@ -590,9 +585,10 @@ def b2_structure_cases(a):
                 if plus not in (V, W) and cond == M:
                     rhs = True
             if not rhs and cond == M and ex.is_t_closed(S, V, W):
-                # residue interval must have exactly 4 subfields
-                res = ex.quotient_extension(S, V, W, M)
-                rhs = fr.is_field(res.ambient) and len(res.lattice().nodes) == 4
+                # residue interval must have exactly 4 subfields: W/M is a
+                # field iff M is maximal in W
+                rhs = M in fr.maximal_ideals(S, W) and \
+                    len(pa.quotient(M).nodes) == 4
         if lhs != rhs:
             return CheckResult("", "", "fail", witness={
                 "interval": [v, w], "b2": lhs, "cases": rhs})
@@ -642,8 +638,7 @@ def seminormal_infra_iff_locally_minimal(a):
 def t_closed_residual_distributivity(a):
     if not _proper(a) or not a.flags.t_closed:
         return _na("extension not t-closed")
-    res = [ex.quotient_extension(a.S, a.E.base, a.E.top, Q)
-           .lattice().verdict().distributive for Q in a.E.max_ideals_top()]
+    res = [a.quotient(Q).verdict.distributive for Q in a.E.max_ideals_top()]
     return _iff(a.verdict.distributive, all(res), {"residual_verdicts": res})
 
 

@@ -105,6 +105,15 @@ class Extension:
             raise fr.RingError("top is not a unital subring of the ambient ring")
         self._cache = {}
 
+    @classmethod
+    def _between(cls, ambient, lo, hi, name=None):
+        """The extension lo <= hi for two comparable nodes of an enumerated
+        interval.  Lattice nodes are unital subrings, so the constructor's
+        two is_subring scans are skipped."""
+        E = cls.__new__(cls)
+        E.ambient, E.base, E.top, E.name, E._cache = ambient, lo, hi, name, {}
+        return E
+
     def __repr__(self):
         nm = f"{self.name}: " if self.name else ""
         return (f"Extension({nm}{len(self.base)} <= {len(self.top)} "
@@ -235,14 +244,28 @@ def idempotent_style_generator(E: Extension) -> int | None:
 # ----------------------------------------------------------------------
 # conductor, support, localization, fibers, residues
 
+def _pair_fact(S: fr.FiniteRing, kind, lo, hi, compute):
+    """compute(), memoised on the ring by (kind, lo, hi) when lo and hi are
+    frozensets: the pair facts below depend on the two subrings only."""
+    if not (isinstance(lo, frozenset) and isinstance(hi, frozenset)):
+        return compute()
+    key = (kind, lo, hi)
+    fact = S._pair_facts.get(key)
+    if fact is None:
+        fact = S._pair_facts[key] = compute()
+    return fact
+
+
 def conductor_pair(S: fr.FiniteRing, lo, hi) -> frozenset:
     """(lo : hi) = {z in lo : z*hi <= lo}, the largest common ideal."""
-    lo_arr = S.arr(lo)
-    cond = frozenset(lo_arr[S.mask(lo)[S.mul[np.ix_(lo_arr, S.arr(hi))]]
-                            .all(axis=1)].tolist())
-    if not S.is_ideal_of(lo, cond) or not S.is_ideal_of(hi, cond):
-        raise TheoremViolation("conductor is not an ideal of both rings")
-    return cond
+    def scan():
+        lo_arr = S.arr(lo)
+        cond = frozenset(lo_arr[S.mask(lo)[S.mul[np.ix_(lo_arr, S.arr(hi))]]
+                                .all(axis=1)].tolist())
+        if not S.is_ideal_of(lo, cond) or not S.is_ideal_of(hi, cond):
+            raise TheoremViolation("conductor is not an ideal of both rings")
+        return cond
+    return _pair_fact(S, "conductor", lo, hi, scan)
 
 
 def conductor(E: Extension) -> frozenset:
@@ -399,17 +422,20 @@ def _closed_for(S: fr.FiniteRing, lo, hi, rs) -> bool:
 
 def is_seminormal(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2, b^3 in lo (r = 0)."""
-    return _closed_for(S, lo, hi, np.array([S.zero]))
+    return _pair_fact(S, "seminormal", lo, hi,
+                      lambda: _closed_for(S, lo, hi, np.array([S.zero])))
 
 
 def is_u_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2-b, b^3-b^2 in lo (r = 1)."""
-    return _closed_for(S, lo, hi, np.array([S.one]))
+    return _pair_fact(S, "u_closed", lo, hi,
+                      lambda: _closed_for(S, lo, hi, np.array([S.one])))
 
 
 def is_t_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo and r in lo with b^2-rb, b^3-rb^2 in lo."""
-    return _closed_for(S, lo, hi, S.arr(lo))
+    return _pair_fact(S, "t_closed", lo, hi,
+                      lambda: _closed_for(S, lo, hi, S.arr(lo)))
 
 
 def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
@@ -426,14 +452,17 @@ def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
 
 def is_infra_integral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """All residual extensions are isomorphisms (finite fields: equal size)."""
-    return all(a == b for a, b in residual_degrees(S, lo, hi))
+    return _pair_fact(S, "infra_integral", lo, hi, lambda: all(
+        a == b for a, b in residual_degrees(S, lo, hi)))
 
 
 def is_subintegral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Infra-integral with bijective spectrum map."""
-    contractions = sorted((P for _, P in spectrum_map(S, lo, hi)), key=sorted)
-    return contractions == fr.maximal_ideals(S, lo) and \
-        is_infra_integral_pair(S, lo, hi)
+    def scan():
+        contractions = sorted((P for _, P in spectrum_map(S, lo, hi)), key=sorted)
+        return contractions == fr.maximal_ideals(S, lo) and \
+            is_infra_integral_pair(S, lo, hi)
+    return _pair_fact(S, "subintegral", lo, hi, scan)
 
 
 def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:

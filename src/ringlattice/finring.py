@@ -175,6 +175,9 @@ class FiniteRing:
         # other set adjoin was given -> the subring it generates
         self._adjoined = {}
         self._subrings = {}
+        # (kind, lo, hi) -> the conductor or a boolean closure predicate of
+        # the pair lo <= hi (extension._pair_fact)
+        self._pair_facts = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -1111,16 +1114,6 @@ class LocalFactorDecomposition:
     maximal_ideals: list[frozenset]     # maximal ideal of T attached to each
 
 
-def subring_unit(S, T):
-    """The multiplicative identity of the closed subset T; RingError unless
-    exactly one element acts as 1 on T."""
-    T = S.arr(T)
-    units = T[(S.mul[np.ix_(T, T)] == T).all(axis=1)]
-    if units.size != 1:
-        raise RingError("subset has no unique multiplicative identity")
-    return int(units[0])
-
-
 def primitive_idempotents(S, subring=None, unit=None) -> LocalFactorDecomposition:
     """Complete orthogonal set of primitive idempotents of a subring, found
     by exhaustive scan of e^2 = e refined by mutual multiplication; the
@@ -1135,14 +1128,16 @@ def primitive_idempotents(S, subring=None, unit=None) -> LocalFactorDecompositio
 def _decomposition(S, T):
     """The memo entry of the subring T (None for S itself), keyed by its
     frozenset: each subring is decomposed once per ring, and on that first
-    call the sum of its primitive idempotents must be its own unit."""
+    call the sum of its primitive idempotents must be its own unit.  An
+    identity is unique when it exists, so that is one row: the sum acts as
+    1 on T."""
     if not isinstance(T, frozenset):
         T = frozenset(range(S.size) if T is None else S.arr(T).tolist())
     dec = S._decompositions.get(T)
     if dec is None:
         arr = S.arr(T)
         dec = _primitive_decomposition(S, arr)
-        if dec[0] != subring_unit(S, arr):
+        if not np.array_equal(S.mul[dec[0], arr], arr):
             raise RingError("primitive idempotents do not sum to 1")
         S._decompositions[T] = dec
     return dec
@@ -1165,8 +1160,12 @@ def _primitive_decomposition(S, T):
     for e in prim:
         fac = np.unique(S.mul[e, T])
         fac.flags.writeable = False
-        # the maximal ideal of e*T is its non-units; M = {x : e*x in it}
-        inv = (S.mul[np.ix_(fac, fac)] == e).any(axis=1)
+        # the maximal ideal of e*T is its non-units; M = {x : e*x in it}.
+        # Blocks of rows of about 2^18 products bound the memory.
+        inv = np.empty(fac.size, dtype=bool)
+        step = max(1, (1 << 18) // fac.size)
+        for i in range(0, fac.size, step):
+            inv[i:i + step] = (S.mul[np.ix_(fac[i:i + step], fac)] == e).any(axis=1)
         non_unit = S.mask(fac[~inv])
         factors.append(fac)
         maxideals.append(frozenset(T[non_unit[S.mul[e, T]]].tolist()))

@@ -115,8 +115,9 @@ class ExtensionLattice:
     incomparable (node, join-irreducible node) pair.  Every node is a join
     of join-irreducible ones, so the facts then prove that the table join
     is the generated subring for every pair.  Without facts the join is
-    the least upper bound in the node set only (a sub-interval of a
-    checked lattice needs no more).
+    the least upper bound in the node set only.  A sub-interval of a
+    checked lattice is not built here but sliced out of its tables
+    (:meth:`interval`).
     """
 
     def __init__(self, nodes, joins=None, ambient=None):
@@ -145,7 +146,11 @@ class ExtensionLattice:
             self._check_join_facts(joins, join, up, down)
         self.meet = np.array(meet, dtype=np.int32).reshape(n, n)
         self.join = np.array(join, dtype=np.int32).reshape(n, n)
+        self._clear_memos()
+
+    def _clear_memos(self):
         self._levels = {}
+        self._intervals = {}
         self._distributive = None
         self._verdict = None
 
@@ -218,29 +223,54 @@ class ExtensionLattice:
         return [int(v) for v in np.flatnonzero(self.leq[a] & self.leq[:, b])]
 
     def interval(self, a, b):
-        """The sublattice [a, b] as a fresh ExtensionLattice."""
-        if not self.leq[a, b]:
-            raise LatticeError("interval endpoints are not comparable")
-        sel = [self.nodes[v] for v in self.interval_nodes(a, b)]
-        return ExtensionLattice(sel, ambient=self.ambient)
+        """The sublattice [a, b], built once per (a, b).  An interval is
+        convex and closed under meet and join, and its nodes keep their
+        sort order, so its order, covers and tables are this lattice's
+        restricted to its nodes and renumbered; an entry that falls
+        outside the selection raises."""
+        key = (int(a), int(b))
+        sub = self._intervals.get(key)
+        if sub is None:
+            if not self.leq[key]:
+                raise LatticeError("interval endpoints are not comparable")
+            sub = self._intervals[key] = self._restricted(
+                np.flatnonzero(self.leq[a] & self.leq[:, b]))
+        return sub
+
+    def _restricted(self, sel):
+        """The sublattice on the ascending node indices ``sel``."""
+        pos = np.full(self.n, -1, dtype=np.int32)
+        pos[sel] = np.arange(sel.size, dtype=np.int32)
+        block = np.ix_(sel, sel)
+        meet, join = pos[self.meet[block]], pos[self.join[block]]
+        if (meet < 0).any() or (join < 0).any():
+            raise LatticeError("interval is not closed under meet and join")
+        sub = object.__new__(ExtensionLattice)
+        sub.ambient = self.ambient
+        sub.nodes = [self.nodes[v] for v in sel.tolist()]
+        sub.index = {s: i for i, s in enumerate(sub.nodes)}
+        sub.n = len(sub.nodes)
+        sub.leq, sub.covers = self.leq[block], self.covers[block]
+        sub.meet, sub.join = meet, join
+        sub._clear_memos()
+        return sub
 
     # ------------------------------------------------------------------
     # catenarity and length
 
     def check_catenarian(self):
         """True iff all maximal chains between any two comparable nodes have
-        equal length.  Witness: an interval with a cover edge skipping a
-        longest-path level."""
-        for a in range(self.n):
-            lev = self.levels_from(a)
-            up = lev >= 0
-            for u in np.flatnonzero(up):
-                for v in np.flatnonzero(self.covers[u]):
-                    if up[v] and lev[v] != lev[u] + 1:
-                        return False, {"interval": [int(a), int(v)],
-                                       "edge": [int(u), int(v)],
-                                       "levels": [int(lev[u]), int(lev[v])]}
-        return True, None
+        equal length, that is iff the levels from the bottom rise by 1 along
+        every cover (they are then a rank function, and every maximal chain
+        of [a, b] has lev[b] - lev[a] steps).  Witness: the first cover in
+        node order that skips a level, with the interval from the bottom."""
+        lev = self.levels_from(0)
+        hit = _first_true(self.covers & (lev[None, :] != lev[:, None] + 1))
+        if hit is None:
+            return True, None
+        u, v = hit
+        return False, {"interval": [0, v], "edge": [u, v],
+                       "levels": [int(lev[u]), int(lev[v])]}
 
     def chain_label_sets(self, label):
         """{set of labels: one witness chain} over all maximal chains from
@@ -307,16 +337,20 @@ class ExtensionLattice:
         return None
 
     def modular_law_scan(self):
-        """Failing triple (x, y, z) with x <= z but x v (y ^ z) != (x v y) ^ z."""
+        """First failing triple (x, y, z) in (x, y, z) order with x <= z but
+        x v (y ^ z) != (x v y) ^ z, or None; blocks of rows as in the
+        distributive scan."""
         n, meet, join, leq = self.n, self.meet, self.join, self.leq
-        for x in range(n):
-            zs = np.flatnonzero(leq[x])
-            lhs = join[x, meet[:, zs]]          # y, z
-            rhs = meet[join[x][:, None], zs[None, :]]
-            hit = _first_true(lhs != rhs)
+        chunk = max(1, (1 << 18) // max(1, n * n))
+        cols = np.arange(n)
+        for lo in range(0, n, chunk):
+            blk = slice(lo, min(n, lo + chunk))
+            lhs = join[blk][:, meet]
+            rhs = meet[join[blk][:, :, None], cols]
+            hit = _first_true((lhs != rhs) & leq[blk][:, None, :])
             if hit is not None:
-                y, zi = hit
-                return int(x), y, int(zs[zi])
+                x, y, z = hit
+                return x + lo, y, z
         return None
 
     def _is_m3(self, o, a, b, c, i):
@@ -345,14 +379,19 @@ class ExtensionLattice:
         exists iff the law scan fails; for very small lattices an exhaustive
         5-subset sweep is run as well and must agree.
         """
-        witness = self._forbidden_constructive()
+        return self._forbidden(self.distributive_law_scan())
+
+    def _forbidden(self, tri):
+        """forbidden_sublattice given ``tri``, the distributive law scan's
+        result."""
+        witness = self._forbidden_constructive(tri)
         if self.n <= _FIVE_SUBSET_CAP:
             swept = self._forbidden_exhaustive()
             if (witness is None) != (swept is None):
                 raise LatticeError("forbidden-sublattice routes disagree")
         return witness
 
-    def _forbidden_constructive(self):
+    def _forbidden_constructive(self, tri):
         meet, join = self.meet, self.join
         mod = self.modular_law_scan()
         if mod is not None:
@@ -364,7 +403,6 @@ class ExtensionLattice:
             if not self._is_n5(o, a, b, y, i):
                 raise LatticeError("pentagon construction failed on a modular-law violation")
             return {"kind": "N5", "nodes": [o, a, b, int(y), i]}
-        tri = self.distributive_law_scan()
         if tri is None:
             return None
         x, y, z = tri
@@ -394,18 +432,22 @@ class ExtensionLattice:
     def covering_pair_criterion(self):
         """Covering-pair route: for T != U, if T^U is covered by both, or
         both cover to TvU, then |[T^U, TvU]| must be 4.  Returns
-        (ok, witness)."""
-        n, meet, join, covers = self.n, self.meet, self.join, self.covers
-        for t in range(n):
-            for u in range(t + 1, n):
-                m = int(meet[t, u])
-                j = int(join[t, u])
-                down_ok = covers[m, t] and covers[m, u]
-                up_ok = covers[t, j] and covers[u, j]
-                if (down_ok or up_ok) and self.interval_size(m, j) != 4:
-                    return False, {"pair": [t, u], "interval": [m, j],
-                                   "size": self.interval_size(m, j)}
-        return True, None
+        (ok, witness), the witness at the first failing pair t < u."""
+        meet, join, covers = self.meet, self.join, self.covers
+        rows = np.arange(self.n)[:, None]
+        cols = rows.T
+        flagged = (covers[meet, rows] & covers[meet, cols]) | \
+            (covers[rows, join] & covers[cols, join])
+        # |[m, j]| for every pair of nodes, as a product of 0/1 matrices
+        order = self.leq.astype(np.float32)
+        sizes = (order @ order)[meet, join]
+        hit = _first_true(np.triu(flagged, 1) & (sizes != 4))
+        if hit is None:
+            return True, None
+        t, u = hit
+        return False, {"pair": [t, u],
+                       "interval": [int(meet[t, u]), int(join[t, u])],
+                       "size": int(sizes[t, u])}
 
     def check_distributive(self):
         """Distributivity by three independent routes; they must agree.
@@ -417,7 +459,7 @@ class ExtensionLattice:
     def _distributive_routes(self):
         tri = self.distributive_law_scan()
         law_ok = tri is None
-        witness = self.forbidden_sublattice()
+        witness = self._forbidden(tri)
         crit_ok, crit_wit = self.covering_pair_criterion()
         if law_ok != (witness is None) or law_ok != crit_ok:
             raise LatticeError(
@@ -443,13 +485,13 @@ class ExtensionLattice:
 
     def complements(self, t):
         """All v with t ^ v = bottom and t v v = top."""
-        return [int(v) for v in range(self.n)
-                if self.meet[t, v] == 0 and self.join[t, v] == self.n - 1]
+        return np.flatnonzero((self.meet[t] == 0)
+                              & (self.join[t] == self.n - 1)).tolist()
 
     def check_boolean(self):
         dist, _ = self.check_distributive()
-        complemented = all(self.complements(t) for t in range(self.n))
-        boolean = bool(dist and complemented)
+        complemented = ((self.meet == 0) & (self.join == self.n - 1)).any(axis=1)
+        boolean = bool(dist and complemented.all())
         is_b2 = self.length == 2 and self.n == 4
         if is_b2 and not boolean:
             raise LatticeError("4-node length-2 lattice must be Boolean")

@@ -92,16 +92,27 @@ class Analysis:
 
     def sub(self, lo, hi) -> "Analysis":
         """Analysis of the subextension lo <= hi for nodes lo, hi, cached.
-        Its lattice is the parent's interval [lo, hi]: every ring between
-        them is a node, and the parent's tables are already proved."""
+        Nodes are proved unital subrings, so the extension skips the
+        constructor's subring checks, and every ring between them is a
+        node, so its lattice is the parent's interval [lo, hi]."""
         key = (frozenset(lo), frozenset(hi))
         if key not in self._subs:
-            sub = ex.Extension(self.S, key[0], key[1],
-                               name=f"{self.name}[sub]")
             L = self.L
-            sub._cache["lattice"] = L.interval(L.index[key[0]], L.index[key[1]])
+            i, j = L.index[key[0]], L.index[key[1]]
+            sub = ex.Extension._between(self.S, L.nodes[i], L.nodes[j],
+                                        name=f"{self.name}[sub]")
+            sub._cache["lattice"] = L.interval(i, j)
             self._subs[key] = Analysis(f"{self.name}[sub]", sub, self.node_limit)
         return self._subs[key]
+
+    def quotient(self, I) -> "Analysis":
+        """Analysis of (base + I)/I <= top/I for an ideal I of the top.  The
+        quotient by {0} is this extension itself, so it is returned as is;
+        any other ideal gets a fresh quotient ring."""
+        if len(I) == 1:
+            return self
+        return Analysis(f"{self.name}/I", ex.quotient_extension(
+            self.S, self.E.base, self.E.top, I), self.node_limit)
 
     def loc(self, M) -> "Analysis":
         key = frozenset(M)
@@ -410,7 +421,7 @@ def random_interval_agreement(analyses, count=1000, seed=SUBINTERVAL_SAMPLE_SEED
         a = rng.choice(pool)
         L = a.L
         i = rng.randrange(len(L.nodes))
-        ups = [j for j in range(len(L.nodes)) if L.leq[i, j]]
+        ups = np.flatnonzero(L.leq[i]).tolist()
         j = rng.choice(ups)
         sub = L.interval(i, j)
         try:

@@ -26,6 +26,14 @@ the earlier ``FiniteRing.adjoin``, one closure of lo and s from {0} with no
 memo; ``every_s_monogenic_subrings``, ``every_s_is_minimal_pair`` and
 ``every_s_is_simple`` close lo[s] with it for every s in hi - lo, the
 references for the closures that start from lo and take one s per coset.
+``block_subring_unit`` is the earlier unit test of a subring, a compare of
+the whole |T| x |T| block of products, the reference for the
+decomposition's one-row test.  ``constructor_interval`` builds an interval
+by the lattice constructor, the reference for the interval sliced out of
+its parent's tables; ``loop_check_catenarian``,
+``loop_covering_pair_criterion`` and ``loop_complements`` are the earlier
+loop forms of the whole-array checks, and ``list_modular_law_scan`` (the
+per-row loop) is the reference for the blocked modular scan.
 ``small_ring`` builds the tiny rings they run on.
 """
 
@@ -39,6 +47,7 @@ from ringlattice import finring as fr
 from ringlattice.extension import (DEFAULT_NODE_LIMIT, Extension,
                                    TheoremViolation, monogenic_subrings,
                                    quotient_extension)
+from ringlattice.lattice import ExtensionLattice, LatticeError
 
 
 SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
@@ -182,8 +191,20 @@ def isin_conductor_pair(S, lo, hi):
     return cond
 
 
+def block_subring_unit(S, T):
+    """The multiplicative identity of the closed subset T by comparing the
+    whole |T| x |T| block of products with T; RingError unless exactly one
+    element acts as 1 on T.  The reference for the decomposition's one-row
+    test that the sum of the primitive idempotents acts as 1."""
+    T = S.arr(T)
+    units = T[(S.mul[np.ix_(T, T)] == T).all(axis=1)]
+    if units.size != 1:
+        raise fr.RingError("subset has no unique multiplicative identity")
+    return int(units[0])
+
+
 def loop_subring_unit(S, T):
-    """finring.subring_unit by a double loop over T."""
+    """block_subring_unit by a double loop over T."""
     tl = S.arr(T).tolist()
     units = [u for u in tl if all(S.mul[u, x] == x for x in tl)]
     if len(units) != 1:
@@ -382,6 +403,52 @@ def list_modular_law_scan(L):
             y, zi = bad[0]
             return int(x), int(y), int(zs[zi])
     return None
+
+
+def constructor_interval(L, a, b):
+    """ExtensionLattice.interval by the constructor: the nodes of [a, b]
+    with their tables rebuilt from inclusion."""
+    if not L.leq[a, b]:
+        raise LatticeError("interval endpoints are not comparable")
+    return ExtensionLattice([L.nodes[v] for v in L.interval_nodes(a, b)],
+                            ambient=L.ambient)
+
+
+def loop_check_catenarian(L):
+    """ExtensionLattice.check_catenarian by walking the covers of every
+    up-set [a, top] against the longest-path levels from a."""
+    for a in range(L.n):
+        lev = L.levels_from(a)
+        up = lev >= 0
+        for u in np.flatnonzero(up):
+            for v in np.flatnonzero(L.covers[u]):
+                if up[v] and lev[v] != lev[u] + 1:
+                    return False, {"interval": [int(a), int(v)],
+                                   "edge": [int(u), int(v)],
+                                   "levels": [int(lev[u]), int(lev[v])]}
+    return True, None
+
+
+def loop_covering_pair_criterion(L):
+    """ExtensionLattice.covering_pair_criterion by a loop over the pairs
+    t < u, counting the nodes of [t ^ u, t v u] for each flagged pair."""
+    n, meet, join, covers = L.n, L.meet, L.join, L.covers
+    for t in range(n):
+        for u in range(t + 1, n):
+            m = int(meet[t, u])
+            j = int(join[t, u])
+            down_ok = covers[m, t] and covers[m, u]
+            up_ok = covers[t, j] and covers[u, j]
+            if (down_ok or up_ok) and L.interval_size(m, j) != 4:
+                return False, {"pair": [t, u], "interval": [m, j],
+                               "size": L.interval_size(m, j)}
+    return True, None
+
+
+def loop_complements(L, t):
+    """ExtensionLattice.complements by a loop over the nodes."""
+    return [int(v) for v in range(L.n)
+            if L.meet[t, v] == 0 and L.join[t, v] == L.n - 1]
 
 
 def closure_lattice_tables(S, nodes):

@@ -176,6 +176,48 @@ def test_zero_ideal_builds_no_quotient(monkeypatch, p5, a5):
     assert calls and 1 not in calls
 
 
+@pytest.mark.parametrize("name", ["GF64", "G3_4"])
+def test_quotient_by_zero_builds_no_ring(monkeypatch, name):
+    # on a field hi/{0} is hi: the b2 cases and the residue fields read the
+    # interval already held, and no check quotients by {0}
+    a = analysis_of(name) if name == "G3_4" else verify.Analysis(
+        name, dsl.build_extension("ring S = gf(2, 6)\next GF64 = extension(S, base=[])\n"))
+    quotient, sizes = fr.quotient_of_subring, []
+
+    def counting(S, subring, ideal, label=None):
+        sizes.append(len(ideal))
+        return quotient(S, subring, ideal, label)
+
+    monkeypatch.setattr(fr, "quotient_of_subring", counting)
+    status = {check: verify.run_check(check, a).status for check in verify.CHECKS}
+    assert status["b2_structure_cases"] == "pass"
+    assert status["t_closed_residual_distributivity"] == "pass"
+    assert "fail" not in status.values() and 1 not in sizes
+
+
+def test_b2_cases_on_v4_prove_and_build_nothing(monkeypatch):
+    # the sub-extensions come from two nodes and their lattices are sliced
+    # out of the parent's tables
+    from ringlattice.lattice import ExtensionLattice
+    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    a = verify.Analysis("V4", ex.Extension(S, ex.prime_subring(S)))
+    a.L
+    counts = {"is_subring": 0, "__init__": 0}
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(fr.FiniteRing, "is_subring")
+    counting(ExtensionLattice, "__init__")
+    assert verify.run_check("b2_structure_cases", a).status == "pass"
+    assert counts == {"is_subring": 0, "__init__": 0} and a._subs
+
+
 def test_chain_type_profile_reports_a_real_chain(monkeypatch, p5):
     # every cover of F2^5 over F2 is decomposed; one tampered cover makes
     # the chains through it disagree with "seminormal infra-integral"

@@ -353,6 +353,53 @@ def test_closure_predicates_match_the_element_loop(e4, e5, e6):
     assert all({got[k] for got in seen} == {True, False} for k in range(3))
 
 
+PAIR_FACTS = {"conductor": ex.conductor_pair, "seminormal": ex.is_seminormal,
+              "u_closed": ex.is_u_closed, "t_closed": ex.is_t_closed,
+              "infra_integral": ex.is_infra_integral_pair,
+              "subintegral": ex.is_subintegral_pair}
+
+
+class _NoMemo(dict):
+    """A pair-fact memo that stores nothing, so every call scans."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _assert_pair_facts_memoised(E):
+    S, L = E.ambient, E.lattice()
+    pairs = [(L.nodes[i], L.nodes[j]) for i, j in np.argwhere(L.leq).tolist()]
+    memo, S._pair_facts = S._pair_facts, _NoMemo()
+    try:
+        fresh = [{k: f(S, lo, hi) for k, f in PAIR_FACTS.items()}
+                 for lo, hi in pairs]
+    finally:
+        S._pair_facts = memo
+    for (lo, hi), want in zip(pairs, fresh):
+        got = {k: f(S, lo, hi) for k, f in PAIR_FACTS.items()}
+        assert got == want
+        for kind, value in got.items():
+            assert memo[(kind, lo, hi)] is value
+        assert ex.conductor_pair(S, lo, hi) is got["conductor"]
+    return {(k, v) for facts in fresh for k, v in facts.items()
+            if k != "conductor"}
+
+
+def test_pair_facts_are_memoised_and_equal_fresh_scans():
+    seen = set()
+    for _, a in verify.build_catalog_analyses():
+        seen |= _assert_pair_facts_memoised(a.E)
+    assert seen == {(k, v) for k in PAIR_FACTS if k != "conductor"
+                    for v in (True, False)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_pair_facts_are_memoised_and_equal_fresh_scans_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_pair_facts_memoised(ex.Extension(R, R.subring_closure(seed)))
+
+
 def test_inert_covers_agree_with_the_quotient_route():
     # on every cover of every catalog instance, M = (lo : hi) in Max(hi)
     # decides the inert case exactly when hi/M is a field over a 2-node

@@ -11,8 +11,8 @@ from ringlattice import dsl, extension as ex, finring as fr
 from ringlattice.checks import doubled_ring
 from ringlattice.verify import brute_force_subrings
 
-from oracles import (SMALL_RINGS, assert_ring_axioms, brute_force_ideals,
-                     einsum_from_struct, frontier_join_closure, isin_conductor_pair,
+from oracles import (SMALL_RINGS, assert_ring_axioms, block_subring_unit,
+                     brute_force_ideals, einsum_from_struct, frontier_join_closure, isin_conductor_pair,
                      isin_ideal_of, isin_subring, largest_common_ideal,
                      loop_is_field, loop_power, loop_subring_unit, small_ring,
                      struct_product_ring)
@@ -714,14 +714,14 @@ def test_arr_is_memoised_for_frozensets():
 def test_subring_unit_matches_loop(name, seed):
     R = small_ring(name)
     T = R.subring_closure(seed)
-    assert fr.subring_unit(R, T) == loop_subring_unit(R, T) == R.one
+    assert block_subring_unit(R, T) == loop_subring_unit(R, T) == R.one
     # each factor e*T is a ring whose unit is e, not the unit of R
     for e in fr.primitive_idempotents(R, T).idempotents:
         eT = np.unique(R.mul[e, T])
-        assert fr.subring_unit(R, eT) == loop_subring_unit(R, eT) == e
+        assert block_subring_unit(R, eT) == loop_subring_unit(R, eT) == e
     # a maximal ideal has a unit only when an idempotent generates it
     for M in fr.maximal_ideals(R, T):
-        assert _unit_or_error(fr.subring_unit, R, M) == \
+        assert _unit_or_error(block_subring_unit, R, M) == \
             _unit_or_error(loop_subring_unit, R, M)
 
 
@@ -730,3 +730,50 @@ def _unit_or_error(subring_unit, R, X):
         return subring_unit(R, X)
     except fr.RingError as exc:
         return str(exc)
+
+
+def _decomposition_unit(R, X):
+    """The sum of the primitive idempotents of X, which the decomposition
+    accepts only when it acts as 1 on X; None when it raises."""
+    try:
+        return fr._decomposition(R, frozenset(R.arr(X).tolist()))[0]
+    except fr.RingError:
+        return None
+
+
+def _block_unit(R, X):
+    try:
+        return block_subring_unit(R, X)
+    except fr.RingError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=3))
+def test_decomposition_unit_matches_the_block_compare(name, seed):
+    # every subring has a unit, and of its ideals exactly those with an
+    # identity of their own pass; the two tests agree on all of them
+    R = small_ring(name)
+    T = R.subring_closure(seed)
+    assert _decomposition_unit(R, T) == _block_unit(R, T) == R.one
+    for I in R.all_ideals(T):
+        assert _decomposition_unit(R, I) == _block_unit(R, I)
+
+
+def test_decomposition_unit_matches_the_block_compare_on_the_catalog():
+    from ringlattice import verify
+    for _, a in verify.build_catalog_analyses():
+        for T in a.nodes:
+            assert _decomposition_unit(a.S, T) == _block_unit(a.S, T) == a.S.one
+
+
+def test_a_non_unital_ideal_has_no_decomposition():
+    # (x) = {0, x, x^2, x + x^2} in F2[x]/(x^3) is closed but has no 1
+    R = small_ring("F2[x]/(x^3)")
+    x = R.varmap["x"]
+    ideal = R.ideal_closure(np.arange(R.size), [x])
+    assert len(ideal) == 4
+    with pytest.raises(fr.RingError, match="do not sum to 1"):
+        fr.maximal_ideals(R, ideal)
+    with pytest.raises(fr.RingError, match="no unique multiplicative identity"):
+        block_subring_unit(R, ideal)

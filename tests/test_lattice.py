@@ -13,8 +13,10 @@ from ringlattice.lattice import ExtensionLattice, LatticeError
 
 from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      chain_label_sets_by_enumeration, closure_enumeration,
-                     closure_lattice_tables, distributive_by_definition,
-                     list_distributive_law_scan, list_modular_law_scan,
+                     closure_lattice_tables, constructor_interval,
+                     distributive_by_definition, list_distributive_law_scan,
+                     list_modular_law_scan, loop_check_catenarian,
+                     loop_complements, loop_covering_pair_criterion,
                      small_ring)
 
 
@@ -266,7 +268,8 @@ def test_order_tables_match_closure_tables_on_small_rings(name, seed):
 
 
 def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
-    # the tables come from the order; only the enumeration closes subsets
+    # the tables come from the order and an interval is sliced out of its
+    # parent's tables; only the enumeration closes subsets
     closures, per_build = [0], []
     closure, build = fr.FiniteRing.subring_closure, ExtensionLattice.__init__
 
@@ -285,8 +288,10 @@ def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
     # the fixture ring is shared, so empty its adjoin memo first
     monkeypatch.setattr(E.ambient, "_adjoined", {})
     L = ex.enumerate_interval(E)
-    L.interval(1, L.top)
-    assert closures[0] > 0 and per_build == [0, 0]
+    assert closures[0] > 0 and per_build == [0]
+    enumerated = closures[0]
+    sub = L.interval(1, L.top)
+    assert closures[0] == enumerated and per_build == [0] and len(sub) > 2
 
 
 def test_second_enumeration_runs_no_closures(monkeypatch):
@@ -617,3 +622,55 @@ def test_sub_analysis_takes_the_parent_interval(monkeypatch, big_lattices):
         fresh = enumerate_interval(ex.Extension(E.ambient, L.nodes[v], L.nodes[w]))
         assert sub.nodes == fresh.nodes
         assert np.array_equal(sub.join, fresh.join)
+
+
+def _assert_sliced_intervals_match(L):
+    """Every interval of L against the constructor-built one, and its
+    whole-array checks against their loop forms; returns the outcomes."""
+    seen = set()
+    for a, b in np.argwhere(L.leq).tolist():
+        sub, ref = L.interval(a, b), constructor_interval(L, a, b)
+        assert L.interval(a, b) is sub
+        assert sub.nodes == ref.nodes and sub.index == ref.index
+        for table in ("leq", "covers", "meet", "join"):
+            got, want = getattr(sub, table), getattr(ref, table)
+            assert got.dtype == want.dtype and np.array_equal(got, want), table
+        assert sub.verdict() == ref.verdict()
+        cat_ = sub.check_catenarian()
+        crit = sub.covering_pair_criterion()
+        mod = sub.modular_law_scan()
+        comps = [sub.complements(t) for t in range(len(sub))]
+        assert cat_ == loop_check_catenarian(sub)
+        assert crit == loop_covering_pair_criterion(sub)
+        assert mod == list_modular_law_scan(sub)
+        assert comps == [loop_complements(sub, t) for t in range(len(sub))]
+        seen |= {("catenarian", cat_[0]), ("covering pair", crit[0]),
+                 ("modular", mod is None), ("complemented", all(comps))}
+    return seen
+
+
+def test_sliced_intervals_match_the_constructor(e4, e5, e6, e10, big_lattices):
+    # E10 holds the pentagon, the only non-catenarian intervals here
+    seen = set()
+    for E in (e4, e5, e6, e10, *big_lattices):
+        seen |= _assert_sliced_intervals_match(E.lattice())
+    assert seen == {(check, ok) for check in ("catenarian", "covering pair",
+                                              "modular", "complemented")
+                    for ok in (True, False)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_sliced_intervals_match_the_constructor_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_sliced_intervals_match(
+        ex.Extension(R, R.subring_closure(seed)).lattice())
+
+
+def test_interval_rejects_a_selection_that_is_not_closed(e4):
+    # a tampered join that leaves [0, a] for an atom a is caught by the slice
+    L = constructor_interval(e4.lattice(), 0, e4.lattice().top)
+    a, b = L.atoms()[:2]
+    L.join[0, a] = L.join[a, 0] = b
+    with pytest.raises(LatticeError, match="not closed"):
+        L.interval(0, a)
