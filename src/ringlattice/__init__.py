@@ -19,7 +19,7 @@ from .lattice import ExtensionLattice, LatticeVerdict, LatticeError
 from .dsl import parse_spec, pretty, build, build_extension, DslError, InstanceSpec
 from .catalog import CATALOG, CatalogInstance, Expectation
 from .verify import (
-    Analysis, CheckResult, Report, run_check, run_catalog,
+    CheckResult, Report, run_check, run_catalog,
     generate_random_instances, CHECKS,
 )
 

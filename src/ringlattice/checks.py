@@ -6,6 +6,11 @@ and compares them.  Hypotheses unmet produce an ``n/a`` result with the
 reason; failures carry a minimal witness.  For iff-shaped checks the
 ``side`` field records which side of the equivalence the instance
 exercised, so the harness can report one-sided coverage.
+
+Each check takes the :class:`~ringlattice.extension.Extension` itself and
+reads its cached lattice, flags and closures; sub-extensions, localizations
+and quotients come from the same object (``sub``, ``localized``,
+``quotient``).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from . import extension as ex
 from . import finring as fr
 from .lattice import LatticeError
-from .verify import Analysis, CheckResult, check
+from .verify import CheckResult, check
 
 
 def _na(reason):
@@ -38,21 +43,21 @@ def _implies(hyp_ok, conclusion, witness, reason="hypotheses not satisfied"):
                        witness=None if conclusion else witness)
 
 
-def _proper(a: Analysis):
-    return not a.E.trivial
+def _proper(a: ex.Extension):
+    return not a.trivial
 
 
-def _pinched_at_t(a: Analysis):
+def _pinched_at_t(a: ex.Extension):
     """The interval is pinched at the t-closure (trivially so when the
     t-closure is an endpoint)."""
-    d, L = a.decomp, a.L
-    return d.t in (a.E.base, a.E.top) or L.is_pinched_at([L.index[d.t]])
+    d, L = a.decomposition(), a.lattice()
+    return d.t in (a.base, a.top) or L.is_pinched_at([L.index[d.t]])
 
 
-def _type_sets(a: Analysis):
+def _type_sets(a: ex.Extension):
     """{set of minimal types: one witness chain} over every maximal chain."""
-    types = a.cover_types
-    return a.L.chain_label_sets(lambda u, v: types[(u, v)].value)
+    types = ex.cover_types(a)
+    return a.lattice().chain_label_sets(lambda u, v: types[(u, v)].value)
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +71,7 @@ def _type_sets(a: Analysis):
 def chain_type_profile(a):
     if not _proper(a):
         return _na("trivial extension")
-    f = a.flags
+    f = a.flags()
     for types, chain in _type_sets(a).items():
         rules = [
             (f.subintegral, types <= {"ramified"}),
@@ -91,7 +96,7 @@ def chain_type_profile(a):
 def isotopic_chain_suffices(a):
     if not _proper(a):
         return _na("trivial extension")
-    all_types = {t.value for t in a.cover_types.values()}
+    all_types = {t.value for t in ex.cover_types(a).values()}
     exists_monotype = any(len(types) == 1 for types in _type_sets(a))
     return _iff(len(all_types) == 1, exists_monotype,
                 {"cover_types": sorted(all_types)})
@@ -103,12 +108,13 @@ def isotopic_chain_suffices(a):
 def support_via_chain_conductors(a):
     if not _proper(a):
         return _na("trivial extension")
-    msupp = set(a.profile.msupp)
+    msupp = set(a.profile().msupp)
+    L = a.lattice()
 
     def contracted_conductor(u, v):
-        return ex.conductor_pair(a.S, a.nodes[u], a.nodes[v]) & a.E.base
+        return ex.conductor_pair(a.ambient, L.nodes[u], L.nodes[v]) & a.base
 
-    for contracted, chain in a.L.chain_label_sets(contracted_conductor).items():
+    for contracted, chain in L.chain_label_sets(contracted_conductor).items():
         if contracted != msupp:
             return CheckResult("", "", "fail", witness={
                 "chain": chain,
@@ -123,12 +129,12 @@ def support_via_chain_conductors(a):
 def cover_minimality_consistency(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.L
+    L = a.lattice()
     # cover_types classified every cover (raising unless exactly one type
     # pattern holds), so its keys are the classified pairs
-    classified = a.cover_types
+    classified = ex.cover_types(a)
     for i, j in np.argwhere(L.leq & ~np.eye(len(L), dtype=bool)).tolist():
-        minimal = ex.is_minimal_pair(a.S, L.nodes[i], L.nodes[j])
+        minimal = ex.is_minimal_pair(a.ambient, L.nodes[i], L.nodes[j])
         if minimal != ((i, j) in classified):
             return CheckResult("", "", "fail",
                                witness={"pair": [i, j], "cover": bool(L.covers[i, j]),
@@ -141,8 +147,8 @@ def cover_minimality_consistency(a):
 def i_extension_iff_no_decomposed_part(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    return _iff(a.flags.i_extension, d.plus == d.t,
+    d = a.decomposition()
+    return _iff(a.flags().i_extension, d.plus == d.t,
                 {"plus_size": len(d.plus), "t_size": len(d.t)})
 
 
@@ -152,7 +158,7 @@ def i_extension_iff_no_decomposed_part(a):
 def u_closed_iff_i_extension(a):
     if not _proper(a):
         return _na("trivial extension")
-    return _iff(a.flags.u_closed, a.flags.i_extension, {})
+    return _iff(a.flags().u_closed, a.flags().i_extension, {})
 
 
 @check("canonical_diagram_types",
@@ -161,15 +167,15 @@ def u_closed_iff_i_extension(a):
 def canonical_diagram_types(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
+    d = a.decomposition()
     mid = d.u & d.plus
-    S = a.S
+    S = a.ambient
     checks = [
-        ("base<=u^plus subintegral", ex.is_subintegral_pair(S, a.E.base, mid)),
+        ("base<=u^plus subintegral", ex.is_subintegral_pair(S, a.base, mid)),
         ("u^plus<=u seminormal", ex.is_seminormal(S, mid, d.u)),
         ("u^plus<=u infra-integral", ex.is_infra_integral_pair(S, mid, d.u)),
         ("u<=t subintegral", ex.is_subintegral_pair(S, d.u, d.t)),
-        ("t<=top t-closed", ex.is_t_closed(S, d.t, a.E.top)),
+        ("t<=top t-closed", ex.is_t_closed(S, d.t, a.top)),
     ]
     bad = [name for name, ok in checks if not ok]
     return CheckResult("", "", "pass" if not bad else "fail",
@@ -183,16 +189,16 @@ def canonical_diagram_types(a):
 def u_closure_from_t_closure(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    if d.t == a.E.base:
-        inner = a.E.base
+    d = a.decomposition()
+    if d.t == a.base:
+        inner = a.base
     else:
-        inner = a.sub(a.E.base, d.t).decomp.cosub
+        inner = a.sub(a.base, d.t).decomposition().cosub
     if inner != d.u:
         return CheckResult("", "", "fail",
                            witness={"u_size": len(d.u),
                                     "cosub_in_t_size": inner and len(inner)})
-    if a.flags.infra_integral and d.cosub != d.u:
+    if a.flags().infra_integral and d.cosub != d.u:
         return CheckResult("", "", "fail",
                            witness={"u_size": len(d.u),
                                     "cosub_size": d.cosub and len(d.cosub)})
@@ -208,9 +214,9 @@ def u_closure_from_t_closure(a):
 def localization_equivalence(a):
     if not _proper(a):
         return _na("trivial extension")
-    locs = {tuple(sorted(M)): a.loc(M).verdict.distributive
-            for M in a.profile.msupp}
-    return _iff(a.verdict.distributive, all(locs.values()),
+    locs = {tuple(sorted(M)): a.localized(M).lattice().verdict().distributive
+            for M in a.profile().msupp}
+    return _iff(a.lattice().verdict().distributive, all(locs.values()),
                 {"local_verdicts": {str(k[:3]) + "...": v
                                     for k, v in locs.items()}})
 
@@ -222,25 +228,26 @@ def shared_ideal_quotient_equivalence(a):
     if not _proper(a):
         return _na("trivial extension")
     # an ideal of the top inside the base lies in the conductor
-    shared = a.S.all_ideals(a.E.top, gens=ex.conductor(a.E))
-    verdicts = [a.quotient(I).verdict.distributive for I in shared]
-    ok = all(v == a.verdict.distributive for v in verdicts)
+    shared = a.ambient.all_ideals(a.top, gens=ex.conductor(a))
+    dist = a.lattice().verdict().distributive
+    verdicts = [a.quotient(I).lattice().verdict().distributive for I in shared]
+    ok = all(v == dist for v in verdicts)
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"verdicts": verdicts,
-                                                "full": a.verdict.distributive},
-                       side="lhs_true" if a.verdict.distributive else "lhs_false")
+                                                "full": dist},
+                       side="lhs_true" if dist else "lhs_false")
 
 
 @check("quotient_transfer",
        "a distributive extension stays distributive modulo any ideal of the "
        "top ring (contracted to the base on the left)")
 def quotient_transfer(a):
-    if not _proper(a) or not a.verdict.distributive:
+    if not _proper(a) or not a.lattice().verdict().distributive:
         return _na("extension not distributive")
-    for J in a.S.all_ideals(a.E.top):
-        if J == a.E.top:        # top/top is no ring
+    for J in a.ambient.all_ideals(a.top):
+        if J == a.top:        # top/top is no ring
             continue
-        if not a.quotient(J).verdict.distributive:
+        if not a.quotient(J).lattice().verdict().distributive:
             return CheckResult("", "", "fail",
                                witness={"ideal_size": len(J)})
     return CheckResult("", "", "pass")
@@ -252,15 +259,15 @@ def quotient_transfer(a):
 def product_transfer(a):
     if not _proper(a):
         return _na("trivial extension")
-    dec_top = a.E.top_decomposition()
+    dec_top = a.top_decomposition()
     if len(dec_top.idempotents) < 2 or \
-            not all(e in a.E.base for e in dec_top.idempotents):
+            not all(e in a.base for e in dec_top.idempotents):
         return _na("base does not decompose along the top ring's factors")
     # the top's primitive idempotents are then the base's own, so each
     # factor is the localization at a maximal ideal of the base
-    verdicts = [a.loc(M).verdict.distributive
-                for M in a.E.base_decomposition().maximal_ideals]
-    return _iff(a.verdict.distributive, all(verdicts),
+    verdicts = [a.localized(M).lattice().verdict().distributive
+                for M in a.base_decomposition().maximal_ideals]
+    return _iff(a.lattice().verdict().distributive, all(verdicts),
                 {"factor_verdicts": verdicts})
 
 
@@ -290,15 +297,16 @@ def doubled_ring(S, top):
 def idealization_transfer(a):
     if not _proper(a):
         return _na("trivial extension")
-    n = len(a.E.top)
+    n = len(a.top)
     if n > 16:
         return _na("top ring too large for the doubled construction")
-    big = doubled_ring(a.S, a.E.top)
-    pos = {x: i for i, x in enumerate(sorted(a.E.top))}
-    base = frozenset(pos[r] * n + i for r in sorted(a.E.base) for i in range(n))
-    sub = Analysis(a.name + "(+)M", ex.Extension(big, base))
-    return _iff(a.verdict.distributive, sub.verdict.distributive,
-                {"doubled_verdict": sub.verdict.distributive})
+    big = doubled_ring(a.ambient, a.top)
+    pos = {x: i for i, x in enumerate(sorted(a.top))}
+    base = frozenset(pos[r] * n + i for r in sorted(a.base) for i in range(n))
+    doubled = ex.Extension(big, base, name=a.name + "(+)M")
+    dist = doubled.lattice().verdict().distributive
+    return _iff(a.lattice().verdict().distributive, dist,
+                {"doubled_verdict": dist})
 
 
 # ----------------------------------------------------------------------
@@ -309,10 +317,11 @@ def idealization_transfer(a):
 def b2_iff_length2_card4(a):
     if not _proper(a):
         return _na("trivial extension")
-    v = a.verdict
+    L = a.lattice()
+    v = L.verdict()
     lhs = v.boolean_lattice and v.length == 2
-    rhs = v.length == 2 and len(a.nodes) == 4
-    return _iff(lhs, rhs, {"length": v.length, "nodes": len(a.nodes)})
+    rhs = v.length == 2 and len(L.nodes) == 4
+    return _iff(lhs, rhs, {"length": v.length, "nodes": len(L.nodes)})
 
 
 @check("distributive_implies_catenarian",
@@ -320,7 +329,7 @@ def b2_iff_length2_card4(a):
 def distributive_implies_catenarian(a):
     if not _proper(a):
         return _na("trivial extension")
-    v = a.verdict
+    v = a.lattice().verdict()
     return _implies(v.distributive, v.catenarian,
                     {"catenarian": v.catenarian},
                     reason="extension not distributive")
@@ -332,10 +341,11 @@ def distributive_implies_catenarian(a):
 def catenarian_length2_rule(a):
     if not _proper(a):
         return _na("trivial extension")
-    v = a.verdict
+    L = a.lattice()
+    v = L.verdict()
     if not v.catenarian:
         return _na("extension not catenarian")
-    ok, wit = a.L.check_length2_rule()   # internally asserted against verdict
+    ok, wit = L.check_length2_rule()   # internally asserted against verdict
     return _iff(v.distributive, ok, {"rule_witness": wit})
 
 
@@ -344,17 +354,18 @@ def catenarian_length2_rule(a):
 def length2_card_rule(a):
     if not _proper(a):
         return _na("trivial extension")
-    if a.L.length != 2:
+    L = a.lattice()
+    if L.length != 2:
         return _na("length is not 2")
-    return _iff(a.verdict.distributive, len(a.nodes) <= 4,
-                {"nodes": len(a.nodes)})
+    return _iff(L.verdict().distributive, len(L.nodes) <= 4,
+                {"nodes": len(L.nodes)})
 
 
 @check("covering_pair_criterion",
        "the three distributivity routes (law scan, forbidden sublattice, "
        "covering-pair intervals) agree")
 def covering_pair_criterion(a):
-    dist, wit = a.L.check_distributive()   # raises on route disagreement
+    dist, wit = a.lattice().check_distributive()   # raises on route disagreement
     return CheckResult("", "", "pass",
                        side="lhs_true" if dist else "lhs_false")
 
@@ -364,9 +375,9 @@ def covering_pair_criterion(a):
 def hereditary_distributivity(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.L
+    L = a.lattice()
     n = len(L.nodes)
-    dist = a.verdict.distributive
+    dist = L.verdict().distributive
     if n > 40:
         return _na("too many nodes for the full subinterval sweep")
     for i in range(n):
@@ -390,7 +401,7 @@ def hereditary_distributivity(a):
 def pinched_segment_rule(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.L
+    L = a.lattice()
     candidates = [[t] for t in range(1, len(L.nodes) - 1)]
     loewy = [t for t in L.loewy_series() if t not in (0, L.top)]
     if loewy:
@@ -407,13 +418,13 @@ def pinched_segment_rule(a):
         pts = [0] + list(chain) + [L.top]
         segs = [L.interval(u, v).check_distributive()[0]
                 for u, v in zip(pts, pts[1:])]
-        if a.verdict.distributive != all(segs):
+        if L.verdict().distributive != all(segs):
             return CheckResult("", "", "fail",
                                witness={"chain": list(chain), "segments": segs})
     if tested == 0:
         return _na("no pinch chain found")
     return CheckResult("", "", "pass",
-                       side="lhs_true" if a.verdict.distributive else "lhs_false")
+                       side="lhs_true" if L.verdict().distributive else "lhs_false")
 
 
 @check("loewy_boolean_steps",
@@ -422,30 +433,30 @@ def pinched_segment_rule(a):
 def loewy_boolean_steps(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.L
+    L = a.lattice()
     series = L.loewy_series()
     interior = [t for t in series if t not in (0, L.top)]
     if interior and not L.is_pinched_at(interior):
         return _na("not pinched at the Loewy series")
     steps = [L.interval(u, v).check_boolean()[0]
              for u, v in zip(series, series[1:])]
-    return _iff(a.verdict.distributive, all(steps), {"steps": steps})
+    return _iff(L.verdict().distributive, all(steps), {"steps": steps})
 
 
 @check("atom_join_is_simple",
        "in a distributive interval the join of distinct atoms is generated "
        "by the sum of their generators")
 def atom_join_is_simple(a):
-    if not _proper(a) or not a.verdict.distributive:
+    if not _proper(a) or not a.lattice().verdict().distributive:
         return _na("extension not distributive")
-    L = a.L
+    L = a.lattice()
     atoms = L.atoms()
     if len(atoms) < 2:
         return _na("fewer than two atoms")
-    S = a.S
+    S = a.ambient
     gens = {}
     for t in atoms:
-        gens[t] = min(a.nodes[t] - a.E.base)
+        gens[t] = min(L.nodes[t] - a.base)
     for combo in itertools.chain.from_iterable(
             itertools.combinations(atoms, r) for r in range(2, len(atoms) + 1)):
         join = combo[0]
@@ -454,11 +465,11 @@ def atom_join_is_simple(a):
         s = S.zero
         for t in combo:
             s = S.a(s, gens[t])
-        gen = S.adjoin(a.E.base, s)
-        if gen != a.nodes[join]:
+        gen = S.adjoin(a.base, s)
+        if gen != L.nodes[join]:
             return CheckResult("", "", "fail",
                                witness={"atoms": list(combo),
-                                        "join_size": len(a.nodes[join]),
+                                        "join_size": len(L.nodes[join]),
                                         "generated_size": len(gen)})
     return CheckResult("", "", "pass")
 
@@ -468,7 +479,7 @@ def atom_join_is_simple(a):
 def chained_implies_simple(a):
     if not _proper(a):
         return _na("trivial extension")
-    return _implies(a.verdict.chained, a.flags.simple, {},
+    return _implies(a.lattice().verdict().chained, a.flags().simple, {},
                     reason="extension not chained")
 
 
@@ -477,8 +488,8 @@ def chained_implies_simple(a):
 def arithmetic_implies_distributive(a):
     if not _proper(a):
         return _na("trivial extension")
-    return _implies(a.flags.arithmetic, a.verdict.distributive,
-                    {"distributive": a.verdict.distributive},
+    dist = a.lattice().verdict().distributive
+    return _implies(a.flags().arithmetic, dist, {"distributive": dist},
                     reason="extension not arithmetic")
 
 
@@ -487,8 +498,8 @@ def arithmetic_implies_distributive(a):
 def locally_minimal_implies_distributive(a):
     if not _proper(a):
         return _na("trivial extension")
-    return _implies(a.flags.locally_minimal, a.verdict.distributive,
-                    {"distributive": a.verdict.distributive},
+    dist = a.lattice().verdict().distributive
+    return _implies(a.flags().locally_minimal, dist, {"distributive": dist},
                     reason="extension not locally minimal")
 
 
@@ -500,19 +511,19 @@ def locally_minimal_implies_distributive(a):
 def two_atom_composite_profile(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.L
+    L = a.lattice()
     atoms = L.atoms()
     if len(atoms) < 2:
         return _na("fewer than two atoms")
-    S, base = a.S, a.E.base
-    cond = {t: ex.conductor_pair(S, base, a.nodes[t]) for t in atoms}
-    over = {t: [Q for Q in fr.maximal_ideals(S, a.nodes[t])
+    S, base = a.ambient, a.base
+    cond = {t: ex.conductor_pair(S, base, L.nodes[t]) for t in atoms}
+    over = {t: [Q for Q in fr.maximal_ideals(S, L.nodes[t])
                 if Q & base == cond[t]] for t in atoms}
     for t, u in itertools.combinations(atoms, 2):
         j = int(L.join[t, u])
         M, N = cond[t], cond[u]
-        typ_t = a.cover_types[(0, t)]
-        typ_u = a.cover_types[(0, u)]
+        typ_t = ex.cover_types(a)[(0, t)]
+        typ_u = ex.cover_types(a)[(0, u)]
         sub = L.interval(0, j)
         if M != N:
             if len(sub.nodes) != 4:
@@ -531,7 +542,7 @@ def two_atom_composite_profile(a):
         if inert_t and inert_u:
             continue  # no claim for two inert steps over one ideal
         cat_ok = sub.check_catenarian()[0]
-        infra = ex.is_infra_integral_pair(S, base, a.nodes[j])
+        infra = ex.is_infra_integral_pair(S, base, L.nodes[j])
         if not cat_ok or not infra:
             return CheckResult("", "", "fail", witness={
                 "atoms": [t, u], "case": "two non-inert",
@@ -561,19 +572,19 @@ def two_atom_composite_profile(a):
 def b2_structure_cases(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.L
+    L = a.lattice()
     pairs = []
     for v in range(len(L.nodes)):
         lev = L.levels_from(v)
         pairs.extend((v, int(w)) for w in np.flatnonzero(lev == 2))
     if not pairs:
         return _na("no length-2 subinterval")
-    S = a.S
+    S = a.ambient
     for v, w in pairs:
-        V, W = a.nodes[v], a.nodes[w]
+        V, W = L.nodes[v], L.nodes[w]
         pa = a.sub(V, W)
-        lhs = pa.L.check_boolean()[0]
-        prof = pa.profile
+        lhs = pa.lattice().check_boolean()[0]
+        prof = pa.profile()
         cond = prof.conductor
         rhs = False
         if len(prof.msupp) == 2:
@@ -581,14 +592,14 @@ def b2_structure_cases(a):
         elif len(prof.msupp) == 1:
             M = prof.crucial
             if ex.is_infra_integral_pair(S, V, W):
-                plus = pa.decomp.plus
+                plus = pa.decomposition().plus
                 if plus not in (V, W) and cond == M:
                     rhs = True
             if not rhs and cond == M and ex.is_t_closed(S, V, W):
                 # residue interval must have exactly 4 subfields: W/M is a
                 # field iff M is maximal in W
                 rhs = M in fr.maximal_ideals(S, W) and \
-                    len(pa.quotient(M).nodes) == 4
+                    len(pa.quotient(M).lattice().nodes) == 4
         if lhs != rhs:
             return CheckResult("", "", "fail", witness={
                 "interval": [v, w], "b2": lhs, "cases": rhs})
@@ -604,10 +615,10 @@ def b2_structure_cases(a):
 def local_atoms_distinct_types(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.flags.infra_integral and a.verdict.distributive
-            and len(a.E.max_ideals_base()) == 1):
+    if not (a.flags().infra_integral and a.lattice().verdict().distributive
+            and len(a.max_ideals_base()) == 1):
         return _na("needs a distributive infra-integral extension over a local base")
-    types = [a.cover_types[(0, t)].value for t in a.L.atoms()]
+    types = [ex.cover_types(a)[(0, t)].value for t in a.lattice().atoms()]
     ok = len(types) == len(set(types))
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"atom_types": types})
@@ -616,30 +627,30 @@ def local_atoms_distinct_types(a):
 @check("subintegral_distributive_iff_arithmetic",
        "a subintegral extension is distributive iff it is locally chained")
 def subintegral_distributive_iff_arithmetic(a):
-    if not _proper(a) or not a.flags.subintegral:
+    if not _proper(a) or not a.flags().subintegral:
         return _na("extension not subintegral")
-    return _iff(a.verdict.distributive, a.flags.arithmetic,
-                {"arithmetic": a.flags.arithmetic})
+    return _iff(a.lattice().verdict().distributive, a.flags().arithmetic,
+                {"arithmetic": a.flags().arithmetic})
 
 
 @check("seminormal_infra_iff_locally_minimal",
        "a seminormal infra-integral extension is distributive iff it is "
        "locally minimal")
 def seminormal_infra_iff_locally_minimal(a):
-    if not _proper(a) or not (a.flags.seminormal and a.flags.infra_integral):
+    if not _proper(a) or not (a.flags().seminormal and a.flags().infra_integral):
         return _na("extension not seminormal infra-integral")
-    return _iff(a.verdict.distributive, a.flags.locally_minimal,
-                {"locally_minimal": a.flags.locally_minimal})
+    return _iff(a.lattice().verdict().distributive, a.flags().locally_minimal,
+                {"locally_minimal": a.flags().locally_minimal})
 
 
 @check("t_closed_residual_distributivity",
        "a t-closed extension is distributive iff all its residue-field "
        "extensions are distributive")
 def t_closed_residual_distributivity(a):
-    if not _proper(a) or not a.flags.t_closed:
+    if not _proper(a) or not a.flags().t_closed:
         return _na("extension not t-closed")
-    res = [a.quotient(Q).verdict.distributive for Q in a.E.max_ideals_top()]
-    return _iff(a.verdict.distributive, all(res), {"residual_verdicts": res})
+    res = [a.quotient(Q).lattice().verdict().distributive for Q in a.max_ideals_top()]
+    return _iff(a.lattice().verdict().distributive, all(res), {"residual_verdicts": res})
 
 
 @check("module_lattice_correspondence",
@@ -649,33 +660,33 @@ def t_closed_residual_distributivity(a):
 def module_lattice_correspondence(a):
     if not _proper(a):
         return _na("trivial extension")
-    S = a.S
-    sq_zero = [s for s in sorted(a.E.top) if S.m(s, s) == S.zero]
-    N = frozenset(S.ideal_closure(a.E.top, sq_zero).tolist())
+    S = a.ambient
+    sq_zero = [s for s in sorted(a.top) if S.m(s, s) == S.zero]
+    N = frozenset(S.ideal_closure(a.top, sq_zero).tolist())
     Na = S.arr(N)
     prods = S.mul[np.ix_(Na, Na)]
     if (prods != S.zero).any() or \
-            (a.E.base & N) != {S.zero} or \
-            len(a.E.base) * len(N) != len(a.E.top):
+            (a.base & N) != {S.zero} or \
+            len(a.base) * len(N) != len(a.top):
         return _na("top is not base plus a square-zero complement")
-    subs = S.all_ideals(a.E.base, gens=N)
-    mapped = {frozenset(S.additive_closure(sorted(a.E.base | V)).tolist())
+    subs = S.all_ideals(a.base, gens=N)
+    mapped = {frozenset(S.additive_closure(sorted(a.base | V)).tolist())
               for V in subs}
-    if mapped != set(a.nodes):
+    nodes = a.lattice().nodes
+    if mapped != set(nodes):
         return CheckResult("", "", "fail",
-                           witness={"submodules": len(subs),
-                                    "nodes": len(a.nodes)})
+                           witness={"submodules": len(subs), "nodes": len(nodes)})
     # distributive iff every localized submodule lattice is a chain:
     # equivalently, localized at each base ideal, the interval is a chain
-    chains = all(a.loc(M).verdict.chained for M in a.profile.msupp)
-    return _iff(a.verdict.distributive, chains, {"localized_chains": chains})
+    chains = all(a.localized(M).lattice().verdict().chained for M in a.profile().msupp)
+    return _iff(a.lattice().verdict().distributive, chains, {"localized_chains": chains})
 
 
 # ----------------------------------------------------------------------
 # unbranched / branched structure over a local base
 
 def _locally_unbranched(a):
-    return all(len(a.loc(M).E.max_ideals_top()) == 1 for M in a.profile.msupp)
+    return all(len(a.localized(M).max_ideals_top()) == 1 for M in a.profile().msupp)
 
 
 @check("unbranched_characterization",
@@ -687,22 +698,22 @@ def unbranched_characterization(a):
         return _na("trivial extension")
     if not _locally_unbranched(a):
         return _na("extension branches at some support ideal")
-    for M in a.profile.msupp:
-        loc = a.loc(M)
-        L = loc.L
-        d = loc.decomp
+    for M in a.profile().msupp:
+        loc = a.localized(M)
+        L = loc.lattice()
+        d = loc.decomposition()
         t_idx = L.index[d.t]
-        lower = (d.t == loc.E.base) or L.interval(0, t_idx).is_chain()
+        lower = (d.t == loc.base) or L.interval(0, t_idx).is_chain()
         upper = L.interval(t_idx, L.top).check_distributive()[0]
         pinched = _pinched_at_t(loc)
         rhs = lower and upper and pinched
-        if loc.verdict.distributive != rhs:
+        if L.verdict().distributive != rhs:
             return CheckResult("", "", "fail", witness={
                 "ideal_size": len(M), "lower_chain": lower,
                 "upper_distributive": upper, "pinched": pinched,
-                "local_distributive": loc.verdict.distributive})
-    return CheckResult("", "", "pass",
-                       side="lhs_true" if a.verdict.distributive else "lhs_false")
+                "local_distributive": L.verdict().distributive})
+    dist = a.lattice().verdict().distributive
+    return CheckResult("", "", "pass", side="lhs_true" if dist else "lhs_false")
 
 
 @check("unbranched_locally_minimal_step_arithmetic",
@@ -711,12 +722,12 @@ def unbranched_characterization(a):
 def unbranched_locally_minimal_step_arithmetic(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    hyp = (a.verdict.distributive and _locally_unbranched(a)
-           and (d.t == a.E.top
-                or a.sub(d.t, a.E.top).flags.locally_minimal))
-    return _implies(hyp, a.flags.arithmetic,
-                    {"arithmetic": a.flags.arithmetic},
+    d = a.decomposition()
+    hyp = (a.lattice().verdict().distributive and _locally_unbranched(a)
+           and (d.t == a.top
+                or a.sub(d.t, a.top).flags().locally_minimal))
+    return _implies(hyp, a.flags().arithmetic,
+                    {"arithmetic": a.flags().arithmetic},
                     reason="needs distributive locally unbranched with locally "
                            "minimal upper step")
 
@@ -728,10 +739,10 @@ def unbranched_locally_minimal_step_arithmetic(a):
 def branched_infra_pinch_partition(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    L = a.L
-    if not (a.flags.infra_integral and a.flags.branched
-            and len(a.E.max_ideals_top()) == 2
+    d = a.decomposition()
+    L = a.lattice()
+    if not (a.flags().infra_integral and a.flags().branched
+            and len(a.max_ideals_top()) == 2
             and L.interval(0, L.index[d.plus]).is_chain()):
         return _na("needs infra-integral branched with chained lower part and "
                    "two maximal ideals on top")
@@ -755,12 +766,12 @@ def branched_infra_pinch_partition(a):
 def branched_infra_characterization(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    if not (a.flags.infra_integral and a.flags.branched and d.plus != a.E.base):
+    d = a.decomposition()
+    if not (a.flags().infra_integral and a.flags().branched and d.plus != a.base):
         return _na("needs infra-integral branched with nontrivial lower closure")
-    L = a.L
+    L = a.lattice()
     cond1 = L.interval(0, L.index[d.plus]).is_chain()
-    cond2 = len(a.E.max_ideals_top()) == 2
+    cond2 = len(a.max_ideals_top()) == 2
     mid = L.index[d.u & d.plus]
     u_idx = L.index[d.u]
     dom = L.interval_nodes(mid, L.index[d.plus])
@@ -772,18 +783,18 @@ def branched_infra_characterization(a):
                      for i, x in enumerate(dom)
                      for j, y in enumerate(dom)))
     rhs = cond1 and cond2 and cond3
-    res = _iff(a.verdict.distributive, rhs,
+    res = _iff(L.verdict().distributive, rhs,
                {"lower_chain": cond1, "two_max": cond2, "join_iso": cond3})
-    if res.status == "fail" or not a.verdict.distributive:
+    if res.status == "fail" or not L.verdict().distributive:
         return res
     # consequence: single u-level support with chained top part, or a chain
-    usub = a.sub(d.u, a.E.top)
-    single = len(usub.profile.msupp) == 1 and \
+    usub = a.sub(d.u, a.top)
+    single = len(usub.profile().msupp) == 1 and \
         L.interval(u_idx, L.top).is_chain()
-    chain_all = a.verdict.chained and d.u == a.E.top
+    chain_all = L.verdict().chained and d.u == a.top
     if not (single or chain_all):
         return CheckResult("", "", "fail",
-                           witness={"usupp": len(usub.profile.msupp),
+                           witness={"usupp": len(usub.profile().msupp),
                                     "upper_chain": L.interval(u_idx, L.top).is_chain()})
     return res
 
@@ -795,11 +806,12 @@ def branched_infra_characterization(a):
 def branched_infra_loewy_shape(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    if not (a.verdict.distributive and a.flags.infra_integral
-            and a.flags.branched and not a.verdict.chained):
+    d = a.decomposition()
+    L = a.lattice()
+    v = L.verdict()
+    if not (v.distributive and a.flags().infra_integral
+            and a.flags().branched and not v.chained):
         return _na("needs distributive infra-integral branched, not chained")
-    L = a.L
     lower = L.interval_nodes(0, L.index[d.plus])
     upper = L.interval_nodes(L.index[d.u], L.top)
     partition_ok = (set(lower) | set(upper) == set(range(len(L.nodes)))
@@ -809,7 +821,7 @@ def branched_infra_loewy_shape(a):
     if not partition_ok or translates != sorted(upper):
         return CheckResult("", "", "fail",
                            witness={"partition": partition_ok})
-    chain = sorted(lower, key=lambda t: len(a.nodes[t]))
+    chain = sorted(lower, key=lambda t: len(L.nodes[t]))
     mid = L.index[d.u & d.plus]
     k = chain.index(mid)
     expected = chain[:k + 1] + [int(L.join[u_idx, t]) for t in chain[k + 1:]]
@@ -827,14 +839,14 @@ def branched_infra_loewy_shape(a):
 def seminormal_branched_rule(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.flags.seminormal and a.flags.branched):
+    if not (a.flags().seminormal and a.flags().branched):
         return _na("extension not seminormal branched")
-    L = a.L
-    d = a.decomp
+    L = a.lattice()
+    d = a.decomposition()
     t_idx = L.index[d.t]
     upper_dist = L.interval(t_idx, L.top).check_distributive()[0]
     shape = set(L.interval_nodes(t_idx, L.top)) | {0} == set(range(len(L.nodes)))
-    return _iff(a.verdict.distributive, upper_dist and shape,
+    return _iff(L.verdict().distributive, upper_dist and shape,
                 {"upper_distributive": upper_dist, "no_side_nodes": shape})
 
 
@@ -845,26 +857,26 @@ def seminormal_branched_rule(a):
 def splitter_existence(a):
     if not _proper(a):
         return _na("trivial extension")
-    ms = a.profile.msupp
-    L = a.L
-    if ex.splitter(a.E, []) != a.E.base or ex.splitter(a.E, ms) != a.E.top:
+    ms = a.profile().msupp
+    L = a.lattice()
+    if ex.splitter(a, []) != a.base or ex.splitter(a, ms) != a.top:
         return CheckResult("", "", "fail", witness={"case": "endpoints"})
     for r in range(1, len(ms)):
         for X in itertools.combinations(ms, r):
-            T = ex.splitter(a.E, list(X))
+            T = ex.splitter(a, list(X))
             rest = [m for m in ms if m not in X]
-            To = ex.splitter(a.E, rest)
+            To = ex.splitter(a, rest)
             comps = L.complements(L.index[T])
             if comps != [L.index[To]]:
                 return CheckResult("", "", "fail", witness={
                     "X_sizes": [len(m) for m in X],
                     "complements": comps})
     # the localization map separates intermediate rings and fills the product
-    S = a.S
-    dec = a.E.base_decomposition()
+    S = a.ambient
+    dec = a.base_decomposition()
     idems = [e for e, M in zip(dec.idempotents, dec.maximal_ideals) if M in ms]
     seen = set()
-    for T in a.nodes:
+    for T in L.nodes:
         key = tuple(tuple(np.unique(S.mul[e, S.arr(T)]).tolist())
                     for e in idems)
         if key in seen:
@@ -873,10 +885,10 @@ def splitter_existence(a):
         seen.add(key)
     expected = 1
     for M in ms:
-        expected *= len(a.loc(M).nodes)
-    if len(a.nodes) != expected:
+        expected *= len(a.localized(M).lattice().nodes)
+    if len(L.nodes) != expected:
         return CheckResult("", "", "fail",
-                           witness={"nodes": len(a.nodes), "product": expected})
+                           witness={"nodes": len(L.nodes), "product": expected})
     return CheckResult("", "", "pass")
 
 
@@ -886,22 +898,22 @@ def splitter_existence(a):
 def split_complement_distributivity(a):
     if not _proper(a):
         return _na("trivial extension")
-    ms = a.profile.msupp
+    ms = a.profile().msupp
     if len(ms) < 2:
         return _na("support too small to split")
-    L = a.L
+    L = a.lattice()
     for r in range(1, len(ms)):
         for X in itertools.combinations(ms, r):
-            T = ex.splitter(a.E, list(X))
-            To = ex.splitter(a.E, [m for m in ms if m not in X])
+            T = ex.splitter(a, list(X))
+            To = ex.splitter(a, [m for m in ms if m not in X])
             left = L.interval(0, L.index[T]).check_distributive()[0]
             right = L.interval(0, L.index[To]).check_distributive()[0]
-            if a.verdict.distributive != (left and right):
+            if L.verdict().distributive != (left and right):
                 return CheckResult("", "", "fail", witness={
                     "legs": [left, right],
-                    "full": a.verdict.distributive})
+                    "full": L.verdict().distributive})
     return CheckResult("", "", "pass",
-                       side="lhs_true" if a.verdict.distributive else "lhs_false")
+                       side="lhs_true" if L.verdict().distributive else "lhs_false")
 
 
 @check("branched_chained_lower_rule",
@@ -911,16 +923,16 @@ def split_complement_distributivity(a):
 def branched_chained_lower_rule(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    if not (a.flags.branched and d.plus not in (a.E.base, a.E.top)
-            and d.t not in (a.E.base, a.E.top)
-            and a.L.interval(0, a.L.index[d.t]).is_chain()):
-        return _na("needs branched with proper closures and chained lower part")
-    L = a.L
+    d = a.decomposition()
+    L = a.lattice()
     t_idx = L.index[d.t]
+    if not (a.flags().branched and d.plus not in (a.base, a.top)
+            and d.t not in (a.base, a.top)
+            and L.interval(0, t_idx).is_chain()):
+        return _na("needs branched with proper closures and chained lower part")
     upper = L.interval(t_idx, L.top).check_distributive()[0]
     pinched = L.is_pinched_at([t_idx])
-    return _iff(a.verdict.distributive, upper and pinched,
+    return _iff(L.verdict().distributive, upper and pinched,
                 {"upper": upper, "pinched": pinched})
 
 
@@ -930,12 +942,12 @@ def branched_chained_lower_rule(a):
 def pinch_lifts_from_lower_part(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.verdict.distributive and a.flags.branched):
+    L = a.lattice()
+    if not (L.verdict().distributive and a.flags().branched):
         return _na("needs a distributive branched extension")
-    d = a.decomp
-    L = a.L
+    d = a.decomposition()
     lowerL = L.interval(0, L.index[d.t])
-    if d.plus in (a.E.base, d.t):
+    if d.plus in (a.base, d.t):
         lower_pinched = True
     else:
         lower_pinched = lowerL.is_pinched_at([lowerL.index[d.plus]])
@@ -952,24 +964,24 @@ def pinch_lifts_from_lower_part(a):
        "ideals, and the interval is either pinched at the t-closure or "
        "carries the splitter ladder structure")
 def branched_characterization(a):
-    if not _proper(a) or not a.flags.branched:
+    if not _proper(a) or not a.flags().branched:
         return _na("extension not branched")
-    L = a.L
-    d = a.decomp
+    L = a.lattice()
+    d = a.decomposition()
     t_idx = L.index[d.t]
-    two_max = (len(a.E.max_ideals_top()) == 2
-               and len(fr.maximal_ideals(a.S, d.u)) == 2)
+    two_max = (len(a.max_ideals_top()) == 2
+               and len(fr.maximal_ideals(a.ambient, d.u)) == 2)
     lower_dist = L.interval(0, t_idx).check_distributive()[0]
     upper_dist = L.interval(t_idx, L.top).check_distributive()[0]
     pinched = _pinched_at_t(a)
     case2 = False
     if not pinched:
-        usub = a.sub(d.u, a.E.top)
+        usub = a.sub(d.u, a.top)
         ut = a.sub(d.u, d.t)
-        case2 = (len(ut.profile.msupp) == 1
-                 and len(usub.profile.msupp) == 2)
+        case2 = (len(ut.profile().msupp) == 1
+                 and len(usub.profile().msupp) == 2)
     rhs = two_max and lower_dist and upper_dist and (pinched or case2)
-    return _iff(a.verdict.distributive, rhs,
+    return _iff(L.verdict().distributive, rhs,
                 {"two_max": two_max, "lower": lower_dist, "upper": upper_dist,
                  "pinched": pinched, "split_case": case2})
 
@@ -981,30 +993,30 @@ def branched_characterization(a):
        "of equal length, crossing back with the t-closure, and the interval "
        "partitions into the two closure parts plus the rungs")
 def branched_splitter_ladder(a):
-    if not _proper(a) or not a.flags.branched:
+    if not _proper(a) or not a.flags().branched:
         return _na("extension not branched")
-    if not a.verdict.distributive:
+    L = a.lattice()
+    if not L.verdict().distributive:
         return _na("extension not distributive")
-    L = a.L
-    d = a.decomp
+    d = a.decomposition()
     t_idx = L.index[d.t]
     if _pinched_at_t(a):
         return _na("pinched at the t-closure (ladder case not exercised)")
-    usub = a.sub(d.u, a.E.top)
+    usub = a.sub(d.u, a.top)
     ut = a.sub(d.u, d.t)
-    if len(ut.profile.msupp) != 1 or len(usub.profile.msupp) != 2:
+    if len(ut.profile().msupp) != 1 or len(usub.profile().msupp) != 2:
         return CheckResult("", "", "fail", witness={
-            "usupp_t": len(ut.profile.msupp),
-            "usupp_top": len(usub.profile.msupp)})
-    M = ut.profile.msupp[0]
-    others = [m for m in usub.profile.msupp if m != M]
+            "usupp_t": len(ut.profile().msupp),
+            "usupp_top": len(usub.profile().msupp)})
+    M = ut.profile().msupp[0]
+    others = [m for m in usub.profile().msupp if m != M]
     if len(others) != 1:
         return CheckResult("", "", "fail",
                            witness={"case": "support ideals do not separate"})
-    V = ex.splitter(usub.E, [others[0]])
-    W = a.nodes[L.join[L.index[V], t_idx]]
+    V = ex.splitter(usub, [others[0]])
+    W = L.nodes[L.join[L.index[V], t_idx]]
     wsub = a.sub(d.u, W)
-    if wsub.decomp.cosub != V:
+    if wsub.decomposition().cosub != V:
         return CheckResult("", "", "fail",
                            witness={"case": "splitter is not the co-subintegral "
                                             "closure of the crossed square"})
@@ -1017,8 +1029,8 @@ def branched_splitter_ladder(a):
             "ladders": [len(vw), len(utn)],
             "chains": [chain_vw, chain_ut]})
     # rungs: V_i cap t = U_i, and the partition of the whole interval
-    vw_sorted = sorted(vw, key=lambda i: len(a.nodes[i]))
-    ut_sorted = sorted(utn, key=lambda i: len(a.nodes[i]))
+    vw_sorted = sorted(vw, key=lambda i: len(L.nodes[i]))
+    ut_sorted = sorted(utn, key=lambda i: len(L.nodes[i]))
     for vi, ui in zip(vw_sorted, ut_sorted):
         if int(L.meet[vi, t_idx]) != ui:
             return CheckResult("", "", "fail",
@@ -1039,26 +1051,27 @@ def branched_splitter_ladder(a):
        "co-subintegral closure of the off-support splitter crosses back to "
        "the u-closure")
 def branched_splitter_consistency(a):
-    if not _proper(a) or not a.flags.branched or not a.verdict.distributive:
+    if not (_proper(a) and a.flags().branched
+            and a.lattice().verdict().distributive):
         return _na("needs a distributive branched extension")
-    d = a.decomp
+    d = a.decomposition()
     if _pinched_at_t(a):
         return _na("pinched at the t-closure")
-    maxT = fr.maximal_ideals(a.S, d.t)
+    maxT = fr.maximal_ideals(a.ambient, d.t)
     if len(maxT) != 2:
         return CheckResult("", "", "fail", witness={"max_t": len(maxT)})
-    tsub = a.sub(d.t, a.E.top)
-    if len(tsub.profile.msupp) != 2:
+    tsub = a.sub(d.t, a.top)
+    if len(tsub.profile().msupp) != 2:
         return CheckResult("", "", "pass")
     ut = a.sub(d.u, d.t)
-    M = ut.profile.msupp[0]
+    M = ut.profile().msupp[0]
     over = [N for N in maxT if N & d.u == M]
     prime_n = [N for N in maxT if N not in over]
     if len(prime_n) != 1:
         return CheckResult("", "", "fail", witness={"case": "no unique off ideal"})
-    Wp = ex.splitter(tsub.E, [prime_n[0]])
-    wsub = a.sub(a.E.base, Wp)
-    V = wsub.decomp.cosub
+    Wp = ex.splitter(tsub, [prime_n[0]])
+    wsub = a.sub(a.base, Wp)
+    V = wsub.decomposition().cosub
     if V is None or (V & d.t) != d.u:
         return CheckResult("", "", "fail",
                            witness={"case": "cosub does not cross back to u"})
@@ -1070,15 +1083,15 @@ def branched_splitter_consistency(a):
        "is pinched at the t-closure iff the u-closure supports the top at "
        "exactly one ideal")
 def pinched_iff_single_u_support(a):
-    if not _proper(a) or not (a.flags.branched and a.verdict.distributive):
+    if not _proper(a) or not (a.flags().branched and a.lattice().verdict().distributive):
         return _na("needs a distributive branched extension")
-    d = a.decomp
+    d = a.decomposition()
     if d.u == d.t:
         return _na("u-closure equals t-closure")
     pinched = _pinched_at_t(a)
-    usub = a.sub(d.u, a.E.top)
-    return _iff(pinched, len(usub.profile.msupp) == 1,
-                {"u_support": len(usub.profile.msupp)})
+    usub = a.sub(d.u, a.top)
+    return _iff(pinched, len(usub.profile().msupp) == 1,
+                {"u_support": len(usub.profile().msupp)})
 
 
 @check("split_i_extension_cosub",
@@ -1088,23 +1101,23 @@ def pinched_iff_single_u_support(a):
 def split_i_extension_cosub(a):
     if not _proper(a):
         return _na("trivial extension")
-    d = a.decomp
-    if not (a.flags.i_extension and d.t not in (a.E.base, a.E.top)
-            and len(a.profile.msupp) == 2):
+    d = a.decomposition()
+    if not (a.flags().i_extension and d.t not in (a.base, a.top)
+            and len(a.profile().msupp) == 2):
         return _na("needs an i-extension with proper t-closure and two-point "
                    "support")
-    lowsupp = set(ex.msupp_of_pair(a.E, a.E.base, d.t))
-    upsupp = set(ex.msupp_of_pair(a.E, d.t, a.E.top))
+    lowsupp = set(ex.msupp_of_pair(a, a.base, d.t))
+    upsupp = set(ex.msupp_of_pair(a, d.t, a.top))
     if lowsupp & upsupp:
         return _na("not split at the t-closure")
     cosub = d.cosub
     if cosub is None:
         return CheckResult("", "", "fail", witness={"case": "no co-subintegral "
                                                             "closure"})
-    if not ex.is_t_closed(a.S, a.E.base, cosub):
+    if not ex.is_t_closed(a.ambient, a.base, cosub):
         return CheckResult("", "", "fail",
                            witness={"case": "base not t-closed in cosub"})
-    L = a.L
+    L = a.lattice()
     upper = L.interval(L.index[d.t], L.top).check_distributive()[0]
     if upper:
         lower = L.interval(0, L.index[cosub]).check_distributive()[0]
@@ -1123,9 +1136,9 @@ def split_i_extension_cosub(a):
 def fiber_bound(a):
     if not _proper(a):
         return _na("trivial extension")
-    sizes = sorted(len(v) for v in a.fibers.values())
-    return _implies(a.verdict.distributive, all(s <= 2 for s in sizes),
-                    {"fiber_sizes": sizes},
+    sizes = sorted(len(v) for v in ex.fibers(a).values())
+    return _implies(a.lattice().verdict().distributive,
+                    all(s <= 2 for s in sizes), {"fiber_sizes": sizes},
                     reason="extension not distributive")
 
 
@@ -1135,16 +1148,16 @@ def fiber_bound(a):
 def fiber_bound_blocks_decomposed_towers(a):
     if not _proper(a):
         return _na("trivial extension")
-    if any(len(v) > 2 for v in a.fibers.values()):
+    if any(len(v) > 2 for v in ex.fibers(a).values()):
         return _na("a fiber has more than two points")
-    L = a.L
-    for (i, j), t1 in a.cover_types.items():
+    L = a.lattice()
+    for (i, j), t1 in ex.cover_types(a).items():
         if t1 is not ex.MinimalType.DECOMPOSED:
             continue
-        for (j2, k), t2 in a.cover_types.items():
+        for (j2, k), t2 in ex.cover_types(a).items():
             if j2 != j or t2 is not ex.MinimalType.DECOMPOSED:
                 continue
-            if len(ex.msupp_of_pair(a.E, a.nodes[i], a.nodes[k])) == 1:
+            if len(ex.msupp_of_pair(a, L.nodes[i], L.nodes[k])) == 1:
                 return CheckResult("", "", "fail",
                                    witness={"tower": [i, j, k]})
     return CheckResult("", "", "pass")
@@ -1156,13 +1169,13 @@ def fiber_bound_blocks_decomposed_towers(a):
 def fiber_bound_locally_minimal_legs(a):
     if not _proper(a):
         return _na("trivial extension")
-    if any(len(v) > 2 for v in a.fibers.values()):
+    if any(len(v) > 2 for v in ex.fibers(a).values()):
         return _na("a fiber has more than two points")
-    d = a.decomp
-    usub = a.sub(a.E.base, d.u)
-    V = usub.decomp.plus
-    leg1 = V == d.u or a.sub(V, d.u).flags.locally_minimal
-    leg2 = d.plus == d.t or a.sub(d.plus, d.t).flags.locally_minimal
+    d = a.decomposition()
+    usub = a.sub(a.base, d.u)
+    V = usub.decomposition().plus
+    leg1 = V == d.u or a.sub(V, d.u).flags().locally_minimal
+    leg2 = d.plus == d.t or a.sub(d.plus, d.t).flags().locally_minimal
     ok = leg1 and leg2
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"legs": [leg1, leg2]})
@@ -1174,25 +1187,26 @@ def fiber_bound_locally_minimal_legs(a):
 def seminormal_fiber_converse(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.flags.seminormal and a.flags.infra_integral):
+    if not (a.flags().seminormal and a.flags().infra_integral):
         return _na("extension not seminormal infra-integral")
-    if any(len(v) > 2 for v in a.fibers.values()):
+    if any(len(v) > 2 for v in ex.fibers(a).values()):
         return _na("a fiber has more than two points")
     # locally maximal conductor: each localized conductor is the local
     # maximal ideal or everything
-    for M in a.profile.msupp:
-        loc = a.loc(M)
-        cond = ex.conductor(loc.E)
-        maxi = loc.E.max_ideals_base()
-        if cond != loc.E.base and cond not in maxi:
+    for M in a.profile().msupp:
+        loc = a.localized(M)
+        cond = ex.conductor(loc)
+        maxi = loc.max_ideals_base()
+        if cond != loc.base and cond not in maxi:
             return _na("conductor not locally maximal")
-    if not a.verdict.distributive or not a.flags.locally_minimal:
+    dist = a.lattice().verdict().distributive
+    if not dist or not a.flags().locally_minimal:
         return CheckResult("", "", "fail",
-                           witness={"distributive": a.verdict.distributive,
-                                    "locally_minimal": a.flags.locally_minimal})
-    for M in a.profile.msupp:
-        loc = a.loc(M)
-        if ex.classify_minimal(loc.E) is not ex.MinimalType.DECOMPOSED:
+                           witness={"distributive": dist,
+                                    "locally_minimal": a.flags().locally_minimal})
+    for M in a.profile().msupp:
+        loc = a.localized(M)
+        if ex.classify_minimal(loc) is not ex.MinimalType.DECOMPOSED:
             return CheckResult("", "", "fail",
                                witness={"case": "local step not decomposed"})
     return CheckResult("", "", "pass")
@@ -1205,15 +1219,15 @@ def seminormal_fiber_converse(a):
 def one_generator_idempotent_like_fibers(a):
     if not _proper(a):
         return _na("trivial extension")
-    S, E = a.S, a.E
-    if ex.idempotent_style_generator(E) is None:
+    S = a.ambient
+    if ex.idempotent_style_generator(a) is None:
         return _na("no single idempotent-style generator")
-    sizes = sorted(len(v) for v in a.fibers.values())
+    sizes = sorted(len(v) for v in ex.fibers(a).values())
     if any(s > 2 for s in sizes):
         return CheckResult("", "", "fail", witness={"fiber_sizes": sizes})
-    I = a.profile.conductor
-    SI, _ = fr.quotient_of_subring(S, E.top, I)
-    RI, _ = fr.quotient_of_subring(S, E.base, I)
+    I = a.profile().conductor
+    SI, _ = fr.quotient_of_subring(S, a.top, I)
+    RI, _ = fr.quotient_of_subring(S, a.base, I)
     doubled = fr.product_ring([RI, RI], size_cap=max(S.size_cap, RI.size ** 2))
     ok = fr.rings_isomorphic(SI, doubled)
     return CheckResult("", "", "pass" if ok else "fail",
@@ -1230,18 +1244,19 @@ def one_generator_idempotent_like_fibers(a):
 def support_product_formulas(a):
     if not _proper(a):
         return _na("trivial extension")
-    ms = a.profile.msupp
+    ms = a.profile().msupp
     count = 1
     length = 0
     for M in ms:
-        loc = a.loc(M)
+        loc = a.localized(M).lattice()
         count *= len(loc.nodes)
-        length += loc.L.length
-    ok = count == len(a.nodes) and length == a.L.length
+        length += loc.length
+    L = a.lattice()
+    ok = count == len(L.nodes) and length == L.length
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {
-                           "nodes": len(a.nodes), "product": count,
-                           "length": a.L.length, "sum": length})
+                           "nodes": len(L.nodes), "product": count,
+                           "length": L.length, "sum": length})
 
 
 @check("length_formula_local",
@@ -1251,14 +1266,14 @@ def support_product_formulas(a):
 def length_formula_local(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.verdict.distributive and len(a.E.max_ideals_base()) == 1):
+    L = a.lattice()
+    if not (L.verdict().distributive and len(a.max_ideals_base()) == 1):
         return _na("needs a distributive extension over a local base")
-    L = a.L
-    d = a.decomp
+    d = a.decomposition()
     lhs = L.length
     rhs = (int(L.levels_from(0)[L.index[d.plus]])
            + int(L.levels_from(L.index[d.t])[L.top])
-           + len(a.E.max_ideals_top()) - 1)
+           + len(a.max_ideals_top()) - 1)
     ok = lhs == rhs
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"length": lhs, "formula": rhs})
@@ -1271,13 +1286,13 @@ def length_formula_local(a):
 def count_formula_local(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.verdict.distributive and len(a.E.max_ideals_base()) == 1):
+    L = a.lattice()
+    if not (L.verdict().distributive and len(a.max_ideals_base()) == 1):
         return _na("needs a distributive extension over a local base")
-    L = a.L
-    d = a.decomp
-    max_u = fr.maximal_ideals(a.S, d.u)
+    d = a.decomposition()
+    max_u = fr.maximal_ideals(a.ambient, d.u)
     ut = a.sub(d.u, d.t)
-    supp_ut = ut.profile.msupp
+    supp_ut = ut.profile().msupp
     if len(max_u) > 2 or len(supp_ut) > 1:
         return CheckResult("", "", "fail",
                            witness={"max_u": len(max_u),
@@ -1290,13 +1305,13 @@ def count_formula_local(a):
         want = l_lower + n_upper + lam
         case = "merged"
     elif len(max_u) == 2:
-        usub = a.sub(d.u, a.E.top)
-        supp_us = usub.profile.msupp
+        usub = a.sub(d.u, a.top)
+        supp_us = usub.profile().msupp
         M = supp_ut[0]
         others = [m for m in supp_us if m != M]
         l_ut = int(L.levels_from(L.index[d.u])[L.index[d.t]])
         if len(supp_us) == 2:
-            V = ex.splitter(usub.E, [others[0]])
+            V = ex.splitter(usub, [others[0]])
             n_uv = L.interval_size(L.index[d.u], L.index[V])
             want = l_lower + n_upper + l_ut * n_uv + 1
             case = "crossed"
@@ -1323,10 +1338,10 @@ def count_formula_local(a):
 def field_interval_is_divisor_lattice(a):
     if not _proper(a):
         return _na("trivial extension")
-    S = a.S
-    if not fr.is_field(S) or len(a.E.top) != S.size:
+    S = a.ambient
+    if not fr.is_field(S) or len(a.top) != S.size:
         return _na("top ring is not a field")
-    q = len(a.E.base)
+    q = len(a.base)
     # independent construction: fixed points of x -> x^(q^d)
     fixed = fr.power_fixed_sets(S, q)
     if fixed is None:
@@ -1334,21 +1349,21 @@ def field_interval_is_divisor_lattice(a):
                            witness={"case": "size not a base power"})
     divs = list(fixed)
     n = divs[-1]
-    if len(a.nodes) != len(divs):
+    L = a.lattice()
+    if len(L.nodes) != len(divs):
         return CheckResult("", "", "fail",
-                           witness={"nodes": len(a.nodes), "divisors": len(divs)})
+                           witness={"nodes": len(L.nodes), "divisors": len(divs)})
     by_size = {}
-    for i, node in enumerate(a.nodes):
+    for i, node in enumerate(L.nodes):
         by_size.setdefault(len(node), []).append(i)
     for d in divs:
         if len(by_size.get(q ** d, [])) != 1:
             return CheckResult("", "", "fail",
                                witness={"case": f"no unique node of size q^{d}"})
-        if fixed[d] != a.nodes[by_size[q ** d][0]]:
+        if fixed[d] != L.nodes[by_size[q ** d][0]]:
             return CheckResult("", "", "fail",
                                witness={"case": f"power-map subfield mismatch "
                                                 f"at degree {d}"})
-    L = a.L
     for d1 in divs:
         for d2 in divs:
             i, j = by_size[q ** d1][0], by_size[q ** d2][0]
@@ -1356,11 +1371,11 @@ def field_interval_is_divisor_lattice(a):
                 return CheckResult("", "", "fail",
                                    witness={"case": "order mismatch",
                                             "degrees": [d1, d2]})
-    if not a.verdict.distributive:
+    if not L.verdict().distributive:
         return CheckResult("", "", "fail", witness={"case": "not distributive"})
-    if a.verdict.boolean_lattice != fr.is_squarefree(n):
+    if L.verdict().boolean_lattice != fr.is_squarefree(n):
         return CheckResult("", "", "fail",
-                           witness={"boolean": a.verdict.boolean_lattice,
+                           witness={"boolean": L.verdict().boolean_lattice,
                                     "squarefree": fr.is_squarefree(n)})
     return CheckResult("", "", "pass")
 
@@ -1369,11 +1384,11 @@ def field_interval_is_divisor_lattice(a):
        "a distributive extension has an addition-closed interval iff the "
        "part above the t-closure is locally chained")
 def delta_iff_upper_part_arithmetic(a):
-    if not _proper(a) or not a.verdict.distributive:
+    if not _proper(a) or not a.lattice().verdict().distributive:
         return _na("extension not distributive")
-    d = a.decomp
-    upper_arith = d.t == a.E.top or a.sub(d.t, a.E.top).flags.arithmetic
-    return _iff(a.flags.delta, upper_arith, {"upper_arithmetic": upper_arith})
+    d = a.decomposition()
+    upper_arith = d.t == a.top or a.sub(d.t, a.top).flags().arithmetic
+    return _iff(a.flags().delta, upper_arith, {"upper_arithmetic": upper_arith})
 
 
 @check("distributive_infra_is_delta",
@@ -1382,8 +1397,9 @@ def delta_iff_upper_part_arithmetic(a):
 def distributive_infra_is_delta(a):
     if not _proper(a):
         return _na("trivial extension")
-    return _implies(a.verdict.distributive and a.flags.infra_integral,
-                    a.flags.delta, {"delta": a.flags.delta},
+    return _implies(a.lattice().verdict().distributive
+                    and a.flags().infra_integral,
+                    a.flags().delta, {"delta": a.flags().delta},
                     reason="needs a distributive infra-integral extension")
 
 
@@ -1391,12 +1407,12 @@ def distributive_infra_is_delta(a):
        "for u-closed extensions: distributive+addition-closed, "
        "arithmetic+addition-closed and distributive+arithmetic coincide")
 def u_closed_delta_equivalences(a):
-    if not _proper(a) or not a.flags.u_closed:
+    if not _proper(a) or not a.flags().u_closed:
         return _na("extension not u-closed")
-    f = a.flags
-    v1 = a.verdict.distributive and f.delta
+    f, dist = a.flags(), a.lattice().verdict().distributive
+    v1 = dist and f.delta
     v2 = f.arithmetic and f.delta
-    v3 = a.verdict.distributive and f.arithmetic
+    v3 = dist and f.arithmetic
     ok = v1 == v2 == v3
     return CheckResult("", "", "pass" if ok else "fail",
                        witness=None if ok else {"triple": [v1, v2, v3]},
@@ -1410,15 +1426,15 @@ def u_closed_delta_equivalences(a):
 def seminormal_delta_rule(a):
     if not _proper(a):
         return _na("trivial extension")
-    if not (a.flags.seminormal and a.flags.delta
-            and len(a.E.max_ideals_base()) == 1):
+    if not (a.flags().seminormal and a.flags().delta
+            and len(a.max_ideals_base()) == 1):
         return _na("needs a seminormal addition-closed extension over a "
                    "local base")
-    L = a.L
-    d = a.decomp
+    L = a.lattice()
+    d = a.decomposition()
     shape = set(L.interval_nodes(L.index[d.t], L.top)) | {0} == \
         set(range(len(L.nodes)))
-    return _iff(a.verdict.distributive, shape, {"no_side_nodes": shape})
+    return _iff(L.verdict().distributive, shape, {"no_side_nodes": shape})
 
 
 @check("chain_ring_quadratic_distributive",
@@ -1427,22 +1443,22 @@ def seminormal_delta_rule(a):
 def chain_ring_quadratic_distributive(a):
     if not _proper(a):
         return _na("trivial extension")
-    S, E = a.S, a.E
-    maxR = a.E.max_ideals_base()
+    S = a.ambient
+    maxR = a.max_ideals_base()
     if len(maxR) != 1:
         return _na("base not local")
     M = S.arr(maxR[0])
     principal = any(
-        np.array_equal(S.ideal_closure(E.base, [m]), M)
+        np.array_equal(S.ideal_closure(a.base, [m]), M)
         for m in M.tolist())
     if not principal:
         return _na("maximal ideal of the base not principal")
-    base_list = sorted(E.base)
+    base_list = sorted(a.base)
     quad = None
     # base[s] and whether s^2 lies in base + base*s are the same for every
     # s in a coset s + base
-    for s in ex.coset_leaders(S, E.base, E.top):
-        if S.adjoin(E.base, s) != E.top:
+    for s in ex.coset_leaders(S, a.base, a.top):
+        if S.adjoin(a.base, s) != a.top:
             continue
         lin_span = S.additive_closure(
             base_list + [S.m(s, r) for r in base_list])
@@ -1451,6 +1467,6 @@ def chain_ring_quadratic_distributive(a):
             break
     if quad is None:
         return _na("no quadratic generator")
-    return CheckResult("", "", "pass" if a.verdict.distributive else "fail",
-                       witness=None if a.verdict.distributive else
-                       {"distributive": False})
+    dist = a.lattice().verdict().distributive
+    return CheckResult("", "", "pass" if dist else "fail",
+                       witness=None if dist else {"distributive": False})

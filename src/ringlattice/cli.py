@@ -59,18 +59,20 @@ def node_label(E: ex.Extension, T: frozenset) -> str:
     return "R[" + ", ".join(S.elem_str(g) for g in gens) + "]"
 
 
-def _analysis_doc(a: vf.Analysis):
-    E, L = a.E, a.L
-    v = a.verdict
-    d = a.decomp
+def _analysis_doc(E: ex.Extension):
+    L = E.lattice()
+    v = L.verdict()
+    d = E.decomposition()
+    prof = E.profile()
+    types = ex.cover_types(E)
     labels = [node_label(E, T) for T in L.nodes]
     covers = [{"lower": int(i), "upper": int(j),
-               "type": a.cover_types[(int(i), int(j))].value}
+               "type": types[(int(i), int(j))].value}
               for i, j in sorted(map(tuple, np.argwhere(L.covers).tolist()))]
-    flags = {k: val for k, val in a.flags.as_dict().items()}
+    flags = {k: val for k, val in E.flags().as_dict().items()}
     doc = {
         "extension": {
-            "name": a.name,
+            "name": E.name,
             "ambient": E.ambient.label,
             "base_size": len(E.base),
             "top_size": len(E.top),
@@ -104,10 +106,10 @@ def _analysis_doc(a: vf.Analysis):
                 None if d.cosub is None else L.index[d.cosub],
         },
         "support": {
-            "msupp_sizes": sorted(len(m) for m in a.profile.msupp),
-            "crucial": a.profile.crucial is not None,
-            "conductor_size": len(a.profile.conductor),
-            "fiber_sizes": sorted(len(v) for v in a.fibers.values()),
+            "msupp_sizes": sorted(len(m) for m in prof.msupp),
+            "crucial": prof.crucial is not None,
+            "conductor_size": len(prof.conductor),
+            "fiber_sizes": sorted(len(v) for v in ex.fibers(E).values()),
         },
         "minimal_type": (lambda t: t.value if t else None)(
             ex.classify_minimal(E)) if not E.trivial else None,
@@ -119,10 +121,10 @@ def _dot_escape(s):
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def dot_export(a: vf.Analysis) -> str:
+def dot_export(E: ex.Extension) -> str:
     """Hasse diagram as a DOT digraph; node labels are canonical generator
     descriptions, edge labels the minimal type (i/d/r)."""
-    E, L = a.E, a.L
+    L = E.lattice()
     lines = ["digraph lattice {", "  rankdir=BT;",
              '  node [shape=box, fontname="monospace"];']
     for i, T in enumerate(L.nodes):
@@ -131,16 +133,16 @@ def dot_export(a: vf.Analysis) -> str:
             label += " = S"
         lines.append(f'  n{i} [label="{_dot_escape(label)}\\n({len(T)} elems)"];')
     for i, j in sorted(map(tuple, np.argwhere(L.covers).tolist())):
-        t = a.cover_types[(int(i), int(j))]
+        t = ex.cover_types(E)[(int(i), int(j))]
         lines.append(f'  n{i} -> n{j} [label="{t.short()}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _print_analysis(a: vf.Analysis, out):
-    E, L, v = a.E, a.L, a.verdict
-    d = a.decomp
-    click.echo(f"extension {a.name}: |R| = {len(E.base)}, |S| = {len(E.top)} "
+def _print_analysis(E: ex.Extension, out):
+    L = E.lattice()
+    v, d, types = L.verdict(), E.decomposition(), ex.cover_types(E)
+    click.echo(f"extension {E.name}: |R| = {len(E.base)}, |S| = {len(E.top)} "
                f"in {E.ambient.label}", file=out)
     click.echo(f"lattice: {len(L.nodes)} nodes, length {L.length}", file=out)
     labels = [node_label(E, T) for T in L.nodes]
@@ -157,10 +159,10 @@ def _print_analysis(a: vf.Analysis, out):
         mark = ("   <- " + ", ".join(marks)) if marks else ""
         click.echo(f"  [{i:2d}] {labels[i]} ({len(T)} elems){mark}", file=out)
     click.echo("covers: " + ", ".join(
-        f"{i}->{j}({a.cover_types[(i, j)].short()})"
-        for (i, j) in sorted(a.cover_types)), file=out)
+        f"{i}->{j}({types[(i, j)].short()})"
+        for (i, j) in sorted(types)), file=out)
     click.echo(f"atoms: {L.atoms()}  loewy: {L.loewy_series()}", file=out)
-    flag_str = ", ".join(f"{k}={val}" for k, val in a.flags.as_dict().items()
+    flag_str = ", ".join(f"{k}={val}" for k, val in E.flags().as_dict().items()
                          if k != "trivial")
     click.echo("flags: " + flag_str, file=out)
     verdict_bits = [f"{'NOT ' if not v.distributive else ''}distributive",
@@ -199,14 +201,14 @@ def analyze(specfile, dot_path, json_path, cap):
     try:
         text = open(specfile, encoding="utf-8").read()
         E = dsl.build_extension(text, size_cap=cap)
-        a = vf.Analysis(E.name or "instance", E)
-        _print_analysis(a, None)
+        E.name = E.name or "instance"
+        _print_analysis(E, None)
         if dot_path:
             with open(dot_path, "w", encoding="utf-8") as fh:
-                fh.write(dot_export(a))
+                fh.write(dot_export(E))
         if json_path:
             with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(_analysis_doc(a), fh, indent=2, sort_keys=True)
+                json.dump(_analysis_doc(E), fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except _INPUT_ERRORS as exc:
         raise click.ClickException(str(exc))

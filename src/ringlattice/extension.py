@@ -105,15 +105,6 @@ class Extension:
             raise fr.RingError("top is not a unital subring of the ambient ring")
         self._cache = {}
 
-    @classmethod
-    def _between(cls, ambient, lo, hi, name=None):
-        """The extension lo <= hi for two comparable nodes of an enumerated
-        interval.  Lattice nodes are unital subrings, so the constructor's
-        two is_subring scans are skipped."""
-        E = cls.__new__(cls)
-        E.ambient, E.base, E.top, E.name, E._cache = ambient, lo, hi, name, {}
-        return E
-
     def __repr__(self):
         nm = f"{self.name}: " if self.name else ""
         return (f"Extension({nm}{len(self.base)} <= {len(self.top)} "
@@ -125,10 +116,14 @@ class Extension:
 
     # cached heavy analyses -------------------------------------------
 
+    def _memo(self, key, compute):
+        """compute(self), computed once and cached under ``key``."""
+        if key not in self._cache:
+            self._cache[key] = compute(self)
+        return self._cache[key]
+
     def lattice(self, node_limit=DEFAULT_NODE_LIMIT) -> ExtensionLattice:
-        L = self._cache.get("lattice")
-        if L is None:
-            L = self._cache["lattice"] = enumerate_interval(self, node_limit)
+        L = self._memo("lattice", lambda E: enumerate_interval(E, node_limit))
         # a cached lattice answers to the limit it would be enumerated under
         fr.check_limit(len(L.nodes), node_limit, "interval enumeration")
         return L
@@ -148,34 +143,52 @@ class Extension:
         return fr.maximal_ideals(self.ambient, self.top)
 
     def profile(self) -> SupportProfile:
-        if "profile" not in self._cache:
-            self._cache["profile"] = support_profile(self)
-        return self._cache["profile"]
+        return self._memo("profile", support_profile)
 
     def flags(self) -> ExtensionFlags:
-        if "flags" not in self._cache:
-            self._cache["flags"] = extension_flags(self)
-        return self._cache["flags"]
+        return self._memo("flags", extension_flags)
 
     def decomposition(self) -> CanonicalDecomposition:
-        if "decomp" not in self._cache:
-            self._cache["decomp"] = canonical_decomposition(self)
-        return self._cache["decomp"]
+        return self._memo("decomp", canonical_decomposition)
 
     def localized(self, M) -> "Extension":
         """The localization at the maximal ideal M of the base.  A local
         base has the primitive idempotent 1, so when the top is the whole
         ambient ring the localization is this extension itself (sharing its
         cached lattice and flags)."""
-        key = ("loc", M)
-        if key not in self._cache:
-            dec = self.base_decomposition()
-            if dec.maximal_ideals == [frozenset(M)] and \
-                    len(self.top) == self.ambient.size:
-                self._cache[key] = self
-            else:
-                self._cache[key] = localize_at(self, M)
-        return self._cache[key]
+        M = frozenset(M)
+
+        def localize(E):
+            if E.base_decomposition().maximal_ideals == [M] and \
+                    len(E.top) == E.ambient.size:
+                return E
+            return localize_at(E, M)
+        return self._memo(("loc", M), localize)
+
+    def sub(self, lo, hi) -> "Extension":
+        """The extension lo <= hi for two comparable nodes of the interval,
+        cached.  Nodes are unital subrings, so the constructor's subring
+        scans are skipped, and every ring between them is a node, so its
+        lattice is the interval [lo, hi] sliced out of this one."""
+        def between(parent):
+            L = parent.lattice()
+            i, j = L.index[frozenset(lo)], L.index[frozenset(hi)]
+            E = Extension.__new__(Extension)
+            E.ambient, E.base, E.top = parent.ambient, L.nodes[i], L.nodes[j]
+            E.name = f"{parent.name}[sub]"
+            E._cache = {"lattice": L.interval(i, j)}
+            return E
+        return self._memo(("sub", frozenset(lo), frozenset(hi)), between)
+
+    def quotient(self, I) -> "Extension":
+        """(base + I)/I <= top/I for an ideal I of the top.  The quotient
+        by {0} is this extension itself; any other ideal gets a fresh
+        quotient ring."""
+        if len(I) == 1:
+            return self
+        Q = quotient_extension(self.ambient, self.base, self.top, I)
+        Q.name = f"{self.name}/I"
+        return Q
 
 
 # ----------------------------------------------------------------------
@@ -257,12 +270,14 @@ def _pair_fact(S: fr.FiniteRing, kind, lo, hi, compute):
 
 
 def conductor_pair(S: fr.FiniteRing, lo, hi) -> frozenset:
-    """(lo : hi) = {z in lo : z*hi <= lo}, the largest common ideal."""
+    """(lo : hi) = {z in lo : z*hi <= lo} for subrings lo <= hi, the
+    largest common ideal.  As cond <= lo <= hi, an ideal of hi is an ideal
+    of lo, so only the hi side is scanned."""
     def scan():
         lo_arr = S.arr(lo)
         cond = frozenset(lo_arr[S.mask(lo)[S.mul[np.ix_(lo_arr, S.arr(hi))]]
                                 .all(axis=1)].tolist())
-        if not S.is_ideal_of(lo, cond) or not S.is_ideal_of(hi, cond):
+        if not S.is_ideal_of(hi, cond):
             raise TheoremViolation("conductor is not an ideal of both rings")
         return cond
     return _pair_fact(S, "conductor", lo, hi, scan)
@@ -391,16 +406,12 @@ def classify_minimal(E: Extension):
 
 def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
     """Minimal type of every Hasse edge of the enumerated interval."""
-    key = "cover_types"
-    if key in E._cache:
-        return E._cache[key]
-    L = E.lattice()
-    out = {}
-    for i, j in np.argwhere(L.covers).tolist():
-        out[(int(i), int(j))] = classify_minimal_pair(
-            E.ambient, L.nodes[i], L.nodes[j], assume_minimal=True)
-    E._cache[key] = out
-    return out
+    def classify(E):
+        L = E.lattice()
+        return {(i, j): classify_minimal_pair(E.ambient, L.nodes[i], L.nodes[j],
+                                              assume_minimal=True)
+                for i, j in np.argwhere(L.covers).tolist()}
+    return E._memo("cover_types", classify)
 
 
 # ----------------------------------------------------------------------

@@ -200,15 +200,15 @@ class ExtensionLattice:
         if a in self._levels:
             return self._levels[a]
         lev = np.full(self.n, -1, dtype=np.int32)
-        lev[a] = 0
-        # nodes sort by size, so index order is a topological order
-        for v in np.flatnonzero(self.leq[a]).tolist():
-            if v == a:
-                continue
-            preds = np.flatnonzero(self.covers[:, v] & (self.leq[a] != 0))
-            best = max((int(lev[u]) for u in preds if lev[u] >= 0), default=-1)
-            if best >= 0:
-                lev[v] = best + 1
+        # reach holds the ends of the cover paths of k steps from a; the
+        # last k at which a node is reached is its longest-path level
+        reach = np.zeros(self.n, dtype=bool)
+        reach[a] = True
+        k = 0
+        while reach.any():
+            lev[reach] = k
+            reach = self.covers[reach].any(axis=0)
+            k += 1
         self._levels[a] = lev
         return lev
 

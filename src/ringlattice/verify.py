@@ -5,6 +5,12 @@ statement and reports pass / fail / n-a (hypotheses unmet) per catalog
 instance.  ``n/a`` is a first-class status: the report counts applicable
 instances per check and flags checks that never fired, so coverage gaps
 are visible instead of silently green.  Failures always carry a witness.
+
+A check takes one :class:`~ringlattice.extension.Extension`.  Its lattice,
+flags, decomposition, support and cover types are computed lazily and
+cached on it, as are the derived extensions the checks move between
+(``sub``, ``localized``; ``quotient`` builds a fresh ring), so every check
+on an instance shares one cache.
 """
 
 from __future__ import annotations
@@ -47,149 +53,88 @@ class CheckResult:
         return d
 
 
-class Analysis:
-    """Cached per-instance view used by the checks."""
-
-    def __init__(self, name, E: ex.Extension, node_limit=ex.DEFAULT_NODE_LIMIT):
-        self.name = name
-        self.E = E
-        self.S = E.ambient
-        self.node_limit = node_limit
-        self._subs = {}
-        self._locs = {}
-
-    @property
-    def L(self) -> ExtensionLattice:
-        return self.E.lattice(self.node_limit)
-
-    @property
-    def nodes(self):
-        return self.L.nodes
-
-    @property
-    def verdict(self):
-        return self.L.verdict()
-
-    @property
-    def flags(self):
-        return self.E.flags()
-
-    @property
-    def decomp(self):
-        return self.E.decomposition()
-
-    @property
-    def profile(self):
-        return self.E.profile()
-
-    @property
-    def fibers(self):
-        return ex.fibers(self.E)
-
-    @property
-    def cover_types(self):
-        return ex.cover_types(self.E)
-
-    def sub(self, lo, hi) -> "Analysis":
-        """Analysis of the subextension lo <= hi for nodes lo, hi, cached.
-        Nodes are proved unital subrings, so the extension skips the
-        constructor's subring checks, and every ring between them is a
-        node, so its lattice is the parent's interval [lo, hi]."""
-        key = (frozenset(lo), frozenset(hi))
-        if key not in self._subs:
-            L = self.L
-            i, j = L.index[key[0]], L.index[key[1]]
-            sub = ex.Extension._between(self.S, L.nodes[i], L.nodes[j],
-                                        name=f"{self.name}[sub]")
-            sub._cache["lattice"] = L.interval(i, j)
-            self._subs[key] = Analysis(f"{self.name}[sub]", sub, self.node_limit)
-        return self._subs[key]
-
-    def quotient(self, I) -> "Analysis":
-        """Analysis of (base + I)/I <= top/I for an ideal I of the top.  The
-        quotient by {0} is this extension itself, so it is returned as is;
-        any other ideal gets a fresh quotient ring."""
-        if len(I) == 1:
-            return self
-        return Analysis(f"{self.name}/I", ex.quotient_extension(
-            self.S, self.E.base, self.E.top, I), self.node_limit)
-
-    def loc(self, M) -> "Analysis":
-        key = frozenset(M)
-        if key not in self._locs:
-            self._locs[key] = Analysis(f"{self.name}@loc",
-                                       self.E.localized(key), self.node_limit)
-        return self._locs[key]
+def Analysis(name, E: ex.Extension, node_limit=ex.DEFAULT_NODE_LIMIT):
+    """E under ``name``.  The benchmark's child process (perfbench/child.py)
+    still builds its inputs through this name; it goes when the benchmark
+    is redefined (ROADMAP item 4).  Only the default node limit is known."""
+    if node_limit != ex.DEFAULT_NODE_LIMIT:
+        raise ValueError(f"node_limit must be {ex.DEFAULT_NODE_LIMIT}, "
+                         f"got {node_limit}")
+    E.name = name
+    return E
 
 
 # ----------------------------------------------------------------------
 # measurement registry (catalog expectations)
 
-def _edge_profile(a: Analysis):
-    L = a.L
+def _edge_profile(a: ex.Extension):
+    L = a.lattice()
     return sorted([len(L.nodes[i]), len(L.nodes[j]), t.value]
-                  for (i, j), t in a.cover_types.items())
+                  for (i, j), t in ex.cover_types(a).items())
 
 
-def _closure_chain_types(a: Analysis):
+def _closure_chain_types(a: ex.Extension):
     """Types along base <= plus-of-u <= u <= top (only when this is a chain
     of covers); used by the doubled-ring instances."""
-    d = a.decomp
-    u_sub = a.sub(a.E.base, d.u)
-    plus_u = u_sub.decomp.plus
-    chain = [a.E.base, plus_u, d.u, a.E.top]
+    d = a.decomposition()
+    u_sub = a.sub(a.base, d.u)
+    plus_u = u_sub.decomposition().plus
+    chain = [a.base, plus_u, d.u, a.top]
     out = []
     for lo, hi in zip(chain, chain[1:]):
-        t = ex.classify_minimal_pair(a.S, lo, hi)
+        t = ex.classify_minimal_pair(a.ambient, lo, hi)
         out.append(t.value if t else None)
     return out
 
 
-def _u_elementary(a: Analysis):
-    return ex.idempotent_style_generator(a.E) is not None
+def _u_elementary(a: ex.Extension):
+    return ex.idempotent_style_generator(a) is not None
 
 
-def _splitter_sizes(a: Analysis):
-    ms = a.profile.msupp
+def _splitter_sizes(a: ex.Extension):
+    ms = a.profile().msupp
     if len(ms) <= 1:
         return []
-    return sorted(len(ex.splitter(a.E, [M])) for M in ms)
+    return sorted(len(ex.splitter(a, [M])) for M in ms)
 
 
 MEASURES = {
-    "node_count": lambda a: len(a.nodes),
-    "length": lambda a: a.L.length,
-    "distributive": lambda a: a.verdict.distributive,
-    "modular": lambda a: a.verdict.modular,
-    "catenarian": lambda a: a.verdict.catenarian,
-    "chained": lambda a: a.verdict.chained,
-    "boolean": lambda a: a.verdict.boolean_lattice,
-    "is_b2": lambda a: a.verdict.is_b2,
-    "witness_kind": lambda a: (a.L.forbidden_sublattice() or {}).get("kind"),
+    "node_count": lambda a: len(a.lattice().nodes),
+    "length": lambda a: a.lattice().length,
+    "distributive": lambda a: a.lattice().verdict().distributive,
+    "modular": lambda a: a.lattice().verdict().modular,
+    "catenarian": lambda a: a.lattice().verdict().catenarian,
+    "chained": lambda a: a.lattice().verdict().chained,
+    "boolean": lambda a: a.lattice().verdict().boolean_lattice,
+    "is_b2": lambda a: a.lattice().verdict().is_b2,
+    "witness_kind": lambda a: (a.lattice().forbidden_sublattice()
+                               or {}).get("kind"),
     "minimal_type": lambda a: (lambda t: t.value if t else None)(
-        ex.classify_minimal(a.E)),
-    "conductor_size": lambda a: len(a.profile.conductor),
-    "msupp_size": lambda a: len(a.profile.msupp),
-    "fiber_sizes": lambda a: sorted(len(v) for v in a.fibers.values()),
-    "max_top_count": lambda a: len(a.E.max_ideals_top()),
-    "plus_size": lambda a: len(a.decomp.plus),
-    "t_size": lambda a: len(a.decomp.t),
-    "u_size": lambda a: len(a.decomp.u),
-    "cosub_size": lambda a: a.decomp.cosub and len(a.decomp.cosub),
-    "subintegral": lambda a: a.flags.subintegral,
-    "seminormal": lambda a: a.flags.seminormal,
-    "infra_integral": lambda a: a.flags.infra_integral,
-    "t_closed": lambda a: a.flags.t_closed,
-    "u_closed": lambda a: a.flags.u_closed,
-    "i_extension": lambda a: a.flags.i_extension,
-    "simple": lambda a: a.flags.simple,
-    "arithmetic": lambda a: a.flags.arithmetic,
-    "locally_minimal": lambda a: a.flags.locally_minimal,
-    "delta": lambda a: a.flags.delta,
-    "branched": lambda a: a.flags.branched,
+        ex.classify_minimal(a)),
+    "conductor_size": lambda a: len(a.profile().conductor),
+    "msupp_size": lambda a: len(a.profile().msupp),
+    "fiber_sizes": lambda a: sorted(len(v) for v in ex.fibers(a).values()),
+    "max_top_count": lambda a: len(a.max_ideals_top()),
+    "plus_size": lambda a: len(a.decomposition().plus),
+    "t_size": lambda a: len(a.decomposition().t),
+    "u_size": lambda a: len(a.decomposition().u),
+    "cosub_size": lambda a: (a.decomposition().cosub
+                             and len(a.decomposition().cosub)),
+    "subintegral": lambda a: a.flags().subintegral,
+    "seminormal": lambda a: a.flags().seminormal,
+    "infra_integral": lambda a: a.flags().infra_integral,
+    "t_closed": lambda a: a.flags().t_closed,
+    "u_closed": lambda a: a.flags().u_closed,
+    "i_extension": lambda a: a.flags().i_extension,
+    "simple": lambda a: a.flags().simple,
+    "arithmetic": lambda a: a.flags().arithmetic,
+    "locally_minimal": lambda a: a.flags().locally_minimal,
+    "delta": lambda a: a.flags().delta,
+    "branched": lambda a: a.flags().branched,
     "edge_profile": _edge_profile,
-    "atom_count": lambda a: len(a.L.atoms()),
-    "loewy_sizes": lambda a: [len(a.nodes[i]) for i in a.L.loewy_series()],
+    "atom_count": lambda a: len(a.lattice().atoms()),
+    "loewy_sizes": lambda a: [len(a.lattice().nodes[i])
+                              for i in a.lattice().loewy_series()],
     "u_elementary": _u_elementary,
     "closure_chain_types": _closure_chain_types,
     "splitter_sizes": _splitter_sizes,
@@ -221,22 +166,21 @@ def check(name, doc):
     return deco
 
 
-def run_check(name, analysis_or_ext) -> CheckResult:
-    """Run one named check; unknown names raise KeyError."""
+def run_check(name, E: ex.Extension) -> CheckResult:
+    """Run one named check on E, reported under its name (or "adhoc");
+    unknown names raise KeyError."""
     from . import checks  # noqa: F401  (registers the checks)
     if name not in CHECKS:
         raise KeyError(f"unknown check id {name!r}; known: {sorted(CHECKS)}")
-    a = analysis_or_ext
-    if isinstance(a, ex.Extension):
-        a = Analysis(a.name or "adhoc", a)
+    instance = E.name or "adhoc"
     t0 = time.perf_counter()
     try:
-        res = CHECKS[name](a)
+        res = CHECKS[name](E)
     except (ex.TheoremViolation, LatticeError, fr.RingError) as exc:
-        res = CheckResult(name, a.name, "fail",
+        res = CheckResult(name, instance, "fail",
                           witness={"error": type(exc).__name__, "detail": str(exc)})
     res.check = name
-    res.instance = a.name
+    res.instance = instance
     res.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return res
 
@@ -279,18 +223,18 @@ LATTICE_MEASURES = ("node_count", "length", "distributive", "chained",
                     "atom_count", "witness_kind")
 
 
-def oracle_lattice(a: Analysis):
+def oracle_lattice(a: ex.Extension):
     """The lattice of a's interval on an independent node set (Frobenius
     fixed subfields or subset scan), every incomparable join closed
     directly.  Returns (lattice, oracle_name), or (None, None) when no
     oracle applies at this size."""
-    S, E = a.S, a.E
-    small = len(E.top) - len(E.base) <= 16
+    S = a.ambient
+    small = len(a.top) - len(a.base) <= 16
     if fr.is_field(S) and not small:
-        nodes = frobenius_subfields(S, E.base)
+        nodes = frobenius_subfields(S, a.base)
         oracle = "frobenius-fixed-subfields"
     elif small:
-        nodes = brute_force_subrings(S, E.base)
+        nodes = brute_force_subrings(S, a.base)
         oracle = "subset-scan"
     else:
         return None, None
@@ -300,12 +244,12 @@ def oracle_lattice(a: Analysis):
     return ExtensionLattice(nodes, joins, ambient=S), oracle
 
 
-def regen_expectation(expect, a: Analysis, lattice):
+def regen_expectation(expect, a: ex.Extension, lattice):
     """Recompute a DERIVED expectation from an independent oracle; a lattice
     measure is read off ``lattice``, the result of oracle_lattice(a).
     Returns (value, oracle_name) or (None, None) when no oracle applies."""
-    S, E = a.S, a.E
-    small = len(E.top) - len(E.base) <= 16
+    S = a.ambient
+    small = len(a.top) - len(a.base) <= 16
     if expect.measure in LATTICE_MEASURES:
         L, oracle = lattice
         if L is None:
@@ -325,16 +269,16 @@ def regen_expectation(expect, a: Analysis, lattice):
         return val, oracle
     if expect.measure == "locally_minimal":
         vals = []
-        for M in a.profile.msupp:
-            loc = a.loc(M)
-            if len(loc.E.top) - len(loc.E.base) > 16:
+        for M in a.profile().msupp:
+            loc = a.localized(M)
+            if len(loc.top) - len(loc.base) > 16:
                 return None, None
-            vals.append(len(brute_force_subrings(loc.S, loc.E.base)) == 2)
+            vals.append(len(brute_force_subrings(loc.ambient, loc.base)) == 2)
         return all(vals), "localized subset-scan"
     if expect.measure in ("conductor_size",):
         best = frozenset([S.zero])
         for ideal in S.all_ideals(frozenset(range(S.size))):
-            if ideal <= E.base and len(ideal) > len(best):
+            if ideal <= a.base and len(ideal) > len(best):
                 best = ideal
         return len(best), "ideal-scan"
     if small and expect.measure in ("subintegral", "seminormal",
@@ -409,17 +353,17 @@ def generate_random_instances(seed, count, size_budget=64):
 # ----------------------------------------------------------------------
 # random sub-interval agreement stress (fixed default seed)
 
-def random_interval_agreement(analyses, count=1000, seed=SUBINTERVAL_SAMPLE_SEED):
-    """Draw random sub-intervals across the given analyses and confirm the
+def random_interval_agreement(extensions, count=1000, seed=SUBINTERVAL_SAMPLE_SEED):
+    """Draw random sub-intervals across the given extensions and confirm the
     three distributivity routes agree on each; returns (count_checked,
-    first_disagreement_or_None).  Without an analysis of two or more nodes
+    first_disagreement_or_None).  Without an extension of two or more nodes
     nothing is drawn and the count is 0."""
     rng = random.Random(seed)
-    pool = [a for a in analyses if len(a.nodes) >= 2]
+    pool = [a for a in extensions if len(a.lattice().nodes) >= 2]
     done = 0
     while pool and done < count:
         a = rng.choice(pool)
-        L = a.L
+        L = a.lattice()
         i = rng.randrange(len(L.nodes))
         ups = np.flatnonzero(L.leq[i]).tolist()
         j = rng.choice(ups)
@@ -481,6 +425,8 @@ class Report:
 
 def build_catalog_analyses(pattern=None, size_cap=None, random_count=0,
                            random_seed=0):
+    """(instance, extension) pairs, each extension named after its
+    instance."""
     instances = list(cat.CATALOG)
     if random_count:
         instances += generate_random_instances(random_seed, random_count)
@@ -489,7 +435,8 @@ def build_catalog_analyses(pattern=None, size_cap=None, random_count=0,
     out = []
     for inst in instances:
         E = dsl.build_extension(inst.spec, size_cap=size_cap)
-        out.append((inst, Analysis(inst.name, E)))
+        E.name = inst.name
+        out.append((inst, E))
     return out
 
 
@@ -542,7 +489,7 @@ def run_catalog(pattern=None, size_cap=None, random_count=0, random_seed=0,
     return Report(results, summary, zero, failures, meta)
 
 
-def expectation_results(inst: cat.CatalogInstance, a: Analysis):
+def expectation_results(inst: cat.CatalogInstance, a: ex.Extension):
     out = []
     for e in inst.expectations:
         t0 = time.perf_counter()

@@ -34,6 +34,8 @@ its parent's tables; ``loop_check_catenarian``,
 ``loop_covering_pair_criterion`` and ``loop_complements`` are the earlier
 loop forms of the whole-array checks, and ``list_modular_law_scan`` (the
 per-row loop) is the reference for the blocked modular scan.
+``loop_levels_from`` is the earlier per-node walk behind
+``ExtensionLattice.levels_from``, the reference for its frontier pass.
 ``small_ring`` builds the tiny rings they run on.
 """
 
@@ -412,6 +414,22 @@ def constructor_interval(L, a, b):
         raise LatticeError("interval endpoints are not comparable")
     return ExtensionLattice([L.nodes[v] for v in L.interval_nodes(a, b)],
                             ambient=L.ambient)
+
+
+def loop_levels_from(L, a):
+    """ExtensionLattice.levels_from by walking the nodes above a in index
+    order (a topological order, as nodes sort by size), each one level above
+    its highest cover predecessor in [a, top]."""
+    lev = np.full(L.n, -1, dtype=np.int32)
+    lev[a] = 0
+    for v in np.flatnonzero(L.leq[a]).tolist():
+        if v == a:
+            continue
+        preds = np.flatnonzero(L.covers[:, v] & (L.leq[a] != 0))
+        best = max((int(lev[u]) for u in preds if lev[u] >= 0), default=-1)
+        if best >= 0:
+            lev[v] = best + 1
+    return lev
 
 
 def loop_check_catenarian(L):

@@ -135,7 +135,7 @@ def test_criterion_6_distributivity_route_agreement():
     t0 = time.time()
     pairs = verify.build_catalog_analyses()
     for _, a in pairs:
-        a.L.check_distributive()      # raises if the three routes disagree
+        a.lattice().check_distributive()   # raises if the three routes disagree
     done, bad = verify.random_interval_agreement(
         [a for _, a in pairs], count=1000, seed=SUBINTERVAL_SAMPLE_SEED)
     ok = done >= 1000 and bad is None
@@ -151,8 +151,7 @@ def test_criterion_7_galois_divisor_lattices():
         for n in range(1, 7):
             S = fr.gf(p, n)
             E = ex.Extension(S, ex.prime_subring(S), name=f"gf({p},{n})")
-            a = verify.Analysis(E.name, E)
-            L = a.L
+            L = E.lattice()
             divs = fr.divisors(n)
             assert len(L.nodes) == len(divs), (p, n)
             by_size = {len(T): i for i, T in enumerate(L.nodes)}
@@ -178,18 +177,17 @@ def test_criterion_8_localization_product_formulas():
     multi = 0
     for inst in cat.CATALOG:
         E = dsl.build_extension(inst.spec)
-        a = verify.Analysis(inst.name, E)
-        ms = a.profile.msupp
+        ms = E.profile().msupp
         if len(ms) < 2:
             continue
         multi += 1
         count, length = 1, 0
         for M in ms:
-            loc = a.loc(M)
+            loc = E.localized(M).lattice()
             count *= len(loc.nodes)
-            length += loc.L.length
-        assert count == len(a.nodes), inst.name
-        assert length == a.L.length, inst.name
+            length += loc.length
+        assert count == len(E.lattice().nodes), inst.name
+        assert length == E.lattice().length, inst.name
     _report("criterion 8 (localization product/sum formulas on multi-factor "
             "instances)", multi >= 2, 30.0, time.time() - t0,
             f"{multi} multi-factor instances")

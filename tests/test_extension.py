@@ -388,7 +388,7 @@ def _assert_pair_facts_memoised(E):
 def test_pair_facts_are_memoised_and_equal_fresh_scans():
     seen = set()
     for _, a in verify.build_catalog_analyses():
-        seen |= _assert_pair_facts_memoised(a.E)
+        seen |= _assert_pair_facts_memoised(a)
     assert seen == {(k, v) for k in PAIR_FACTS if k != "conductor"
                     for v in (True, False)}
 
@@ -406,8 +406,9 @@ def test_inert_covers_agree_with_the_quotient_route():
     # residue interval
     seen = {True: 0, False: 0}
     for inst, a in verify.build_catalog_analyses():
-        for (i, j), t in a.cover_types.items():
-            inert = quotient_route_is_inert(a.S, a.nodes[i], a.nodes[j])
+        nodes = a.lattice().nodes
+        for (i, j), t in ex.cover_types(a).items():
+            inert = quotient_route_is_inert(a.ambient, nodes[i], nodes[j])
             assert (t is ex.MinimalType.INERT) == inert, (inst.name, i, j)
             seen[inert] += 1
     assert seen[True] > 0 and seen[False] > 0

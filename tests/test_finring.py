@@ -762,9 +762,10 @@ def test_decomposition_unit_matches_the_block_compare(name, seed):
 
 def test_decomposition_unit_matches_the_block_compare_on_the_catalog():
     from ringlattice import verify
-    for _, a in verify.build_catalog_analyses():
-        for T in a.nodes:
-            assert _decomposition_unit(a.S, T) == _block_unit(a.S, T) == a.S.one
+    for _, E in verify.build_catalog_analyses():
+        S = E.ambient
+        for T in E.lattice().nodes:
+            assert _decomposition_unit(S, T) == _block_unit(S, T) == S.one
 
 
 def test_a_non_unital_ideal_has_no_decomposition():

@@ -17,7 +17,7 @@ from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      distributive_by_definition, list_distributive_law_scan,
                      list_modular_law_scan, loop_check_catenarian,
                      loop_complements, loop_covering_pair_criterion,
-                     small_ring)
+                     loop_levels_from, small_ring)
 
 
 @pytest.fixture(scope="module")
@@ -459,8 +459,7 @@ def test_every_set_is_converted_and_decomposed_once_per_ring(monkeypatch):
     ex.cover_types(E)
     E.decomposition()
     E.flags()
-    a = verify.Analysis("Pi5", E)
-    assert all(verify.run_check(name, a).status != "fail"
+    assert all(verify.run_check(name, E).status != "fail"
                for name in sorted(verify.CHECKS))
     built_keys = [(id(ring), X) for ring, X in built]
     assert len(built_keys) == len(set(built_keys))
@@ -602,6 +601,18 @@ def test_decomposition_builds_no_sub_extensions(monkeypatch, big_lattices):
     assert d.plus == E.base and d.t == d.u == d.cosub == E.top
 
 
+def test_levels_match_the_per_node_walk(e5, e10, big_lattices):
+    # the frontier pass against the per-node walk, from every start node of
+    # E5, Pi5 and V4, and of the pentagon E10, where the longest and the
+    # shortest cover path from the bottom to the top differ
+    for E in (e5, e10, *big_lattices):
+        L = E.lattice()
+        for a in range(L.n):
+            got = L.levels_from(a)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, loop_levels_from(L, a)), (a, got)
+
+
 def test_sub_analysis_takes_the_parent_interval(monkeypatch, big_lattices):
     # every ring between two nodes is a node: a sub-analysis enumerates nothing
     enumerate_interval, calls = ex.enumerate_interval, [0]
@@ -611,12 +622,12 @@ def test_sub_analysis_takes_the_parent_interval(monkeypatch, big_lattices):
         return enumerate_interval(*args, **kwargs)
 
     E = big_lattices[0]
-    a = verify.Analysis("P5", ex.Extension(E.ambient, E.base))
-    L = a.L
+    a = ex.Extension(E.ambient, E.base, name="P5")
+    L = a.lattice()
     pairs = [(v, int(w)) for v in range(len(L.nodes))
              for w in np.flatnonzero(L.levels_from(v) == 2)]
     monkeypatch.setattr(ex, "enumerate_interval", counting)
-    subs = [a.sub(L.nodes[v], L.nodes[w]).L for v, w in pairs]
+    subs = [a.sub(L.nodes[v], L.nodes[w]).lattice() for v, w in pairs]
     assert calls[0] == 0 and len(pairs) > 0
     for (v, w), sub in zip(pairs, subs):
         fresh = enumerate_interval(ex.Extension(E.ambient, L.nodes[v], L.nodes[w]))

@@ -107,6 +107,21 @@ def test_run_check_accepts_extension_directly():
     assert r.instance == "E3"
 
 
+def test_run_check_names_an_unnamed_extension_adhoc():
+    E = dsl.build_extension(cat.BY_NAME["E3"].spec)
+    E.name = None
+    assert verify.run_check("u_closed_iff_i_extension", E).instance == "adhoc"
+
+
+def test_analysis_names_and_returns_the_extension():
+    from ringlattice.extension import DEFAULT_NODE_LIMIT
+    E = dsl.build_extension(cat.BY_NAME["E3"].spec)
+    assert verify.Analysis("renamed", E, node_limit=DEFAULT_NODE_LIMIT) is E
+    assert E.name == "renamed"
+    with pytest.raises(ValueError, match="node_limit"):
+        verify.Analysis("E3", E, node_limit=10)
+
+
 def test_random_generator_does_not_retry_its_own_dsl_errors():
     # RND_-1_0 is not a DSL name: the generator raises instead of drawing
     # again forever
