@@ -22,22 +22,6 @@ SUBINTERVAL_SAMPLE_SEED = 0xD15717B
 _FIVE_SUBSET_CAP = 16
 
 
-def _bitset(indices):
-    """The int with bit x set for every x in ``indices``."""
-    b = 0
-    for x in indices:
-        b |= 1 << x
-    return b
-
-
-def _bit_rows(masks, n):
-    """The n x n bool matrix whose row i holds the bits of masks[i]."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
-                        dtype=np.uint8).reshape(n, width)
-    return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(bool)
-
-
 def _first_true(bad):
     """The index tuple of the first True entry of ``bad`` in C order (what
     ``np.argwhere(bad)[0]`` gives, without listing every True), or None."""
@@ -47,30 +31,22 @@ def _first_true(bad):
     return tuple(int(i) for i in np.unravel_index(k, bad.shape))
 
 
-def _tables(bits, up, down):
-    """meet/join tables (lists of rows) from the upper and lower sets.
-    Nodes are sorted by size, so the lowest common upper bound is the least
-    one if any is, and the highest common lower bound is the intersection
-    if that is a node; both are checked."""
-    n = len(bits)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ui, di, bi = up[i], down[i], bits[i]
-        for j in range(i, n):
-            if ui >> j & 1:
-                m, v = i, j
-            else:
-                above = ui & up[j]
-                v = (above & -above).bit_length() - 1
-                if up[v] != above:
-                    raise LatticeError("nodes have no least common upper bound")
-                m = (di & down[j]).bit_length() - 1
-                if bits[m] != bi & bits[j]:
-                    raise LatticeError("intersection of nodes escapes the node set")
-            meet[i][j] = meet[j][i] = m
-            join[i][j] = join[j][i] = v
-    return meet, join
+def _lowest_bits(words):
+    """Index of the lowest set bit of each row of little-endian uint64
+    words (the last axis); every row has a bit set."""
+    rows = words.reshape(-1, words.shape[-1])
+    k = (rows != 0).argmax(axis=1)
+    w = rows[np.arange(k.size), k]
+    return (64 * k + np.bitwise_count(w ^ (w - 1)) - 1).reshape(words.shape[:-1])
+
+
+def _up_down_words(leq):
+    """Bit rows (little-endian uint64) of the nodes above each node and,
+    reversed, of the nodes below it: shape (2, n, words)."""
+    n = len(leq)
+    bits = np.zeros((2, n, -(-n // 64) * 64), dtype=bool)
+    bits[0, :, :n], bits[1, :, :n] = leq, leq.T[:, ::-1]
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
 class LatticeError(Exception):
@@ -97,13 +73,14 @@ class ExtensionLattice:
     full order matrix, ``covers`` the Hasse edges, ``meet``/``join`` the
     binary operation tables.
 
-    The tables are read off the inclusion order alone.  Each node is held
-    once as an int bitset of its elements and gets an upper-set and a
-    lower-set mask of node indices.  Nodes are sorted by size, so the join
-    of i and j is the lowest node above both and the meet the highest node
-    below both.  The constructor raises :class:`LatticeError` unless the
-    join is the least common upper bound and the meet is the intersection
-    of the two nodes, so the meet is also the greatest common lower bound.
+    The tables are read off the inclusion order alone, as whole arrays.
+    With B the 0/1 membership matrix of the nodes, ``B @ B.T`` counts
+    |i & j|, so i <= j iff |i & j| = |i|.  Nodes are sorted by size, so
+    the join of i and j is the lowest node above both and the meet the
+    highest node below both: lowest set bits of packed up-set and
+    reversed down-set rows.  The constructor raises :class:`LatticeError`
+    unless the join is the least common upper bound and the meet is the
+    intersection, so the meet is also the greatest common lower bound.
     These guards, with the bottom/top check, are the only runtime check:
     idempotence, absorption, agreement with the order and associativity
     are theorems of a poset with all least upper and greatest lower
@@ -125,27 +102,44 @@ class ExtensionLattice:
         self.nodes = sorted(nodes, key=lambda s: (len(s), sorted(s)))
         self.index = {s: i for i, s in enumerate(self.nodes)}
         n = self.n = len(self.nodes)
-        bits = [_bitset(s) for s in self.nodes]
-        # up[i] / down[i]: the nodes above / below node i, as index bitsets;
-        # a node lies only inside itself and larger nodes, which sort later
-        up = [1 << i for i in range(n)]
-        down = list(up)
-        for j, b in enumerate(bits):
-            for i in range(j):
-                if bits[i] & b == bits[i]:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        everything = (1 << n) - 1
-        if up[0] != everything or down[n - 1] != everything:
+        elements = np.fromiter(itertools.chain.from_iterable(self.nodes),
+                               dtype=np.intp)
+        width = int(elements.max(initial=0)) + 1
+        # float32 sums of 0/1 products are exact below 2**24; the ring size
+        # cap (4096) and the node limit (100,000) keep width and n below it
+        if max(width, n) >= 1 << 24:
+            raise LatticeError("node set too large for exact float32 counts")
+        member = np.zeros((n, width), dtype=np.float32)
+        member[np.arange(n).repeat([len(s) for s in self.nodes]), elements] = 1
+        common = member @ member.T                 # |i & j|
+        size = common.diagonal()
+        leq = self.leq = common == size[:, None]
+        if not (leq[0] & leq[:, -1]).all():
             raise LatticeError("node set has no global bottom/top")
-        self.leq = _bit_rows(up, n)
-        lt = self.leq & ~np.eye(n, dtype=bool)
-        self.covers = lt & ~(lt @ lt)
-        meet, join = _tables(bits, up, down)
+        order = leq.astype(np.float32)
+        # j covers i iff [i, j] has two nodes; above[i, j] counts the nodes
+        # above both i and j
+        self.covers, above = order @ order == 2, order @ order.T
+        del order                      # frees 4 n^2 bytes before the blocks
+        words = _up_down_words(leq)
+        meet = self.meet = np.empty((n, n), dtype=np.int32)
+        join = self.join = np.empty((n, n), dtype=np.int32)
+        # blocks of rows of the upper triangle, at most 2**16 words each
+        chunk = max(1, (1 << 15) // words[0].size)
+        for lo in range(0, n, chunk):
+            blk, tri = slice(lo, lo + chunk), slice(lo, None)
+            low = _lowest_bits(words[:, blk, None] & words[:, None, tri])
+            v, m = low[0], n - 1 - low[1]
+            # the nodes above v lie above i and j, and m lies inside both,
+            # so equal counts make v the least upper bound and m = i & j
+            if (above.diagonal()[v] != above[blk, tri]).any():
+                raise LatticeError("nodes have no least common upper bound")
+            if (size[m] != common[blk, tri]).any():
+                raise LatticeError("intersection of nodes escapes the node set")
+            join[blk, tri], meet[blk, tri] = v, m
+            join[tri, blk], meet[tri, blk] = v.T, m.T
         if joins is not None:
-            self._check_join_facts(joins, join, up, down)
-        self.meet = np.array(meet, dtype=np.int32).reshape(n, n)
-        self.join = np.array(join, dtype=np.int32).reshape(n, n)
+            self._check_join_facts(joins)
         self._clear_memos()
 
     def _clear_memos(self):
@@ -153,26 +147,22 @@ class ExtensionLattice:
         self._intervals = {}
         self._distributive = None
         self._verdict = None
+        self._pinch = None
 
-    def _check_join_facts(self, joins, join, up, down):
+    def _check_join_facts(self, joins):
         """Every fact equals the table join, and the facts cover every
         incomparable (node, join-irreducible node) pair."""
-        index, nodes = self.index, self.nodes
-        for (a, b), v in joins.items():
-            i, j, k = index.get(a), index.get(b), index.get(v)
-            if k is None or i is None or j is None or join[i][j] != k:
-                raise LatticeError("join of nodes escapes the node set")
-        for j in range(1, self.n):
-            # j is join-irreducible iff the largest node below it lies above
-            # every node below it
-            below = down[j] ^ (1 << j)
-            if down[below.bit_length() - 1] != below:
-                continue
-            comparable = up[j] | down[j]
-            for i in range(self.n):
-                if not comparable >> i & 1 and (nodes[i], nodes[j]) not in joins \
-                        and (nodes[j], nodes[i]) not in joins:
-                    raise LatticeError("join facts miss a join-irreducible node")
+        get = self.index.get
+        facts = np.array([(get(a, -1), get(b, -1), get(v, -1))
+                          for (a, b), v in joins.items()], dtype=np.intp)
+        i, j, k = facts.reshape(-1, 3).T
+        if (facts < 0).any() or (self.join[i, j] != k).any():
+            raise LatticeError("join of nodes escapes the node set")
+        free = ~(self.leq | self.leq.T)
+        free[i, j] = free[j, i] = False
+        # a node is join-irreducible iff it covers exactly one node
+        if (free & (self.covers.sum(axis=0) == 1)).any():
+            raise LatticeError("join facts miss a join-irreducible node")
 
     # ------------------------------------------------------------------
     # basics
@@ -192,7 +182,7 @@ class ExtensionLattice:
         return [int(v) for v in np.flatnonzero(self.covers[0])]
 
     def is_chain(self):
-        return bool((self.leq | self.leq.T).all())
+        return bool(self.pinch_points().all())
 
     def levels_from(self, a):
         """Longest-path level of every node above ``a`` (-1 below/incomparable).
@@ -511,14 +501,20 @@ class ExtensionLattice:
             series.append(socle)
         return series
 
+    def pinch_points(self):
+        """Bool per node: comparable with every node.  Computed once."""
+        if self._pinch is None:
+            self._pinch = (self.leq | self.leq.T).all(axis=1)
+        return self._pinch
+
     def is_pinched_at(self, chain):
         """True iff every node is comparable to every member of ``chain``
         (a totally ordered subset of the open interval)."""
         for a, b in itertools.combinations(chain, 2):
             if not (self.leq[a, b] or self.leq[b, a]):
                 raise LatticeError("pinch chain is not totally ordered")
-        comp = self.leq | self.leq.T
-        return all(comp[t].all() for t in chain)
+        pinch = self.pinch_points()
+        return all(pinch[t] for t in chain)
 
     def check_length2_rule(self):
         """Every comparable pair at longest-chain distance 2 spans at most 4

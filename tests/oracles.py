@@ -36,6 +36,9 @@ loop forms of the whole-array checks, and ``list_modular_law_scan`` (the
 per-row loop) is the reference for the blocked modular scan.
 ``loop_levels_from`` is the earlier per-node walk behind
 ``ExtensionLattice.levels_from``, the reference for its frontier pass.
+``bitset_lattice_tables`` is the earlier table build (int bitsets and a
+loop over the node pairs), the reference for the array build from the
+membership product.
 ``small_ring`` builds the tiny rings they run on.
 """
 
@@ -486,6 +489,49 @@ def closure_lattice_tables(S, nodes):
             covers[i, j] = a < b and not any(a < c < b for c in nodes)
             meet[i, j] = index[a & b]
             join[i, j] = index[frozenset(S.subring_closure(sorted(a | b)).tolist())]
+    return leq, covers, meet, join
+
+
+def bitset_lattice_tables(nodes):
+    """(leq, covers, meet, join) of ``nodes`` by the earlier
+    ExtensionLattice build, with the same LatticeError guards: each node an
+    int bitset of its elements, an upper-set and a lower-set bitmask of
+    node indices from a loop over the node pairs, the join the lowest node
+    above both and the meet the highest node below both, one pair at a
+    time.  Node order as in ExtensionLattice."""
+    nodes = sorted(nodes, key=lambda s: (len(s), sorted(s)))
+    n = len(nodes)
+    bits = [sum(1 << x for x in s) for s in nodes]
+    up = [1 << i for i in range(n)]
+    down = list(up)
+    for j, b in enumerate(bits):
+        for i in range(j):
+            if bits[i] & b == bits[i]:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    everything = (1 << n) - 1
+    if up[0] != everything or down[n - 1] != everything:
+        raise LatticeError("node set has no global bottom/top")
+    leq = np.array([[up[i] >> j & 1 for j in range(n)] for i in range(n)],
+                   dtype=bool).reshape(n, n)
+    lt = leq & ~np.eye(n, dtype=bool)
+    covers = lt & ~(lt @ lt)
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        for j in range(i, n):
+            if up[i] >> j & 1:
+                m, v = i, j
+            else:
+                above = up[i] & up[j]
+                v = (above & -above).bit_length() - 1
+                if up[v] != above:
+                    raise LatticeError("nodes have no least common upper bound")
+                m = (down[i] & down[j]).bit_length() - 1
+                if bits[m] != bits[i] & bits[j]:
+                    raise LatticeError("intersection of nodes escapes the node set")
+            meet[i, j] = meet[j, i] = m
+            join[i, j] = join[j, i] = v
     return leq, covers, meet, join
 
 

@@ -12,9 +12,10 @@ from ringlattice import verify
 from ringlattice.lattice import ExtensionLattice, LatticeError
 
 from oracles import (SMALL_RINGS, assert_lattice_axioms,
-                     chain_label_sets_by_enumeration, closure_enumeration,
-                     closure_lattice_tables, constructor_interval,
-                     distributive_by_definition, list_distributive_law_scan,
+                     bitset_lattice_tables, chain_label_sets_by_enumeration,
+                     closure_enumeration, closure_lattice_tables,
+                     constructor_interval, distributive_by_definition,
+                     list_distributive_law_scan,
                      list_modular_law_scan, loop_check_catenarian,
                      loop_complements, loop_covering_pair_criterion,
                      loop_levels_from, small_ring)
@@ -135,6 +136,21 @@ def test_loewy_series_shapes(e4, e5, chain16):
     assert all(L5.leq[a, b] for a, b in zip(series, series[1:]))
 
 
+def test_pinch_points_match_the_definition(e5, big_lattices):
+    for E in [e5] + big_lattices:
+        L = E.lattice()
+        pinch = L.pinch_points()
+        assert L.pinch_points() is pinch           # computed once
+        for t in range(L.n):
+            direct = all(L.leq[t, u] or L.leq[u, t] for u in range(L.n))
+            assert pinch[t] == direct
+            assert L.is_pinched_at([t]) is direct
+        # a sliced interval has its own pinch points
+        sub = L.interval(L.atoms()[0], L.top)
+        assert sub.pinch_points().shape == (sub.n,)
+        assert sub.pinch_points()[0] and sub.pinch_points()[-1]
+
+
 def test_pinched(e5, chain16):
     L7 = chain16.lattice()
     assert L7.is_pinched_at([])
@@ -172,17 +188,26 @@ def _sets(*nodes):
     return [frozenset(n) for n in nodes]
 
 
-def test_lattice_axioms_guard():
-    # each construction guard on its own node set (plain index sets)
-    with pytest.raises(LatticeError, match="no global bottom/top"):
-        ExtensionLattice(_sets({0, 1}, {0, 2}, {0, 1, 2}))
+_MALFORMED = [
+    # no bottom: {0, 1} and {0, 2} are both minimal
+    (_sets({0, 1}, {0, 2}, {0, 1, 2}), "no global bottom/top"),
     # an order lattice (a square) whose meet {0} is not the intersection {0, 1}
-    with pytest.raises(LatticeError, match="intersection of nodes escapes"):
-        ExtensionLattice(_sets({0}, {0, 1, 2}, {0, 1, 3}, {0, 1, 2, 3}))
+    (_sets({0}, {0, 1, 2}, {0, 1, 3}, {0, 1, 2, 3}),
+     "intersection of nodes escapes"),
     # {0, 1} and {0, 2} lie below two incomparable nodes and the top
-    with pytest.raises(LatticeError, match="no least common upper bound"):
-        ExtensionLattice(_sets({0}, {0, 1}, {0, 2}, {0, 1, 2, 3},
-                               {0, 1, 2, 4}, {0, 1, 2, 3, 4}))
+    (_sets({0}, {0, 1}, {0, 2}, {0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 2, 3, 4}),
+     "no least common upper bound"),
+]
+
+
+def test_lattice_axioms_guard():
+    # each construction guard on its own node set (plain index sets), with
+    # the message of the bitset builder
+    for nodes, message in _MALFORMED:
+        with pytest.raises(LatticeError, match=message):
+            ExtensionLattice(nodes)
+        with pytest.raises(LatticeError, match=message):
+            bitset_lattice_tables(nodes)
     # a lattice in order, but the generated subring of a | b is the top
     square = _sets({0}, {0, 1}, {0, 2}, {0, 1, 2}, {0, 1, 2, 3})
     a, b, ab, top = square[1], square[2], square[3], square[4]
@@ -194,6 +219,25 @@ def test_lattice_axioms_guard():
     # no fact for the incomparable join-irreducible pair (a, b)
     with pytest.raises(LatticeError, match="join facts miss"):
         ExtensionLattice(square, {})
+
+
+def test_join_facts_cover_a_join_irreducible_non_atom():
+    # a pentagon: {0, 1, 2} covers only {0, 1}, so it is join-irreducible
+    # without being an atom, and it is incomparable with {0, 3}
+    pentagon = _sets({0}, {0, 1}, {0, 3}, {0, 1, 2}, {0, 1, 2, 3})
+    a, c, b, top = pentagon[1], pentagon[2], pentagon[3], pentagon[4]
+    with pytest.raises(LatticeError, match="join facts miss a join-irreducible"):
+        ExtensionLattice(pentagon, {(a, c): top})
+    L = ExtensionLattice(pentagon, {(a, c): top, (b, c): top})
+    assert L.join[2, 3] == L.top
+    # {0, 1, 3} covers only the atom {0, 1}; the one missing fact pairs it
+    # with {0, 1, 2}, which is neither an atom nor join-irreducible
+    nodes = _sets({0}, {0, 1}, {0, 2}, {0, 1, 2}, {0, 1, 3}, {0, 1, 2, 3})
+    a, b, ab, c, top = nodes[1], nodes[2], nodes[3], nodes[4], nodes[5]
+    facts = {(a, b): ab, (b, c): top}
+    with pytest.raises(LatticeError, match="join facts miss a join-irreducible"):
+        ExtensionLattice(nodes, facts)
+    assert ExtensionLattice(nodes, facts | {(ab, c): top}).join[3, 4] == 5
 
 
 def test_verify_axioms_rejects_a_broken_table(e5):
@@ -244,20 +288,35 @@ def big_lattices():
     return out
 
 
-def _assert_tables_match(E):
-    L = E.lattice()
-    assert_lattice_axioms(L)
-    leq, covers, meet, join = closure_lattice_tables(E.ambient, L.nodes)
+def _assert_same_tables(L, tables):
+    leq, covers, meet, join = tables
     assert np.array_equal(L.leq, leq)
     assert np.array_equal(L.covers, covers)
     assert np.array_equal(L.meet, meet)
     assert np.array_equal(L.join, join)
 
 
+def _assert_tables_match(E):
+    L = E.lattice()
+    assert_lattice_axioms(L)
+    _assert_same_tables(L, closure_lattice_tables(E.ambient, L.nodes))
+    _assert_same_tables(L, bitset_lattice_tables(L.nodes))
+
+
 def test_order_tables_match_closure_tables(big_lattices):
     assert [len(E.lattice()) for E in big_lattices] == [52, 67]
     for E in big_lattices:
         _assert_tables_match(E)
+
+
+def test_order_tables_match_the_bitset_build(catalog_extensions):
+    # Pi6 (203 nodes) is where the closure tables are too slow to compare
+    S = fr.product_ring([fr.gf(2)] * 6)
+    pi6 = ex.Extension(S, ex.prime_subring(S))
+    for E in catalog_extensions + [pi6]:
+        L = E.lattice()
+        _assert_same_tables(L, bitset_lattice_tables(L.nodes))
+    assert len(pi6.lattice()) == 203
 
 
 @settings(max_examples=30, deadline=None)
