@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import enum
+import itertools
 
 import numpy as np
 
@@ -269,18 +270,71 @@ def _pair_fact(S: fr.FiniteRing, kind, lo, hi, compute):
     return fact
 
 
+def cover_conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
+    """(lo : hi) = {z in lo : z*hi <= lo} for each ring hi of ``his`` over
+    the subring lo, the largest common ideal, memoised per pair as a pair
+    fact.  One gather of lo*S marks the products that leave lo, and one
+    float32 product with the membership rows of the his counts them per
+    (z, hi): the conductor is where the count is 0.  As cond <= lo <= hi,
+    an ideal of hi is an ideal of lo, so only the hi side is checked."""
+    his = list(his)
+    if not (isinstance(lo, frozenset) and all(isinstance(hi, frozenset) for hi in his)):
+        return _conductors(S, lo, his)
+    facts = S._pair_facts
+    found = {hi: facts.get(("conductor", lo, hi)) for hi in his}
+    todo = [hi for hi, cond in found.items() if cond is None]
+    if todo:
+        for hi, cond in zip(todo, _conductors(S, lo, todo)):
+            found[hi] = facts[("conductor", lo, hi)] = cond
+    return [found[hi] for hi in his]
+
+
+def _conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
+    """The conductors of cover_conductors, each checked to be an ideal of
+    its upper ring; blocks of rows of lo of about 2^18 products bound the
+    memory."""
+    lo_arr = S.arr(lo)
+    in_lo = S.mask(lo_arr)
+    upper = np.zeros((len(his), S.size), dtype=bool)
+    for j, hi in enumerate(his):
+        upper[j, S.arr(hi)] = True
+    weights = upper.T.astype(np.float32)
+    cond = np.zeros_like(upper)
+    for blk in _row_blocks(lo_arr.size, upper.size):
+        leaving = (~in_lo[S.mul[lo_arr[blk]]]).astype(np.float32) @ weights
+        cond[:, lo_arr[blk]] = (leaving == 0).T
+    if not _rows_are_ideals(S, lo_arr, cond, upper):
+        raise TheoremViolation("conductor is not an ideal of both rings")
+    return [frozenset(np.flatnonzero(row).tolist()) for row in cond]
+
+
+def _row_blocks(rows, width):
+    """Slices of ``rows`` rows of about 2^18 entries of ``width`` each."""
+    step = max(1, (1 << 18) // max(1, width))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _rows_are_ideals(S: fr.FiniteRing, lo_arr, sets, rings) -> bool:
+    """Whether each boolean row of ``sets``, a subset of the subring with
+    index array lo_arr, is an ideal of the subring in the same row of
+    ``rings``: it holds 0, lies in that ring and holds the sums of its
+    elements and their products with the ring.  The closure tests run for
+    all rows at once over lo's sums and products, in blocks of rows."""
+    if not sets[:, S.zero].all() or (sets & ~rings).any():
+        return False
+    local = sets[:, lo_arr]
+    for blk in _row_blocks(lo_arr.size, rings.size):
+        elems, mine = lo_arr[blk], local[:, blk, None]
+        if (mine & local[:, None, :] & ~sets[:, S.add[elems[:, None], lo_arr]]).any() or \
+                (mine & rings[:, None, :] & ~sets[:, S.mul[elems]]).any():
+            return False
+    return True
+
+
 def conductor_pair(S: fr.FiniteRing, lo, hi) -> frozenset:
-    """(lo : hi) = {z in lo : z*hi <= lo} for subrings lo <= hi, the
-    largest common ideal.  As cond <= lo <= hi, an ideal of hi is an ideal
-    of lo, so only the hi side is scanned."""
-    def scan():
-        lo_arr = S.arr(lo)
-        cond = frozenset(lo_arr[S.mask(lo)[S.mul[np.ix_(lo_arr, S.arr(hi))]]
-                                .all(axis=1)].tolist())
-        if not S.is_ideal_of(hi, cond):
-            raise TheoremViolation("conductor is not an ideal of both rings")
-        return cond
-    return _pair_fact(S, "conductor", lo, hi, scan)
+    """(lo : hi) for subrings lo <= hi: cover_conductors with one upper
+    ring."""
+    return cover_conductors(S, lo, [hi])[0]
 
 
 def conductor(E: Extension) -> frozenset:
@@ -405,12 +459,17 @@ def classify_minimal(E: Extension):
 
 
 def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
-    """Minimal type of every Hasse edge of the enumerated interval."""
+    """Minimal type of every Hasse edge of the enumerated interval; the
+    conductors of each lower node under all of its covers are computed
+    together first."""
     def classify(E):
-        L = E.lattice()
-        return {(i, j): classify_minimal_pair(E.ambient, L.nodes[i], L.nodes[j],
+        S, L = E.ambient, E.lattice()
+        edges = np.argwhere(L.covers).tolist()
+        for i, group in itertools.groupby(edges, key=lambda edge: edge[0]):
+            cover_conductors(S, L.nodes[i], [L.nodes[j] for _, j in group])
+        return {(i, j): classify_minimal_pair(S, L.nodes[i], L.nodes[j],
                                               assume_minimal=True)
-                for i, j in np.argwhere(L.covers).tolist()}
+                for i, j in edges}
     return E._memo("cover_types", classify)
 
 
@@ -429,6 +488,33 @@ def _closed_for(S: fr.FiniteRing, lo, hi, rs) -> bool:
         if (in_lo[c] & in_lo[S.mul[c, out]]).any():
             return False
     return True
+
+
+def _fill_closed_facts(S: fr.FiniteRing, nodes, hi):
+    """The seminormal and u-closed facts of every pair (T, hi) for the
+    subrings T of ``nodes``, in one pass over their membership rows: T is
+    closed for r when no b in hi - T has b(b - r) and b^2(b - r) in T
+    (r = 0 and r = 1, as in _closed_for).  Blocks of rows of about 2^18
+    entries bound the memory; nodes whose facts are known are skipped."""
+    facts = S._pair_facts
+    kinds = (("seminormal", S.zero), ("u_closed", S.one))
+    nodes = [T for T in nodes if any((kind, T, hi) not in facts for kind, _ in kinds)]
+    if not nodes:
+        return
+    h = S.arr(hi)
+    arrs = [S.arr(T) for T in nodes]
+    rows = np.zeros((len(nodes), S.size), dtype=bool)
+    rows[np.arange(len(nodes)).repeat([a.size for a in arrs]),
+         np.concatenate(arrs)] = True
+    for kind, r in kinds:
+        c = S.mul[h, S.add[h, S.neg[r]]]
+        cb = S.mul[c, h]
+        closed = np.empty(len(nodes), dtype=bool)
+        for blk in _row_blocks(len(nodes), h.size):
+            part = rows[blk]
+            closed[blk] = ~(~part[:, h] & part[:, c] & part[:, cb]).any(axis=1)
+        for T, value in zip(nodes, closed.tolist()):
+            facts.setdefault((kind, T, hi), value)
 
 
 def is_seminormal(S: fr.FiniteRing, lo, hi) -> bool:
@@ -505,19 +591,16 @@ def is_arithmetic(E: Extension) -> bool:
 
 
 def is_delta(E: Extension) -> bool:
-    """The node set is closed under addition: T + U is again a subring."""
-    S = E.ambient
+    """The node set is closed under addition.  T + U is an additive group
+    of |T||U|/|T & U| elements inside T v U, and a subring holding T + U
+    holds T v U, so T + U is a subring iff |T||U| = |T & U||T v U|.  The
+    table meet is the intersection (checked by the lattice constructor)
+    and the table join the generated subring, so this is one test over
+    the tables, in blocks of rows of about 2^18 pairs."""
     L = E.lattice()
-    arrs = [S.arr(t) for t in L.nodes]
-    for i in range(len(arrs)):
-        for j in range(i + 1, len(arrs)):
-            if L.leq[i, j] or L.leq[j, i]:
-                continue
-            in_tu = S.mask(S.add[np.ix_(arrs[i], arrs[j])])
-            tu = np.flatnonzero(in_tu)
-            if not in_tu[S.mul[np.ix_(tu, tu)]].all():
-                return False
-    return True
+    size = np.array([len(T) for T in L.nodes], dtype=np.int64)
+    return not any((size[blk, None] * size != size[L.meet[blk]] * size[L.join[blk]]).any()
+                   for blk in _row_blocks(L.n, L.n))
 
 
 def extension_flags(E: Extension) -> ExtensionFlags:
@@ -548,24 +631,31 @@ def extension_flags(E: Extension) -> ExtensionFlags:
 # ----------------------------------------------------------------------
 # canonical decomposition and splitters
 
-def _unique_max(candidates, what):
-    maxima = [T for T in candidates
-              if not any(T < U for U in candidates)]
+def _extremes(L, keep, greatest):
+    """The nodes of the boolean mask ``keep`` with no other kept node
+    strictly above them (``greatest``) or below them, ascending: the order
+    is reflexive, so such a node has exactly one kept node at or above
+    (below) it, itself."""
+    order = L.leq if greatest else L.leq.T
+    return np.flatnonzero(keep & ((order & keep).sum(axis=1) == 1)).tolist()
+
+
+def _unique_max(L, keep, what):
+    maxima = _extremes(L, keep, True)
     if len(maxima) != 1:
         raise TheoremViolation(
             f"{what}: expected a unique greatest element, found {len(maxima)} "
             f"maximal ones")
-    return maxima[0]
+    return L.nodes[maxima[0]]
 
 
-def _unique_min(candidates, what):
-    minima = [T for T in candidates
-              if not any(U < T for U in candidates)]
+def _unique_min(L, keep, what):
+    minima = _extremes(L, keep, False)
     if len(minima) != 1:
         raise TheoremViolation(
             f"{what}: expected a unique least element, found {len(minima)} "
             f"minimal ones")
-    return minima[0]
+    return L.nodes[minima[0]]
 
 
 def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
@@ -578,28 +668,32 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
     S = E.ambient
     L = E.lattice()
     nodes = L.nodes
+    _fill_closed_facts(S, nodes, E.top)
 
-    sub_over_base = [T for T in nodes if is_subintegral_pair(S, E.base, T)]
-    plus = _unique_max(sub_over_base, "seminormalization (greatest subintegral)")
-    semi_under_top = [T for T in nodes if is_seminormal(S, T, E.top)]
-    plus2 = _unique_min(semi_under_top, "seminormalization (least seminormal)")
+    def over_base(fact):
+        return np.array([fact(S, E.base, T) for T in nodes])
+
+    def under_top(fact):
+        return np.array([fact(S, T, E.top) for T in nodes])
+
+    plus = _unique_max(L, over_base(is_subintegral_pair),
+                       "seminormalization (greatest subintegral)")
+    plus2 = _unique_min(L, under_top(is_seminormal),
+                        "seminormalization (least seminormal)")
     if plus != plus2:
         raise TheoremViolation("the two characterizations of the "
                                "seminormalization disagree")
 
-    infra_over_base = [T for T in nodes if is_infra_integral_pair(S, E.base, T)]
-    t = _unique_max(infra_over_base, "t-closure (greatest infra-integral)")
-    tcl_under_top = [T for T in nodes if is_t_closed(S, T, E.top)]
-    t2 = _unique_min(tcl_under_top, "t-closure (least t-closed)")
+    t = _unique_max(L, over_base(is_infra_integral_pair),
+                    "t-closure (greatest infra-integral)")
+    t2 = _unique_min(L, under_top(is_t_closed), "t-closure (least t-closed)")
     if t != t2:
         raise TheoremViolation("the two characterizations of the t-closure disagree")
 
-    ucl_under_top = [T for T in nodes if is_u_closed(S, T, E.top)]
-    u = _unique_min(ucl_under_top, "u-closure (least u-closed)")
+    u = _unique_min(L, under_top(is_u_closed), "u-closure (least u-closed)")
 
-    sub_under_top = [T for T in nodes if is_subintegral_pair(S, T, E.top)]
-    minima = [T for T in sub_under_top if not any(U < T for U in sub_under_top)]
-    cosub = minima[0] if len(minima) == 1 else None
+    minima = _extremes(L, under_top(is_subintegral_pair), False)
+    cosub = nodes[minima[0]] if len(minima) == 1 else None
 
     prod = nodes[L.join[L.index[u], L.index[plus]]]
     if prod != t:

@@ -99,13 +99,16 @@ def join_closure(atoms, join, limit, what) -> tuple[set, dict]:
     joining the atoms onto each newly found element, and
     ``joins[(x, a)] = x v a`` for each incomparable found x and atom a, in
     the order met.  ``join`` must be the join of a closure system (subrings,
-    ideals, submodules): comparable sets join to the larger one, and an x
-    first found as y v b has x v a = (y v a) v b, with y v a known because
-    y met every atom a round earlier.  ``join`` runs only on the pairs these
-    two rules leave open.  Raises RingError past ``limit`` elements."""
+    ideals, submodules): comparable sets join to the larger one, and x v a
+    is derived by associativity where it can be.  Every decomposition
+    x = p v b met is recorded, and x v a = (p v a) v b, with p v a known
+    because p met every atom before x did; when (p v a) v b is not known
+    yet either, the decompositions of p v a are tried the same way once
+    more.  ``join`` runs only on the pairs these rules leave open.  Raises
+    RingError past ``limit`` elements."""
     atoms = list(set(atoms))
     found, frontier = set(atoms), atoms
-    joins, parent = {}, {}
+    joins, parts = {}, {}
 
     def known(x, a):
         if x <= a:
@@ -114,23 +117,37 @@ def join_closure(atoms, join, limit, what) -> tuple[set, dict]:
             return x
         return joins.get((x, a))
 
+    def derived(x, a):
+        for p, b in parts.get(x, ()):
+            pa = known(p, a)
+            y = known(pa, b)
+            if y is None:
+                for q, c in parts.get(pa, ()):
+                    qb = known(q, b)        # None while q is being joined
+                    if qb is not None:
+                        y = known(qb, c)
+                        if y is not None:
+                            break
+            if y is not None:
+                return y
+        return None
+
     while frontier:
         fresh = []
         for x in frontier:
             check_limit(len(found), limit, what)
             for a in atoms:
-                y = known(x, a)
+                if x <= a or a <= x:
+                    continue
+                y = derived(x, a)
                 if y is None:
-                    if x in parent:
-                        p, b = parent[x]
-                        y = known(known(p, a), b)
-                    if y is None:
-                        y = join(x, a)
-                    joins[(x, a)] = y
+                    y = join(x, a)
+                pair = (x, a)
+                joins[pair] = y
+                parts.setdefault(y, []).append(pair)
                 if y not in found:
                     found.add(y)
                     fresh.append(y)
-                    parent[y] = (x, a)
         frontier = fresh
     return found, joins
 
@@ -178,6 +195,7 @@ class FiniteRing:
         # (kind, lo, hi) -> the conductor or a boolean closure predicate of
         # the pair lo <= hi (extension._pair_fact)
         self._pair_facts = {}
+        self._nilpotent = None          # nilpotent_mask
 
     # ------------------------------------------------------------------
     # construction
@@ -322,6 +340,16 @@ class FiniteRing:
             k >>= 1
         return int(r) if r.ndim == 0 else r
 
+    def nilpotent_mask(self) -> np.ndarray:
+        """Boolean mask of the nilpotent elements, computed once: x is
+        nilpotent iff x^size = 0, because the ideals (x^k) fall strictly
+        until they reach 0."""
+        if self._nilpotent is None:
+            x = np.arange(self.size, dtype=np.int32)
+            self._nilpotent = self.power(x, self.size) == self.zero
+            self._nilpotent.flags.writeable = False
+        return self._nilpotent
+
     def times(self, c, x):
         """c*x for a non-negative integer c (binary addition)."""
         r, b = self.zero, x
@@ -383,20 +411,34 @@ class FiniteRing:
     # ------------------------------------------------------------------
     # subset machinery: closures over element-index sets
     #
-    # Subgroups, ideals and subrings are all one thing: the smallest
-    # additive subgroup containing a generator set and closed under
-    # x -> x*m for every m in a multiplier set (none for subgroups, the
-    # ambient subring for ideals, the seed itself for subrings).  The span
+    # Subgroups and ideals are the smallest additive subgroup containing a
+    # generator set and closed under x -> x*m for every m in a multiplier
+    # set (none for subgroups, the ambient subring for ideals).  The span
     # of generators g_i is closed under a multiplier m as soon as every
     # g_i*m lies in it, because (sum c_i g_i)*m = sum c_i (g_i m); so
     # _span_closure only ever multiplies generators, never the span.
     #
-    # A closure may start from a set that is already closed, never from one
-    # that is not: an ideal join a v b starts from a, and lo[s] starts from
-    # the subring lo (whose products lie in lo) with multipliers lo and s.
+    # A subring is built one element at a time: T[s] is the polynomial
+    # span T + T*s + T*s^2 + ... of the ring T so far (_adjoin_powers), and
+    # the prime subring is the additive span of 1.  A closure may start
+    # from a set that is already closed, never from one that is not: an
+    # ideal join a v b starts from a, and lo[s] starts from the subring lo.
     # lo[s] depends only on the coset s + lo, so callers close one s per
     # coset (orbit_leaders), and the principal ideals of all_ideals need
     # one generator per class g*units.
+
+    def _with_cosets(self, span, inside, g) -> np.ndarray:
+        """span + <g> for the subgroup ``span`` (an index array whose mask
+        ``inside`` is updated in place): the union of the cosets
+        k*g + span up to the first k*g inside the span."""
+        cosets = [span]
+        c = g
+        while not inside[c]:
+            coset = self.add[c, span]
+            inside[coset] = True
+            cosets.append(coset)
+            c = self.add[c, g]
+        return np.concatenate(cosets)
 
     def _span_closure(self, gens, mults=(), start=None) -> np.ndarray:
         """The closure described above, as a sorted index array, starting
@@ -416,18 +458,27 @@ class FiniteRing:
                 continue
             g = cand[0]
             pending[-1] = cand[1:]
-            # span + <g> is the union of the cosets k*g + span
-            cosets = [span]
-            c = g
-            while not inside[c]:
-                coset = self.add[c, span]
-                inside[coset] = True
-                cosets.append(coset)
-                c = self.add[c, g]
-            span = np.concatenate(cosets)
+            span = self._with_cosets(span, inside, g)
             if mults.size:
                 pending.append(self.mul[g, mults])
         return np.flatnonzero(inside).astype(np.int32)
+
+    def _adjoin_powers(self, T, inside, s) -> np.ndarray:
+        """T[s] for the subring with index array T (mask ``inside``, updated
+        in place) and an s outside it, as a sorted index array: the sum of
+        the groups T*s^k, which stops at the first k with T*s^k inside it.
+        Then the span times s lies in the span, so it is closed under s and
+        T, holds 1 and is the least subring holding T and s.  A sum of two
+        groups is the union of the cosets of one by the other's elements."""
+        span, p = T, s
+        while True:
+            layer = self.mul[p, T]
+            fresh = layer[~inside[layer]]
+            if fresh.size == 0:
+                return span
+            inside[self.add[fresh[:, None], span]] = True
+            span = inside.nonzero()[0]
+            p = self.mul[p, s]
 
     def additive_closure(self, seed, start=None) -> np.ndarray:
         """Subgroup of (R,+) generated by ``seed`` and the subgroup
@@ -437,20 +488,30 @@ class FiniteRing:
 
     def subring_closure(self, seed, over=None) -> np.ndarray:
         """Smallest unital subring containing ``seed`` and the subring
-        ``over``: the span of 1 (or of ``over``) and the seed, closed under
-        ``over`` and the seed as multipliers, holds every monomial in them."""
-        seed = _index_vector(list(seed))
+        ``over`` (default the prime subring, the additive span of 1): the
+        seed elements outside the ring so far are adjoined one at a time,
+        each as a polynomial span."""
         if over is None:
-            return self._span_closure(np.append(seed, self.one), seed)
-        T = self.arr(over)
-        return self._span_closure(seed, np.concatenate([T, seed]), start=T)
+            inside = np.zeros(self.size, dtype=bool)
+            inside[self.zero] = True
+            T = self._with_cosets(np.array([self.zero], dtype=np.int32),
+                                  inside, self.one)
+        else:
+            T = self.arr(over)
+            inside = self.mask(T)
+        seed = _index_vector(list(seed))
+        while True:
+            seed = seed[~inside[seed]]
+            if seed.size == 0:
+                return np.flatnonzero(inside).astype(np.int32)
+            T = self._adjoin_powers(T, inside, seed[0])
 
     def adjoin(self, lo, s) -> frozenset:
         """lo[s], the subring generated by the frozenset ``lo`` and the
-        element ``s``: the closure of s over the subring that lo generates,
-        which is closed (once) when lo is not an interned subring.
-        Memoised on the ring by (lo, s); equal results are one shared
-        frozenset."""
+        element ``s``: the polynomial span of s over the subring that lo
+        generates, which is closed (once) when lo is not an interned
+        subring.  Memoised on the ring by (lo, s); equal results are one
+        shared frozenset."""
         key = (lo, s)
         T = self._adjoined.get(key)
         if T is None:
@@ -1146,30 +1207,35 @@ def _decomposition(S, T):
 def _primitive_decomposition(S, T):
     """(sum, primitive idempotents, factors e*T, maximal ideals, the same
     ideals sorted) of the subring with index array T; the factor arrays are
-    read-only because they are shared."""
-    idems = [e for e in T.tolist() if e != S.zero and S.mul[e, e] == e]
-    prim = sorted(e for e in idems
-                  if not any(g != e and S.mul[g, e] == g for g in idems))
+    read-only because they are shared.
+
+    An idempotent e is primitive iff the only idempotents g with g*e = g
+    are 0 and e: one count over the idempotents, in blocks of rows of about
+    2^18 products.  Each e*T is finite and local, so its maximal ideal is
+    its nilradical and M_e = {x in T : e*x nilpotent}."""
+    idems = T[S.mul[T, T] == T]
+    below = np.zeros(idems.size, dtype=np.int64)
+    step = max(1, (1 << 18) // idems.size)
+    for i in range(0, idems.size, step):
+        rows = idems[i:i + step]
+        below += (S.mul[rows[:, None], idems] == rows[:, None]).sum(axis=0)
+    prim = idems[below == 2]
+    products = S.mul[prim[:, None], prim]
+    if (products[~np.eye(prim.size, dtype=bool)] != S.zero).any():
+        raise RingError("primitive idempotents are not orthogonal")
     acc = S.zero
-    for i, e in enumerate(prim):
+    for e in prim.tolist():
         acc = int(S.add[acc, e])
-        for f in prim[i + 1:]:
-            if S.mul[e, f] != S.zero:
-                raise RingError("primitive idempotents are not orthogonal")
+    corners = S.mul[prim[:, None], T]
+    in_factor = np.zeros((prim.size, S.size), dtype=bool)
+    in_factor[np.arange(prim.size)[:, None], corners] = True
     factors, maxideals = [], []
-    for e in prim:
-        fac = np.unique(S.mul[e, T])
+    for row, nil in zip(in_factor, S.nilpotent_mask()[corners]):
+        fac = np.flatnonzero(row).astype(np.int32)
         fac.flags.writeable = False
-        # the maximal ideal of e*T is its non-units; M = {x : e*x in it}.
-        # Blocks of rows of about 2^18 products bound the memory.
-        inv = np.empty(fac.size, dtype=bool)
-        step = max(1, (1 << 18) // fac.size)
-        for i in range(0, fac.size, step):
-            inv[i:i + step] = (S.mul[np.ix_(fac[i:i + step], fac)] == e).any(axis=1)
-        non_unit = S.mask(fac[~inv])
         factors.append(fac)
-        maxideals.append(frozenset(T[non_unit[S.mul[e, T]]].tolist()))
-    return acc, prim, factors, maxideals, sorted(maxideals, key=sorted)
+        maxideals.append(frozenset(T[nil].tolist()))
+    return acc, prim.tolist(), factors, maxideals, sorted(maxideals, key=sorted)
 
 
 def maximal_ideals(S, subring=None) -> list[frozenset]:

@@ -213,12 +213,15 @@ class ExtensionLattice:
         return [int(v) for v in np.flatnonzero(self.leq[a] & self.leq[:, b])]
 
     def interval(self, a, b):
-        """The sublattice [a, b], built once per (a, b).  An interval is
-        convex and closed under meet and join, and its nodes keep their
-        sort order, so its order, covers and tables are this lattice's
-        restricted to its nodes and renumbered; an entry that falls
-        outside the selection raises."""
+        """The sublattice [a, b], built once per (a, b); [bottom, top] is
+        this lattice itself, with its memos.  An interval is convex and
+        closed under meet and join, and its nodes keep their sort order,
+        so its order, covers and tables are this lattice's restricted to
+        its nodes and renumbered; an entry that falls outside the
+        selection raises."""
         key = (int(a), int(b))
+        if key == (0, self.n - 1):
+            return self
         sub = self._intervals.get(key)
         if sub is None:
             if not self.leq[key]:

@@ -79,3 +79,16 @@ def e10():
     F4 = fr.gf(2, 2)
     S = fr.quotient_by_relations(F4, [fr.resolve_relation(F4, [((("y", 2),), 1)])])
     return prime_ext(S, name="E10")
+
+
+@pytest.fixture(scope="session")
+def reference_extensions():
+    """Every catalog instance, then Pi5, V4 = F2 + F2^4 and Pi6 over their
+    prime subrings: the instances the replaced routes are compared on."""
+    from ringlattice import catalog, dsl
+    out = [dsl.build_extension(inst.spec) for inst in catalog.CATALOG]
+    for S in (fr.product_ring([fr.gf(2)] * 5),
+              fr.idealization(fr.gf(2), (2, 2, 2, 2)),
+              fr.product_ring([fr.gf(2)] * 6)):
+        out.append(ex.Extension(S, ex.prime_subring(S)))
+    return out

@@ -21,9 +21,11 @@ it is the reference for ``product_ring``'s tables, indices and names.
 ``einsum_from_struct`` is the earlier ``FiniteRing.from_struct`` table
 build (coefficient-vector sums and an ``einsum`` over them), the reference
 for the digit-wise fold.  ``loop_closed_pair`` is the element loop behind
-the seminormal, u-closed and t-closed predicates.  ``scratch_adjoin`` is
-the earlier ``FiniteRing.adjoin``, one closure of lo and s from {0} with no
-memo; ``every_s_monogenic_subrings``, ``every_s_is_minimal_pair`` and
+the seminormal, u-closed and t-closed predicates.  ``span_subring_closure``
+and ``span_adjoin`` are the earlier ``FiniteRing.subring_closure`` and
+``FiniteRing.adjoin`` (multiplier closures by ``_span_closure``), the
+references for the polynomial span; ``scratch_adjoin`` is one such closure
+of lo and s from {0} with no memo; ``every_s_monogenic_subrings``, ``every_s_is_minimal_pair`` and
 ``every_s_is_simple`` close lo[s] with it for every s in hi - lo, the
 references for the closures that start from lo and take one s per coset.
 ``block_subring_unit`` is the earlier unit test of a subring, a compare of
@@ -36,6 +38,11 @@ loop forms of the whole-array checks, and ``list_modular_law_scan`` (the
 per-row loop) is the reference for the blocked modular scan.
 ``loop_levels_from`` is the earlier per-node walk behind
 ``ExtensionLattice.levels_from``, the reference for its frontier pass.
+``scan_conductor_pair`` is the earlier per-pair conductor scan,
+``unit_scan_decomposition`` the earlier primitive idempotents and maximal
+ideals (pairwise refinement and a unit scan), and ``loop_is_delta`` the
+earlier pair loop behind the delta flag; they are the references for the
+grouped cover conductors, the nilradical route and the size test.
 ``bitset_lattice_tables`` is the earlier table build (int bitsets and a
 loop over the node pairs), the reference for the array build from the
 membership product.
@@ -196,6 +203,53 @@ def isin_conductor_pair(S, lo, hi):
     return cond
 
 
+def scan_conductor_pair(S, lo, hi):
+    """The earlier extension.conductor_pair: one scan of lo*hi per pair and
+    an is_ideal_of guard of its own; the reference for the conductors of a
+    lower ring under all of its covers at once."""
+    lo_arr = S.arr(lo)
+    cond = frozenset(lo_arr[S.mask(lo)[S.mul[np.ix_(lo_arr, S.arr(hi))]]
+                            .all(axis=1)].tolist())
+    if not S.is_ideal_of(hi, cond):
+        raise TheoremViolation("conductor is not an ideal of both rings")
+    return cond
+
+
+def unit_scan_decomposition(S, T):
+    """(primitive idempotents, maximal ideals) of the subring T by the
+    earlier scans: the idempotents refined pair by pair in Python, and the
+    maximal ideal of each e*T as its non-units (the elements with no
+    inverse in e*T); the reference for the one-count primitive test and
+    the nilradical route."""
+    T = S.arr(T)
+    idems = [e for e in T.tolist() if e != S.zero and S.mul[e, e] == e]
+    prim = sorted(e for e in idems
+                  if not any(g != e and S.mul[g, e] == g for g in idems))
+    maxideals = []
+    for e in prim:
+        fac = np.unique(S.mul[e, T])
+        inv = (S.mul[np.ix_(fac, fac)] == e).any(axis=1)
+        non_unit = S.mask(fac[~inv])
+        maxideals.append(frozenset(T[non_unit[S.mul[e, T]]].tolist()))
+    return prim, maxideals
+
+
+def loop_is_delta(E):
+    """The earlier extension.is_delta: for each incomparable pair of nodes,
+    whether T + U is closed under products."""
+    S, L = E.ambient, E.lattice()
+    arrs = [S.arr(t) for t in L.nodes]
+    for i in range(len(arrs)):
+        for j in range(i + 1, len(arrs)):
+            if L.leq[i, j] or L.leq[j, i]:
+                continue
+            in_tu = S.mask(S.add[np.ix_(arrs[i], arrs[j])])
+            tu = np.flatnonzero(in_tu)
+            if not in_tu[S.mul[np.ix_(tu, tu)]].all():
+                return False
+    return True
+
+
 def block_subring_unit(S, T):
     """The multiplicative identity of the closed subset T by comparing the
     whole |T| x |T| block of products with T; RingError unless exactly one
@@ -354,9 +408,28 @@ def closure_enumeration(E, node_limit=DEFAULT_NODE_LIMIT):
     return nodes, joins
 
 
+def span_subring_closure(S, seed, over=None):
+    """The earlier FiniteRing.subring_closure: the span of 1 (or of the
+    subring ``over``) and the seed, closed under ``over`` and the seed as
+    multipliers by ``FiniteRing._span_closure``; the reference for the
+    polynomial span."""
+    seed = np.array(list(seed), dtype=np.int32)
+    if over is None:
+        return S._span_closure(np.append(seed, S.one), seed)
+    T = S.arr(over)
+    return S._span_closure(seed, np.concatenate([T, seed]), start=T)
+
+
+def span_adjoin(S, lo, s):
+    """The earlier FiniteRing.adjoin without its memo: s closed over the
+    subring lo by span_subring_closure."""
+    return frozenset(span_subring_closure(S, [s], over=frozenset(lo)).tolist())
+
+
 def scratch_adjoin(S, lo, s):
-    """lo[s] as one closure of lo and s from {0}, without the memo."""
-    return frozenset(S.subring_closure(sorted(lo) + [s]).tolist())
+    """lo[s] as one closure of lo and s from {0} by span_subring_closure,
+    without the memo."""
+    return frozenset(span_subring_closure(S, sorted(lo) + [s]).tolist())
 
 
 def every_s_monogenic_subrings(E):

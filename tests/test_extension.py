@@ -15,8 +15,8 @@ from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, corner_localization, every_s_is_minimal_pair,
                      every_s_is_simple, every_s_monogenic_subrings,
-                     largest_common_ideal, loop_closed_pair,
-                     quotient_route_is_inert, small_ring)
+                     largest_common_ideal, loop_closed_pair, loop_is_delta,
+                     quotient_route_is_inert, scan_conductor_pair, small_ring)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -117,21 +117,35 @@ def test_monogenic_subrings_match_the_every_s_loop_on_small_rings(name, seed):
 
 def test_monogenic_subrings_close_one_s_per_coset(monkeypatch, e5):
     # lo[s + b] = lo[s] for b in lo: a fresh ring runs one closure from the
-    # base per coset of the base in top - base, and the base's own closure
+    # base per coset of the base in top - base, and the base's own closure;
+    # each closure from the base is one polynomial span
     S = fr.gf(2, 6)
     closures, closure = {"over": 0, "scratch": 0}, fr.FiniteRing.subring_closure
+    spans, span, running = {"over": 0, "scratch": 0}, fr.FiniteRing._adjoin_powers, []
 
     def counting_closure(self, seed, **kw):
-        closures["over" if kw.get("over") is not None else "scratch"] += 1
-        return closure(self, seed, **kw)
+        running.append("over" if kw.get("over") is not None else "scratch")
+        closures[running[-1]] += 1
+        try:
+            return closure(self, seed, **kw)
+        finally:
+            running.pop()
+
+    def counting_span(self, *args):
+        spans[running[-1]] += 1
+        return span(self, *args)
 
     for E in (ex.Extension(S, ex.prime_subring(S)), _doubled(e5)):
         monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
+        monkeypatch.setattr(fr.FiniteRing, "_adjoin_powers", counting_span)
         gens = ex.monogenic_subrings(E)
         monkeypatch.undo()
-        assert closures == {"over": len(E.top) // len(E.base) - 1, "scratch": 1}
+        cosets = len(E.top) // len(E.base) - 1
+        assert closures == {"over": cosets, "scratch": 1}
+        assert spans["over"] == cosets
         assert gens == every_s_monogenic_subrings(E)
         closures.update(over=0, scratch=0)
+        spans.update(over=0, scratch=0)
 
 
 def test_generated_subring_e5_seminormalization(e5):
@@ -535,3 +549,93 @@ def test_monogenic_join_closure_invariant(gens):
     for node in L.nodes:
         assert E.base <= node
         assert S.is_subring(node)
+
+
+# -- whole-lattice passes against the earlier per-pair routes -----------
+
+
+def _assert_conductors_match_the_pair_scan(E):
+    """The conductors of each node under every node above it, computed as
+    one group with no memo, against one scan per pair."""
+    S, L = E.ambient, E.lattice()
+    for i in range(L.n):
+        lo, his = L.nodes[i], [L.nodes[j] for j in np.flatnonzero(L.leq[i])]
+        memo, S._pair_facts = S._pair_facts, _NoMemo()
+        try:
+            got = ex.cover_conductors(S, lo, his)
+        finally:
+            S._pair_facts = memo
+        assert got == [scan_conductor_pair(S, lo, hi) for hi in his]
+
+
+def _assert_closed_facts_match_the_element_loop(E):
+    """The seminormal and u-closed facts of every node under the top, from
+    one pass into an empty memo, against the element loop."""
+    S, L = E.ambient, E.lattice()
+    memo, S._pair_facts = S._pair_facts, {}
+    try:
+        ex._fill_closed_facts(S, L.nodes, E.top)
+        filled = S._pair_facts
+    finally:
+        S._pair_facts = memo
+    assert len(filled) == 2 * L.n
+    for T in L.nodes:
+        assert filled[("seminormal", T, E.top)] == \
+            loop_closed_pair(S, T, E.top, [S.zero])
+        assert filled[("u_closed", T, E.top)] == \
+            loop_closed_pair(S, T, E.top, [S.one])
+    return set(filled.items())
+
+
+def test_grouped_conductors_match_the_pair_scan(reference_extensions):
+    for E in reference_extensions:
+        _assert_conductors_match_the_pair_scan(E)
+
+
+def test_closed_facts_pass_matches_the_element_loop(reference_extensions):
+    seen = set()
+    for E in reference_extensions:
+        seen |= {(kind, value) for (kind, _, _), value in
+                 _assert_closed_facts_match_the_element_loop(E)}
+    assert seen == {(k, v) for k in ("seminormal", "u_closed") for v in (True, False)}
+
+
+def test_delta_flag_matches_the_pair_loop(reference_extensions):
+    seen = set()
+    for E in reference_extensions:
+        delta = ex.is_delta(E)
+        assert delta == loop_is_delta(E), E.name
+        seen.add(delta)
+    assert seen == {True, False}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_whole_lattice_passes_match_the_pair_routes_on_small_rings(name, seed):
+    R = small_ring(name)
+    E = ex.Extension(R, R.subring_closure(seed))
+    _assert_conductors_match_the_pair_scan(E)
+    _assert_closed_facts_match_the_element_loop(E)
+    assert ex.is_delta(E) == loop_is_delta(E)
+
+
+def test_the_conductor_guard_rejects_sets_that_are_not_ideals(e5):
+    S = e5.ambient
+    whole = np.ones(S.size, dtype=bool)
+    M = fr.maximal_ideals(S)[0]
+    ideal = S.mask(M)
+    a, b = sorted(M - {S.zero})[:2]
+    assert S.a(a, b) not in (S.zero, a, b)     # {0, a, b} is not closed
+    not_a_group = S.mask(np.array([S.zero, a, b]))
+    no_zero = ideal.copy()
+    no_zero[S.zero] = False
+    prime = S.mask(S.arr(ex.prime_subring(S)))
+    every = np.arange(S.size)
+    assert ex._rows_are_ideals(S, every, np.array([ideal, whole]),
+                               np.array([whole, whole]))
+    for sets, rings in ((no_zero, whole), (not_a_group, whole), (prime, whole),
+                        (ideal, prime)):
+        assert not ex._rows_are_ideals(S, every, sets[None], rings[None])
+        # one bad row fails its whole group
+        assert not ex._rows_are_ideals(S, every, np.array([ideal, sets]),
+                                       np.array([whole, rings]))

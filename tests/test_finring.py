@@ -12,6 +12,7 @@ from ringlattice.checks import doubled_ring
 from ringlattice.verify import brute_force_subrings
 
 from oracles import (SMALL_RINGS, assert_ring_axioms, block_subring_unit,
+                     span_adjoin, span_subring_closure, unit_scan_decomposition,
                      brute_force_ideals, einsum_from_struct, frontier_join_closure, isin_conductor_pair,
                      isin_ideal_of, isin_subring, largest_common_ideal,
                      loop_is_field, loop_power, loop_subring_unit, small_ring,
@@ -778,3 +779,63 @@ def test_a_non_unital_ideal_has_no_decomposition():
         fr.maximal_ideals(R, ideal)
     with pytest.raises(fr.RingError, match="no unique multiplicative identity"):
         block_subring_unit(R, ideal)
+
+
+# -- the polynomial span and the nilradical route against the earlier scans
+
+
+def _assert_closures_match_the_span_route(E):
+    """Every lo[s] over a node lo, one s per coset, and the closure from
+    scratch, against the multiplier closure."""
+    S, L = E.ambient, E.lattice()
+    assert np.array_equal(S.subring_closure([]), span_subring_closure(S, []))
+    for lo in L.nodes:
+        for s in ex.coset_leaders(S, lo, E.top):
+            got = S.subring_closure([s], over=lo)
+            assert np.array_equal(got, span_subring_closure(S, [s], over=lo))
+            assert S.adjoin(lo, s) == span_adjoin(S, lo, s)
+    top = sorted(E.top)
+    assert np.array_equal(S.subring_closure(top), span_subring_closure(S, top))
+
+
+def _assert_decompositions_match_the_unit_scan(E):
+    S = E.ambient
+    for T in E.lattice().nodes:
+        dec = fr.primitive_idempotents(S, T)
+        assert (dec.idempotents, dec.maximal_ideals) == unit_scan_decomposition(S, T)
+
+
+def test_polynomial_span_matches_the_span_closure(reference_extensions):
+    for E in reference_extensions:
+        _assert_closures_match_the_span_route(E)
+
+
+def test_decompositions_match_the_unit_scan(reference_extensions):
+    for E in reference_extensions:
+        _assert_decompositions_match_the_unit_scan(E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=3),
+       st.lists(st.integers(0, 7), max_size=3))
+def test_polynomial_span_matches_the_span_closure_on_small_rings(name, under, seed):
+    R = small_ring(name)
+    E = ex.Extension(R, R.subring_closure(under))
+    _assert_closures_match_the_span_route(E)
+    _assert_decompositions_match_the_unit_scan(E)
+    assert np.array_equal(R.subring_closure(seed), span_subring_closure(R, seed))
+    assert np.array_equal(R.subring_closure(seed, over=E.base),
+                          span_subring_closure(R, seed, over=E.base))
+
+
+def test_nilpotent_mask_matches_the_powers(reference_extensions):
+    # x is nilpotent iff its powers reach 0 before they repeat
+    for S in {id(E.ambient): E.ambient for E in reference_extensions}.values():
+        mask = S.nilpotent_mask()
+        assert S.nilpotent_mask() is mask
+        for x in range(S.size):
+            seen, y = set(), x
+            while y not in seen and y != S.zero:
+                seen.add(y)
+                y = S.m(y, x)
+            assert mask[x] == (y == S.zero)

@@ -108,9 +108,9 @@ def test_interval_sublattice(e5, bool64):
     t = e5.decomposition().t
     sub = L5.interval(L5.index[t], L5.top)
     assert len(sub.nodes) == 2 and sub.is_chain()
-    # whole interval is the lattice itself
+    # whole interval is the lattice itself, memos included
     full = L5.interval(0, L5.top)
-    assert full.nodes == L5.nodes
+    assert full is L5 and full.nodes == L5.nodes
     # [F2, F8] inside the divisor lattice of 6 is a 2-chain
     L8 = bool64.lattice()
     f8 = next(i for i, n in enumerate(L8.nodes) if len(n) == 8)
@@ -328,13 +328,19 @@ def test_order_tables_match_closure_tables_on_small_rings(name, seed):
 
 def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
     # the tables come from the order and an interval is sliced out of its
-    # parent's tables; only the enumeration closes subsets
-    closures, per_build = [0], []
+    # parent's tables; only the enumeration closes subsets, and each of its
+    # closures runs the polynomial span
+    closures, spans, per_build = [0], [0], []
     closure, build = fr.FiniteRing.subring_closure, ExtensionLattice.__init__
+    span = fr.FiniteRing._adjoin_powers
 
     def counting_closure(self, seed, **kw):
         closures[0] += 1
         return closure(self, seed, **kw)
+
+    def counting_span(self, *args):
+        spans[0] += 1
+        return span(self, *args)
 
     def counting_build(self, *args, **kwargs):
         before = closures[0]
@@ -342,15 +348,20 @@ def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
         per_build.append(closures[0] - before)
 
     monkeypatch.setattr(fr.FiniteRing, "subring_closure", counting_closure)
+    monkeypatch.setattr(fr.FiniteRing, "_adjoin_powers", counting_span)
     monkeypatch.setattr(ExtensionLattice, "__init__", counting_build)
     E = big_lattices[0]
     # the fixture ring is shared, so empty its adjoin memo first
     monkeypatch.setattr(E.ambient, "_adjoined", {})
     L = ex.enumerate_interval(E)
     assert closures[0] > 0 and per_build == [0]
+    # the base is interned already, so every closure adjoins one element
+    assert spans[0] == closures[0]
     enumerated = closures[0]
     sub = L.interval(1, L.top)
-    assert closures[0] == enumerated and per_build == [0] and len(sub) > 2
+    assert closures[0] == enumerated and spans[0] == enumerated
+    assert per_build == [0] and len(sub) > 2
+    assert L.interval(0, L.top) is L
 
 
 def test_second_enumeration_runs_no_closures(monkeypatch):
