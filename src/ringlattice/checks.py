@@ -572,38 +572,44 @@ def two_atom_composite_profile(a):
 def b2_structure_cases(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.lattice()
-    pairs = []
-    for v in range(len(L.nodes)):
-        lev = L.levels_from(v)
-        pairs.extend((v, int(w)) for w in np.flatnonzero(lev == 2))
-    if not pairs:
+    L, S = a.lattice(), a.ambient
+    groups = [(v, np.flatnonzero(L.levels_from(v) == 2).tolist()) for v in range(L.n)]
+    groups = [(v, ws) for v, ws in groups if ws]
+    if not groups:
         return _na("no length-2 subinterval")
-    S = a.ambient
-    for v, w in pairs:
-        V, W = L.nodes[v], L.nodes[w]
-        pa = a.sub(V, W)
-        lhs = pa.lattice().check_boolean()[0]
-        prof = pa.profile()
-        cond = prof.conductor
-        rhs = False
-        if len(prof.msupp) == 2:
-            rhs = True
-        elif len(prof.msupp) == 1:
-            M = prof.crucial
-            if ex.is_infra_integral_pair(S, V, W):
-                plus = pa.decomposition().plus
-                if plus not in (V, W) and cond == M:
-                    rhs = True
-            if not rhs and cond == M and ex.is_t_closed(S, V, W):
-                # residue interval must have exactly 4 subfields: W/M is a
-                # field iff M is maximal in W
-                rhs = M in fr.maximal_ideals(S, W) and \
-                    len(pa.quotient(M).lattice().nodes) == 4
-        if lhs != rhs:
-            return CheckResult("", "", "fail", witness={
-                "interval": [v, w], "b2": lhs, "cases": rhs})
+    # one pass per lower node V: the conductors, supports and decomposition
+    # facts of all of its length-2 intervals [V, W] are computed together
+    for v, ws in groups:
+        V, Ws = L.nodes[v], [L.nodes[w] for w in ws]
+        subs = [L.interval(v, w) for w in ws]
+        conds = ex.cover_conductors(S, V, Ws)
+        msupps = ex.msupp_of_pairs(S, V, V, Ws)
+        ex.fill_decomposition_facts(S, V, [(W, sub.nodes) for W, sub, ms
+                                           in zip(Ws, subs, msupps) if len(ms) == 1])
+        for w, W, sub, cond, msupp in zip(ws, Ws, subs, conds, msupps):
+            lhs = sub.check_boolean()[0]
+            rhs = _b2_cases(a, V, W, cond, msupp)
+            if lhs != rhs:
+                return CheckResult("", "", "fail", witness={
+                    "interval": [v, w], "b2": lhs, "cases": rhs})
     return CheckResult("", "", "pass")
+
+
+def _b2_cases(a, V, W, cond, msupp):
+    """The three cases for [V, W], given its conductor and MSupp_V(W/V)."""
+    if len(msupp) != 1:
+        return len(msupp) == 2
+    S, M = a.ambient, msupp[0]
+    rhs = False
+    if ex.is_infra_integral_pair(S, V, W):
+        plus = a.sub(V, W).decomposition().plus
+        rhs = plus not in (V, W) and cond == M
+    if not rhs and cond == M and ex.is_t_closed(S, V, W):
+        # residue interval must have exactly 4 subfields: W/M is a field
+        # iff M is maximal in W
+        rhs = M in fr.maximal_ideals(S, W) and \
+            len(a.sub(V, W).quotient(M).lattice().nodes) == 4
+    return rhs
 
 
 # ----------------------------------------------------------------------

@@ -258,18 +258,6 @@ def idempotent_style_generator(E: Extension) -> int | None:
 # ----------------------------------------------------------------------
 # conductor, support, localization, fibers, residues
 
-def _pair_fact(S: fr.FiniteRing, kind, lo, hi, compute):
-    """compute(), memoised on the ring by (kind, lo, hi) when lo and hi are
-    frozensets: the pair facts below depend on the two subrings only."""
-    if not (isinstance(lo, frozenset) and isinstance(hi, frozenset)):
-        return compute()
-    key = (kind, lo, hi)
-    fact = S._pair_facts.get(key)
-    if fact is None:
-        fact = S._pair_facts[key] = compute()
-    return fact
-
-
 def cover_conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
     """(lo : hi) = {z in lo : z*hi <= lo} for each ring hi of ``his`` over
     the subring lo, the largest common ideal, memoised per pair as a pair
@@ -295,9 +283,7 @@ def _conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
     memory."""
     lo_arr = S.arr(lo)
     in_lo = S.mask(lo_arr)
-    upper = np.zeros((len(his), S.size), dtype=bool)
-    for j, hi in enumerate(his):
-        upper[j, S.arr(hi)] = True
+    upper = _member_rows(S, his)
     weights = upper.T.astype(np.float32)
     cond = np.zeros_like(upper)
     for blk in _row_blocks(lo_arr.size, upper.size):
@@ -312,6 +298,14 @@ def _row_blocks(rows, width):
     """Slices of ``rows`` rows of about 2^18 entries of ``width`` each."""
     step = max(1, (1 << 18) // max(1, width))
     return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _member_rows(S: fr.FiniteRing, sets) -> np.ndarray:
+    """Boolean membership rows, len(sets) x S.size, of the element sets."""
+    rows = np.zeros((len(sets), S.size), dtype=bool)
+    for row, T in zip(rows, sets):
+        row[S.arr(T)] = True
+    return rows
 
 
 def _rows_are_ideals(S: fr.FiniteRing, lo_arr, sets, rings) -> bool:
@@ -373,14 +367,23 @@ def localize_at(E: Extension, M) -> Extension:
 
 def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:
     """MSupp_base(hi/lo) for base <= lo <= hi <= top, as ideals of base."""
-    S = E.ambient
-    dec = E.base_decomposition()
-    lo_arr, hi_arr = S.arr(lo), S.arr(hi)
-    out = []
-    for e, M in zip(dec.idempotents, dec.maximal_ideals):
-        if np.unique(S.mul[e, lo_arr]).size != np.unique(S.mul[e, hi_arr]).size:
-            out.append(M)
-    return sorted(out, key=sorted)
+    return msupp_of_pairs(E.ambient, E.base, lo, [hi])[0]
+
+
+def msupp_of_pairs(S: fr.FiniteRing, base, lo, his) -> list[list[frozenset]]:
+    """MSupp_base(hi/lo) for each ring hi of ``his`` over lo, base <= lo,
+    as sorted lists of maximal ideals of base: the M_e, e a primitive
+    idempotent of base, with |e*lo| != |e*hi|.  x -> e*x is additive with
+    kernel {x : e*x = 0}, so |e*T| = |T| / |T & kernel|: one count of
+    every kernel in every ring, as one float32 product."""
+    dec = fr.primitive_idempotents(S, base, unit=S.one)
+    rows = _member_rows(S, [lo, *his]).astype(np.float32)
+    kernel = (S.mul[dec.idempotents] == S.zero).astype(np.float32)
+    inside = kernel @ rows.T                        # |T & kernel of e|
+    size = rows.sum(axis=1)
+    moved = (size[1:] * inside[:, :1] != size[0] * inside[:, 1:]).T.tolist()
+    return [sorted((M for M, m in zip(dec.maximal_ideals, row) if m), key=sorted)
+            for row in moved]
 
 
 def fibers(E: Extension) -> dict[frozenset, list[frozenset]]:
@@ -390,12 +393,6 @@ def fibers(E: Extension) -> dict[frozenset, list[frozenset]]:
     for Q, P in spectrum_map(E.ambient, E.base, E.top):
         out[P].append(Q)
     return out
-
-
-def residual_degrees(S: fr.FiniteRing, lo, hi) -> list[tuple[int, int]]:
-    """(|kappa_lo(Q cap lo)|, |kappa_hi(Q)|) for each Q in Max(hi)."""
-    return [(len(lo) // len(Q & lo), len(hi) // len(Q))
-            for Q in fr.maximal_ideals(S, hi)]
 
 
 # ----------------------------------------------------------------------
@@ -476,63 +473,179 @@ def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
 # ----------------------------------------------------------------------
 # element-level closure predicates (pairs of nested subrings)
 
-def _closed_for(S: fr.FiniteRing, lo, hi, rs) -> bool:
-    """No b in hi-lo and r in rs with c = b^2-rb = b(b-r) and
-    b^3-rb^2 = bc in lo; the r are taken in blocks of about 2^18 (r, b)
-    pairs, stopping at the first hit."""
-    in_lo, hi_arr = S.mask(lo), S.arr(hi)
-    out = hi_arr[~in_lo[hi_arr]]
-    step = max(1, (1 << 18) // max(1, out.size))
-    for i in range(0, len(rs), step):
-        c = S.mul[out, S.add[out, S.neg[rs[i:i + step, None]]]]
-        if (in_lo[c] & in_lo[S.mul[c, out]]).any():
-            return False
-    return True
+_CLOSED_KINDS = ("seminormal", "u_closed", "t_closed")
+_SPECTRAL_KINDS = ("infra_integral", "subintegral")
 
 
-def _fill_closed_facts(S: fr.FiniteRing, nodes, hi):
-    """The seminormal and u-closed facts of every pair (T, hi) for the
-    subrings T of ``nodes``, in one pass over their membership rows: T is
-    closed for r when no b in hi - T has b(b - r) and b^2(b - r) in T
-    (r = 0 and r = 1, as in _closed_for).  Blocks of rows of about 2^18
-    entries bound the memory; nodes whose facts are known are skipped."""
+def _segment_ranks(counts):
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _common_counts(A, ia, B, ib):
+    """|A[ia[k]] & B[ib[k]]| for each k, for boolean rows A and B, in blocks
+    of about 2^18 entries."""
+    out = np.empty(len(ia), dtype=np.int64)
+    for blk in _row_blocks(len(ia), A.shape[1]):
+        out[blk] = np.count_nonzero(A[ia[blk]] & B[ib[blk]], axis=1)
+    return out
+
+
+def _runs(weights, limit=1 << 13):
+    """Consecutive slices of the items with about ``limit`` total weight
+    each (at least one item each)."""
+    total = np.cumsum(weights)
+    out, start = [], 0
+    while start < total.size:
+        reach = (total[start - 1] if start else 0) + limit
+        end = max(start + 1, int(np.searchsorted(total, reach, side="right")))
+        out.append(slice(start, end))
+        start = end
+    return out
+
+
+def _closed_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
+    """The seminormal, u-closed and t-closed facts (3 x pairs) of the pairs
+    (rings[lo[k]], rings[hi[k]]), with ``rows`` the membership rows of
+    ``rings``: lo is closed in hi for r when no b in hi - lo has b(b - r)
+    and b^2(b - r) in lo, for r = 0, for r = 1 and for every r in lo.
+    Each (kind, pair, r) meets every b of its pair, in runs of about 2^13
+    (r, b) entries, which keep the dozen index arrays of a run small."""
+    lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+    pairs = lo.size
+    b_pair, b = np.nonzero(rows[hi] & ~rows[lo])
+    t_pair, t_r = np.nonzero(rows[lo])
+    # the r of each (kind, pair) slot, kind-major
+    slot = np.concatenate([np.arange(pairs), pairs + np.arange(pairs), 2 * pairs + t_pair])
+    r = np.concatenate([np.full(pairs, S.zero), np.full(pairs, S.one), t_r])
+    nb = np.bincount(b_pair, minlength=pairs)
+    r_pair = slot % pairs
+    per_r, b_first = nb[r_pair], (np.cumsum(nb) - nb)[r_pair]
+    member = rows.ravel()
+    hits = np.zeros(3 * pairs)
+    for run in _runs(per_r):
+        counts = per_r[run]
+        owner = np.repeat(slot[run], counts)
+        bb = b[np.repeat(b_first[run], counts) + _segment_ranks(counts)]
+        c = S.mul[bb, S.add[bb, S.neg[np.repeat(r[run], counts)]]]
+        base = lo[owner % pairs] * S.size
+        bad = member[base + c] & member[base + S.mul[c, bb]]
+        hits += np.bincount(owner, weights=bad, minlength=3 * pairs)
+    return (hits == 0).reshape(3, pairs)
+
+
+def _spectral_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
+    """The infra-integral and subintegral facts (2 x pairs) of the pairs
+    (rings[lo[k]], rings[hi[k]]), with ``rows`` the membership rows of
+    ``rings``.  The maximal ideal of a ring T at its primitive idempotent e
+    is {x in T : e*x nilpotent}.  A maximal ideal Q of hi contracts to the
+    maximal ideal P of lo iff |Q & P| = |Q & lo| = |P|, and each Q must
+    contract to exactly one P.  The pair is infra-integral iff
+    |lo / (Q & lo)| = |hi / Q| for every Q, and subintegral iff moreover
+    every P is the contraction of exactly one Q.  The intersections are
+    counted over every (Q, P) of every pair at once."""
+    lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+    pairs = lo.size
+    idems = [fr.primitive_idempotents(S, T).idempotents for T in rings]
+    count = np.array([len(es) for es in idems], dtype=np.intp)
+    first = np.cumsum(count) - count
+    ideals = rows[np.repeat(np.arange(len(rings)), count)] & \
+        S.nilpotent_mask()[S.mul[np.concatenate(idems)]]
+    size_ideal, size_ring = ideals.sum(axis=1), rows.sum(axis=1)
+    nq, np_ = count[hi], count[lo]
+    q_pair, p_pair = np.repeat(np.arange(pairs), nq), np.repeat(np.arange(pairs), np_)
+    q = first[hi][q_pair] + _segment_ranks(nq)
+    p = first[lo][p_pair] + _segment_ranks(np_)
+    q_lo = _common_counts(ideals, q, rows, lo[q_pair])
+    # every (Q, P) of a pair: Q entry qe and P entry pe
+    combos = nq * np_
+    c_pair, rank = np.repeat(np.arange(pairs), combos), _segment_ranks(combos)
+    qe = (np.cumsum(nq) - nq)[c_pair] + rank // np_[c_pair]
+    pe = (np.cumsum(np_) - np_)[c_pair] + rank % np_[c_pair]
+    common = _common_counts(ideals, q[qe], ideals, p[pe])
+    match = (common == q_lo[qe]) & (common == size_ideal[p[pe]])
+    if (np.bincount(qe, weights=match, minlength=q.size) != 1).any():
+        raise TheoremViolation("contraction of a maximal ideal is not maximal")
+    per_p = np.bincount(pe, weights=match, minlength=p.size)
+    residual = size_ring[lo[q_pair]] * size_ideal[q] == size_ring[hi[q_pair]] * q_lo
+    infra = np.bincount(q_pair, weights=~residual, minlength=pairs) == 0
+    bijective = np.bincount(p_pair, weights=per_p != 1, minlength=pairs) == 0
+    return np.array([infra, infra & bijective])
+
+
+def fill_decomposition_facts(S: fr.FiniteRing, lo, intervals):
+    """The pair facts the canonical decomposition of [lo, hi] reads, for
+    each (hi, nodes of [lo, hi]) of ``intervals``, computed together into
+    the pair-fact memo: over lo, infra-integral and subintegral (lo, T);
+    under hi, seminormal, u-closed, t-closed, infra-integral and
+    subintegral (T, hi), for every node T.  The rings of all pairs get one
+    membership row each, and each kernel runs once over all of its pairs;
+    known facts are kept, and pairs whose facts are all known skipped."""
     facts = S._pair_facts
-    kinds = (("seminormal", S.zero), ("u_closed", S.one))
-    nodes = [T for T in nodes if any((kind, T, hi) not in facts for kind, _ in kinds)]
-    if not nodes:
+    spectral, closed = {}, {}
+    for hi, nodes in intervals:
+        for T in nodes:
+            if ("infra_integral", lo, T) not in facts or ("subintegral", lo, T) not in facts:
+                spectral[(lo, T)] = None
+            if ("infra_integral", T, hi) not in facts or ("subintegral", T, hi) not in facts:
+                spectral[(T, hi)] = None
+            if ("seminormal", T, hi) not in facts or ("u_closed", T, hi) not in facts \
+                    or ("t_closed", T, hi) not in facts:
+                closed[(T, hi)] = None
+    _fill_pairs(S, list(spectral), list(closed))
+
+
+def _fill_pairs(S: fr.FiniteRing, spectral, closed):
+    """Run the spectral kernel over the pairs ``spectral`` and the closed
+    kernel over ``closed``, on one membership row per ring, and keep the
+    facts in the memo."""
+    if not (spectral or closed):
         return
-    h = S.arr(hi)
-    arrs = [S.arr(T) for T in nodes]
-    rows = np.zeros((len(nodes), S.size), dtype=bool)
-    rows[np.arange(len(nodes)).repeat([a.size for a in arrs]),
-         np.concatenate(arrs)] = True
-    for kind, r in kinds:
-        c = S.mul[h, S.add[h, S.neg[r]]]
-        cb = S.mul[c, h]
-        closed = np.empty(len(nodes), dtype=bool)
-        for blk in _row_blocks(len(nodes), h.size):
-            part = rows[blk]
-            closed[blk] = ~(~part[:, h] & part[:, c] & part[:, cb]).any(axis=1)
-        for T, value in zip(nodes, closed.tolist()):
-            facts.setdefault((kind, T, hi), value)
+    index = {}
+    for pair in spectral + closed:
+        for T in pair:
+            index.setdefault(T, len(index))
+    rings = list(index)
+    rows = _member_rows(S, rings)
+    facts = S._pair_facts
+    for kinds, pairs, kernel in ((_SPECTRAL_KINDS, spectral, _spectral_facts),
+                                 (_CLOSED_KINDS, closed, _closed_facts)):
+        if not pairs:
+            continue
+        values = kernel(S, rings, rows, [index[a] for a, _ in pairs],
+                        [index[b] for _, b in pairs])
+        for kind, column in zip(kinds, values.tolist()):
+            for (a, b), value in zip(pairs, column):
+                facts.setdefault((kind, a, b), value)
+
+
+def _one_pair_fact(S: fr.FiniteRing, kind, lo, hi) -> bool:
+    """The fact ``kind`` of the pair lo <= hi, memoised with the sibling
+    facts of its kernel."""
+    key = (kind, frozenset(lo), frozenset(hi))
+    if key not in S._pair_facts:
+        pair = [key[1:]]
+        if kind in _SPECTRAL_KINDS:
+            _fill_pairs(S, pair, [])
+        else:
+            _fill_pairs(S, [], pair)
+    return S._pair_facts[key]
 
 
 def is_seminormal(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2, b^3 in lo (r = 0)."""
-    return _pair_fact(S, "seminormal", lo, hi,
-                      lambda: _closed_for(S, lo, hi, np.array([S.zero])))
+    return _one_pair_fact(S, "seminormal", lo, hi)
 
 
 def is_u_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2-b, b^3-b^2 in lo (r = 1)."""
-    return _pair_fact(S, "u_closed", lo, hi,
-                      lambda: _closed_for(S, lo, hi, np.array([S.one])))
+    return _one_pair_fact(S, "u_closed", lo, hi)
 
 
 def is_t_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo and r in lo with b^2-rb, b^3-rb^2 in lo."""
-    return _pair_fact(S, "t_closed", lo, hi,
-                      lambda: _closed_for(S, lo, hi, S.arr(lo)))
+    return _one_pair_fact(S, "t_closed", lo, hi)
 
 
 def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
@@ -549,17 +662,12 @@ def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
 
 def is_infra_integral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """All residual extensions are isomorphisms (finite fields: equal size)."""
-    return _pair_fact(S, "infra_integral", lo, hi, lambda: all(
-        a == b for a, b in residual_degrees(S, lo, hi)))
+    return _one_pair_fact(S, "infra_integral", lo, hi)
 
 
 def is_subintegral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Infra-integral with bijective spectrum map."""
-    def scan():
-        contractions = sorted((P for _, P in spectrum_map(S, lo, hi)), key=sorted)
-        return contractions == fr.maximal_ideals(S, lo) and \
-            is_infra_integral_pair(S, lo, hi)
-    return _pair_fact(S, "subintegral", lo, hi, scan)
+    return _one_pair_fact(S, "subintegral", lo, hi)
 
 
 def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:
@@ -606,10 +714,12 @@ def is_delta(E: Extension) -> bool:
 def extension_flags(E: Extension) -> ExtensionFlags:
     """All predicate flags; the trivial extension gets a dedicated verdict
     (every flag None) because the underlying statements quantify over
-    proper extensions."""
+    proper extensions.  The closure and spectral flags come from the
+    grouped fill that the canonical decomposition reads as well."""
     if E.trivial:
         return ExtensionFlags(trivial=True)
     S = E.ambient
+    fill_decomposition_facts(S, E.base, [(E.top, E.lattice().nodes)])
     base_local = len(E.max_ideals_base()) == 1
     return ExtensionFlags(
         trivial=False,
@@ -631,31 +741,31 @@ def extension_flags(E: Extension) -> ExtensionFlags:
 # ----------------------------------------------------------------------
 # canonical decomposition and splitters
 
-def _extremes(L, keep, greatest):
-    """The nodes of the boolean mask ``keep`` with no other kept node
-    strictly above them (``greatest``) or below them, ascending: the order
-    is reflexive, so such a node has exactly one kept node at or above
-    (below) it, itself."""
+def _extremes(L, keeps, greatest):
+    """For each boolean mask row of ``keeps``, the nodes of the mask with no
+    other kept node strictly above them (``greatest``) or below them,
+    ascending: the order is reflexive, so such a node has exactly one kept
+    node at or above (below) it, itself.  The counts for all rows are one
+    float32 product per block of about 2^18 order entries."""
     order = L.leq if greatest else L.leq.T
-    return np.flatnonzero(keep & ((order & keep).sum(axis=1) == 1)).tolist()
+    weights = keeps.T.astype(np.float32)
+    ends = np.empty(keeps.shape, dtype=bool)
+    for blk in _row_blocks(L.n, L.n):
+        ends[:, blk] = (order[blk].astype(np.float32) @ weights == 1).T
+    ends &= keeps
+    out = [[] for _ in range(len(keeps))]
+    for row, node in zip(*(ix.tolist() for ix in np.nonzero(ends))):
+        out[row].append(node)
+    return out
 
 
-def _unique_max(L, keep, what):
-    maxima = _extremes(L, keep, True)
-    if len(maxima) != 1:
+def _unique(L, ends, what, greatest):
+    if len(ends) != 1:
+        which = ("greatest", "maximal") if greatest else ("least", "minimal")
         raise TheoremViolation(
-            f"{what}: expected a unique greatest element, found {len(maxima)} "
-            f"maximal ones")
-    return L.nodes[maxima[0]]
-
-
-def _unique_min(L, keep, what):
-    minima = _extremes(L, keep, False)
-    if len(minima) != 1:
-        raise TheoremViolation(
-            f"{what}: expected a unique least element, found {len(minima)} "
-            f"minimal ones")
-    return L.nodes[minima[0]]
+            f"{what}: expected a unique {which[0]} element, found {len(ends)} "
+            f"{which[1]} ones")
+    return L.nodes[ends[0]]
 
 
 def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
@@ -668,37 +778,34 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
     S = E.ambient
     L = E.lattice()
     nodes = L.nodes
-    _fill_closed_facts(S, nodes, E.top)
+    fill_decomposition_facts(S, E.base, [(E.top, nodes)])
+    facts = S._pair_facts
+    over = np.array([[facts[(kind, E.base, T)] for T in nodes]
+                     for kind in ("subintegral", "infra_integral")])
+    under = np.array([[facts[(kind, T, E.top)] for T in nodes]
+                      for kind in ("seminormal", "t_closed", "u_closed", "subintegral")])
+    greatest, least = _extremes(L, over, True), _extremes(L, under, False)
 
-    def over_base(fact):
-        return np.array([fact(S, E.base, T) for T in nodes])
-
-    def under_top(fact):
-        return np.array([fact(S, T, E.top) for T in nodes])
-
-    plus = _unique_max(L, over_base(is_subintegral_pair),
-                       "seminormalization (greatest subintegral)")
-    plus2 = _unique_min(L, under_top(is_seminormal),
-                        "seminormalization (least seminormal)")
+    plus = _unique(L, greatest[0], "seminormalization (greatest subintegral)", True)
+    plus2 = _unique(L, least[0], "seminormalization (least seminormal)", False)
     if plus != plus2:
         raise TheoremViolation("the two characterizations of the "
                                "seminormalization disagree")
 
-    t = _unique_max(L, over_base(is_infra_integral_pair),
-                    "t-closure (greatest infra-integral)")
-    t2 = _unique_min(L, under_top(is_t_closed), "t-closure (least t-closed)")
+    t = _unique(L, greatest[1], "t-closure (greatest infra-integral)", True)
+    t2 = _unique(L, least[1], "t-closure (least t-closed)", False)
     if t != t2:
         raise TheoremViolation("the two characterizations of the t-closure disagree")
 
-    u = _unique_min(L, under_top(is_u_closed), "u-closure (least u-closed)")
+    u = _unique(L, least[2], "u-closure (least u-closed)", False)
 
-    minima = _extremes(L, under_top(is_subintegral_pair), False)
+    minima = least[3]
     cosub = nodes[minima[0]] if len(minima) == 1 else None
 
     prod = nodes[L.join[L.index[u], L.index[plus]]]
     if prod != t:
         raise TheoremViolation("u-closure times seminormalization is not the t-closure")
-    if is_infra_integral_pair(S, E.base, E.top) and cosub != u:
+    if over[1, -1] and cosub != u:
         raise TheoremViolation("infra-integral extension: u-closure differs from "
                                "the co-subintegral closure")
     return CanonicalDecomposition(plus=plus, t=t, u=u, cosub=cosub)

@@ -193,7 +193,8 @@ class FiniteRing:
         self._adjoined = {}
         self._subrings = {}
         # (kind, lo, hi) -> the conductor or a boolean closure predicate of
-        # the pair lo <= hi (extension._pair_fact)
+        # the pair lo <= hi (extension.cover_conductors and
+        # extension.fill_decomposition_facts)
         self._pair_facts = {}
         self._nilpotent = None          # nilpotent_mask
 

@@ -11,6 +11,7 @@ never papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 
 import numpy as np
@@ -47,6 +48,21 @@ def _up_down_words(leq):
     bits = np.zeros((2, n, -(-n // 64) * 64), dtype=bool)
     bits[0, :, :n], bits[1, :, :n] = leq, leq.T[:, ::-1]
     return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
+@functools.lru_cache(maxsize=None)
+def _five_subsets(n):
+    """All 5-subsets of range(n), n <= 16, in itertools.combinations order:
+    the member rows; the flat table index u*n + v (below 256) of each of
+    their 10 member pairs and of the 3 pairs of their middle members; and
+    their members as bits of an int32."""
+    subs = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), 5)), dtype=np.uint8).reshape(-1, 5)
+    u, v = (subs[:, list(k)] for k in zip(*itertools.combinations(range(5), 2)))
+    _, p, q, r, _ = subs.T
+    middle = np.stack([p * n + q, p * n + r, q * n + r], axis=1)
+    bits = (np.int32(1) << subs.astype(np.int32)).sum(axis=1, dtype=np.int32)
+    return subs, u * n + v, middle, bits
 
 
 class LatticeError(Exception):
@@ -146,6 +162,7 @@ class ExtensionLattice:
         self._levels = {}
         self._intervals = {}
         self._distributive = None
+        self._modular = None
         self._verdict = None
         self._pinch = None
 
@@ -226,15 +243,18 @@ class ExtensionLattice:
         if sub is None:
             if not self.leq[key]:
                 raise LatticeError("interval endpoints are not comparable")
-            sub = self._intervals[key] = self._restricted(
-                np.flatnonzero(self.leq[a] & self.leq[:, b]))
+            sel = np.flatnonzero(self.leq[a] & self.leq[:, b])
+            sub = self._intervals[key] = self._restricted(sel)
+            # a longest path from a to a node of [a, b] stays inside [a, b]
+            if key[0] in self._levels:
+                sub._levels[0] = self._levels[key[0]][sel]
         return sub
 
     def _restricted(self, sel):
         """The sublattice on the ascending node indices ``sel``."""
         pos = np.full(self.n, -1, dtype=np.int32)
         pos[sel] = np.arange(sel.size, dtype=np.int32)
-        block = np.ix_(sel, sel)
+        block = sel[:, None], sel
         meet, join = pos[self.meet[block]], pos[self.join[block]]
         if (meet < 0).any() or (join < 0).any():
             raise LatticeError("interval is not closed under meet and join")
@@ -331,7 +351,14 @@ class ExtensionLattice:
 
     def modular_law_scan(self):
         """First failing triple (x, y, z) in (x, y, z) order with x <= z but
-        x v (y ^ z) != (x v y) ^ z, or None; blocks of rows as in the
+        x v (y ^ z) != (x v y) ^ z, or None.  Computed once: the forbidden
+        sublattice route and the modularity verdict both read it."""
+        if self._modular is None:
+            self._modular = (self._modular_scan(),)
+        return self._modular[0]
+
+    def _modular_scan(self):
+        """modular_law_scan's triple, in blocks of rows as in the
         distributive scan."""
         n, meet, join, leq = self.n, self.meet, self.join, self.leq
         chunk = max(1, (1 << 18) // max(1, n * n))
@@ -409,38 +436,71 @@ class ExtensionLattice:
         return {"kind": "M3", "nodes": [int(o), int(a), int(b), int(c), int(i)]}
 
     def _forbidden_exhaustive(self):
-        for sub in itertools.combinations(range(self.n), 5):
-            closed = all(self.meet[u, v] in sub and self.join[u, v] in sub
-                         for u, v in itertools.combinations(sub, 2))
-            if not closed:
-                continue
-            for perm in itertools.permutations(sub):
-                o, a, b, c, i = perm
-                if self._is_m3(o, a, b, c, i):
-                    return {"kind": "M3", "nodes": [o, a, b, c, i]}
-                if self._is_n5(o, a, b, c, i):
-                    return {"kind": "N5", "nodes": [o, a, b, c, i]}
-        return None
+        """The first M3 or N5 sublattice by a sweep over every 5-subset, as
+        the first (subset in combinations order, permutation) that fits,
+        M3 before N5; independent of the law scans.  Nodes are sorted by
+        size, so x <= y only for x before y, and a 5-subset closed under
+        meet and join has its least member o first and its greatest i
+        last.  A permutation that fits puts o first and i last, so one
+        fits iff at most one pair of the three middle members is
+        comparable: none is the M3 (o, p, q, r, i) in node order, one,
+        a <= b, is the N5 (o, a, b, c, i).  The closure and middle tests
+        run over blocks of 5-subsets at once (n <= 16, the sweep cap); the
+        shape found is checked again node by node."""
+        meet, join, leq = self.meet.ravel(), self.join.ravel(), self.leq.ravel()
+        subsets, pairs, middle, member_bits = _five_subsets(self.n)
+        for lo in range(0, len(subsets), 1024):
+            blk = slice(lo, lo + 1024)
+            bits = member_bits[blk, None]
+            closed = ((bits >> meet[pairs[blk]]) & (bits >> join[pairs[blk]]) & 1).all(axis=1)
+            hit = _first_true(closed & (leq[middle[blk]].sum(axis=1) <= 1))
+            if hit is not None:
+                break
+        else:
+            return None
+        o, p, q, r, i = subsets[lo + hit[0]].tolist()
+        leq = self.leq
+        if leq[p, q]:
+            nodes = [o, p, q, r, i]
+        elif leq[p, r]:
+            nodes = [o, p, r, q, i]
+        elif leq[q, r]:
+            nodes = [o, q, r, p, i]
+        else:
+            nodes = [o, p, q, r, i]
+            if not self._is_m3(*nodes):
+                raise LatticeError("exhaustive sweep: closed 5-subset is not an M3")
+            return {"kind": "M3", "nodes": nodes}
+        if not self._is_n5(*nodes):
+            raise LatticeError("exhaustive sweep: closed 5-subset is not an N5")
+        return {"kind": "N5", "nodes": nodes}
 
     def covering_pair_criterion(self):
         """Covering-pair route: for T != U, if T^U is covered by both, or
         both cover to TvU, then |[T^U, TvU]| must be 4.  Returns
-        (ok, witness), the witness at the first failing pair t < u."""
-        meet, join, covers = self.meet, self.join, self.covers
+        (ok, witness), the witness at the first failing pair t < u.  The
+        interval sizes are counted for the flagged pairs only, in C order
+        and in blocks of about 2^16 entries, up to the first block with a
+        failing pair."""
+        meet, join, covers, leq = self.meet, self.join, self.covers, self.leq
+        # below[t, u]: t covers t^u; above[t, u]: tvu covers t (both tables
+        # are symmetric)
         rows = np.arange(self.n)[:, None]
-        cols = rows.T
-        flagged = (covers[meet, rows] & covers[meet, cols]) | \
-            (covers[rows, join] & covers[cols, join])
-        # |[m, j]| for every pair of nodes, as a product of 0/1 matrices
-        order = self.leq.astype(np.float32)
-        sizes = (order @ order)[meet, join]
-        hit = _first_true(np.triu(flagged, 1) & (sizes != 4))
-        if hit is None:
-            return True, None
-        t, u = hit
-        return False, {"pair": [t, u],
-                       "interval": [int(meet[t, u]), int(join[t, u])],
-                       "size": int(sizes[t, u])}
+        below, above = covers[meet, rows], covers[rows, join]
+        t, u = np.nonzero((below & below.T) | (above & above.T))
+        upper = t < u
+        t, u = t[upper], u[upper]
+        step = max(1, (1 << 16) // self.n)
+        for lo in range(0, t.size, step):
+            blk = slice(lo, lo + step)
+            m, j = meet[t[blk], u[blk]], join[t[blk], u[blk]]
+            sizes = (leq[m] & leq[:, j].T).sum(axis=1)
+            k = int(np.argmax(sizes != 4))
+            if sizes[k] != 4:
+                return False, {"pair": [int(t[lo + k]), int(u[lo + k])],
+                               "interval": [int(m[k]), int(j[k])],
+                               "size": int(sizes[k])}
+        return True, None
 
     def check_distributive(self):
         """Distributivity by three independent routes; they must agree.
@@ -483,9 +543,9 @@ class ExtensionLattice:
 
     def check_boolean(self):
         dist, _ = self.check_distributive()
-        complemented = ((self.meet == 0) & (self.join == self.n - 1)).any(axis=1)
-        boolean = bool(dist and complemented.all())
-        is_b2 = self.length == 2 and self.n == 4
+        boolean = bool(dist) and bool(
+            ((self.meet == 0) & (self.join == self.n - 1)).any(axis=1).all())
+        is_b2 = self.n == 4 and self.length == 2
         if is_b2 and not boolean:
             raise LatticeError("4-node length-2 lattice must be Boolean")
         return boolean, is_b2
@@ -525,13 +585,12 @@ class ExtensionLattice:
         distributivity verdict, which is asserted."""
         ok, wit = True, None
         for a in range(self.n):
-            lev = self.levels_from(a)
-            for b in np.flatnonzero(lev == 2).tolist():
-                if self.interval_size(a, int(b)) > 4:
-                    ok, wit = False, {"interval": [a, int(b)],
-                                      "size": self.interval_size(a, int(b))}
-                    break
-            if not ok:
+            # the sizes of [a, b] for all level-2 nodes b, in one gather
+            ups = np.flatnonzero(self.levels_from(a) == 2)
+            big = ups[(self.leq[a] & self.leq[:, ups].T).sum(axis=1) > 4]
+            if big.size:
+                b = int(big[0])
+                ok, wit = False, {"interval": [a, b], "size": self.interval_size(a, b)}
                 break
         cat, _ = self.check_catenarian()
         dist, _ = self.check_distributive()

@@ -21,7 +21,10 @@ it is the reference for ``product_ring``'s tables, indices and names.
 ``einsum_from_struct`` is the earlier ``FiniteRing.from_struct`` table
 build (coefficient-vector sums and an ``einsum`` over them), the reference
 for the digit-wise fold.  ``loop_closed_pair`` is the element loop behind
-the seminormal, u-closed and t-closed predicates.  ``span_subring_closure``
+the seminormal, u-closed and t-closed predicates, and
+``residual_degrees``, ``spectrum_infra_integral`` and
+``spectrum_subintegral`` the earlier per-pair spectrum tests; they are the
+references for the grouped decomposition facts.  ``span_subring_closure``
 and ``span_adjoin`` are the earlier ``FiniteRing.subring_closure`` and
 ``FiniteRing.adjoin`` (multiplier closures by ``_span_closure``), the
 references for the polynomial span; ``scratch_adjoin`` is one such closure
@@ -33,8 +36,9 @@ the whole |T| x |T| block of products, the reference for the
 decomposition's one-row test.  ``constructor_interval`` builds an interval
 by the lattice constructor, the reference for the interval sliced out of
 its parent's tables; ``loop_check_catenarian``,
-``loop_covering_pair_criterion`` and ``loop_complements`` are the earlier
-loop forms of the whole-array checks, and ``list_modular_law_scan`` (the
+``loop_covering_pair_criterion``, ``loop_forbidden_exhaustive``,
+``loop_length2_rule`` and ``loop_complements`` are the earlier loop forms
+of the whole-array checks, and ``list_modular_law_scan`` (the
 per-row loop) is the reference for the blocked modular scan.
 ``loop_levels_from`` is the earlier per-node walk behind
 ``ExtensionLattice.levels_from``, the reference for its frontier pass.
@@ -43,6 +47,9 @@ per-row loop) is the reference for the blocked modular scan.
 ideals (pairwise refinement and a unit scan), and ``loop_is_delta`` the
 earlier pair loop behind the delta flag; they are the references for the
 grouped cover conductors, the nilradical route and the size test.
+``pairwise_b2_structure_cases`` is the earlier b2 check, one
+sub-extension, support profile and decomposition per length-2 pair, the
+reference for the pass per lower node.
 ``bitset_lattice_tables`` is the earlier table build (int bitsets and a
 loop over the node pairs), the reference for the array build from the
 membership product.
@@ -165,6 +172,31 @@ def loop_closed_pair(S, lo, hi, rs):
             if S.sub(b2, S.m(r, b)) in lo and S.sub(b3, S.m(r, b2)) in lo:
                 return False
     return True
+
+
+def residual_degrees(S, lo, hi):
+    """(|kappa_lo(Q cap lo)|, |kappa_hi(Q)|) for each Q in Max(hi), by
+    frozenset intersections."""
+    return [(len(lo) // len(Q & lo), len(hi) // len(Q))
+            for Q in fr.maximal_ideals(S, hi)]
+
+
+def spectrum_infra_integral(S, lo, hi):
+    """The earlier per-pair infra-integral test: every residual extension
+    has equal size, |lo / (Q & lo)| = |hi / Q| for Q in Max(hi)."""
+    return all(a == b for a, b in residual_degrees(S, lo, hi))
+
+
+def spectrum_subintegral(S, lo, hi):
+    """The earlier per-pair subintegral test: infra-integral, and the
+    contractions Q & lo of the maximal ideals of hi are the maximal ideals
+    of lo, each once (each contraction must be maximal)."""
+    max_lo = fr.maximal_ideals(S, lo)
+    contractions = [Q & lo for Q in fr.maximal_ideals(S, hi)]
+    if any(P not in max_lo for P in contractions):
+        raise TheoremViolation("contraction of a maximal ideal is not maximal")
+    return sorted(contractions, key=sorted) == max_lo and \
+        spectrum_infra_integral(S, lo, hi)
 
 
 def isin_subring(S, subset):
@@ -539,6 +571,35 @@ def loop_covering_pair_criterion(L):
     return True, None
 
 
+def loop_forbidden_exhaustive(L):
+    """The earlier ExtensionLattice._forbidden_exhaustive: a Python sweep
+    over every 5-subset, its closure under meet and join, and every
+    permutation of a closed one (M3 tested before N5)."""
+    for sub in itertools.combinations(range(L.n), 5):
+        closed = all(L.meet[u, v] in sub and L.join[u, v] in sub
+                     for u, v in itertools.combinations(sub, 2))
+        if not closed:
+            continue
+        for perm in itertools.permutations(sub):
+            o, a, b, c, i = perm
+            if L._is_m3(o, a, b, c, i):
+                return {"kind": "M3", "nodes": [o, a, b, c, i]}
+            if L._is_n5(o, a, b, c, i):
+                return {"kind": "N5", "nodes": [o, a, b, c, i]}
+    return None
+
+
+def loop_length2_rule(L):
+    """The earlier loop of ExtensionLattice.check_length2_rule: the first
+    level-2 pair [a, b] with more than 4 nodes, two interval_size calls per
+    pair; returns (ok, witness)."""
+    for a in range(L.n):
+        for b in np.flatnonzero(L.levels_from(a) == 2).tolist():
+            if L.interval_size(a, b) > 4:
+                return False, {"interval": [a, b], "size": L.interval_size(a, b)}
+    return True, None
+
+
 def loop_complements(L, t):
     """ExtensionLattice.complements by a loop over the nodes."""
     return [int(v) for v in range(L.n)
@@ -670,3 +731,43 @@ def doubled_ring_tables(S, top):
             add[i, j] = pos[S.a(r1, r2)] * n + pos[S.a(m1, m2)]
             mul[i, j] = pos[S.m(r1, r2)] * n + pos[S.a(S.m(r1, m2), S.m(r2, m1))]
     return add, mul, pos[S.one] * n + pos[S.zero]
+
+
+def pairwise_b2_structure_cases(a):
+    """The earlier checks.b2_structure_cases: one sub-extension, one full
+    support profile and one decomposition per length-2 pair; the reference
+    for the pass per lower node."""
+    from ringlattice import extension as ex
+    from ringlattice.verify import CheckResult
+    if a.trivial:
+        return CheckResult("", "", "n/a", reason="trivial extension")
+    L = a.lattice()
+    pairs = []
+    for v in range(len(L.nodes)):
+        lev = L.levels_from(v)
+        pairs.extend((v, int(w)) for w in np.flatnonzero(lev == 2))
+    if not pairs:
+        return CheckResult("", "", "n/a", reason="no length-2 subinterval")
+    S = a.ambient
+    for v, w in pairs:
+        V, W = L.nodes[v], L.nodes[w]
+        pa = a.sub(V, W)
+        lhs = pa.lattice().check_boolean()[0]
+        prof = pa.profile()
+        cond = prof.conductor
+        rhs = False
+        if len(prof.msupp) == 2:
+            rhs = True
+        elif len(prof.msupp) == 1:
+            M = prof.crucial
+            if ex.is_infra_integral_pair(S, V, W):
+                plus = pa.decomposition().plus
+                if plus not in (V, W) and cond == M:
+                    rhs = True
+            if not rhs and cond == M and ex.is_t_closed(S, V, W):
+                rhs = M in fr.maximal_ideals(S, W) and \
+                    len(pa.quotient(M).lattice().nodes) == 4
+        if lhs != rhs:
+            return CheckResult("", "", "fail", witness={
+                "interval": [v, w], "b2": lhs, "cases": rhs})
+    return CheckResult("", "", "pass")

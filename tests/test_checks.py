@@ -5,7 +5,10 @@ from ringlattice import checks, dsl, verify
 from ringlattice import extension as ex
 from ringlattice import finring as fr
 
-from oracles import doubled_ring_tables
+from hypothesis import given, settings, strategies as st
+
+from oracles import (SMALL_RINGS, doubled_ring_tables, pairwise_b2_structure_cases,
+                     small_ring)
 
 
 def analysis_of(name):
@@ -218,6 +221,71 @@ def test_b2_cases_on_v4_prove_and_build_nothing(monkeypatch):
     assert verify.run_check("b2_structure_cases", a).status == "pass"
     assert counts == {"is_subring": 0, "__init__": 0}
     assert any(key[0] == "sub" for key in a._cache)
+
+
+def _assert_b2_routes_agree(E, monkeypatch):
+    """The b2 check against the per-pair check on a fresh extension of the
+    same ring with an empty pair-fact memo; returns the status."""
+    got = verify.run_check("b2_structure_cases", E)
+    fresh = ex.Extension(E.ambient, E.base, E.top)
+    with monkeypatch.context() as m:
+        m.setattr(E.ambient, "_pair_facts", {})
+        want = pairwise_b2_structure_cases(fresh)
+    assert (got.status, got.witness) == (want.status, want.witness), E.name
+    return got.status
+
+
+def test_b2_cases_match_the_pairwise_check(monkeypatch, reference_extensions):
+    seen = {_assert_b2_routes_agree(E, monkeypatch) for E in reference_extensions}
+    assert seen == {"pass", "n/a"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_b2_cases_match_the_pairwise_check_on_small_rings(name, seed):
+    R = small_ring(name)
+    with pytest.MonkeyPatch.context() as m:
+        _assert_b2_routes_agree(ex.Extension(R, R.subring_closure(seed)), m)
+
+
+def test_b2_cases_fail_alike_on_a_tampered_fact(monkeypatch):
+    # [F2, F64] is Boolean (subfields of degree 1, 2, 3, 6) and t-closed with
+    # conductor 0; a tampered t-closed fact empties its case list
+    def gf64():
+        E = dsl.build_extension("ring S = gf(2, 6)\next GF64 = extension(S, base=[])\n")
+        L = E.lattice()
+        monkeypatch.setitem(E.ambient._pair_facts, ("t_closed", E.base, E.top), False)
+        return E, L
+    E, L = gf64()
+    got = verify.run_check("b2_structure_cases", E)
+    want = pairwise_b2_structure_cases(gf64()[0])
+    assert got.status == want.status == "fail"
+    assert got.witness == want.witness == {"interval": [0, L.top], "b2": True,
+                                           "cases": False}
+
+
+def test_b2_cases_group_the_conductors_per_lower_node(monkeypatch):
+    # V4: one grouped conductor call per lower node with a level-2 upper,
+    # and no support profile per pair
+    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    a = ex.Extension(S, ex.prime_subring(S), name="V4")
+    L = a.lattice()
+    lower = [v for v in range(L.n) if (L.levels_from(v) == 2).any()]
+    calls = {"cover_conductors": 0, "support_profile": 0}
+
+    def counting(name):
+        original = getattr(ex, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(ex, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    assert verify.run_check("b2_structure_cases", a).status == "pass"
+    assert calls == {"cover_conductors": len(lower), "support_profile": 0}
+    assert len(lower) == 51
 
 
 def test_chain_type_profile_reports_a_real_chain(monkeypatch, p5):

@@ -16,7 +16,9 @@ from ringlattice.verify import brute_force_subrings
 from oracles import (SMALL_RINGS, corner_localization, every_s_is_minimal_pair,
                      every_s_is_simple, every_s_monogenic_subrings,
                      largest_common_ideal, loop_closed_pair, loop_is_delta,
-                     quotient_route_is_inert, scan_conductor_pair, small_ring)
+                     quotient_route_is_inert, residual_degrees,
+                     scan_conductor_pair, small_ring, spectrum_infra_integral,
+                     spectrum_subintegral)
 
 
 # -- interval enumeration against the exhaustive subset oracle ----------
@@ -275,7 +277,7 @@ def test_residual_extension_degrees(e1, e3, e5):
     assert len(res.base) == 2 and res.ambient.size == 2
     assert fr.is_field(res.ambient)
     # E5: the maximal ideal over the F4 factor has residue F4
-    degs = sorted(ex.residual_degrees(e5.ambient, e5.base, e5.top))
+    degs = sorted(residual_degrees(e5.ambient, e5.base, e5.top))
     assert degs == [(2, 2), (2, 4)]
 
 
@@ -367,6 +369,8 @@ def test_closure_predicates_match_the_element_loop(e4, e5, e6):
     assert all({got[k] for got in seen} == {True, False} for k in range(3))
 
 
+DECOMPOSITION_FACTS = ("seminormal", "u_closed", "t_closed", "infra_integral",
+                       "subintegral")
 PAIR_FACTS = {"conductor": ex.conductor_pair, "seminormal": ex.is_seminormal,
               "u_closed": ex.is_u_closed, "t_closed": ex.is_t_closed,
               "infra_integral": ex.is_infra_integral_pair,
@@ -568,23 +572,49 @@ def _assert_conductors_match_the_pair_scan(E):
         assert got == [scan_conductor_pair(S, lo, hi) for hi in his]
 
 
-def _assert_closed_facts_match_the_element_loop(E):
-    """The seminormal and u-closed facts of every node under the top, from
-    one pass into an empty memo, against the element loop."""
-    S, L = E.ambient, E.lattice()
+def _assert_decomposition_facts_match_the_pair_scans(S, lo, intervals):
+    """The facts of fill_decomposition_facts(S, lo, intervals), from one
+    grouped fill into an empty memo, against the element loop and the
+    per-pair spectrum tests; returns them."""
     memo, S._pair_facts = S._pair_facts, {}
     try:
-        ex._fill_closed_facts(S, L.nodes, E.top)
+        ex.fill_decomposition_facts(S, lo, intervals)
         filled = S._pair_facts
     finally:
         S._pair_facts = memo
-    assert len(filled) == 2 * L.n
-    for T in L.nodes:
-        assert filled[("seminormal", T, E.top)] == \
-            loop_closed_pair(S, T, E.top, [S.zero])
-        assert filled[("u_closed", T, E.top)] == \
-            loop_closed_pair(S, T, E.top, [S.one])
+    want = {}
+    for hi, nodes in intervals:
+        for T in nodes:
+            for kind, rs in (("seminormal", [S.zero]), ("u_closed", [S.one]),
+                             ("t_closed", sorted(T))):
+                want[(kind, T, hi)] = loop_closed_pair(S, T, hi, rs)
+            for pair in ((lo, T), (T, hi)):
+                want[("infra_integral", *pair)] = spectrum_infra_integral(S, *pair)
+                want[("subintegral", *pair)] = spectrum_subintegral(S, *pair)
+    assert filled == want
     return set(filled.items())
+
+
+def _assert_closed_facts_match_the_element_loop(E):
+    """Every fact the canonical decomposition reads, over the base and
+    under the top, from one pass over the node membership rows."""
+    L = E.lattice()
+    return _assert_decomposition_facts_match_the_pair_scans(
+        E.ambient, E.base, [(E.top, L.nodes)])
+
+
+def _assert_grouped_b2_facts_match_the_pair_scans(E):
+    """The facts of every length-2 interval [V, W] of a lower node V,
+    filled for all of its level-2 uppers W at once."""
+    L = E.lattice()
+    seen = set()
+    for v in range(L.n):
+        ws = np.flatnonzero(L.levels_from(v) == 2).tolist()
+        if ws:
+            seen |= _assert_decomposition_facts_match_the_pair_scans(
+                E.ambient, L.nodes[v],
+                [(L.nodes[w], L.interval(v, w).nodes) for w in ws])
+    return seen
 
 
 def test_grouped_conductors_match_the_pair_scan(reference_extensions):
@@ -597,7 +627,15 @@ def test_closed_facts_pass_matches_the_element_loop(reference_extensions):
     for E in reference_extensions:
         seen |= {(kind, value) for (kind, _, _), value in
                  _assert_closed_facts_match_the_element_loop(E)}
-    assert seen == {(k, v) for k in ("seminormal", "u_closed") for v in (True, False)}
+    assert seen == {(k, v) for k in DECOMPOSITION_FACTS for v in (True, False)}
+
+
+def test_grouped_b2_facts_match_the_pair_scans(reference_extensions):
+    seen = set()
+    for E in reference_extensions:
+        seen |= {(kind, value) for (kind, _, _), value in
+                 _assert_grouped_b2_facts_match_the_pair_scans(E)}
+    assert seen == {(k, v) for k in DECOMPOSITION_FACTS for v in (True, False)}
 
 
 def test_delta_flag_matches_the_pair_loop(reference_extensions):
@@ -616,6 +654,7 @@ def test_whole_lattice_passes_match_the_pair_routes_on_small_rings(name, seed):
     E = ex.Extension(R, R.subring_closure(seed))
     _assert_conductors_match_the_pair_scan(E)
     _assert_closed_facts_match_the_element_loop(E)
+    _assert_grouped_b2_facts_match_the_pair_scans(E)
     assert ex.is_delta(E) == loop_is_delta(E)
 
 

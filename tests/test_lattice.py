@@ -18,6 +18,7 @@ from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      list_distributive_law_scan,
                      list_modular_law_scan, loop_check_catenarian,
                      loop_complements, loop_covering_pair_criterion,
+                     loop_forbidden_exhaustive, loop_length2_rule,
                      loop_levels_from, small_ring)
 
 
@@ -755,3 +756,78 @@ def test_interval_rejects_a_selection_that_is_not_closed(e4):
     L.join[0, a] = L.join[a, 0] = b
     with pytest.raises(LatticeError, match="not closed"):
         L.interval(0, a)
+
+
+def _assert_sweeps_match_the_loop(L):
+    """The exhaustive 5-subset sweep and the length-2 rule of every interval
+    of at most 16 nodes against their loop forms; returns the outcomes."""
+    seen = set()
+    for a, b in np.argwhere(L.leq).tolist():
+        if L.interval_size(a, b) <= 16:
+            sub = L.interval(a, b)
+            swept = sub._forbidden_exhaustive()
+            assert swept == loop_forbidden_exhaustive(sub)
+            assert sub.check_length2_rule() == loop_length2_rule(sub)
+            seen.add(None if swept is None else swept["kind"])
+    return seen
+
+
+def test_exhaustive_sweep_matches_the_loop(reference_extensions, e10):
+    # every catalog instance, Pi5, V4, Pi6, E10 and a pentagon of sets
+    seen = set()
+    for E in reference_extensions + [e10]:
+        seen |= _assert_sweeps_match_the_loop(E.lattice())
+    pentagon = ExtensionLattice(_sets({0}, {0, 1}, {0, 3}, {0, 1, 2}, {0, 1, 2, 3}))
+    seen |= _assert_sweeps_match_the_loop(pentagon)
+    assert seen == {None, "M3", "N5"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_exhaustive_sweep_matches_the_loop_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_sweeps_match_the_loop(ex.Extension(R, R.subring_closure(seed)).lattice())
+
+
+def test_length2_rule_matches_the_loop(reference_extensions):
+    seen = set()
+    for E in reference_extensions:
+        L = E.lattice()
+        got = L.check_length2_rule()
+        assert got == loop_length2_rule(L)
+        seen.add(got[0])
+    assert seen == {True, False}
+
+
+def test_verdict_runs_one_modular_scan(monkeypatch, big_lattices):
+    # the forbidden-sublattice route and check_modular share the scan
+    calls = [0]
+    scan = ExtensionLattice._modular_scan
+
+    def counting(self):
+        calls[0] += 1
+        return scan(self)
+
+    monkeypatch.setattr(ExtensionLattice, "_modular_scan", counting)
+    for E in big_lattices:
+        L = constructor_interval(E.lattice(), 0, E.lattice().top)
+        calls[0] = 0
+        v = L.verdict()
+        assert calls[0] == 1
+        tri = list_modular_law_scan(L)
+        assert L.check_modular() == ((True, None) if tri is None
+                                     else (False, {"law_triple": list(tri)}))
+        assert v.modular == (tri is None)
+        assert calls[0] == 1
+
+
+def test_slices_take_their_levels_from_the_parent(big_lattices):
+    # a slice [a, b] cut after levels_from(a) reads its levels off the
+    # parent's; they equal the walk on the slice itself
+    for E in big_lattices:
+        L = constructor_interval(E.lattice(), 0, E.lattice().top)
+        for a, b in np.argwhere(L.leq).tolist():
+            L.levels_from(a)
+            sub = L.interval(a, b)
+            assert 0 in sub._levels
+            assert np.array_equal(sub.levels_from(0), loop_levels_from(sub, 0))
