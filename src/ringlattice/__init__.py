@@ -1,5 +1,12 @@
 """ringlattice: intermediate-ring lattices of finite commutative ring extensions."""
 
+import os
+
+# The float32 products here are small, and OpenBLAS threads make them about
+# 100 times slower on two cores; numpy reads the variable when it loads, so
+# this runs before the first numpy import.  A value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .finring import (
     FiniteRing, RingError, SizeCapError, InconsistentRelationsError,
     zmod, gf, product_ring, idealization, quotient_by_relations,

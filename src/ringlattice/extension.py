@@ -14,6 +14,11 @@ All predicates are computed from their element-level or spectrum-level
 definitions by exhaustive scans; closure operations filter the enumerated
 interval and assert the uniqueness of their extremum instead of trusting
 it, so a wrong uniqueness claim surfaces as a :class:`TheoremViolation`.
+
+Every lazy result has one home: the extension's memo holds its lattice,
+flags, decomposition, support, cover types and derived extensions, and
+the ambient ring's memo holds the pair facts by (kind, lo, hi), so they
+are shared by every extension on that ring.
 """
 
 from __future__ import annotations
@@ -86,8 +91,9 @@ class Extension:
     """A pair base <= top of unital subrings of a fixed ambient ring.
 
     Derived data (interval lattice, support, closures, localizations) is
-    computed lazily and cached on the instance; everything is immutable
-    after construction.
+    computed lazily, each a key of the instance's one memo (``_cache``, a
+    :class:`~ringlattice.finring.Memo`); everything is immutable after
+    construction.
     """
 
     def __init__(self, ambient: fr.FiniteRing, base, top=None, name=None):
@@ -104,7 +110,7 @@ class Extension:
         if len(ambient.arr(self.top)) != ambient.size and \
                 not ambient.is_subring(self.top):
             raise fr.RingError("top is not a unital subring of the ambient ring")
-        self._cache = {}
+        self._cache = fr.Memo()
 
     def __repr__(self):
         nm = f"{self.name}: " if self.name else ""
@@ -117,14 +123,8 @@ class Extension:
 
     # cached heavy analyses -------------------------------------------
 
-    def _memo(self, key, compute):
-        """compute(self), computed once and cached under ``key``."""
-        if key not in self._cache:
-            self._cache[key] = compute(self)
-        return self._cache[key]
-
     def lattice(self, node_limit=DEFAULT_NODE_LIMIT) -> ExtensionLattice:
-        L = self._memo("lattice", lambda E: enumerate_interval(E, node_limit))
+        L = self._cache.fetch("lattice", enumerate_interval, self, node_limit)
         # a cached lattice answers to the limit it would be enumerated under
         fr.check_limit(len(L.nodes), node_limit, "interval enumeration")
         return L
@@ -144,13 +144,13 @@ class Extension:
         return fr.maximal_ideals(self.ambient, self.top)
 
     def profile(self) -> SupportProfile:
-        return self._memo("profile", support_profile)
+        return self._cache.fetch("profile", support_profile, self)
 
     def flags(self) -> ExtensionFlags:
-        return self._memo("flags", extension_flags)
+        return self._cache.fetch("flags", extension_flags, self)
 
     def decomposition(self) -> CanonicalDecomposition:
-        return self._memo("decomp", canonical_decomposition)
+        return self._cache.fetch("decomp", canonical_decomposition, self)
 
     def localized(self, M) -> "Extension":
         """The localization at the maximal ideal M of the base.  A local
@@ -164,7 +164,7 @@ class Extension:
                     len(E.top) == E.ambient.size:
                 return E
             return localize_at(E, M)
-        return self._memo(("loc", M), localize)
+        return self._cache.fetch(("loc", M), localize, self)
 
     def sub(self, lo, hi) -> "Extension":
         """The extension lo <= hi for two comparable nodes of the interval,
@@ -177,9 +177,9 @@ class Extension:
             E = Extension.__new__(Extension)
             E.ambient, E.base, E.top = parent.ambient, L.nodes[i], L.nodes[j]
             E.name = f"{parent.name}[sub]"
-            E._cache = {"lattice": L.interval(i, j)}
+            E._cache = fr.Memo(lattice=L.interval(i, j))
             return E
-        return self._memo(("sub", frozenset(lo), frozenset(hi)), between)
+        return self._cache.fetch(("sub", frozenset(lo), frozenset(hi)), between, self)
 
     def quotient(self, I) -> "Extension":
         """(base + I)/I <= top/I for an ideal I of the top.  The quotient
@@ -260,21 +260,15 @@ def idempotent_style_generator(E: Extension) -> int | None:
 
 def cover_conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
     """(lo : hi) = {z in lo : z*hi <= lo} for each ring hi of ``his`` over
-    the subring lo, the largest common ideal, memoised per pair as a pair
-    fact.  One gather of lo*S marks the products that leave lo, and one
-    float32 product with the membership rows of the his counts them per
-    (z, hi): the conductor is where the count is 0.  As cond <= lo <= hi,
-    an ideal of hi is an ideal of lo, so only the hi side is checked."""
-    his = list(his)
-    if not (isinstance(lo, frozenset) and all(isinstance(hi, frozenset) for hi in his)):
-        return _conductors(S, lo, his)
-    facts = S._pair_facts
-    found = {hi: facts.get(("conductor", lo, hi)) for hi in his}
-    todo = [hi for hi, cond in found.items() if cond is None]
-    if todo:
-        for hi, cond in zip(todo, _conductors(S, lo, todo)):
-            found[hi] = facts[("conductor", lo, hi)] = cond
-    return [found[hi] for hi in his]
+    the subring lo, the largest common ideal, memoised on S by
+    ("conductor", lo, hi); the missing ones are computed together.  One
+    gather of lo*S marks the products that leave lo, and one float32
+    product with the membership rows of the his counts them per (z, hi):
+    the conductor is where the count is 0.  As cond <= lo <= hi, an ideal
+    of hi is an ideal of lo, so only the hi side is checked."""
+    lo = frozenset(lo)
+    return S._cache.fetch_group([("conductor", lo, frozenset(hi)) for hi in his],
+                                lambda keys: _conductors(S, lo, [hi for _, _, hi in keys]))
 
 
 def _conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
@@ -286,18 +280,12 @@ def _conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
     upper = _member_rows(S, his)
     weights = upper.T.astype(np.float32)
     cond = np.zeros_like(upper)
-    for blk in _row_blocks(lo_arr.size, upper.size):
+    for blk in fr.row_blocks(lo_arr.size, upper.size):
         leaving = (~in_lo[S.mul[lo_arr[blk]]]).astype(np.float32) @ weights
         cond[:, lo_arr[blk]] = (leaving == 0).T
     if not _rows_are_ideals(S, lo_arr, cond, upper):
         raise TheoremViolation("conductor is not an ideal of both rings")
     return [frozenset(np.flatnonzero(row).tolist()) for row in cond]
-
-
-def _row_blocks(rows, width):
-    """Slices of ``rows`` rows of about 2^18 entries of ``width`` each."""
-    step = max(1, (1 << 18) // max(1, width))
-    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _member_rows(S: fr.FiniteRing, sets) -> np.ndarray:
@@ -317,7 +305,7 @@ def _rows_are_ideals(S: fr.FiniteRing, lo_arr, sets, rings) -> bool:
     if not sets[:, S.zero].all() or (sets & ~rings).any():
         return False
     local = sets[:, lo_arr]
-    for blk in _row_blocks(lo_arr.size, rings.size):
+    for blk in fr.row_blocks(lo_arr.size, rings.size):
         elems, mine = lo_arr[blk], local[:, blk, None]
         if (mine & local[:, None, :] & ~sets[:, S.add[elems[:, None], lo_arr]]).any() or \
                 (mine & rings[:, None, :] & ~sets[:, S.mul[elems]]).any():
@@ -467,15 +455,11 @@ def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
         return {(i, j): classify_minimal_pair(S, L.nodes[i], L.nodes[j],
                                               assume_minimal=True)
                 for i, j in edges}
-    return E._memo("cover_types", classify)
+    return E._cache.fetch("cover_types", classify, E)
 
 
 # ----------------------------------------------------------------------
 # element-level closure predicates (pairs of nested subrings)
-
-_CLOSED_KINDS = ("seminormal", "u_closed", "t_closed")
-_SPECTRAL_KINDS = ("infra_integral", "subintegral")
-
 
 def _segment_ranks(counts):
     """0, 1, ..., c - 1 for each count c, concatenated."""
@@ -487,7 +471,7 @@ def _common_counts(A, ia, B, ib):
     """|A[ia[k]] & B[ib[k]]| for each k, for boolean rows A and B, in blocks
     of about 2^18 entries."""
     out = np.empty(len(ia), dtype=np.int64)
-    for blk in _row_blocks(len(ia), A.shape[1]):
+    for blk in fr.row_blocks(len(ia), A.shape[1]):
         out[blk] = np.count_nonzero(A[ia[blk]] & B[ib[blk]], axis=1)
     return out
 
@@ -574,78 +558,58 @@ def _spectral_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
     return np.array([infra, infra & bijective])
 
 
-def fill_decomposition_facts(S: fr.FiniteRing, lo, intervals):
-    """The pair facts the canonical decomposition of [lo, hi] reads, for
-    each (hi, nodes of [lo, hi]) of ``intervals``, computed together into
-    the pair-fact memo: over lo, infra-integral and subintegral (lo, T);
-    under hi, seminormal, u-closed, t-closed, infra-integral and
-    subintegral (T, hi), for every node T.  The rings of all pairs get one
-    membership row each, and each kernel runs once over all of its pairs;
-    known facts are kept, and pairs whose facts are all known skipped."""
-    facts = S._pair_facts
-    spectral, closed = {}, {}
-    for hi, nodes in intervals:
-        for T in nodes:
-            if ("infra_integral", lo, T) not in facts or ("subintegral", lo, T) not in facts:
-                spectral[(lo, T)] = None
-            if ("infra_integral", T, hi) not in facts or ("subintegral", T, hi) not in facts:
-                spectral[(T, hi)] = None
-            if ("seminormal", T, hi) not in facts or ("u_closed", T, hi) not in facts \
-                    or ("t_closed", T, hi) not in facts:
-                closed[(T, hi)] = None
-    _fill_pairs(S, list(spectral), list(closed))
+def pair_facts(S: fr.FiniteRing, keys) -> list[tuple]:
+    """The facts of each key (kind, lo, hi) of ``keys``, memoised on S:
+    kind "spectral" is (infra-integral, subintegral) and "closed" is
+    (seminormal, u-closed, t-closed) of the pair lo <= hi.  The missing
+    keys are computed together: their rings get one membership row each,
+    and each kernel runs once over all of its pairs."""
+    return S._cache.fetch_group(keys, lambda missing: _kernel_facts(S, missing))
 
 
-def _fill_pairs(S: fr.FiniteRing, spectral, closed):
-    """Run the spectral kernel over the pairs ``spectral`` and the closed
-    kernel over ``closed``, on one membership row per ring, and keep the
-    facts in the memo."""
-    if not (spectral or closed):
-        return
+def _kernel_facts(S: fr.FiniteRing, keys) -> list[tuple]:
     index = {}
-    for pair in spectral + closed:
-        for T in pair:
-            index.setdefault(T, len(index))
+    for _, lo, hi in keys:
+        index.setdefault(lo, len(index))
+        index.setdefault(hi, len(index))
     rings = list(index)
     rows = _member_rows(S, rings)
-    facts = S._pair_facts
-    for kinds, pairs, kernel in ((_SPECTRAL_KINDS, spectral, _spectral_facts),
-                                 (_CLOSED_KINDS, closed, _closed_facts)):
-        if not pairs:
-            continue
-        values = kernel(S, rings, rows, [index[a] for a, _ in pairs],
-                        [index[b] for _, b in pairs])
-        for kind, column in zip(kinds, values.tolist()):
-            for (a, b), value in zip(pairs, column):
-                facts.setdefault((kind, a, b), value)
+    out = {}
+    for kind, kernel in (("spectral", _spectral_facts), ("closed", _closed_facts)):
+        mine = [key for key in keys if key[0] == kind]
+        if mine:
+            values = kernel(S, rings, rows, [index[lo] for _, lo, _ in mine],
+                            [index[hi] for _, _, hi in mine])
+            out.update(zip(mine, zip(*values.tolist())))
+    return [out[key] for key in keys]
 
 
-def _one_pair_fact(S: fr.FiniteRing, kind, lo, hi) -> bool:
-    """The fact ``kind`` of the pair lo <= hi, memoised with the sibling
-    facts of its kernel."""
-    key = (kind, frozenset(lo), frozenset(hi))
-    if key not in S._pair_facts:
-        pair = [key[1:]]
-        if kind in _SPECTRAL_KINDS:
-            _fill_pairs(S, pair, [])
-        else:
-            _fill_pairs(S, [], pair)
-    return S._pair_facts[key]
+def fill_decomposition_facts(S: fr.FiniteRing, lo, intervals):
+    """The pair facts the canonical decomposition of [lo, hi] reads, for
+    each (hi, nodes of [lo, hi]) of ``intervals``, in one grouped fill
+    (:func:`pair_facts`): "spectral" over lo (lo, T), and "spectral" and
+    "closed" under hi (T, hi), for every node T."""
+    pair_facts(S, [key for hi, nodes in intervals for T in nodes
+                   for key in (("spectral", lo, T), ("spectral", T, hi), ("closed", T, hi))])
+
+
+def _pair_fact(S: fr.FiniteRing, kind, lo, hi) -> tuple:
+    return pair_facts(S, [(kind, frozenset(lo), frozenset(hi))])[0]
 
 
 def is_seminormal(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2, b^3 in lo (r = 0)."""
-    return _one_pair_fact(S, "seminormal", lo, hi)
+    return _pair_fact(S, "closed", lo, hi)[0]
 
 
 def is_u_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo with b^2-b, b^3-b^2 in lo (r = 1)."""
-    return _one_pair_fact(S, "u_closed", lo, hi)
+    return _pair_fact(S, "closed", lo, hi)[1]
 
 
 def is_t_closed(S: fr.FiniteRing, lo, hi) -> bool:
     """No b in hi-lo and r in lo with b^2-rb, b^3-rb^2 in lo."""
-    return _one_pair_fact(S, "t_closed", lo, hi)
+    return _pair_fact(S, "closed", lo, hi)[2]
 
 
 def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
@@ -662,12 +626,12 @@ def spectrum_map(S: fr.FiniteRing, lo, hi) -> list[tuple[frozenset, frozenset]]:
 
 def is_infra_integral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """All residual extensions are isomorphisms (finite fields: equal size)."""
-    return _one_pair_fact(S, "infra_integral", lo, hi)
+    return _pair_fact(S, "spectral", lo, hi)[0]
 
 
 def is_subintegral_pair(S: fr.FiniteRing, lo, hi) -> bool:
     """Infra-integral with bijective spectrum map."""
-    return _one_pair_fact(S, "subintegral", lo, hi)
+    return _pair_fact(S, "spectral", lo, hi)[1]
 
 
 def is_i_extension_pair(S: fr.FiniteRing, lo, hi) -> bool:
@@ -708,7 +672,7 @@ def is_delta(E: Extension) -> bool:
     L = E.lattice()
     size = np.array([len(T) for T in L.nodes], dtype=np.int64)
     return not any((size[blk, None] * size != size[L.meet[blk]] * size[L.join[blk]]).any()
-                   for blk in _row_blocks(L.n, L.n))
+                   for blk in fr.row_blocks(L.n, L.n))
 
 
 def extension_flags(E: Extension) -> ExtensionFlags:
@@ -750,7 +714,7 @@ def _extremes(L, keeps, greatest):
     order = L.leq if greatest else L.leq.T
     weights = keeps.T.astype(np.float32)
     ends = np.empty(keeps.shape, dtype=bool)
-    for blk in _row_blocks(L.n, L.n):
+    for blk in fr.row_blocks(L.n, L.n):
         ends[:, blk] = (order[blk].astype(np.float32) @ weights == 1).T
     ends &= keeps
     out = [[] for _ in range(len(keeps))]
@@ -778,12 +742,14 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
     S = E.ambient
     L = E.lattice()
     nodes = L.nodes
-    fill_decomposition_facts(S, E.base, [(E.top, nodes)])
-    facts = S._pair_facts
-    over = np.array([[facts[(kind, E.base, T)] for T in nodes]
-                     for kind in ("subintegral", "infra_integral")])
-    under = np.array([[facts[(kind, T, E.top)] for T in nodes]
-                      for kind in ("seminormal", "t_closed", "u_closed", "subintegral")])
+    n = len(nodes)
+    facts = pair_facts(S, [("spectral", E.base, T) for T in nodes]
+                       + [(kind, T, E.top) for kind in ("spectral", "closed") for T in nodes])
+    infra_over, sub_over = zip(*facts[:n])
+    _, sub_under = zip(*facts[n:2 * n])
+    seminormal, u_closed, t_closed = zip(*facts[2 * n:])
+    over = np.array([sub_over, infra_over])
+    under = np.array([seminormal, t_closed, u_closed, sub_under])
     greatest, least = _extremes(L, over, True), _extremes(L, under, False)
 
     plus = _unique(L, greatest[0], "seminormalization (greatest subintegral)", True)

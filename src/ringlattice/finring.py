@@ -13,12 +13,18 @@ equality and all orderings in the package are reproducible.  The ring owns
 the one conversion to a working array: :meth:`FiniteRing.arr` memoises each
 set's sorted int32 index array, and :func:`primitive_idempotents` memoises
 each subring's decomposition (with Max of the subring) by the set itself.
+
+Every per-object memo in the package is a :class:`Memo`: a ring, an
+extension and a lattice each keep one, ``_cache``, and each result they
+memoise is a key of it, computed on first use (:meth:`Memo.fetch`, the
+:func:`memoised` methods) or with the other missing keys of its group
+(:meth:`Memo.fetch_group`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+import functools
 import itertools
 import math
 
@@ -152,6 +158,57 @@ def join_closure(atoms, join, limit, what) -> tuple[set, dict]:
     return found, joins
 
 
+_ABSENT = object()
+
+
+class Memo(dict):
+    """The cache of one object: each key's value is computed once, on
+    first use, and kept for the life of the object."""
+
+    def fetch(self, key, compute, *args):
+        """The value of ``key``, computed as compute(*args) on first use."""
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = self[key] = compute(*args)
+        return value
+
+    def fetch_group(self, keys, compute):
+        """The values of ``keys``, in order.  The keys not held yet are
+        computed together by one call compute(missing), which returns
+        their values in the order of ``missing`` (each key once)."""
+        values = [self.get(key, _ABSENT) for key in keys]
+        missing = [key for key, value in zip(keys, values) if value is _ABSENT]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            found = dict(zip(missing, compute(missing), strict=True))
+            for key, value in found.items():
+                self[key] = value
+            values = [found.get(key, value) for key, value in zip(keys, values)]
+        return values
+
+
+def memoised(method):
+    """``method`` of an object with a :class:`Memo` ``_cache``, computed
+    once per object and arguments, under the key (method name, *args)."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        # a hit is read here; a miss is computed through fetch
+        key = (name, *args)
+        value = self._cache.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = self._cache.fetch(key, method, self, *args)
+        return value
+    return cached
+
+
+def row_blocks(rows, width):
+    """Slices of ``rows`` rows of about 2^18 entries of ``width`` each."""
+    step = max(1, (1 << 18) // max(1, width))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 class FiniteRing:
     """A finite commutative unital ring with full operation tables.
 
@@ -184,19 +241,15 @@ class FiniteRing:
         self.factors = None             # component rings of a product
         self.elem_names = elem_names    # given for derived rings, else built by elem_str
         self.size_cap = size_cap
-        # frozenset -> its index array (arr); subring -> its primitive
-        # decomposition (primitive_idempotents)
-        self._arrays = {}
-        self._decompositions = {}
-        # (lo, s) -> lo[s] (adjoin); each subring once (interning), and each
-        # other set adjoin was given -> the subring it generates
-        self._adjoined = {}
+        # ("arr", X) -> X's index array; ("decomposition", T) -> the
+        # primitive decomposition of the subring T; ("adjoin", lo, s) ->
+        # lo[s]; ("nilpotent_mask",); ("conductor" | "spectral" | "closed",
+        # lo, hi) -> the pair facts of lo <= hi (extension.cover_conductors,
+        # extension.pair_facts)
+        self._cache = Memo()
+        # each subring once (interning), and each other set adjoin was given
+        # -> the subring it generates
         self._subrings = {}
-        # (kind, lo, hi) -> the conductor or a boolean closure predicate of
-        # the pair lo <= hi (extension.cover_conductors and
-        # extension.fill_decomposition_facts)
-        self._pair_facts = {}
-        self._nilpotent = None          # nilpotent_mask
 
     # ------------------------------------------------------------------
     # construction
@@ -341,15 +394,14 @@ class FiniteRing:
             k >>= 1
         return int(r) if r.ndim == 0 else r
 
+    @memoised
     def nilpotent_mask(self) -> np.ndarray:
         """Boolean mask of the nilpotent elements, computed once: x is
         nilpotent iff x^size = 0, because the ideals (x^k) fall strictly
         until they reach 0."""
-        if self._nilpotent is None:
-            x = np.arange(self.size, dtype=np.int32)
-            self._nilpotent = self.power(x, self.size) == self.zero
-            self._nilpotent.flags.writeable = False
-        return self._nilpotent
+        mask = self.power(np.arange(self.size, dtype=np.int32), self.size) == self.zero
+        mask.flags.writeable = False
+        return mask
 
     def times(self, c, x):
         """c*x for a non-negative integer c (binary addition)."""
@@ -507,22 +559,17 @@ class FiniteRing:
                 return np.flatnonzero(inside).astype(np.int32)
             T = self._adjoin_powers(T, inside, seed[0])
 
+    @memoised
     def adjoin(self, lo, s) -> frozenset:
         """lo[s], the subring generated by the frozenset ``lo`` and the
         element ``s``: the polynomial span of s over the subring that lo
         generates, which is closed (once) when lo is not an interned
         subring.  Memoised on the ring by (lo, s); equal results are one
         shared frozenset."""
-        key = (lo, s)
-        T = self._adjoined.get(key)
-        if T is None:
-            base = self._subrings.get(lo)
-            if base is None:
-                base = self._subrings[lo] = self._intern(
-                    self.subring_closure(sorted(lo)))
-            T = self._adjoined[key] = self._intern(
-                self.subring_closure([s], over=base))
-        return T
+        base = self._subrings.get(lo)
+        if base is None:
+            base = self._subrings[lo] = self._intern(self.subring_closure(sorted(lo)))
+        return self._intern(self.subring_closure([s], over=base))
 
     def _intern(self, closed) -> frozenset:
         """The shared frozenset of the subring with index array ``closed``."""
@@ -533,16 +580,16 @@ class FiniteRing:
         """The sorted, read-only int32 index array of the element set X;
         memoised on the ring when X is a frozenset.  Raises RingError for an
         index outside ``range(size)``."""
-        a = self._arrays.get(X) if isinstance(X, frozenset) else None
-        if a is None:
-            a = np.unique(X if isinstance(X, np.ndarray)
-                          else np.fromiter(X, dtype=np.int64))
-            if a.size and (a[0] < 0 or a[-1] >= self.size):
-                raise RingError(f"element index outside 0..{self.size - 1}")
-            a = a.astype(np.int32)
-            a.flags.writeable = False
-            if isinstance(X, frozenset):
-                self._arrays[X] = a
+        if isinstance(X, frozenset):
+            return self._cache.fetch(("arr", X), self._index_array, X)
+        return self._index_array(X)
+
+    def _index_array(self, X) -> np.ndarray:
+        a = np.unique(X if isinstance(X, np.ndarray) else np.fromiter(X, dtype=np.int64))
+        if a.size and (a[0] < 0 or a[-1] >= self.size):
+            raise RingError(f"element index outside 0..{self.size - 1}")
+        a = a.astype(np.int32)
+        a.flags.writeable = False
         return a
 
     def mask(self, subset) -> np.ndarray:
@@ -740,7 +787,7 @@ def _poly_rem(f_low, f_deg, g_low, g_deg, p):
     return rem[:g_deg]
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _irreducibles_upto(p, maxdeg):
     """Monic irreducibles over F_p up to maxdeg as low-coefficient tuples
     (constant term first), listed per degree in lex order on
@@ -1189,20 +1236,11 @@ def primitive_idempotents(S, subring=None, unit=None) -> LocalFactorDecompositio
 
 def _decomposition(S, T):
     """The memo entry of the subring T (None for S itself), keyed by its
-    frozenset: each subring is decomposed once per ring, and on that first
-    call the sum of its primitive idempotents must be its own unit.  An
-    identity is unique when it exists, so that is one row: the sum acts as
-    1 on T."""
+    frozenset: each subring is decomposed once per ring."""
     if not isinstance(T, frozenset):
         T = frozenset(range(S.size) if T is None else S.arr(T).tolist())
-    dec = S._decompositions.get(T)
-    if dec is None:
-        arr = S.arr(T)
-        dec = _primitive_decomposition(S, arr)
-        if not np.array_equal(S.mul[dec[0], arr], arr):
-            raise RingError("primitive idempotents do not sum to 1")
-        S._decompositions[T] = dec
-    return dec
+    return S._cache.fetch(("decomposition", T),
+                          lambda: _primitive_decomposition(S, S.arr(T)))
 
 
 def _primitive_decomposition(S, T):
@@ -1212,13 +1250,14 @@ def _primitive_decomposition(S, T):
 
     An idempotent e is primitive iff the only idempotents g with g*e = g
     are 0 and e: one count over the idempotents, in blocks of rows of about
-    2^18 products.  Each e*T is finite and local, so its maximal ideal is
-    its nilradical and M_e = {x in T : e*x nilpotent}."""
+    2^18 products.  The sum of the primitive idempotents must be the unit
+    of T; an identity is unique when it exists, so that is one row: the
+    sum acts as 1 on T.  Each e*T is finite and local, so its maximal
+    ideal is its nilradical and M_e = {x in T : e*x nilpotent}."""
     idems = T[S.mul[T, T] == T]
     below = np.zeros(idems.size, dtype=np.int64)
-    step = max(1, (1 << 18) // idems.size)
-    for i in range(0, idems.size, step):
-        rows = idems[i:i + step]
+    for blk in row_blocks(idems.size, idems.size):
+        rows = idems[blk]
         below += (S.mul[rows[:, None], idems] == rows[:, None]).sum(axis=0)
     prim = idems[below == 2]
     products = S.mul[prim[:, None], prim]
@@ -1227,6 +1266,8 @@ def _primitive_decomposition(S, T):
     acc = S.zero
     for e in prim.tolist():
         acc = int(S.add[acc, e])
+    if not np.array_equal(S.mul[acc, T], T):
+        raise RingError("primitive idempotents do not sum to 1")
     corners = S.mul[prim[:, None], T]
     in_factor = np.zeros((prim.size, S.size), dtype=bool)
     in_factor[np.arange(prim.size)[:, None], corners] = True

@@ -5,7 +5,10 @@ An :class:`ExtensionLattice` stores the complete node set of an interval
 tables.  The distributivity verdict is computed by three independent
 routes that must agree (triple law scan, forbidden-sublattice witness
 search, covering-pair interval criterion); disagreement raises, it is
-never papered over.
+never papered over.  The tables never change after construction, so the
+verdicts, levels, pinch points and sub-intervals are computed once per
+lattice, each a key of its one memo (``_cache``, a
+:class:`~ringlattice.finring.Memo`).
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import functools
 import itertools
 
 import numpy as np
+
+from .finring import Memo, memoised, row_blocks
 
 SUBINTERVAL_SAMPLE_SEED = 0xD15717B
 # Exhaustive 5-subset forbidden-sublattice sweep only below this node count;
@@ -141,9 +146,8 @@ class ExtensionLattice:
         meet = self.meet = np.empty((n, n), dtype=np.int32)
         join = self.join = np.empty((n, n), dtype=np.int32)
         # blocks of rows of the upper triangle, at most 2**16 words each
-        chunk = max(1, (1 << 15) // words[0].size)
-        for lo in range(0, n, chunk):
-            blk, tri = slice(lo, lo + chunk), slice(lo, None)
+        for blk in row_blocks(n, words[0].nbytes):
+            tri = slice(blk.start, None)
             low = _lowest_bits(words[:, blk, None] & words[:, None, tri])
             v, m = low[0], n - 1 - low[1]
             # the nodes above v lie above i and j, and m lies inside both,
@@ -156,15 +160,7 @@ class ExtensionLattice:
             join[tri, blk], meet[tri, blk] = v.T, m.T
         if joins is not None:
             self._check_join_facts(joins)
-        self._clear_memos()
-
-    def _clear_memos(self):
-        self._levels = {}
-        self._intervals = {}
-        self._distributive = None
-        self._modular = None
-        self._verdict = None
-        self._pinch = None
+        self._cache = Memo()
 
     def _check_join_facts(self, joins):
         """Every fact equals the table join, and the facts cover every
@@ -201,11 +197,10 @@ class ExtensionLattice:
     def is_chain(self):
         return bool(self.pinch_points().all())
 
+    @memoised
     def levels_from(self, a):
         """Longest-path level of every node above ``a`` (-1 below/incomparable).
         Within any interval [a,b] these are the longest-chain lengths from a."""
-        if a in self._levels:
-            return self._levels[a]
         lev = np.full(self.n, -1, dtype=np.int32)
         # reach holds the ends of the cover paths of k steps from a; the
         # last k at which a node is reached is its longest-path level
@@ -216,7 +211,6 @@ class ExtensionLattice:
             lev[reach] = k
             reach = self.covers[reach].any(axis=0)
             k += 1
-        self._levels[a] = lev
         return lev
 
     @property
@@ -236,19 +230,20 @@ class ExtensionLattice:
         so its order, covers and tables are this lattice's restricted to
         its nodes and renumbered; an entry that falls outside the
         selection raises."""
-        key = (int(a), int(b))
-        if key == (0, self.n - 1):
+        a, b = int(a), int(b)
+        if (a, b) == (0, self.n - 1):
             return self
-        sub = self._intervals.get(key)
-        if sub is None:
-            if not self.leq[key]:
+
+        def cut():
+            if not self.leq[a, b]:
                 raise LatticeError("interval endpoints are not comparable")
             sel = np.flatnonzero(self.leq[a] & self.leq[:, b])
-            sub = self._intervals[key] = self._restricted(sel)
+            sub = self._restricted(sel)
             # a longest path from a to a node of [a, b] stays inside [a, b]
-            if key[0] in self._levels:
-                sub._levels[0] = self._levels[key[0]][sel]
-        return sub
+            if ("levels_from", a) in self._cache:
+                sub._cache[("levels_from", 0)] = self._cache[("levels_from", a)][sel]
+            return sub
+        return self._cache.fetch(("interval", a, b), cut)
 
     def _restricted(self, sel):
         """The sublattice on the ascending node indices ``sel``."""
@@ -265,7 +260,7 @@ class ExtensionLattice:
         sub.n = len(sub.nodes)
         sub.leq, sub.covers = self.leq[block], self.covers[block]
         sub.meet, sub.join = meet, join
-        sub._clear_memos()
+        sub._cache = Memo()
         return sub
 
     # ------------------------------------------------------------------
@@ -338,39 +333,30 @@ class ExtensionLattice:
         ground-truth route.  Blocks of rows of about 2^18 triples bound the
         memory, and the scan stops at the first block that fails."""
         n, meet, join = self.n, self.meet, self.join
-        chunk = max(1, (1 << 18) // max(1, n * n))
-        for lo in range(0, n, chunk):
-            blk = slice(lo, min(n, lo + chunk))
+        for blk in row_blocks(n, n * n):
             lhs = meet[blk][:, join]
             rhs = join[meet[blk][:, :, None], meet[blk][:, None, :]]
             hit = _first_true(lhs != rhs)
             if hit is not None:
                 x, y, z = hit
-                return x + lo, y, z
+                return x + blk.start, y, z
         return None
 
+    @memoised
     def modular_law_scan(self):
         """First failing triple (x, y, z) in (x, y, z) order with x <= z but
-        x v (y ^ z) != (x v y) ^ z, or None.  Computed once: the forbidden
-        sublattice route and the modularity verdict both read it."""
-        if self._modular is None:
-            self._modular = (self._modular_scan(),)
-        return self._modular[0]
-
-    def _modular_scan(self):
-        """modular_law_scan's triple, in blocks of rows as in the
-        distributive scan."""
+        x v (y ^ z) != (x v y) ^ z, or None, in blocks of rows as in the
+        distributive scan.  Computed once: the forbidden sublattice route
+        and the modularity verdict both read it."""
         n, meet, join, leq = self.n, self.meet, self.join, self.leq
-        chunk = max(1, (1 << 18) // max(1, n * n))
         cols = np.arange(n)
-        for lo in range(0, n, chunk):
-            blk = slice(lo, min(n, lo + chunk))
+        for blk in row_blocks(n, n * n):
             lhs = join[blk][:, meet]
             rhs = meet[join[blk][:, :, None], cols]
             hit = _first_true((lhs != rhs) & leq[blk][:, None, :])
             if hit is not None:
                 x, y, z = hit
-                return x + lo, y, z
+                return x + blk.start, y, z
         return None
 
     def _is_m3(self, o, a, b, c, i):
@@ -490,26 +476,20 @@ class ExtensionLattice:
         t, u = np.nonzero((below & below.T) | (above & above.T))
         upper = t < u
         t, u = t[upper], u[upper]
-        step = max(1, (1 << 16) // self.n)
-        for lo in range(0, t.size, step):
-            blk = slice(lo, lo + step)
+        for blk in row_blocks(t.size, 4 * self.n):   # 2^16 / n pairs each
             m, j = meet[t[blk], u[blk]], join[t[blk], u[blk]]
             sizes = (leq[m] & leq[:, j].T).sum(axis=1)
             k = int(np.argmax(sizes != 4))
             if sizes[k] != 4:
-                return False, {"pair": [int(t[lo + k]), int(u[lo + k])],
+                return False, {"pair": [int(t[blk][k]), int(u[blk][k])],
                                "interval": [int(m[k]), int(j[k])],
                                "size": int(sizes[k])}
         return True, None
 
+    @memoised
     def check_distributive(self):
         """Distributivity by three independent routes; they must agree.
         Computed once: the tables never change after construction."""
-        if self._distributive is None:
-            self._distributive = self._distributive_routes()
-        return self._distributive
-
-    def _distributive_routes(self):
         tri = self.distributive_law_scan()
         law_ok = tri is None
         witness = self._forbidden(tri)
@@ -564,11 +544,10 @@ class ExtensionLattice:
             series.append(socle)
         return series
 
+    @memoised
     def pinch_points(self):
         """Bool per node: comparable with every node.  Computed once."""
-        if self._pinch is None:
-            self._pinch = (self.leq | self.leq.T).all(axis=1)
-        return self._pinch
+        return (self.leq | self.leq.T).all(axis=1)
 
     def is_pinched_at(self, chain):
         """True iff every node is comparable to every member of ``chain``
@@ -599,13 +578,9 @@ class ExtensionLattice:
                                "the distributivity verdict")
         return ok, wit
 
+    @memoised
     def verdict(self) -> LatticeVerdict:
         """All order verdicts, computed once (like check_distributive)."""
-        if self._verdict is None:
-            self._verdict = self._compute_verdict()
-        return self._verdict
-
-    def _compute_verdict(self) -> LatticeVerdict:
         dist, wit = self.check_distributive()
         modular, mwit = self.check_modular()
         boolean, is_b2 = self.check_boolean()

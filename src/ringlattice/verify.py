@@ -98,17 +98,28 @@ def _splitter_sizes(a: ex.Extension):
     return sorted(len(ex.splitter(a, [M])) for M in ms)
 
 
+# the measures of the lattice alone; --regen-expectations reads them off
+# the oracle lattice
+LATTICE_MEASURES = {
+    "node_count": lambda L: len(L.nodes),
+    "length": lambda L: L.length,
+    "distributive": lambda L: L.verdict().distributive,
+    "chained": lambda L: L.verdict().chained,
+    "modular": lambda L: L.verdict().modular,
+    "catenarian": lambda L: L.verdict().catenarian,
+    "boolean": lambda L: L.verdict().boolean_lattice,
+    "is_b2": lambda L: L.verdict().is_b2,
+    "atom_count": lambda L: len(L.atoms()),
+    "witness_kind": lambda L: (L.forbidden_sublattice() or {}).get("kind"),
+}
+
+
+def _of_lattice(measure):
+    return lambda a: measure(a.lattice())
+
+
 MEASURES = {
-    "node_count": lambda a: len(a.lattice().nodes),
-    "length": lambda a: a.lattice().length,
-    "distributive": lambda a: a.lattice().verdict().distributive,
-    "modular": lambda a: a.lattice().verdict().modular,
-    "catenarian": lambda a: a.lattice().verdict().catenarian,
-    "chained": lambda a: a.lattice().verdict().chained,
-    "boolean": lambda a: a.lattice().verdict().boolean_lattice,
-    "is_b2": lambda a: a.lattice().verdict().is_b2,
-    "witness_kind": lambda a: (a.lattice().forbidden_sublattice()
-                               or {}).get("kind"),
+    **{name: _of_lattice(measure) for name, measure in LATTICE_MEASURES.items()},
     "minimal_type": lambda a: (lambda t: t.value if t else None)(
         ex.classify_minimal(a)),
     "conductor_size": lambda a: len(a.profile().conductor),
@@ -132,7 +143,6 @@ MEASURES = {
     "delta": lambda a: a.flags().delta,
     "branched": lambda a: a.flags().branched,
     "edge_profile": _edge_profile,
-    "atom_count": lambda a: len(a.lattice().atoms()),
     "loewy_sizes": lambda a: [len(a.lattice().nodes[i])
                               for i in a.lattice().loewy_series()],
     "u_elementary": _u_elementary,
@@ -217,12 +227,6 @@ def frobenius_subfields(S, base):
     return sorted(set(fixed.values()), key=lambda s: (len(s), sorted(s)))
 
 
-# expectations read off the oracle lattice
-LATTICE_MEASURES = ("node_count", "length", "distributive", "chained",
-                    "modular", "catenarian", "boolean", "is_b2",
-                    "atom_count", "witness_kind")
-
-
 def oracle_lattice(a: ex.Extension):
     """The lattice of a's interval on an independent node set (Frobenius
     fixed subfields or subset scan), every incomparable join closed
@@ -254,19 +258,7 @@ def regen_expectation(expect, a: ex.Extension, lattice):
         L, oracle = lattice
         if L is None:
             return None, None
-        val = {
-            "node_count": len(L.nodes),
-            "length": L.length,
-            "distributive": L.verdict().distributive,
-            "chained": L.is_chain(),
-            "modular": L.check_modular()[0],
-            "catenarian": L.check_catenarian()[0],
-            "boolean": L.verdict().boolean_lattice,
-            "is_b2": L.verdict().is_b2,
-            "atom_count": len(L.atoms()),
-            "witness_kind": (L.forbidden_sublattice() or {}).get("kind"),
-        }[expect.measure]
-        return val, oracle
+        return LATTICE_MEASURES[expect.measure](L), oracle
     if expect.measure == "locally_minimal":
         vals = []
         for M in a.profile().msupp:

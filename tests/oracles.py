@@ -53,7 +53,10 @@ reference for the pass per lower node.
 ``bitset_lattice_tables`` is the earlier table build (int bitsets and a
 loop over the node pairs), the reference for the array build from the
 membership product.
-``small_ring`` builds the tiny rings they run on.
+``small_ring`` builds the tiny rings they run on.  ``memo_without`` and
+``record_computes`` are the tests' view of the one memo per object: a
+copy of a memo without some kinds of key, and a log of every key a memo
+computes.
 """
 
 import functools
@@ -70,6 +73,37 @@ from ringlattice.lattice import ExtensionLattice, LatticeError
 
 
 SMALL_RINGS = ("F2[x]/(x^3)", "F2xF4", "F2+F2^2", "Z4xZ2")
+# the kinds of key of a ring's memo that hold pair facts
+PAIR_FACT_KINDS = ("conductor", "spectral", "closed")
+
+
+def memo_without(obj, *kinds, memo=fr.Memo):
+    """A ``memo`` (a Memo class) holding the entries of obj's memo whose
+    key kind is not one of ``kinds``."""
+    return memo((k, v) for k, v in obj._cache.items() if k[0] not in kinds)
+
+
+def record_computes(monkeypatch):
+    """The list that every Memo appends (memo, key) to each time it
+    computes a key, from now until the monkeypatch is undone."""
+    computed = []
+    fetch, fetch_group = fr.Memo.fetch, fr.Memo.fetch_group
+
+    def recording_fetch(memo, key, compute, *args):
+        def recorded(*args):
+            computed.append((memo, key))
+            return compute(*args)
+        return fetch(memo, key, recorded, *args)
+
+    def recording_fetch_group(memo, keys, compute):
+        def recorded(missing):
+            computed.extend((memo, key) for key in missing)
+            return compute(missing)
+        return fetch_group(memo, keys, recorded)
+
+    monkeypatch.setattr(fr.Memo, "fetch", recording_fetch)
+    monkeypatch.setattr(fr.Memo, "fetch_group", recording_fetch_group)
+    return computed
 
 
 @functools.lru_cache(maxsize=None)

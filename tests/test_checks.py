@@ -1,14 +1,17 @@
+import collections
+import io
+
 import numpy as np
 import pytest
 
-from ringlattice import checks, dsl, verify
+from ringlattice import checks, cli, dsl, verify
 from ringlattice import extension as ex
 from ringlattice import finring as fr
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (SMALL_RINGS, doubled_ring_tables, pairwise_b2_structure_cases,
-                     small_ring)
+from oracles import (PAIR_FACT_KINDS, SMALL_RINGS, doubled_ring_tables, memo_without,
+                     pairwise_b2_structure_cases, record_computes, small_ring)
 
 
 def analysis_of(name):
@@ -223,13 +226,36 @@ def test_b2_cases_on_v4_prove_and_build_nothing(monkeypatch):
     assert any(key[0] == "sub" for key in a._cache)
 
 
+def test_no_memo_key_is_computed_twice(monkeypatch):
+    # analyze and every check on fresh Pi5 and V4 = F2 + F2^4 compute each
+    # key of each ring, extension and lattice memo once
+    computed = record_computes(monkeypatch)
+    for S in (fr.product_ring([fr.gf(2)] * 5), fr.idealization(fr.gf(2), (2, 2, 2, 2))):
+        E = ex.Extension(S, ex.prime_subring(S), name="fresh")
+        cli._print_analysis(E, io.StringIO())
+        cli._analysis_doc(E)
+        cli.dot_export(E)
+        for name in sorted(verify.CHECKS):
+            assert verify.run_check(name, E).status != "fail", name
+    counts = collections.Counter((id(memo), key) for memo, key in computed)
+    assert [key for key, count in counts.items() if count > 1] == []
+    kinds = {key[0] if isinstance(key, tuple) else key for _, key in computed}
+    assert kinds >= {
+        "arr", "adjoin", "decomposition", "nilpotent_mask", "conductor",
+        "spectral", "closed",                                       # rings
+        "lattice", "flags", "decomp", "profile", "cover_types", "sub",
+        "loc",                                                      # extensions
+        "levels_from", "interval", "check_distributive", "modular_law_scan",
+        "verdict", "pinch_points"}                                  # lattices
+
+
 def _assert_b2_routes_agree(E, monkeypatch):
     """The b2 check against the per-pair check on a fresh extension of the
     same ring with an empty pair-fact memo; returns the status."""
     got = verify.run_check("b2_structure_cases", E)
     fresh = ex.Extension(E.ambient, E.base, E.top)
     with monkeypatch.context() as m:
-        m.setattr(E.ambient, "_pair_facts", {})
+        m.setattr(E.ambient, "_cache", memo_without(E.ambient, *PAIR_FACT_KINDS))
         want = pairwise_b2_structure_cases(fresh)
     assert (got.status, got.witness) == (want.status, want.witness), E.name
     return got.status
@@ -253,8 +279,9 @@ def test_b2_cases_fail_alike_on_a_tampered_fact(monkeypatch):
     # conductor 0; a tampered t-closed fact empties its case list
     def gf64():
         E = dsl.build_extension("ring S = gf(2, 6)\next GF64 = extension(S, base=[])\n")
-        L = E.lattice()
-        monkeypatch.setitem(E.ambient._pair_facts, ("t_closed", E.base, E.top), False)
+        L, S = E.lattice(), E.ambient
+        closed = ex.is_seminormal(S, E.base, E.top), ex.is_u_closed(S, E.base, E.top)
+        monkeypatch.setitem(S._cache, ("closed", E.base, E.top), (*closed, False))
         return E, L
     E, L = gf64()
     got = verify.run_check("b2_structure_cases", E)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -193,3 +197,18 @@ def test_analyze_json_bytes_are_pinned(runner, tmp_path):
         assert res.exit_code == 0, res.output
         digest = hashlib.sha256(js.read_bytes()).hexdigest()
         assert digest == ANALYZE_JSON_SHA256[inst.name], inst.name
+
+
+def test_openblas_runs_one_thread_unless_the_user_sets_it():
+    # in a fresh interpreter, so numpy first loads through the package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import os, ringlattice; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    for value, want in ((None, "1"), ("2", "2")):
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == want

@@ -13,9 +13,10 @@ from ringlattice.checks import doubled_ring
 
 from ringlattice.verify import brute_force_subrings
 
-from oracles import (SMALL_RINGS, corner_localization, every_s_is_minimal_pair,
-                     every_s_is_simple, every_s_monogenic_subrings,
-                     largest_common_ideal, loop_closed_pair, loop_is_delta,
+from oracles import (PAIR_FACT_KINDS, SMALL_RINGS, corner_localization,
+                     every_s_is_minimal_pair, every_s_is_simple,
+                     every_s_monogenic_subrings, largest_common_ideal,
+                     loop_closed_pair, loop_is_delta, memo_without,
                      quotient_route_is_inert, residual_degrees,
                      scan_conductor_pair, small_ring, spectrum_infra_integral,
                      spectrum_subintegral)
@@ -375,29 +376,40 @@ PAIR_FACTS = {"conductor": ex.conductor_pair, "seminormal": ex.is_seminormal,
               "u_closed": ex.is_u_closed, "t_closed": ex.is_t_closed,
               "infra_integral": ex.is_infra_integral_pair,
               "subintegral": ex.is_subintegral_pair}
+# the key kind and the place in its value of each fact in the ring's memo
+FACT_KEYS = {"conductor": ("conductor", None), "seminormal": ("closed", 0),
+             "u_closed": ("closed", 1), "t_closed": ("closed", 2),
+             "infra_integral": ("spectral", 0), "subintegral": ("spectral", 1)}
 
 
-class _NoMemo(dict):
-    """A pair-fact memo that stores nothing, so every call scans."""
+class _NoPairFacts(fr.Memo):
+    """A ring memo that stores no pair fact, so every pair-fact call scans."""
 
     def __setitem__(self, key, value):
-        pass
+        if key[0] not in PAIR_FACT_KINDS:
+            super().__setitem__(key, value)
+
+
+def _stored_fact(memo, fact, lo, hi):
+    kind, place = FACT_KEYS[fact]
+    value = memo[(kind, lo, hi)]
+    return value if place is None else value[place]
 
 
 def _assert_pair_facts_memoised(E):
     S, L = E.ambient, E.lattice()
     pairs = [(L.nodes[i], L.nodes[j]) for i, j in np.argwhere(L.leq).tolist()]
-    memo, S._pair_facts = S._pair_facts, _NoMemo()
+    memo, S._cache = S._cache, memo_without(S, *PAIR_FACT_KINDS, memo=_NoPairFacts)
     try:
         fresh = [{k: f(S, lo, hi) for k, f in PAIR_FACTS.items()}
                  for lo, hi in pairs]
     finally:
-        S._pair_facts = memo
+        S._cache = memo
     for (lo, hi), want in zip(pairs, fresh):
         got = {k: f(S, lo, hi) for k, f in PAIR_FACTS.items()}
         assert got == want
         for kind, value in got.items():
-            assert memo[(kind, lo, hi)] is value
+            assert _stored_fact(memo, kind, lo, hi) is value
         assert ex.conductor_pair(S, lo, hi) is got["conductor"]
     return {(k, v) for facts in fresh for k, v in facts.items()
             if k != "conductor"}
@@ -564,35 +576,35 @@ def _assert_conductors_match_the_pair_scan(E):
     S, L = E.ambient, E.lattice()
     for i in range(L.n):
         lo, his = L.nodes[i], [L.nodes[j] for j in np.flatnonzero(L.leq[i])]
-        memo, S._pair_facts = S._pair_facts, _NoMemo()
+        memo, S._cache = S._cache, memo_without(S, *PAIR_FACT_KINDS, memo=_NoPairFacts)
         try:
             got = ex.cover_conductors(S, lo, his)
         finally:
-            S._pair_facts = memo
+            S._cache = memo
         assert got == [scan_conductor_pair(S, lo, hi) for hi in his]
 
 
 def _assert_decomposition_facts_match_the_pair_scans(S, lo, intervals):
     """The facts of fill_decomposition_facts(S, lo, intervals), from one
-    grouped fill into an empty memo, against the element loop and the
-    per-pair spectrum tests; returns them."""
-    memo, S._pair_facts = S._pair_facts, {}
+    grouped fill into an empty pair-fact memo, against the element loop and
+    the per-pair spectrum tests; returns them as (fact, value) pairs."""
+    memo, S._cache = S._cache, memo_without(S, *PAIR_FACT_KINDS)
     try:
         ex.fill_decomposition_facts(S, lo, intervals)
-        filled = S._pair_facts
+        filled = {k: v for k, v in S._cache.items() if k[0] in PAIR_FACT_KINDS}
     finally:
-        S._pair_facts = memo
+        S._cache = memo
     want = {}
     for hi, nodes in intervals:
         for T in nodes:
-            for kind, rs in (("seminormal", [S.zero]), ("u_closed", [S.one]),
-                             ("t_closed", sorted(T))):
-                want[(kind, T, hi)] = loop_closed_pair(S, T, hi, rs)
+            want[("closed", T, hi)] = tuple(
+                loop_closed_pair(S, T, hi, rs) for rs in ([S.zero], [S.one], sorted(T)))
             for pair in ((lo, T), (T, hi)):
-                want[("infra_integral", *pair)] = spectrum_infra_integral(S, *pair)
-                want[("subintegral", *pair)] = spectrum_subintegral(S, *pair)
+                want[("spectral", *pair)] = (spectrum_infra_integral(S, *pair),
+                                             spectrum_subintegral(S, *pair))
     assert filled == want
-    return set(filled.items())
+    return {(fact, _stored_fact(filled, fact, *pair)) for fact in DECOMPOSITION_FACTS
+            for kind, *pair in filled if kind == FACT_KEYS[fact][0]}
 
 
 def _assert_closed_facts_match_the_element_loop(E):
@@ -625,16 +637,14 @@ def test_grouped_conductors_match_the_pair_scan(reference_extensions):
 def test_closed_facts_pass_matches_the_element_loop(reference_extensions):
     seen = set()
     for E in reference_extensions:
-        seen |= {(kind, value) for (kind, _, _), value in
-                 _assert_closed_facts_match_the_element_loop(E)}
+        seen |= _assert_closed_facts_match_the_element_loop(E)
     assert seen == {(k, v) for k in DECOMPOSITION_FACTS for v in (True, False)}
 
 
 def test_grouped_b2_facts_match_the_pair_scans(reference_extensions):
     seen = set()
     for E in reference_extensions:
-        seen |= {(kind, value) for (kind, _, _), value in
-                 _assert_grouped_b2_facts_match_the_pair_scans(E)}
+        seen |= _assert_grouped_b2_facts_match_the_pair_scans(E)
     assert seen == {(k, v) for k in DECOMPOSITION_FACTS for v in (True, False)}
 
 

@@ -19,7 +19,8 @@ from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      list_modular_law_scan, loop_check_catenarian,
                      loop_complements, loop_covering_pair_criterion,
                      loop_forbidden_exhaustive, loop_length2_rule,
-                     loop_levels_from, small_ring)
+                     loop_levels_from, memo_without, record_computes,
+                     small_ring)
 
 
 @pytest.fixture(scope="module")
@@ -353,7 +354,7 @@ def test_lattice_build_runs_no_closures(monkeypatch, big_lattices):
     monkeypatch.setattr(ExtensionLattice, "__init__", counting_build)
     E = big_lattices[0]
     # the fixture ring is shared, so empty its adjoin memo first
-    monkeypatch.setattr(E.ambient, "_adjoined", {})
+    monkeypatch.setattr(E.ambient, "_cache", memo_without(E.ambient, "adjoin"))
     L = ex.enumerate_interval(E)
     assert closures[0] > 0 and per_build == [0]
     # the base is interned already, so every closure adjoins one element
@@ -488,7 +489,7 @@ def test_covers_and_decomposition_decompose_each_subring_once(
     # the primitive decomposition of a subring is memoised on its ring, so
     # every cover and every sub-extension of the decomposition reuses it
     S = big_lattices[0].ambient
-    monkeypatch.setattr(S, "_decompositions", {})
+    monkeypatch.setattr(S, "_cache", memo_without(S, "decomposition"))
     decomposed, decompose = [], fr._primitive_decomposition
 
     def counting_decompose(ring, T):
@@ -514,7 +515,7 @@ def test_every_set_is_converted_and_decomposed_once_per_ring(monkeypatch):
     def counting_arr(ring, X):
         if isinstance(X, frozenset):
             calls[0] += 1
-            if X not in ring._arrays:
+            if ("arr", X) not in ring._cache:
                 built.append((ring, X))
         return arr(ring, X)
 
@@ -801,24 +802,21 @@ def test_length2_rule_matches_the_loop(reference_extensions):
 
 def test_verdict_runs_one_modular_scan(monkeypatch, big_lattices):
     # the forbidden-sublattice route and check_modular share the scan
-    calls = [0]
-    scan = ExtensionLattice._modular_scan
+    computed = record_computes(monkeypatch)
 
-    def counting(self):
-        calls[0] += 1
-        return scan(self)
+    def scans(L):
+        return sum(memo is L._cache and key == ("modular_law_scan",)
+                   for memo, key in computed)
 
-    monkeypatch.setattr(ExtensionLattice, "_modular_scan", counting)
     for E in big_lattices:
         L = constructor_interval(E.lattice(), 0, E.lattice().top)
-        calls[0] = 0
         v = L.verdict()
-        assert calls[0] == 1
+        assert scans(L) == 1
         tri = list_modular_law_scan(L)
         assert L.check_modular() == ((True, None) if tri is None
                                      else (False, {"law_triple": list(tri)}))
         assert v.modular == (tri is None)
-        assert calls[0] == 1
+        assert scans(L) == 1
 
 
 def test_slices_take_their_levels_from_the_parent(big_lattices):
@@ -829,5 +827,5 @@ def test_slices_take_their_levels_from_the_parent(big_lattices):
         for a, b in np.argwhere(L.leq).tolist():
             L.levels_from(a)
             sub = L.interval(a, b)
-            assert 0 in sub._levels
+            assert ("levels_from", 0) in sub._cache
             assert np.array_equal(sub.levels_from(0), loop_levels_from(sub, 0))
