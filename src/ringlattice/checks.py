@@ -21,7 +21,7 @@ import numpy as np
 
 from . import extension as ex
 from . import finring as fr
-from .lattice import LatticeError
+from .lattice import LatticeError, decide_intervals
 from .verify import CheckResult, check
 
 
@@ -380,17 +380,16 @@ def hereditary_distributivity(a):
     dist = L.verdict().distributive
     if n > 40:
         return _na("too many nodes for the full subinterval sweep")
-    for i in range(n):
-        for j in range(n):
-            if not L.leq[i, j]:
-                continue
-            sub_ok, _ = L.interval(i, j).check_distributive()
-            if dist and not sub_ok:
-                return CheckResult("", "", "fail",
-                                   witness={"interval": [i, j]})
-            if not dist and (i, j) == (0, n - 1) and sub_ok:
-                return CheckResult("", "", "fail",
-                                   witness={"interval": [i, j]})
+    # every comparable pair, in (i, j) order, in one kernel call
+    i, j = np.nonzero(L.leq)
+    found = decide_intervals([(L, i, j)])
+    sub_ok = found.distributive
+    bad = ~sub_ok if dist else (i == 0) & (j == n - 1) & sub_ok
+    stop = np.flatnonzero(bad | (found.code > 0))
+    if stop.size:
+        k = int(stop[0])
+        found.check(k)
+        return CheckResult("", "", "fail", witness={"interval": [int(i[k]), int(j[k])]})
     return CheckResult("", "", "pass",
                        side="lhs_true" if dist else "lhs_false")
 
@@ -519,29 +518,37 @@ def two_atom_composite_profile(a):
     cond = {t: ex.conductor_pair(S, base, L.nodes[t]) for t in atoms}
     over = {t: [Q for Q in fr.maximal_ideals(S, L.nodes[t])
                 if Q & base == cond[t]] for t in atoms}
+    lev = L.levels_from(0)
+
+    def catenarian(j):
+        # [0, j] read off the parent: a longest path from the bottom to a
+        # node of [0, j] stays inside it, so its levels are the parent's
+        sel = np.flatnonzero(L.leq[:, j])
+        return not (L.covers[np.ix_(sel, sel)] & (lev[sel] != lev[sel, None] + 1)).any()
+
     for t, u in itertools.combinations(atoms, 2):
         j = int(L.join[t, u])
         M, N = cond[t], cond[u]
         typ_t = ex.cover_types(a)[(0, t)]
         typ_u = ex.cover_types(a)[(0, u)]
-        sub = L.interval(0, j)
         if M != N:
-            if len(sub.nodes) != 4:
+            size = L.interval_size(0, j)
+            if size != 4:
                 return CheckResult("", "", "fail", witness={
                     "atoms": [t, u], "case": "distinct crucial ideals",
-                    "interval_size": len(sub.nodes)})
+                    "interval_size": size})
             continue
         inert_t = typ_t is ex.MinimalType.INERT
         inert_u = typ_u is ex.MinimalType.INERT
         if inert_t != inert_u:
-            if sub.check_catenarian()[0]:
+            if catenarian(j):
                 return CheckResult("", "", "fail", witness={
                     "atoms": [t, u], "case": "inert vs non-inert",
                     "catenarian": True})
             continue
         if inert_t and inert_u:
             continue  # no claim for two inert steps over one ideal
-        cat_ok = sub.check_catenarian()[0]
+        cat_ok = catenarian(j)
         infra = ex.is_infra_integral_pair(S, base, L.nodes[j])
         if not cat_ok or not infra:
             return CheckResult("", "", "fail", witness={
@@ -556,10 +563,10 @@ def two_atom_composite_profile(a):
                 if in_M[span].all():
                     prod_in = True
         want = 2 if prod_in else 3
-        if sub.length != want:
+        if lev[j] != want:
             return CheckResult("", "", "fail", witness={
                 "atoms": [t, u], "case": "two non-inert",
-                "product_inside": prod_in, "length": sub.length,
+                "product_inside": prod_in, "length": int(lev[j]),
                 "expected": want})
     return CheckResult("", "", "pass")
 
@@ -577,34 +584,74 @@ def b2_structure_cases(a):
     groups = [(v, ws) for v, ws in groups if ws]
     if not groups:
         return _na("no length-2 subinterval")
-    # one pass per lower node V: the conductors, supports and decomposition
-    # facts of all of its length-2 intervals [V, W] are computed together
+    # the lhs of every pair from one kernel call; then one pass per lower
+    # node V: the conductors, supports and pair facts of all of its
+    # length-2 intervals [V, W] are computed together
+    lower = [v for v, ws in groups for _ in ws]
+    found = decide_intervals([(L, lower, [w for _, ws in groups for w in ws])], boolean=True)
+    k = 0
     for v, ws in groups:
         V, Ws = L.nodes[v], [L.nodes[w] for w in ws]
-        subs = [L.interval(v, w) for w in ws]
         conds = ex.cover_conductors(S, V, Ws)
         msupps = ex.msupp_of_pairs(S, V, V, Ws)
-        ex.fill_decomposition_facts(S, V, [(W, sub.nodes) for W, sub, ms
-                                           in zip(Ws, subs, msupps) if len(ms) == 1])
-        for w, W, sub, cond, msupp in zip(ws, Ws, subs, conds, msupps):
-            lhs = sub.check_boolean()[0]
-            rhs = _b2_cases(a, V, W, cond, msupp)
+        inner = _plus_inside(a, v, ws, msupps)
+        for w, W, cond, msupp in zip(ws, Ws, conds, msupps):
+            found.check(k)
+            lhs = bool(found.boolean[k])
+            k += 1
+            rhs = _b2_cases(a, V, W, cond, msupp, inner.get(w))
             if lhs != rhs:
                 return CheckResult("", "", "fail", witness={
                     "interval": [v, w], "b2": lhs, "cases": rhs})
     return CheckResult("", "", "pass")
 
 
-def _b2_cases(a, V, W, cond, msupp):
-    """The three cases for [V, W], given its conductor and MSupp_V(W/V)."""
+def _plus_inside(a, v, ws, msupps):
+    """{w: (infra-integral, R+ strictly inside, t-closed)} for the
+    length-2 intervals [V, W] of V with one-point support, from one grouped
+    pair-fact fill.  R+ of [V, W] is its greatest node subintegral over V,
+    and every middle node of a length-2 interval covers V, so R+ is W when
+    W is subintegral over V, else the one subintegral middle node, else V;
+    two subintegral middle nodes raise the canonical decomposition's
+    uniqueness guard.  A failed guard is returned in place of the triple
+    and raised when its pair is reached."""
+    L, S = a.lattice(), a.ambient
+    V = L.nodes[v]
+    ws = [w for w, ms in zip(ws, msupps) if len(ms) == 1]
+    if not ws:
+        return {}
+    mids = np.flatnonzero(L.covers[v])
+    inside = L.covers[np.ix_(mids, ws)]
+    mids, inside = mids[inside.any(axis=1)], inside[inside.any(axis=1)]
+    Xs = [V] + [L.nodes[x] for x in mids.tolist()] + [L.nodes[w] for w in ws]
+    facts = ex.pair_facts(S, [("spectral", V, X) for X in Xs]
+                          + [("closed", V, L.nodes[w]) for w in ws])
+    spectral, closed = facts[:len(Xs)], facts[len(Xs):]
+    sub_v, sub_mid = spectral[0][1], np.array([f[1] for f in spectral[1:1 + len(mids)]], dtype=bool)
+    kept = (inside & sub_mid[:, None]).sum(axis=0)
+    out = {}
+    for j, w in enumerate(ws):
+        infra, sub_w = spectral[1 + len(mids) + j]
+        count = 1 if sub_w else int(kept[j]) if kept[j] else int(sub_v)
+        if infra and count != 1:
+            out[w] = ex.uniqueness_violation("seminormalization (greatest subintegral)",
+                                             count, greatest=True)
+        else:
+            out[w] = (infra, infra and not sub_w and kept[j] == 1, closed[j][2])
+    return out
+
+
+def _b2_cases(a, V, W, cond, msupp, facts):
+    """The three cases for [V, W], given its conductor, MSupp_V(W/V) and,
+    for one-point support, its facts from :func:`_plus_inside`."""
     if len(msupp) != 1:
         return len(msupp) == 2
+    if isinstance(facts, Exception):
+        raise facts
     S, M = a.ambient, msupp[0]
-    rhs = False
-    if ex.is_infra_integral_pair(S, V, W):
-        plus = a.sub(V, W).decomposition().plus
-        rhs = plus not in (V, W) and cond == M
-    if not rhs and cond == M and ex.is_t_closed(S, V, W):
+    infra, plus_inside, t_closed = facts
+    rhs = bool(infra and plus_inside and cond == M)
+    if not rhs and cond == M and t_closed:
         # residue interval must have exactly 4 subfields: W/M is a field
         # iff M is maximal in W
         rhs = M in fr.maximal_ideals(S, W) and \

@@ -723,12 +723,17 @@ def _extremes(L, keeps, greatest):
     return out
 
 
+def uniqueness_violation(what, found, greatest):
+    """The TheoremViolation of an extremum that is not unique: ``found``
+    maximal (``greatest``) or minimal nodes."""
+    which = ("greatest", "maximal") if greatest else ("least", "minimal")
+    return TheoremViolation(f"{what}: expected a unique {which[0]} element, "
+                            f"found {found} {which[1]} ones")
+
+
 def _unique(L, ends, what, greatest):
     if len(ends) != 1:
-        which = ("greatest", "maximal") if greatest else ("least", "minimal")
-        raise TheoremViolation(
-            f"{what}: expected a unique {which[0]} element, found {len(ends)} "
-            f"{which[1]} ones")
+        raise uniqueness_violation(what, len(ends), greatest)
     return L.nodes[ends[0]]
 
 

@@ -5,7 +5,9 @@ An :class:`ExtensionLattice` stores the complete node set of an interval
 tables.  The distributivity verdict is computed by three independent
 routes that must agree (triple law scan, forbidden-sublattice witness
 search, covering-pair interval criterion); disagreement raises, it is
-never papered over.  The tables never change after construction, so the
+never papered over.  The routes run as array tests over stacks of
+intervals (:func:`decide_intervals`); a lattice's own verdict is that
+kernel on a stack of one.  The tables never change after construction, so the
 verdicts, levels, pinch points and sub-intervals are computed once per
 lattice, each a key of its one memo (``_cache``, a
 :class:`~ringlattice.finring.Memo`).
@@ -13,7 +15,7 @@ lattice, each a key of its one memo (``_cache``, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import functools
 import itertools
 
@@ -46,13 +48,18 @@ def _lowest_bits(words):
     return (64 * k + np.bitwise_count(w ^ (w - 1)) - 1).reshape(words.shape[:-1])
 
 
+def _bit_rows(rows):
+    """Each row of a bool matrix as little-endian uint64 words."""
+    n, width = rows.shape
+    out = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
+    out[:, :-(-width // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
 def _up_down_words(leq):
-    """Bit rows (little-endian uint64) of the nodes above each node and,
-    reversed, of the nodes below it: shape (2, n, words)."""
-    n = len(leq)
-    bits = np.zeros((2, n, -(-n // 64) * 64), dtype=bool)
-    bits[0, :, :n], bits[1, :, :n] = leq, leq.T[:, ::-1]
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    """Bit rows of the nodes above each node and, reversed, of the nodes
+    below it: shape (2, n, words)."""
+    return np.stack([_bit_rows(leq), _bit_rows(leq.T[:, ::-1])])
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,22 +332,18 @@ class ExtensionLattice:
         return out
 
     # ------------------------------------------------------------------
-    # distributivity: three independent routes
+    # distributivity: three independent routes, run by the interval kernel
+    # (decide_intervals) on this lattice as a stack of one
+
+    def _stack(self):
+        return _Stack(self.meet[None], self.join[None], self.leq[None], self.covers[None])
 
     def distributive_law_scan(self):
         """Full triple scan of x ^ (y v z) = (x ^ y) v (x ^ z); returns the
         first failing triple in (x, y, z) order, or None.  This is the
         ground-truth route.  Blocks of rows of about 2^18 triples bound the
         memory, and the scan stops at the first block that fails."""
-        n, meet, join = self.n, self.meet, self.join
-        for blk in row_blocks(n, n * n):
-            lhs = meet[blk][:, join]
-            rhs = join[meet[blk][:, :, None], meet[blk][:, None, :]]
-            hit = _first_true(lhs != rhs)
-            if hit is not None:
-                x, y, z = hit
-                return x + blk.start, y, z
-        return None
+        return _triple(self._stack().law_scan(modular=False)[0])
 
     @memoised
     def modular_law_scan(self):
@@ -348,164 +351,41 @@ class ExtensionLattice:
         x v (y ^ z) != (x v y) ^ z, or None, in blocks of rows as in the
         distributive scan.  Computed once: the forbidden sublattice route
         and the modularity verdict both read it."""
-        n, meet, join, leq = self.n, self.meet, self.join, self.leq
-        cols = np.arange(n)
-        for blk in row_blocks(n, n * n):
-            lhs = join[blk][:, meet]
-            rhs = meet[join[blk][:, :, None], cols]
-            hit = _first_true((lhs != rhs) & leq[blk][:, None, :])
-            if hit is not None:
-                x, y, z = hit
-                return x + blk.start, y, z
-        return None
-
-    def _is_m3(self, o, a, b, c, i):
-        mids = (a, b, c)
-        if len({o, a, b, c, i}) != 5:
-            return False
-        for u, v in itertools.combinations(mids, 2):
-            if self.meet[u, v] != o or self.join[u, v] != i:
-                return False
-        return all(self.leq[o, m] and self.leq[m, i] for m in mids)
-
-    def _is_n5(self, o, a, b, c, i):
-        if len({o, a, b, c, i}) != 5:
-            return False
-        if not (self.leq[o, a] and self.leq[a, b] and self.leq[b, i]):
-            return False
-        if self.leq[a, c] or self.leq[c, a] or self.leq[b, c] or self.leq[c, b]:
-            return False
-        return (self.meet[a, c] == o and self.meet[b, c] == o
-                and self.join[a, c] == i and self.join[b, c] == i)
+        return _triple(self._stack().law_scan(modular=True)[0])
 
     def forbidden_sublattice(self):
-        """An M3 or N5 sublattice certificate, or None.
-
-        Constructed from a failing law triple (the classical recipes), so it
-        exists iff the law scan fails; for very small lattices an exhaustive
-        5-subset sweep is run as well and must agree.
-        """
-        return self._forbidden(self.distributive_law_scan())
-
-    def _forbidden(self, tri):
-        """forbidden_sublattice given ``tri``, the distributive law scan's
-        result."""
-        witness = self._forbidden_constructive(tri)
-        if self.n <= _FIVE_SUBSET_CAP:
-            swept = self._forbidden_exhaustive()
-            if (witness is None) != (swept is None):
-                raise LatticeError("forbidden-sublattice routes disagree")
-        return witness
-
-    def _forbidden_constructive(self, tri):
-        meet, join = self.meet, self.join
-        mod = self.modular_law_scan()
-        if mod is not None:
-            x, y, z = mod
-            o = int(meet[y, z])
-            a = int(join[x, meet[y, z]])
-            b = int(meet[join[x, y], z])
-            i = int(join[x, y])
-            if not self._is_n5(o, a, b, y, i):
-                raise LatticeError("pentagon construction failed on a modular-law violation")
-            return {"kind": "N5", "nodes": [o, a, b, int(y), i]}
-        if tri is None:
-            return None
-        x, y, z = tri
-        o = join[join[meet[x, y], meet[y, z]], meet[z, x]]
-        i = meet[meet[join[x, y], join[y, z]], join[z, x]]
-        a = join[meet[x, i], o]
-        b = join[meet[y, i], o]
-        c = join[meet[z, i], o]
-        if not self._is_m3(int(o), int(a), int(b), int(c), int(i)):
-            raise LatticeError("diamond construction failed on a distributive-law violation")
-        return {"kind": "M3", "nodes": [int(o), int(a), int(b), int(c), int(i)]}
+        """An M3 or N5 sublattice certificate, or None: the one
+        :meth:`check_distributive` constructs from a failing law triple (the
+        classical recipes), so it exists iff the law scan fails; on at most
+        16 nodes an exhaustive 5-subset sweep has agreed with it."""
+        dist, witness = self.check_distributive()
+        return None if dist else {"kind": witness["kind"], "nodes": witness["nodes"]}
 
     def _forbidden_exhaustive(self):
-        """The first M3 or N5 sublattice by a sweep over every 5-subset, as
-        the first (subset in combinations order, permutation) that fits,
-        M3 before N5; independent of the law scans.  Nodes are sorted by
-        size, so x <= y only for x before y, and a 5-subset closed under
-        meet and join has its least member o first and its greatest i
-        last.  A permutation that fits puts o first and i last, so one
-        fits iff at most one pair of the three middle members is
-        comparable: none is the M3 (o, p, q, r, i) in node order, one,
-        a <= b, is the N5 (o, a, b, c, i).  The closure and middle tests
-        run over blocks of 5-subsets at once (n <= 16, the sweep cap); the
-        shape found is checked again node by node."""
-        meet, join, leq = self.meet.ravel(), self.join.ravel(), self.leq.ravel()
-        subsets, pairs, middle, member_bits = _five_subsets(self.n)
-        for lo in range(0, len(subsets), 1024):
-            blk = slice(lo, lo + 1024)
-            bits = member_bits[blk, None]
-            closed = ((bits >> meet[pairs[blk]]) & (bits >> join[pairs[blk]]) & 1).all(axis=1)
-            hit = _first_true(closed & (leq[middle[blk]].sum(axis=1) <= 1))
-            if hit is not None:
-                break
-        else:
-            return None
-        o, p, q, r, i = subsets[lo + hit[0]].tolist()
-        leq = self.leq
-        if leq[p, q]:
-            nodes = [o, p, q, r, i]
-        elif leq[p, r]:
-            nodes = [o, p, r, q, i]
-        elif leq[q, r]:
-            nodes = [o, q, r, p, i]
-        else:
-            nodes = [o, p, q, r, i]
-            if not self._is_m3(*nodes):
-                raise LatticeError("exhaustive sweep: closed 5-subset is not an M3")
-            return {"kind": "M3", "nodes": nodes}
-        if not self._is_n5(*nodes):
-            raise LatticeError("exhaustive sweep: closed 5-subset is not an N5")
-        return {"kind": "N5", "nodes": nodes}
+        """The first M3 or N5 sublattice by the 5-subset sweep (at most 16
+        nodes), or None; independent of the law scans."""
+        kind, nodes, code = self._stack().sweep()
+        if code[0]:
+            raise LatticeError(_ERRORS[code[0]])
+        return _sublattice(kind[0], nodes[0])
 
     def covering_pair_criterion(self):
         """Covering-pair route: for T != U, if T^U is covered by both, or
         both cover to TvU, then |[T^U, TvU]| must be 4.  Returns
-        (ok, witness), the witness at the first failing pair t < u.  The
-        interval sizes are counted for the flagged pairs only, in C order
-        and in blocks of about 2^16 entries, up to the first block with a
-        failing pair."""
-        meet, join, covers, leq = self.meet, self.join, self.covers, self.leq
-        # below[t, u]: t covers t^u; above[t, u]: tvu covers t (both tables
-        # are symmetric)
-        rows = np.arange(self.n)[:, None]
-        below, above = covers[meet, rows], covers[rows, join]
-        t, u = np.nonzero((below & below.T) | (above & above.T))
-        upper = t < u
-        t, u = t[upper], u[upper]
-        for blk in row_blocks(t.size, 4 * self.n):   # 2^16 / n pairs each
-            m, j = meet[t[blk], u[blk]], join[t[blk], u[blk]]
-            sizes = (leq[m] & leq[:, j].T).sum(axis=1)
-            k = int(np.argmax(sizes != 4))
-            if sizes[k] != 4:
-                return False, {"pair": [int(t[blk][k]), int(u[blk][k])],
-                               "interval": [int(m[k]), int(j[k])],
-                               "size": int(sizes[k])}
-        return True, None
+        (ok, witness), the witness at the first failing pair t < u."""
+        t, u, lo, hi, size = self._stack().criterion()[0].tolist()
+        if t < 0:
+            return True, None
+        return False, {"pair": [t, u], "interval": [lo, hi], "size": size}
 
     @memoised
     def check_distributive(self):
         """Distributivity by three independent routes; they must agree.
         Computed once: the tables never change after construction."""
-        tri = self.distributive_law_scan()
-        law_ok = tri is None
-        witness = self._forbidden(tri)
-        crit_ok, crit_wit = self.covering_pair_criterion()
-        if law_ok != (witness is None) or law_ok != crit_ok:
-            raise LatticeError(
-                f"distributivity routes disagree: law={law_ok} "
-                f"sublattice={'none' if witness is None else witness['kind']} "
-                f"criterion={crit_ok}")
-        if law_ok:
-            return True, None
-        witness = dict(witness)
-        witness["law_triple"] = list(tri)
-        if not crit_ok:
-            witness["covering_pair"] = crit_wit
-        return False, witness
+        tri = self.modular_law_scan()
+        found = _decide(self._stack(), np.array([tri or (-1, -1, -1)], dtype=np.intp))
+        found.check(0)
+        return bool(found.distributive[0]), found.witness(0)
 
     def check_modular(self):
         tri = self.modular_law_scan()
@@ -522,12 +402,13 @@ class ExtensionLattice:
                               & (self.join[t] == self.n - 1)).tolist()
 
     def check_boolean(self):
+        """(Boolean, B2): distributive with every node complemented, and 4
+        nodes of length 2; a B2 that is not Boolean raises."""
         dist, _ = self.check_distributive()
-        boolean = bool(dist) and bool(
-            ((self.meet == 0) & (self.join == self.n - 1)).any(axis=1).all())
-        is_b2 = self.n == 4 and self.length == 2
+        stack = self._stack()
+        boolean, is_b2 = dist and bool(stack.complemented()[0]), bool(stack.is_b2()[0])
         if is_b2 and not boolean:
-            raise LatticeError("4-node length-2 lattice must be Boolean")
+            raise LatticeError(_ERRORS[_BOOLEAN])
         return boolean, is_b2
 
     def loewy_series(self):
@@ -600,3 +481,385 @@ class ExtensionLattice:
             boolean_lattice=bool(boolean), catenarian=bool(cat),
             chained=bool(chained), length=self.length, is_b2=bool(is_b2),
             witness=witness)
+
+
+# ----------------------------------------------------------------------
+# the interval kernel: the three distributivity routes over stacks of
+# intervals
+
+# the guards of the kernel, in the order they run; an interval reports the
+# first one it fails
+_CLOSURE, _PENTAGON, _DIAMOND, _SWEEP_M3, _SWEEP_N5, _SWEEP, _ROUTES, _BOOLEAN = range(1, 9)
+_ERRORS = {
+    _CLOSURE: "interval is not closed under meet and join",
+    _PENTAGON: "pentagon construction failed on a modular-law violation",
+    _DIAMOND: "diamond construction failed on a distributive-law violation",
+    _SWEEP_M3: "exhaustive sweep: closed 5-subset is not an M3",
+    _SWEEP_N5: "exhaustive sweep: closed 5-subset is not an N5",
+    _SWEEP: "forbidden-sublattice routes disagree",
+    _ROUTES: "distributivity routes disagree: law={} sublattice={} criterion={}",
+    _BOOLEAN: "4-node length-2 lattice must be Boolean",
+}
+_KINDS = ("none", "M3", "N5")
+
+
+def _triple(row):
+    return None if row[0] < 0 else tuple(row.tolist())
+
+
+def _sublattice(kind, nodes):
+    return None if not kind else {"kind": _KINDS[kind], "nodes": nodes.tolist()}
+
+
+def _fail(code, where, guard):
+    """Record ``guard`` for the intervals of ``where`` that passed so far."""
+    code[where & (code == 0)] = guard
+
+
+def _distinct(*nodes):
+    ranked = np.sort(np.stack(nodes), axis=0)
+    return (ranked[1:] != ranked[:-1]).all(axis=0)
+
+
+class _Stack:
+    """K intervals of m nodes each, as local tables of shape (K, m, m) with
+    the nodes in sort order (0 the bottom, m - 1 the top): the input of the
+    distributivity routes, which run as array tests over the whole stack.
+    A lattice is a stack of one."""
+
+    def __init__(self, meet, join, leq, covers):
+        self.meet, self.join, self.leq, self.covers = meet, join, leq, covers
+        self.k, self.m = meet.shape[:2]
+
+    def law_scan(self, modular):
+        """The first failing triple (x, y, z) of each interval in (x, y, z)
+        order, a row of -1 where none: of the distributive law
+        x ^ (y v z) = (x ^ y) v (x ^ z), or with ``modular`` of the modular
+        law x v (y ^ z) = (x v y) ^ z for x <= z.  Blocks of about 2^18
+        triples bound the memory: whole intervals while one fits, else
+        blocks of rows of one interval up to its first failing block."""
+        m, cols = self.m, np.arange(self.m)
+        out = np.full((self.k, 3), -1, dtype=np.intp)
+        for kb in row_blocks(self.k, m ** 3):
+            meet, join = self.meet[kb], self.join[kb]
+            k = np.arange(len(meet))[:, None, None, None]
+            for rows in row_blocks(m, m * m):
+                x = cols[rows, None, None]
+                if modular:
+                    jx = join[:, rows, :, None]
+                    bad = (join[k, x, meet[:, None]] != meet[k, jx, cols]) \
+                        & self.leq[kb][:, rows, None, :]
+                else:
+                    mx = meet[:, rows]
+                    bad = meet[k, x, join[:, None]] != join[k, mx[..., None], mx[:, :, None, :]]
+                flat = bad.reshape(len(bad), -1)
+                hit = np.flatnonzero(flat.any(axis=1))
+                if hit.size:
+                    at = np.unravel_index(flat[hit].argmax(axis=1), bad.shape[1:])
+                    out[kb.start + hit] = np.stack(at, axis=1) + (rows.start, 0, 0)
+                    if len(bad) == 1:
+                        break
+        return out
+
+    def _is_m3(self, k, o, a, b, c, i):
+        """Whether (o, a, b, c, i) of interval k is an M3: each pair of
+        middle nodes meets in o and joins to i."""
+        u, v, mids = np.array([a, a, b]), np.array([b, c, c]), np.array([a, b, c])
+        return (_distinct(o, a, b, c, i) & (self.meet[k, u, v] == o).all(axis=0)
+                & (self.join[k, u, v] == i).all(axis=0)
+                & self.leq[k, o, mids].all(axis=0) & self.leq[k, mids, i].all(axis=0))
+
+    def _is_n5(self, k, o, a, b, c, i):
+        """Whether (o, a, b, c, i) of interval k is an N5: o < a < b < i
+        and c apart from a and b, meeting them in o and joining them to i."""
+        leq, ab = self.leq, np.array([a, b])
+        return (_distinct(o, a, b, c, i)
+                & leq[k, np.array([o, a, b]), np.array([a, b, i])].all(axis=0)
+                & ~leq[k, np.array([a, c, b, c]), np.array([c, a, c, b])].any(axis=0)
+                & (self.meet[k, ab, c] == o).all(axis=0) & (self.join[k, ab, c] == i).all(axis=0))
+
+    def constructive(self, mod, law):
+        """The forbidden sublattice of each interval built from its first
+        failing law triples (the classical recipes): an N5 from the modular
+        triple ``mod``, else an M3 from the distributive triple ``law``.
+        Returns (kind, nodes, code): kind 2 for N5, 1 for M3, 0 for none,
+        the nodes as (o, a, b, c, i), and the guard of a construction that
+        fails its node-by-node test."""
+        meet, join = self.meet, self.join
+        kind = np.zeros(self.k, dtype=np.int8)
+        nodes = np.full((self.k, 5), -1, dtype=np.intp)
+        code = np.zeros(self.k, dtype=np.int8)
+        has_mod, has_law = mod[:, 0] >= 0, law[:, 0] >= 0
+        if not (has_mod | has_law).any():
+            return kind, nodes, code
+        k = np.flatnonzero(has_mod)
+        if k.size:
+            x, y, z = mod[k].T
+            o, i = meet[k, y, z], join[k, x, y]
+            a, b = join[k, x, o], meet[k, i, z]
+            kind[k], nodes[k] = 2, np.stack([o, a, b, y, i], axis=1)
+            code[k[~self._is_n5(k, o, a, b, y, i)]] = _PENTAGON
+        k = np.flatnonzero(~has_mod & has_law)
+        if k.size:
+            x, y, z = law[k].T
+            o = join[k, join[k, meet[k, x, y], meet[k, y, z]], meet[k, z, x]]
+            i = meet[k, meet[k, join[k, x, y], join[k, y, z]], join[k, z, x]]
+            a, b, c = (join[k, meet[k, t, i], o] for t in (x, y, z))
+            kind[k], nodes[k] = 1, np.stack([o, a, b, c, i], axis=1)
+            code[k[~self._is_m3(k, o, a, b, c, i)]] = _DIAMOND
+        return kind, nodes, code
+
+    def sweep(self):
+        """The first M3 or N5 sublattice of each interval by a sweep over
+        every 5-subset (at most 16 nodes), as the first (subset in
+        combinations order, permutation) that fits, M3 before N5;
+        independent of the law scans.  Nodes are sorted by size, so x <= y
+        only for x before y, and a 5-subset closed under meet and join has
+        its least member o first and its greatest i last.  A permutation
+        that fits puts o first and i last, so one fits iff at most one pair
+        of the three middle members is comparable: none is the M3
+        (o, p, q, r, i) in node order, one, a <= b, is the N5
+        (o, a, b, c, i).  The closure and middle tests run over blocks of
+        intervals and of 5-subsets at once; the shape found is checked again
+        node by node.  Returns (kind, nodes, code) as :meth:`constructive`."""
+        kind = np.zeros(self.k, dtype=np.int8)
+        nodes = np.full((self.k, 5), -1, dtype=np.intp)
+        code = np.zeros(self.k, dtype=np.int8)
+        if self.m < 5:
+            return kind, nodes, code
+        subsets, pairs, middle, member_bits = _five_subsets(self.m)
+        meet, join, leq = (t.reshape(self.k, -1) for t in (self.meet, self.join, self.leq))
+        first = np.full(self.k, -1, dtype=np.intp)
+        for kb in row_blocks(self.k, 10 * min(len(subsets), 1024)):
+            found = first[kb]
+            for lo in range(0, len(subsets), 1024):
+                blk = slice(lo, lo + 1024)
+                bits = member_bits[blk, None]
+                closed = ((bits >> meet[kb][:, pairs[blk]]) & (bits >> join[kb][:, pairs[blk]])
+                          & 1).all(axis=2)
+                hit = closed & (leq[kb][:, middle[blk]].sum(axis=2) <= 1)
+                at = hit.argmax(axis=1)
+                new = hit[np.arange(len(hit)), at] & (found < 0)
+                found[new] = lo + at[new]
+                if (found >= 0).all():
+                    break
+        k = np.flatnonzero(first >= 0)
+        if k.size:
+            o, p, q, r, i = subsets[first[k]].T.astype(np.intp)
+            pq, pr, qr = self.leq[k, np.array([p, p, q]), np.array([q, r, r])]
+            # the comparable middle pair, if any, is (a, b); c is the third
+            a = np.where(qr & ~pq & ~pr, q, p)
+            b = np.where(pq, q, np.where(pr | qr, r, q))
+            c = np.where(pq, r, np.where(pr, q, np.where(qr, p, r)))
+            n5 = pq | pr | qr
+            kind[k], nodes[k] = np.where(n5, 2, 1), np.stack([o, a, b, c, i], axis=1)
+            for shape, test, guard in ((n5, self._is_n5, _SWEEP_N5), (~n5, self._is_m3, _SWEEP_M3)):
+                if shape.any():
+                    at = k[shape]
+                    code[at[~test(at, *(x[shape] for x in (o, a, b, c, i)))]] = guard
+        return kind, nodes, code
+
+    def criterion(self):
+        """Covering-pair route: for t < u, if t ^ u is covered by both, or
+        both are covered by t v u, then [t ^ u, t v u] must have 4 nodes.
+        The first failing pair of each interval in C order, as
+        (t, u, t ^ u, t v u, size), a row of -1 where none.  The interval
+        sizes are counted for the flagged pairs only, in blocks of about
+        2^16 entries, up to the block where every interval has failed."""
+        m, covers = self.m, self.covers
+        rows = np.arange(m)[:, None]
+        k = np.arange(self.k)[:, None, None]
+        # below[k, t, u]: t covers t^u; above[k, t, u]: tvu covers t (both
+        # are symmetric in t, u)
+        below, above = covers[k, self.meet, rows], covers[k, rows, self.join]
+        swap = (0, 2, 1)
+        flagged = (below & below.transpose(swap)) | (above & above.transpose(swap))
+        k, t, u = np.nonzero(flagged & (rows < np.arange(m)))
+        out = np.full((self.k, 5), -1, dtype=np.intp)
+        cols = np.arange(m)
+        for blk in row_blocks(t.size, 4 * m):          # 2^16 / m pairs each
+            kk, tt, uu = k[blk], t[blk], u[blk]
+            lo, hi = self.meet[kk, tt, uu], self.join[kk, tt, uu]
+            inside = self.leq[kk[:, None], lo[:, None], cols] \
+                & self.leq[kk[:, None], cols, hi[:, None]]
+            size = inside.sum(axis=1)
+            bad = np.flatnonzero(size != 4)
+            if bad.size:
+                # the first failing pair of each interval in this block
+                first = bad[np.r_[True, kk[bad][1:] != kk[bad][:-1]]]
+                first = first[out[kk[first], 0] < 0]
+                out[kk[first]] = np.stack([tt[first], uu[first], lo[first], hi[first],
+                                           size[first]], axis=1)
+                if (out[:, 0] >= 0).all():
+                    break
+        return out
+
+    def complemented(self):
+        """Whether every node of each interval has a complement."""
+        return ((self.meet == 0) & (self.join == self.m - 1)).any(axis=2).all(axis=1)
+
+    def is_b2(self):
+        """Whether each interval has 4 nodes and length 2: with 4 nodes it
+        is a chain unless its two middle nodes are incomparable."""
+        if self.m != 4:
+            return np.zeros(self.k, dtype=bool)
+        return ~self.leq[:, 1, 2]
+
+
+@dataclass
+class IntervalVerdicts:
+    """The verdicts of a stack of intervals, one row per interval.
+
+    ``distributive`` is the law scan's verdict, and ``law`` its first
+    failing triple; ``kind`` and ``nodes`` the constructed forbidden
+    sublattice (kind 1 for M3, 2 for N5, 0 for none); ``pair`` the
+    criterion's first failing pair as (t, u, t ^ u, t v u, size); rows of -1
+    where a route found nothing.  ``boolean`` (distributive and
+    complemented) and ``is_b2`` are filled when asked for.  ``code`` holds
+    the first guard each interval failed, 0 if none; :meth:`error` gives it
+    as the :class:`LatticeError` the slice's own routes raise."""
+    distributive: np.ndarray
+    law: np.ndarray
+    kind: np.ndarray
+    nodes: np.ndarray
+    pair: np.ndarray
+    code: np.ndarray
+    boolean: np.ndarray | None = None
+    is_b2: np.ndarray | None = None
+
+    def error(self, k):
+        """The LatticeError of interval k's failed guard, or None."""
+        code = int(self.code[k])
+        if code == _ROUTES:
+            return LatticeError(_ERRORS[code].format(
+                bool(self.distributive[k]), _KINDS[self.kind[k]], bool(self.pair[k, 0] < 0)))
+        return LatticeError(_ERRORS[code]) if code else None
+
+    def unclosed(self, k):
+        """Whether interval k is not closed under meet and join."""
+        return self.code[k] == _CLOSURE
+
+    def check(self, k):
+        """Raise interval k's failed guard, if any."""
+        exc = self.error(k)
+        if exc is not None:
+            raise exc
+
+    def witness(self, k):
+        """check_distributive's witness for interval k: the forbidden
+        sublattice, the law triple and the failing covering pair."""
+        if self.distributive[k]:
+            return None
+        witness = _sublattice(self.kind[k], self.nodes[k])
+        witness["law_triple"] = self.law[k].tolist()
+        t, u, lo, hi, size = self.pair[k].tolist()
+        if t >= 0:
+            witness["covering_pair"] = {"pair": [t, u], "interval": [lo, hi], "size": size}
+        return witness
+
+
+def _decide(stack, mod=None, boolean=False):
+    """The three routes and their guards on one stack; ``mod`` is its
+    modular scan when already known."""
+    law = stack.law_scan(modular=False)
+    if mod is None:
+        mod = stack.law_scan(modular=True)
+    kind, nodes, code = stack.constructive(mod, law)
+    if stack.m <= _FIVE_SUBSET_CAP:
+        swept, _, swept_code = stack.sweep()
+        code = np.where(code == 0, swept_code, code)
+        _fail(code, (kind > 0) != (swept > 0), _SWEEP)
+    pair = stack.criterion()
+    law_ok = law[:, 0] < 0
+    _fail(code, (law_ok != (kind == 0)) | (law_ok != (pair[:, 0] < 0)), _ROUTES)
+    found = IntervalVerdicts(law_ok, law, kind, nodes, pair, code)
+    if boolean:
+        found.boolean = law_ok & stack.complemented()
+        found.is_b2 = stack.is_b2()
+        _fail(code, found.is_b2 & ~found.boolean, _BOOLEAN)
+    return found
+
+
+def _members(L, a, b):
+    """The nodes of each interval [a_k, b_k] of L, ascending, as one flat
+    array, and the node count of each: the set bits of a's up-set row AND
+    b's down-set row, unpacked only in their nonzero words."""
+    up, down = _bit_rows(L.leq), _bit_rows(L.leq.T)
+    nodes, counts = [], []
+    for blk in row_blocks(a.size, up.shape[1]):
+        words = up[a[blk]] & down[b[blk]]
+        k, w = np.nonzero(words)
+        bits = np.unpackbits(words[k, w].view(np.uint8).reshape(-1, 8), axis=1,
+                             bitorder="little")
+        row, bit = np.nonzero(bits)
+        nodes.append(64 * w[row] + bit)
+        counts.append(np.bincount(k[row], minlength=len(words)))
+    return np.concatenate(nodes), np.concatenate(counts)
+
+
+def _gather(L, a, b):
+    """The intervals [a_k, b_k] of L grouped by node count m: for each m,
+    (m, the positions k, the local meet, join, leq and covers of shape
+    (K, m, m), and which of them are not closed under meet and join).
+    The tables are L's restricted to each interval and renumbered, as in
+    :meth:`ExtensionLattice.interval`; an entry outside its interval is
+    read as the bottom, so the routes still run, and the interval's
+    closure guard fails."""
+    if not L.leq[a, b].all():
+        raise LatticeError("interval endpoints are not comparable")
+    members, counts = _members(L, a, b)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(counts, kind="stable")
+    for ks in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        m = int(counts[ks[0]])
+        sel = members[starts[ks, None] + np.arange(m)]
+        block = sel[:, :, None], sel[:, None, :]
+        # an entry's local index is its rank among its interval's members:
+        # keys number every member of every interval, ascending
+        offset = np.arange(ks.size) * L.n
+        keys = (offset[:, None] + sel).ravel()
+        want = np.stack([L.meet[block], L.join[block]]) + offset[:, None, None]
+        at = np.searchsorted(keys, want)
+        inside = keys[np.minimum(at, keys.size - 1)] == want
+        local = np.where(inside, at - (np.arange(ks.size) * m)[:, None, None], 0)
+        meet, join = local.astype(np.int32)
+        yield m, ks, (meet, join, L.leq[block], L.covers[block]), \
+            ~inside.all(axis=(0, 2, 3))
+
+
+def decide_intervals(requests, boolean=False):
+    """Decide the intervals [a_k, b_k] of each (lattice, a, b) of
+    ``requests`` by the three distributivity routes of
+    :meth:`ExtensionLattice.check_distributive`, with their guards; with
+    ``boolean`` also the complement test and the B2 guard of
+    :meth:`ExtensionLattice.check_boolean`.
+
+    The intervals of every request are grouped by node count, their local
+    tables gathered from their lattice in one step, and each group, across
+    requests, is one stack for the routes.  Returns one
+    :class:`IntervalVerdicts` over all intervals in request order; each row
+    equals what the interval's own slice gives, and a failed guard is
+    recorded in its row, not raised."""
+    parts, total = {}, 0
+    for L, a, b in requests:
+        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+        if a.size:
+            for m, ks, tables, open_ in _gather(L, a, b):
+                parts.setdefault(m, []).append((total + ks, tables, open_))
+        total += a.size
+    found = []
+    for group in parts.values():
+        pos, tables, open_ = zip(*group)
+        tables = [np.concatenate(t) for t in zip(*tables)]
+        verdicts = _decide(_Stack(*tables), boolean=boolean)
+        verdicts.code[np.concatenate(open_)] = _CLOSURE
+        found.append((np.concatenate(pos), verdicts))
+    out = {}
+    for field in fields(IntervalVerdicts):
+        rows = [(pos, getattr(v, field.name)) for pos, v in found]
+        if rows and rows[0][1] is not None:
+            value = np.empty((total,) + rows[0][1].shape[1:], dtype=rows[0][1].dtype)
+            for pos, r in rows:
+                value[pos] = r
+            out[field.name] = value
+    return IntervalVerdicts(**out)

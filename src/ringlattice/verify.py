@@ -27,7 +27,7 @@ from . import catalog as cat
 from . import dsl
 from . import extension as ex
 from . import finring as fr
-from .lattice import ExtensionLattice, LatticeError, SUBINTERVAL_SAMPLE_SEED
+from .lattice import ExtensionLattice, LatticeError, SUBINTERVAL_SAMPLE_SEED, decide_intervals
 
 
 @dataclass
@@ -349,24 +349,44 @@ def random_interval_agreement(extensions, count=1000, seed=SUBINTERVAL_SAMPLE_SE
     """Draw random sub-intervals across the given extensions and confirm the
     three distributivity routes agree on each; returns (count_checked,
     first_disagreement_or_None).  Without an extension of two or more nodes
-    nothing is drawn and the count is 0."""
+    nothing is drawn and the count is 0.
+
+    All ``count`` draws are made first (the random sequence does not depend
+    on the verdicts), and the distinct intervals are decided together by
+    :func:`~ringlattice.lattice.decide_intervals`, stacked by node count
+    across the extensions.  The draws are then read in order: the first
+    whose routes disagree is the disagreement, with the count before it,
+    and an interval that is not closed under meet and join raises, as its
+    slice would."""
     rng = random.Random(seed)
     pool = [a for a in extensions if len(a.lattice().nodes) >= 2]
-    done = 0
-    while pool and done < count:
+    draws, distinct, ups = [], {}, {}
+    while pool and len(draws) < count:
         a = rng.choice(pool)
         L = a.lattice()
         i = rng.randrange(len(L.nodes))
-        ups = np.flatnonzero(L.leq[i]).tolist()
-        j = rng.choice(ups)
-        sub = L.interval(i, j)
-        try:
-            dist, _ = sub.check_distributive()
-        except LatticeError as exc:
-            return done, {"instance": a.name, "interval": [i, j],
-                          "error": str(exc)}
-        done += 1
-    return done, None
+        if (a, i) not in ups:
+            ups[a, i] = np.flatnonzero(L.leq[i]).tolist()
+        j = rng.choice(ups[a, i])
+        draws.append(distinct.setdefault((a, i, j), len(distinct)))
+    if not draws:
+        return 0, None
+    by_lattice = {}
+    for a, i, j in distinct:
+        by_lattice.setdefault(a, []).append((i, j))
+    found = decide_intervals([(a.lattice(), *zip(*pairs)) for a, pairs in by_lattice.items()])
+    # the row of each distinct interval in the kernel's request order
+    row = dict(zip(((a, i, j) for a, pairs in by_lattice.items() for i, j in pairs),
+                   range(len(distinct))))
+    keys = list(distinct)
+    for done, d in enumerate(draws):
+        a, i, j = keys[d]
+        exc = found.error(row[a, i, j])
+        if exc is not None:
+            if found.unclosed(row[a, i, j]):
+                raise exc
+            return done, {"instance": a.name, "interval": [i, j], "error": str(exc)}
+    return len(draws), None
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,11 @@ earlier pair loop behind the delta flag; they are the references for the
 grouped cover conductors, the nilradical route and the size test.
 ``pairwise_b2_structure_cases`` is the earlier b2 check, one
 sub-extension, support profile and decomposition per length-2 pair, the
-reference for the pass per lower node.
+reference for the pass per lower node.  ``slice_routes`` is the earlier
+per-slice ``check_distributive``/``check_boolean`` (each route on its
+own, with ``loop_is_m3``/``loop_is_n5`` as the node-by-node shape tests)
+and ``slice_interval_agreement`` the earlier per-draw interval sample;
+they are the references for the stacked interval kernel.
 ``bitset_lattice_tables`` is the earlier table build (int bitsets and a
 loop over the node pairs), the reference for the array build from the
 membership product.
@@ -616,11 +620,34 @@ def loop_forbidden_exhaustive(L):
             continue
         for perm in itertools.permutations(sub):
             o, a, b, c, i = perm
-            if L._is_m3(o, a, b, c, i):
+            if loop_is_m3(L, o, a, b, c, i):
                 return {"kind": "M3", "nodes": [o, a, b, c, i]}
-            if L._is_n5(o, a, b, c, i):
+            if loop_is_n5(L, o, a, b, c, i):
                 return {"kind": "N5", "nodes": [o, a, b, c, i]}
     return None
+
+
+def loop_is_m3(L, o, a, b, c, i):
+    """Whether (o, a, b, c, i) is an M3 of L, one table lookup at a time."""
+    mids = (a, b, c)
+    if len({o, a, b, c, i}) != 5:
+        return False
+    for u, v in itertools.combinations(mids, 2):
+        if L.meet[u, v] != o or L.join[u, v] != i:
+            return False
+    return all(L.leq[o, m] and L.leq[m, i] for m in mids)
+
+
+def loop_is_n5(L, o, a, b, c, i):
+    """Whether (o, a, b, c, i) is an N5 of L with o < a < b < i."""
+    if len({o, a, b, c, i}) != 5:
+        return False
+    if not (L.leq[o, a] and L.leq[a, b] and L.leq[b, i]):
+        return False
+    if L.leq[a, c] or L.leq[c, a] or L.leq[b, c] or L.leq[c, b]:
+        return False
+    return (L.meet[a, c] == o and L.meet[b, c] == o
+            and L.join[a, c] == i and L.join[b, c] == i)
 
 
 def loop_length2_rule(L):
@@ -805,3 +832,69 @@ def pairwise_b2_structure_cases(a):
             return CheckResult("", "", "fail", witness={
                 "interval": [v, w], "b2": lhs, "cases": rhs})
     return CheckResult("", "", "pass")
+
+
+def slice_routes(L):
+    """The earlier ExtensionLattice.check_distributive and check_boolean of
+    one lattice, each route on its own: the listing law scans, the
+    constructive witness, the loop 5-subset sweep (at most 16 nodes) and
+    the loop covering-pair criterion, with their agreement guards; returns
+    (distributive, witness, boolean, is_b2).  The reference for the
+    stacked interval kernel."""
+    meet, join = L.meet, L.join
+    tri, mod = list_distributive_law_scan(L), list_modular_law_scan(L)
+    witness = None
+    if mod is not None:
+        x, y, z = mod
+        o, i = int(meet[y, z]), int(join[x, y])
+        nodes = [o, int(join[x, o]), int(meet[i, z]), int(y), i]
+        if not loop_is_n5(L, *nodes):
+            raise LatticeError("pentagon construction failed on a modular-law violation")
+        witness = {"kind": "N5", "nodes": nodes}
+    elif tri is not None:
+        x, y, z = tri
+        o = join[join[meet[x, y], meet[y, z]], meet[z, x]]
+        i = meet[meet[join[x, y], join[y, z]], join[z, x]]
+        nodes = [int(v) for v in (o, join[meet[x, i], o], join[meet[y, i], o],
+                                  join[meet[z, i], o], i)]
+        if not loop_is_m3(L, *nodes):
+            raise LatticeError("diamond construction failed on a distributive-law violation")
+        witness = {"kind": "M3", "nodes": nodes}
+    if L.n <= 16 and (witness is None) != (loop_forbidden_exhaustive(L) is None):
+        raise LatticeError("forbidden-sublattice routes disagree")
+    crit_ok, crit_wit = loop_covering_pair_criterion(L)
+    law_ok = tri is None
+    if law_ok != (witness is None) or law_ok != crit_ok:
+        raise LatticeError(
+            f"distributivity routes disagree: law={law_ok} "
+            f"sublattice={'none' if witness is None else witness['kind']} "
+            f"criterion={crit_ok}")
+    if not law_ok:
+        witness["law_triple"] = list(tri)
+        witness["covering_pair"] = crit_wit
+    boolean = law_ok and all(loop_complements(L, t) for t in range(L.n))
+    is_b2 = L.n == 4 and L.length == 2
+    if is_b2 and not boolean:
+        raise LatticeError("4-node length-2 lattice must be Boolean")
+    return law_ok, witness, boolean, is_b2
+
+
+def slice_interval_agreement(extensions, count, seed):
+    """The earlier verify.random_interval_agreement: each draw slices its
+    interval and runs check_distributive on the slice, in draw order."""
+    import random
+    rng = random.Random(seed)
+    pool = [a for a in extensions if len(a.lattice().nodes) >= 2]
+    done = 0
+    while pool and done < count:
+        a = rng.choice(pool)
+        L = a.lattice()
+        i = rng.randrange(len(L.nodes))
+        j = rng.choice(np.flatnonzero(L.leq[i]).tolist())
+        sub = L.interval(i, j)
+        try:
+            sub.check_distributive()
+        except LatticeError as exc:
+            return done, {"instance": a.name, "interval": [i, j], "error": str(exc)}
+        done += 1
+    return done, None

@@ -202,9 +202,20 @@ def test_quotient_by_zero_builds_no_ring(monkeypatch, name):
     assert "fail" not in status.values() and 1 not in sizes
 
 
+def _length2_objects(a):
+    """The length-2 pairs (v, w) of a's lattice that left a sub-extension
+    in a's memo or an ("interval", v, w) slice in its lattice's memo."""
+    L = a.lattice()
+    pairs = {(v, w) for v in range(L.n) for w in np.flatnonzero(L.levels_from(v) == 2).tolist()}
+    subs = {(L.index[key[1]], L.index[key[2]]) for key in a._cache
+            if isinstance(key, tuple) and key[0] == "sub"}
+    slices = {key[1:] for key in L._cache if isinstance(key, tuple) and key[0] == "interval"}
+    return (subs | slices) & pairs
+
+
 def test_b2_cases_on_v4_prove_and_build_nothing(monkeypatch):
-    # the sub-extensions come from two nodes and their lattices are sliced
-    # out of the parent's tables
+    # the lhs comes from the interval kernel and R+ from the pair facts, so
+    # no length-2 pair builds a lattice, a slice or a sub-extension
     from ringlattice.lattice import ExtensionLattice
     S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
     a = ex.Extension(S, ex.prime_subring(S), name="V4")
@@ -223,7 +234,16 @@ def test_b2_cases_on_v4_prove_and_build_nothing(monkeypatch):
     counting(ExtensionLattice, "__init__")
     assert verify.run_check("b2_structure_cases", a).status == "pass"
     assert counts == {"is_subring": 0, "__init__": 0}
-    assert any(key[0] == "sub" for key in a._cache)
+    assert _length2_objects(a) == set()
+
+
+def test_no_length2_pair_leaves_an_object_on_pi5():
+    # after all 61 checks, b2_structure_cases included
+    S = fr.product_ring([fr.gf(2)] * 5)
+    a = ex.Extension(S, ex.prime_subring(S), name="Pi5")
+    for name in sorted(verify.CHECKS):
+        assert verify.run_check(name, a).status != "fail", name
+    assert _length2_objects(a) == set()
 
 
 def test_no_memo_key_is_computed_twice(monkeypatch):

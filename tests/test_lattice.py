@@ -9,7 +9,7 @@ from ringlattice import dsl
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice import verify
-from ringlattice.lattice import ExtensionLattice, LatticeError
+from ringlattice.lattice import ExtensionLattice, LatticeError, decide_intervals
 
 from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      bitset_lattice_tables, chain_label_sets_by_enumeration,
@@ -20,7 +20,7 @@ from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      loop_complements, loop_covering_pair_criterion,
                      loop_forbidden_exhaustive, loop_length2_rule,
                      loop_levels_from, memo_without, record_computes,
-                     small_ring)
+                     slice_interval_agreement, slice_routes, small_ring)
 
 
 @pytest.fixture(scope="module")
@@ -829,3 +829,94 @@ def test_slices_take_their_levels_from_the_parent(big_lattices):
             sub = L.interval(a, b)
             assert ("levels_from", 0) in sub._cache
             assert np.array_equal(sub.levels_from(0), loop_levels_from(sub, 0))
+
+
+def _assert_kernel_matches_the_slices(L):
+    """Every comparable pair of L through one decide_intervals call against
+    the earlier per-slice routes; returns the verdicts seen."""
+    i, j = np.nonzero(L.leq)
+    found = decide_intervals([(L, i, j)], boolean=True)
+    seen = set()
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        sub = L.interval(a, b)
+        dist, witness, boolean, is_b2 = slice_routes(sub)
+        assert found.error(k) is None
+        assert (found.distributive[k], found.boolean[k], found.is_b2[k]) == \
+            (dist, boolean, is_b2), (a, b)
+        assert found.witness(k) == witness
+        assert sub.check_distributive() == (dist, witness)
+        assert sub.check_boolean() == (boolean, is_b2)
+        seen.add((dist, boolean, is_b2))
+    return seen
+
+
+def test_interval_kernel_matches_the_slices(reference_extensions):
+    # every catalog instance, Pi5, V4 and Pi6
+    seen = set()
+    for E in reference_extensions:
+        seen |= _assert_kernel_matches_the_slices(E.lattice())
+    assert seen == {(True, True, True), (True, True, False), (True, False, False),
+                    (False, False, False)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_interval_kernel_matches_the_slices_on_small_rings(name, seed):
+    R = small_ring(name)
+    _assert_kernel_matches_the_slices(ex.Extension(R, R.subring_closure(seed)).lattice())
+
+
+def _tampered_v4(where):
+    """V4 = F2 + F2^4 over F2 with a lattice built afresh and one table
+    entry changed by ``where(L)``, which returns the top t of the interval
+    [0, t] the change is in; returns the extension, the lattice and t."""
+    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
+    E = ex.Extension(S, ex.prime_subring(S), name="V4")
+    L = constructor_interval(E.lattice(), 0, E.lattice().top)
+    top = where(L)
+    E._cache["lattice"] = L
+    return E, L, top
+
+
+def _escape(L):
+    # the join of two atoms a, b set to a third atom c leaves [0, a v b]
+    a, b, c = L.atoms()[:3]
+    top = int(L.join[a, b])
+    L.join[a, b] = L.join[b, a] = c
+    return top
+
+
+def _diamond(L):
+    # inside the 5-node interval [0, a v b], the meet of two atoms set to
+    # one of them: the interval stays closed, and its routes part
+    a, b = L.atoms()[:2]
+    L.meet[a, b] = L.meet[b, a] = a
+    return int(L.join[a, b])
+
+
+@pytest.mark.parametrize("where", [_escape, _diamond])
+def test_a_tampered_interval_raises_as_its_slice(where):
+    _, L, top = _tampered_v4(where)
+    i, j = np.nonzero(L.leq)
+    found = decide_intervals([(L, i, j)], boolean=True)
+    k = int(np.flatnonzero((i == 0) & (j == top))[0])
+    with pytest.raises(LatticeError) as want:
+        slice_routes(L.interval(0, top))
+    assert str(found.error(k)) == str(want.value)
+    with pytest.raises(LatticeError) as got:
+        found.check(k)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("where", [_escape, _diamond])
+def test_interval_sample_reports_as_the_slices(where):
+    got_E, want_E = _tampered_v4(where)[0], _tampered_v4(where)[0]
+    try:
+        want = slice_interval_agreement([want_E], 1000, 0)
+    except LatticeError as exc:
+        with pytest.raises(LatticeError) as got:
+            verify.random_interval_agreement([got_E], count=1000, seed=0)
+        assert str(got.value) == str(exc)
+        return
+    assert verify.random_interval_agreement([got_E], count=1000, seed=0) == want
+    assert want[1] is not None
