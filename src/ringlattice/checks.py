@@ -518,13 +518,11 @@ def two_atom_composite_profile(a):
     cond = {t: ex.conductor_pair(S, base, L.nodes[t]) for t in atoms}
     over = {t: [Q for Q in fr.maximal_ideals(S, L.nodes[t])
                 if Q & base == cond[t]] for t in atoms}
-    lev = L.levels_from(0)
+    lev, skipped = L.levels_from(0), L.level_skips().any(axis=0)
 
     def catenarian(j):
-        # [0, j] read off the parent: a longest path from the bottom to a
-        # node of [0, j] stays inside it, so its levels are the parent's
-        sel = np.flatnonzero(L.leq[:, j])
-        return not (L.covers[np.ix_(sel, sel)] & (lev[sel] != lev[sel, None] + 1)).any()
+        # [0, j] is catenarian iff no level-skipping cover ends inside it
+        return not (skipped & L.leq[:, j]).any()
 
     for t, u in itertools.combinations(atoms, 2):
         j = int(L.join[t, u])

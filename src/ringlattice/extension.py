@@ -240,7 +240,7 @@ def enumerate_interval(E: Extension, node_limit=DEFAULT_NODE_LIMIT) -> Extension
         raise TheoremViolation("join closure failed to reach the top ring")
     # the facts hold every incomparable (node, monogenic subring) join, and
     # every join-irreducible node is monogenic
-    return ExtensionLattice(nodes, joins, ambient=S)
+    return ExtensionLattice(nodes, joins)
 
 
 def idempotent_style_generator(E: Extension) -> int | None:

@@ -757,24 +757,6 @@ def zmod(n, size_cap=DEFAULT_SIZE_CAP):
         varmap={}, monomials=[()], size_cap=size_cap)
 
 
-def _poly_mul_mod(a, b, f, p):
-    """Product of coefficient lists a, b over F_p reduced mod monic f."""
-    k = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    for d in range(len(prod) - 1, k - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for i in range(k):
-                prod[d - k + i] = (prod[d - k + i] - c * f[i]) % p
-    prod = prod[:k] + [0] * max(0, k - len(prod))
-    return [c % p for c in prod[:k]]
-
-
 def _poly_rem(f_low, f_deg, g_low, g_deg, p):
     """Remainder of the monic x^f_deg + f_low by the monic x^g_deg + g_low."""
     rem = list(f_low) + [1]
@@ -817,7 +799,8 @@ def least_irreducible(p, k):
 
 def gf(p, k=1, size_cap=DEFAULT_SIZE_CAP):
     """The finite field with p^k elements, as F_p[x]/(f) for the
-    lexicographically least monic irreducible f of degree k (sieve)."""
+    lexicographically least monic irreducible f of degree k (sieve), built
+    by :func:`quotient_by_relations`."""
     if p < 2 or any(p % q == 0 for q in range(2, p)):
         raise RingError(f"gf characteristic must be prime, got {p}")
     if k < 1:
@@ -827,17 +810,12 @@ def gf(p, k=1, size_cap=DEFAULT_SIZE_CAP):
         r.label = f"gf({p})"
         r.kind = "gf"
         return r
-    f = list(least_irreducible(p, k)) + [1]
-    basis = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    struct = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            struct[i, j] = _poly_mul_mod(basis[i], basis[j], f, p)
-    monomials = [() if j == 0 else (("x", j),) for j in range(k)]
-    ring = FiniteRing.from_struct(
-        (p,) * k, struct, basis[0], label=f"gf({p},{k})", kind="gf",
-        monomials=monomials, size_cap=size_cap)
-    ring.varmap = {"x": vec_index(ring, basis[1])}
+    base = zmod(p, size_cap)
+    f = [((("x", k),), 1)] + [((("x", i),) if i else (), c)
+                             for i, c in enumerate(least_irreducible(p, k)) if c]
+    ring = quotient_by_relations(base, [resolve_relation(base, f)],
+                                 size_cap=size_cap, label=f"gf({p},{k})")
+    ring.kind = "gf"
     return ring
 
 
@@ -1010,10 +988,12 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
             "and lower-degree tail")
 
     degs = {v: power_rule[v][0] for v in newvars}
-    if math.prod(degs.values()) * R.size > size_cap:
+    # the truncated ring has |R| ** (number of monomials) elements; |R| >= 2,
+    # so more monomials than the cap has bits exceed it
+    count = math.prod(degs.values())
+    if R.size ** min(count, size_cap.bit_length()) > size_cap:
         raise SizeCapError(
-            f"truncated quotient size {math.prod(degs.values()) * R.size} "
-            f"exceeds cap {size_cap}")
+            f"truncated quotient size {R.size}^{count} exceeds cap {size_cap}")
 
     def reduce_poly(poly):
         # rewrite monomials with an exponent >= d_v; tails drop total degree
@@ -1130,6 +1110,9 @@ def idealization(R, module_orders, action=None, size_cap=DEFAULT_SIZE_CAP,
         raise RingError(
             f"idealization action missing for variable(s) {', '.join(missing)}")
 
+    size = R.size * math.prod(module_orders)
+    if size > size_cap:
+        raise SizeCapError(f"ring size {size} exceeds cap {size_cap}")
     modv = np.array(module_orders, dtype=np.int64)
 
     def mono_action(mono):

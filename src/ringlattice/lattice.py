@@ -6,9 +6,12 @@ tables.  The distributivity verdict is computed by three independent
 routes that must agree (triple law scan, forbidden-sublattice witness
 search, covering-pair interval criterion); disagreement raises, it is
 never papered over.  The routes run as array tests over stacks of
-intervals (:func:`decide_intervals`); a lattice's own verdict is that
-kernel on a stack of one.  The tables never change after construction, so the
-verdicts, levels, pinch points and sub-intervals are computed once per
+intervals (:func:`decide_intervals`), whose tables one routine,
+:func:`_gather`, restricts from a lattice and renumbers; it also cuts the
+sub-intervals (:meth:`ExtensionLattice.interval`).  A lattice's own
+verdicts are one row of that kernel, on itself as a stack of one.  The
+tables never change after construction, so that row, the packed order
+rows, levels, pinch points and sub-intervals are computed once per
 lattice, each a key of its one memo (``_cache``, a
 :class:`~ringlattice.finring.Memo`).
 """
@@ -54,12 +57,6 @@ def _bit_rows(rows):
     out = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
     out[:, :-(-width // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return out.view("<u8")
-
-
-def _up_down_words(leq):
-    """Bit rows of the nodes above each node and, reversed, of the nodes
-    below it: shape (2, n, words)."""
-    return np.stack([_bit_rows(leq), _bit_rows(leq.T[:, ::-1])])
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,12 +118,11 @@ class ExtensionLattice:
     of join-irreducible ones, so the facts then prove that the table join
     is the generated subring for every pair.  Without facts the join is
     the least upper bound in the node set only.  A sub-interval of a
-    checked lattice is not built here but sliced out of its tables
-    (:meth:`interval`).
+    checked lattice is not built here but gathered from its tables by the
+    interval kernel (:meth:`interval`).
     """
 
-    def __init__(self, nodes, joins=None, ambient=None):
-        self.ambient = ambient
+    def __init__(self, nodes, joins=None):
         self.nodes = sorted(nodes, key=lambda s: (len(s), sorted(s)))
         self.index = {s: i for i, s in enumerate(self.nodes)}
         n = self.n = len(self.nodes)
@@ -149,7 +145,10 @@ class ExtensionLattice:
         # above both i and j
         self.covers, above = order @ order == 2, order @ order.T
         del order                      # frees 4 n^2 bytes before the blocks
-        words = _up_down_words(leq)
+        self._cache = Memo()
+        # the up-set rows, and the down-set rows reversed: the highest node
+        # below both i and j is the lowest bit of their reversed rows' AND
+        words = np.stack([self._order_rows()[0], _bit_rows(leq.T[:, ::-1])])
         meet = self.meet = np.empty((n, n), dtype=np.int32)
         join = self.join = np.empty((n, n), dtype=np.int32)
         # blocks of rows of the upper triangle, at most 2**16 words each
@@ -167,7 +166,6 @@ class ExtensionLattice:
             join[tri, blk], meet[tri, blk] = v.T, m.T
         if joins is not None:
             self._check_join_facts(joins)
-        self._cache = Memo()
 
     def _check_join_facts(self, joins):
         """Every fact equals the table join, and the facts cover every
@@ -230,48 +228,49 @@ class ExtensionLattice:
     def interval_nodes(self, a, b):
         return [int(v) for v in np.flatnonzero(self.leq[a] & self.leq[:, b])]
 
+    @memoised
+    def _order_rows(self):
+        """Bit rows of the nodes above and of the nodes below each node:
+        shape (2, n, words).  Computed once."""
+        return np.stack([_bit_rows(self.leq), _bit_rows(self.leq.T)])
+
     def interval(self, a, b):
         """The sublattice [a, b], built once per (a, b); [bottom, top] is
-        this lattice itself, with its memos.  An interval is convex and
-        closed under meet and join, and its nodes keep their sort order,
-        so its order, covers and tables are this lattice's restricted to
-        its nodes and renumbered; an entry that falls outside the
-        selection raises."""
+        this lattice itself, with its memos.  Its nodes and tables are
+        gathered from this lattice's by the interval kernel
+        (:func:`_gather`); a table entry outside the interval raises."""
         a, b = int(a), int(b)
         if (a, b) == (0, self.n - 1):
             return self
 
         def cut():
-            if not self.leq[a, b]:
-                raise LatticeError("interval endpoints are not comparable")
-            sel = np.flatnonzero(self.leq[a] & self.leq[:, b])
-            sub = self._restricted(sel)
+            (_, _, sel, tables, unclosed), = _gather(self, np.array([a]), np.array([b]))
+            if unclosed[0]:
+                raise LatticeError(_ERRORS[_CLOSURE])
+            sel = sel[0]
+            sub = object.__new__(ExtensionLattice)
+            sub.nodes = [self.nodes[v] for v in sel.tolist()]
+            sub.index = {s: i for i, s in enumerate(sub.nodes)}
+            sub.n = len(sub.nodes)
+            sub.meet, sub.join, sub.leq, sub.covers = (t[0] for t in tables)
+            sub._cache = Memo()
             # a longest path from a to a node of [a, b] stays inside [a, b]
             if ("levels_from", a) in self._cache:
                 sub._cache[("levels_from", 0)] = self._cache[("levels_from", a)][sel]
             return sub
         return self._cache.fetch(("interval", a, b), cut)
 
-    def _restricted(self, sel):
-        """The sublattice on the ascending node indices ``sel``."""
-        pos = np.full(self.n, -1, dtype=np.int32)
-        pos[sel] = np.arange(sel.size, dtype=np.int32)
-        block = sel[:, None], sel
-        meet, join = pos[self.meet[block]], pos[self.join[block]]
-        if (meet < 0).any() or (join < 0).any():
-            raise LatticeError("interval is not closed under meet and join")
-        sub = object.__new__(ExtensionLattice)
-        sub.ambient = self.ambient
-        sub.nodes = [self.nodes[v] for v in sel.tolist()]
-        sub.index = {s: i for i, s in enumerate(sub.nodes)}
-        sub.n = len(sub.nodes)
-        sub.leq, sub.covers = self.leq[block], self.covers[block]
-        sub.meet, sub.join = meet, join
-        sub._cache = Memo()
-        return sub
-
     # ------------------------------------------------------------------
     # catenarity and length
+
+    @memoised
+    def level_skips(self):
+        """Bool per cover u < v: the levels from the bottom do not rise by 1
+        along it.  [0, j] is catenarian iff no such cover ends at a node
+        <= j, since its levels from the bottom are this lattice's.
+        Computed once."""
+        lev = self.levels_from(0)
+        return self.covers & (lev[None, :] != lev[:, None] + 1)
 
     def check_catenarian(self):
         """True iff all maximal chains between any two comparable nodes have
@@ -279,11 +278,11 @@ class ExtensionLattice:
         every cover (they are then a rank function, and every maximal chain
         of [a, b] has lev[b] - lev[a] steps).  Witness: the first cover in
         node order that skips a level, with the interval from the bottom."""
-        lev = self.levels_from(0)
-        hit = _first_true(self.covers & (lev[None, :] != lev[:, None] + 1))
+        hit = _first_true(self.level_skips())
         if hit is None:
             return True, None
         u, v = hit
+        lev = self.levels_from(0)
         return False, {"interval": [0, v], "edge": [u, v],
                        "levels": [int(lev[u]), int(lev[v])]}
 
@@ -333,25 +332,23 @@ class ExtensionLattice:
 
     # ------------------------------------------------------------------
     # distributivity: three independent routes, run by the interval kernel
-    # (decide_intervals) on this lattice as a stack of one
+    # on this lattice as a stack of one
 
     def _stack(self):
         return _Stack(self.meet[None], self.join[None], self.leq[None], self.covers[None])
 
-    def distributive_law_scan(self):
-        """Full triple scan of x ^ (y v z) = (x ^ y) v (x ^ z); returns the
-        first failing triple in (x, y, z) order, or None.  This is the
-        ground-truth route.  Blocks of rows of about 2^18 triples bound the
-        memory, and the scan stops at the first block that fails."""
-        return _triple(self._stack().law_scan(modular=False)[0])
-
     @memoised
+    def _verdicts(self):
+        """This lattice's row of the interval kernel, with the complement
+        test and the B2 guard: the law scans, the forbidden sublattice, the
+        covering-pair criterion and the first failed guard.  Computed once:
+        the tables never change after construction."""
+        return _decide(self._stack(), boolean=True)
+
     def modular_law_scan(self):
         """First failing triple (x, y, z) in (x, y, z) order with x <= z but
-        x v (y ^ z) != (x v y) ^ z, or None, in blocks of rows as in the
-        distributive scan.  Computed once: the forbidden sublattice route
-        and the modularity verdict both read it."""
-        return _triple(self._stack().law_scan(modular=True)[0])
+        x v (y ^ z) != (x v y) ^ z, or None."""
+        return _triple(self._verdicts().mod[0])
 
     def forbidden_sublattice(self):
         """An M3 or N5 sublattice certificate, or None: the one
@@ -361,30 +358,12 @@ class ExtensionLattice:
         dist, witness = self.check_distributive()
         return None if dist else {"kind": witness["kind"], "nodes": witness["nodes"]}
 
-    def _forbidden_exhaustive(self):
-        """The first M3 or N5 sublattice by the 5-subset sweep (at most 16
-        nodes), or None; independent of the law scans."""
-        kind, nodes, code = self._stack().sweep()
-        if code[0]:
-            raise LatticeError(_ERRORS[code[0]])
-        return _sublattice(kind[0], nodes[0])
-
-    def covering_pair_criterion(self):
-        """Covering-pair route: for T != U, if T^U is covered by both, or
-        both cover to TvU, then |[T^U, TvU]| must be 4.  Returns
-        (ok, witness), the witness at the first failing pair t < u."""
-        t, u, lo, hi, size = self._stack().criterion()[0].tolist()
-        if t < 0:
-            return True, None
-        return False, {"pair": [t, u], "interval": [lo, hi], "size": size}
-
-    @memoised
     def check_distributive(self):
         """Distributivity by three independent routes; they must agree.
-        Computed once: the tables never change after construction."""
-        tri = self.modular_law_scan()
-        found = _decide(self._stack(), np.array([tri or (-1, -1, -1)], dtype=np.intp))
-        found.check(0)
+        Raises the first failed guard other than the B2 one."""
+        found = self._verdicts()
+        if found.code[0] != _BOOLEAN:
+            found.check(0)
         return bool(found.distributive[0]), found.witness(0)
 
     def check_modular(self):
@@ -404,12 +383,9 @@ class ExtensionLattice:
     def check_boolean(self):
         """(Boolean, B2): distributive with every node complemented, and 4
         nodes of length 2; a B2 that is not Boolean raises."""
-        dist, _ = self.check_distributive()
-        stack = self._stack()
-        boolean, is_b2 = dist and bool(stack.complemented()[0]), bool(stack.is_b2()[0])
-        if is_b2 and not boolean:
-            raise LatticeError(_ERRORS[_BOOLEAN])
-        return boolean, is_b2
+        found = self._verdicts()
+        found.check(0)
+        return bool(found.boolean[0]), bool(found.is_b2[0])
 
     def loewy_series(self):
         """Iterated socles: S_0 = bottom, S_{i+1} = join of the atoms of
@@ -711,15 +687,17 @@ class IntervalVerdicts:
     """The verdicts of a stack of intervals, one row per interval.
 
     ``distributive`` is the law scan's verdict, and ``law`` its first
-    failing triple; ``kind`` and ``nodes`` the constructed forbidden
-    sublattice (kind 1 for M3, 2 for N5, 0 for none); ``pair`` the
-    criterion's first failing pair as (t, u, t ^ u, t v u, size); rows of -1
-    where a route found nothing.  ``boolean`` (distributive and
-    complemented) and ``is_b2`` are filled when asked for.  ``code`` holds
-    the first guard each interval failed, 0 if none; :meth:`error` gives it
-    as the :class:`LatticeError` the slice's own routes raise."""
+    failing triple; ``mod`` the modular scan's first failing triple;
+    ``kind`` and ``nodes`` the constructed forbidden sublattice (kind 1 for
+    M3, 2 for N5, 0 for none); ``pair`` the criterion's first failing pair
+    as (t, u, t ^ u, t v u, size); rows of -1 where a route found nothing.
+    ``boolean`` (distributive and complemented) and ``is_b2`` are filled
+    when asked for.  ``code`` holds the first guard each interval failed, 0
+    if none; :meth:`error` gives it as the :class:`LatticeError` the
+    slice's own routes raise."""
     distributive: np.ndarray
     law: np.ndarray
+    mod: np.ndarray
     kind: np.ndarray
     nodes: np.ndarray
     pair: np.ndarray
@@ -758,12 +736,9 @@ class IntervalVerdicts:
         return witness
 
 
-def _decide(stack, mod=None, boolean=False):
-    """The three routes and their guards on one stack; ``mod`` is its
-    modular scan when already known."""
-    law = stack.law_scan(modular=False)
-    if mod is None:
-        mod = stack.law_scan(modular=True)
+def _decide(stack, boolean=False):
+    """The three routes and their guards on one stack."""
+    law, mod = stack.law_scan(modular=False), stack.law_scan(modular=True)
     kind, nodes, code = stack.constructive(mod, law)
     if stack.m <= _FIVE_SUBSET_CAP:
         swept, _, swept_code = stack.sweep()
@@ -772,7 +747,7 @@ def _decide(stack, mod=None, boolean=False):
     pair = stack.criterion()
     law_ok = law[:, 0] < 0
     _fail(code, (law_ok != (kind == 0)) | (law_ok != (pair[:, 0] < 0)), _ROUTES)
-    found = IntervalVerdicts(law_ok, law, kind, nodes, pair, code)
+    found = IntervalVerdicts(law_ok, law, mod, kind, nodes, pair, code)
     if boolean:
         found.boolean = law_ok & stack.complemented()
         found.is_b2 = stack.is_b2()
@@ -780,51 +755,63 @@ def _decide(stack, mod=None, boolean=False):
     return found
 
 
-def _members(L, a, b):
-    """The nodes of each interval [a_k, b_k] of L, ascending, as one flat
-    array, and the node count of each: the set bits of a's up-set row AND
-    b's down-set row, unpacked only in their nonzero words."""
-    up, down = _bit_rows(L.leq), _bit_rows(L.leq.T)
-    nodes, counts = [], []
+def _gather(L, a, b):
+    """The intervals [a_k, b_k] of L grouped by node count m, in blocks of
+    intervals: for each group, (m, the positions k, the nodes of each
+    interval, ascending, of shape (K, m), their local meet, join, leq and
+    covers of shape (K, m, m), and which of them are not closed under meet
+    and join).  This is the one place where L's tables are restricted to
+    intervals and renumbered, for :meth:`ExtensionLattice.interval` and
+    :func:`decide_intervals` alike: an entry's local index is its rank
+    among its interval's nodes, and an entry outside its interval is read
+    as the bottom, so the routes still run, and the interval's closure
+    guard fails."""
+    up, down = L._order_rows()
     for blk in row_blocks(a.size, up.shape[1]):
+        # the nodes of each interval: the set bits of a's up-set row AND
+        # b's down-set row, unpacked only in their nonzero words; a and b
+        # are among them iff a <= b
         words = up[a[blk]] & down[b[blk]]
         k, w = np.nonzero(words)
         bits = np.unpackbits(words[k, w].view(np.uint8).reshape(-1, 8), axis=1,
                              bitorder="little")
         row, bit = np.nonzero(bits)
-        nodes.append(64 * w[row] + bit)
-        counts.append(np.bincount(k[row], minlength=len(words)))
-    return np.concatenate(nodes), np.concatenate(counts)
-
-
-def _gather(L, a, b):
-    """The intervals [a_k, b_k] of L grouped by node count m: for each m,
-    (m, the positions k, the local meet, join, leq and covers of shape
-    (K, m, m), and which of them are not closed under meet and join).
-    The tables are L's restricted to each interval and renumbered, as in
-    :meth:`ExtensionLattice.interval`; an entry outside its interval is
-    read as the bottom, so the routes still run, and the interval's
-    closure guard fails."""
-    if not L.leq[a, b].all():
-        raise LatticeError("interval endpoints are not comparable")
-    members, counts = _members(L, a, b)
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(counts, kind="stable")
-    for ks in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        m = int(counts[ks[0]])
-        sel = members[starts[ks, None] + np.arange(m)]
-        block = sel[:, :, None], sel[:, None, :]
-        # an entry's local index is its rank among its interval's members:
-        # keys number every member of every interval, ascending
-        offset = np.arange(ks.size) * L.n
-        keys = (offset[:, None] + sel).ravel()
-        want = np.stack([L.meet[block], L.join[block]]) + offset[:, None, None]
-        at = np.searchsorted(keys, want)
-        inside = keys[np.minimum(at, keys.size - 1)] == want
-        local = np.where(inside, at - (np.arange(ks.size) * m)[:, None, None], 0)
-        meet, join = local.astype(np.int32)
-        yield m, ks, (meet, join, L.leq[block], L.covers[block]), \
-            ~inside.all(axis=(0, 2, 3))
+        members = 64 * w[row] + bit
+        counts = np.bincount(k[row], minlength=len(words))
+        del words, k, w, bits, row, bit    # frees the unpacking before the gathers
+        low, high = counts.min(), counts.max()
+        if not low:
+            raise LatticeError("interval endpoints are not comparable")
+        index = np.arange(blk.start, blk.start + counts.size)
+        if low == high:
+            groups = [(index, members.reshape(counts.size, -1))]
+        else:
+            starts = np.cumsum(counts) - counts
+            order = np.argsort(counts, kind="stable")
+            groups = [(index[at], members[starts[at, None] + np.arange(counts[at[0]])])
+                      for at in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)]
+        for ks, sel in groups:
+            m = sel.shape[1]
+            block = sel[:, :, None], sel[:, None, :]
+            want = np.array([L.meet[block], L.join[block]])
+            if len(sel) == 1:
+                # one interval: its nodes' positions, no key search
+                pos = np.full(L.n, -1, dtype=np.int32)
+                pos[sel[0]] = np.arange(m)
+                local = pos[want]
+                inside = local >= 0
+            else:
+                # keys number the nodes of every interval apart, ascending:
+                # interval k's node v is k n + v
+                offset = np.arange(len(sel))[:, None] * L.n
+                keys = (offset + sel).ravel()
+                want += offset[:, :, None]
+                at = np.searchsorted(keys, want)
+                inside = keys[np.minimum(at, keys.size - 1)] == want
+                local = at % m
+            meet, join = np.where(inside, local, 0).astype(np.int32, copy=False)
+            yield m, ks, sel, (meet, join, L.leq[block], L.covers[block]), \
+                ~inside.all(axis=(0, 2, 3))
 
 
 def decide_intervals(requests, boolean=False):
@@ -844,7 +831,7 @@ def decide_intervals(requests, boolean=False):
     for L, a, b in requests:
         a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
         if a.size:
-            for m, ks, tables, open_ in _gather(L, a, b):
+            for m, ks, _, tables, open_ in _gather(L, a, b):
                 parts.setdefault(m, []).append((total + ks, tables, open_))
         total += a.size
     found = []

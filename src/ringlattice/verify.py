@@ -245,7 +245,7 @@ def oracle_lattice(a: ex.Extension):
     joins = {(x, y): frozenset(S.subring_closure(list(x | y)).tolist())
              for x, y in itertools.combinations(nodes, 2)
              if not (x <= y or y <= x)}
-    return ExtensionLattice(nodes, joins, ambient=S), oracle
+    return ExtensionLattice(nodes, joins), oracle
 
 
 def regen_expectation(expect, a: ex.Extension, lattice):

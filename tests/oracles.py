@@ -34,8 +34,8 @@ references for the closures that start from lo and take one s per coset.
 ``block_subring_unit`` is the earlier unit test of a subring, a compare of
 the whole |T| x |T| block of products, the reference for the
 decomposition's one-row test.  ``constructor_interval`` builds an interval
-by the lattice constructor, the reference for the interval sliced out of
-its parent's tables; ``loop_check_catenarian``,
+by the lattice constructor, the reference for the interval gathered from
+its parent's tables by the interval kernel; ``loop_check_catenarian``,
 ``loop_covering_pair_criterion``, ``loop_forbidden_exhaustive``,
 ``loop_length2_rule`` and ``loop_complements`` are the earlier loop forms
 of the whole-array checks, and ``list_modular_law_scan`` (the
@@ -523,8 +523,8 @@ def every_s_is_simple(S, lo, hi):
 
 
 def list_distributive_law_scan(L):
-    """ExtensionLattice.distributive_law_scan by listing every failing
-    triple of each block of rows with np.argwhere."""
+    """The distributive law scan of the interval kernel by listing every
+    failing triple of each block of rows with np.argwhere."""
     n, meet, join = L.n, L.meet, L.join
     chunk = max(1, (1 << 23) // max(1, n * n))
     for lo in range(0, n, chunk):
@@ -558,8 +558,7 @@ def constructor_interval(L, a, b):
     with their tables rebuilt from inclusion."""
     if not L.leq[a, b]:
         raise LatticeError("interval endpoints are not comparable")
-    return ExtensionLattice([L.nodes[v] for v in L.interval_nodes(a, b)],
-                            ambient=L.ambient)
+    return ExtensionLattice([L.nodes[v] for v in L.interval_nodes(a, b)])
 
 
 def loop_levels_from(L, a):
@@ -594,7 +593,7 @@ def loop_check_catenarian(L):
 
 
 def loop_covering_pair_criterion(L):
-    """ExtensionLattice.covering_pair_criterion by a loop over the pairs
+    """The interval kernel's covering-pair route by a loop over the pairs
     t < u, counting the nodes of [t ^ u, t v u] for each flagged pair."""
     n, meet, join, covers = L.n, L.meet, L.join, L.covers
     for t in range(n):
@@ -610,9 +609,9 @@ def loop_covering_pair_criterion(L):
 
 
 def loop_forbidden_exhaustive(L):
-    """The earlier ExtensionLattice._forbidden_exhaustive: a Python sweep
-    over every 5-subset, its closure under meet and join, and every
-    permutation of a closed one (M3 tested before N5)."""
+    """The interval kernel's 5-subset sweep as a Python loop over every
+    5-subset, its closure under meet and join, and every permutation of a
+    closed one (M3 tested before N5)."""
     for sub in itertools.combinations(range(L.n), 5):
         closed = all(L.meet[u, v] in sub and L.join[u, v] in sub
                      for u, v in itertools.combinations(sub, 2))

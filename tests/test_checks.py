@@ -7,6 +7,7 @@ import pytest
 from ringlattice import checks, cli, dsl, verify
 from ringlattice import extension as ex
 from ringlattice import finring as fr
+from ringlattice import lattice as lt
 
 from hypothesis import given, settings, strategies as st
 
@@ -247,9 +248,23 @@ def test_no_length2_pair_leaves_an_object_on_pi5():
 
 
 def test_no_memo_key_is_computed_twice(monkeypatch):
-    # analyze and every check on fresh Pi5 and V4 = F2 + F2^4 compute each
-    # key of each ring, extension and lattice memo once
+    # analyze, every check and the interval sample on fresh Pi5 and V4 =
+    # F2 + F2^4 compute each key of each ring, extension and lattice memo
+    # once; the routes run once per lattice or slice (its verdict row) and
+    # once per stack of the interval sample, each with its one modular scan
     computed = record_computes(monkeypatch)
+    runs, decide, law_scan = collections.Counter(), lt._decide, lt._Stack.law_scan
+
+    def counting_decide(stack, boolean=False):
+        runs["kernel"] += 1
+        return decide(stack, boolean)
+
+    def counting_scan(stack, modular):
+        runs["modular scan"] += modular
+        return law_scan(stack, modular)
+
+    monkeypatch.setattr(lt, "_decide", counting_decide)
+    monkeypatch.setattr(lt._Stack, "law_scan", counting_scan)
     for S in (fr.product_ring([fr.gf(2)] * 5), fr.idealization(fr.gf(2), (2, 2, 2, 2))):
         E = ex.Extension(S, ex.prime_subring(S), name="fresh")
         cli._print_analysis(E, io.StringIO())
@@ -257,6 +272,7 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
         cli.dot_export(E)
         for name in sorted(verify.CHECKS):
             assert verify.run_check(name, E).status != "fail", name
+        assert verify.random_interval_agreement([E], count=200, seed=0) == (200, None)
     counts = collections.Counter((id(memo), key) for memo, key in computed)
     assert [key for key, count in counts.items() if count > 1] == []
     kinds = {key[0] if isinstance(key, tuple) else key for _, key in computed}
@@ -265,8 +281,15 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
         "spectral", "closed",                                       # rings
         "lattice", "flags", "decomp", "profile", "cover_types", "sub",
         "loc",                                                      # extensions
-        "levels_from", "interval", "check_distributive", "modular_law_scan",
+        "levels_from", "interval", "_verdicts", "_order_rows",
         "verdict", "pinch_points"}                                  # lattices
+    # a kernel run is a verdict row of a lattice or a slice, or a stack of
+    # decide_intervals; slices have rows too
+    rows = [id(memo) for memo, key in computed if key == ("_verdicts",)]
+    assert len(rows) < runs["kernel"] == runs["modular scan"]
+    slices = {id(memo[key]._cache) for memo, key in computed
+              if isinstance(key, tuple) and key[0] == "interval"}
+    assert slices & set(rows)
 
 
 def _assert_b2_routes_agree(E, monkeypatch):

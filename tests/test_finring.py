@@ -41,6 +41,18 @@ def test_size_cap_enforced():
         fr.zmod(100, size_cap=64)
 
 
+def test_size_caps_are_checked_before_any_table_is_built(monkeypatch):
+    # F2[x]/(x^40) has 2^40 elements and F2 + F2^13 has 2^14: both exceed
+    # the cap before a structure array reaches from_struct
+    F2 = fr.gf(2)
+    monkeypatch.setattr(fr.FiniteRing, "from_struct",
+                        lambda *args, **kwargs: pytest.fail("from_struct was called"))
+    with pytest.raises(fr.SizeCapError, match="exceeds cap 4096$"):
+        fr.quotient_by_relations(F2, [fr.resolve_relation(F2, [((("x", 40),), 1)])])
+    with pytest.raises(fr.SizeCapError, match="exceeds cap 4096$"):
+        fr.idealization(F2, (2,) * 13)
+
+
 def test_product_of_two_f2():
     P = fr.product_ring([fr.gf(2), fr.gf(2)])
     assert P.size == 4

@@ -9,6 +9,7 @@ from ringlattice import dsl
 from ringlattice import finring as fr
 from ringlattice import extension as ex
 from ringlattice import verify
+from ringlattice import lattice as lt
 from ringlattice.lattice import ExtensionLattice, LatticeError, decide_intervals
 
 from oracles import (SMALL_RINGS, assert_lattice_axioms,
@@ -21,6 +22,30 @@ from oracles import (SMALL_RINGS, assert_lattice_axioms,
                      loop_forbidden_exhaustive, loop_length2_rule,
                      loop_levels_from, memo_without, record_computes,
                      slice_interval_agreement, slice_routes, small_ring)
+
+
+def _law_triple(L, modular=False):
+    """The first failing triple of L's distributive (or modular) law scan,
+    by the kernel on L as a stack of one, or None."""
+    row = L._stack().law_scan(modular)[0]
+    return None if row[0] < 0 else tuple(row.tolist())
+
+
+def _criterion(L):
+    """The covering-pair route on L as a stack of one: (ok, witness), the
+    witness at the first failing pair t < u."""
+    t, u, lo, hi, size = L._stack().criterion()[0].tolist()
+    if t < 0:
+        return True, None
+    return False, {"pair": [t, u], "interval": [lo, hi], "size": size}
+
+
+def _swept(L):
+    """The first M3 or N5 sublattice of L by the 5-subset sweep (at most 16
+    nodes), or None; its node-by-node guard must pass."""
+    kind, nodes, code = L._stack().sweep()
+    assert code[0] == 0
+    return lt._sublattice(kind[0], nodes[0])
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +118,7 @@ def test_boolean_b2(bool64):
 def test_law_scan_matches_set_oracle(e4, e5, e10, chain16):
     for E in (e4, e5, e10, chain16):
         L = E.lattice()
-        assert (L.distributive_law_scan() is None) == \
+        assert (_law_triple(L) is None) == \
             distributive_by_definition(L.nodes)
 
 
@@ -101,7 +126,7 @@ def test_covering_pair_criterion_agreement(e4, e5, e10):
     for E in (e4, e5, e10):
         L = E.lattice()
         dist, _ = L.check_distributive()   # raises if the three routes disagree
-        assert dist == (L.distributive_law_scan() is None)
+        assert dist == (_law_triple(L) is None)
 
 
 def test_interval_sublattice(e5, bool64):
@@ -394,9 +419,9 @@ def _captured_enumeration(E):
     """(nodes, joins) that enumerate_interval(E) hands to ExtensionLattice."""
     seen, build = [], ExtensionLattice.__init__
 
-    def capturing_build(self, nodes, joins=None, ambient=None):
+    def capturing_build(self, nodes, joins=None):
         seen.append((nodes, joins))
-        build(self, nodes, joins, ambient)
+        build(self, nodes, joins)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExtensionLattice, "__init__", capturing_build)
@@ -446,7 +471,7 @@ def test_enumeration_derives_most_joins(monkeypatch):
 def _assert_scans_match_listing(L):
     """Both first-failure scans give the listing oracles' triple; returns
     whether L is distributive."""
-    witness = L.distributive_law_scan()
+    witness = _law_triple(L)
     assert witness == list_distributive_law_scan(L)
     assert L.modular_law_scan() == list_modular_law_scan(L)
     return witness is None
@@ -477,7 +502,7 @@ def test_law_scan_memory_is_bounded():
     L = ex.Extension(S, ex.prime_subring(S)).lattice()
     tracemalloc.start()
     try:
-        witness = L.distributive_law_scan()
+        witness = _law_triple(L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,7 +745,7 @@ def _assert_sliced_intervals_match(L):
             assert got.dtype == want.dtype and np.array_equal(got, want), table
         assert sub.verdict() == ref.verdict()
         cat_ = sub.check_catenarian()
-        crit = sub.covering_pair_criterion()
+        crit = _criterion(sub)
         mod = sub.modular_law_scan()
         comps = [sub.complements(t) for t in range(len(sub))]
         assert cat_ == loop_check_catenarian(sub)
@@ -766,7 +791,7 @@ def _assert_sweeps_match_the_loop(L):
     for a, b in np.argwhere(L.leq).tolist():
         if L.interval_size(a, b) <= 16:
             sub = L.interval(a, b)
-            swept = sub._forbidden_exhaustive()
+            swept = _swept(sub)
             assert swept == loop_forbidden_exhaustive(sub)
             assert sub.check_length2_rule() == loop_length2_rule(sub)
             seen.add(None if swept is None else swept["kind"])
@@ -801,22 +826,32 @@ def test_length2_rule_matches_the_loop(reference_extensions):
 
 
 def test_verdict_runs_one_modular_scan(monkeypatch, big_lattices):
-    # the forbidden-sublattice route and check_modular share the scan
+    # the forbidden-sublattice route and check_modular read the one verdict
+    # row, whose kernel run holds the lattice's only modular scan
     computed = record_computes(monkeypatch)
+    modular_scans, law_scan = [0], lt._Stack.law_scan
 
-    def scans(L):
-        return sum(memo is L._cache and key == ("modular_law_scan",)
+    def counting_scan(stack, modular):
+        modular_scans[0] += modular
+        return law_scan(stack, modular)
+    monkeypatch.setattr(lt._Stack, "law_scan", counting_scan)
+
+    def rows(L):
+        return sum(memo is L._cache and key == ("_verdicts",)
                    for memo, key in computed)
 
     for E in big_lattices:
         L = constructor_interval(E.lattice(), 0, E.lattice().top)
+        modular_scans[0] = 0
         v = L.verdict()
-        assert scans(L) == 1
+        assert rows(L) == 1 and modular_scans[0] == 1
         tri = list_modular_law_scan(L)
         assert L.check_modular() == ((True, None) if tri is None
                                      else (False, {"law_triple": list(tri)}))
+        assert L.modular_law_scan() == tri
         assert v.modular == (tri is None)
-        assert scans(L) == 1
+        L.check_distributive(), L.check_boolean(), L.forbidden_sublattice()
+        assert rows(L) == 1 and modular_scans[0] == 1
 
 
 def test_slices_take_their_levels_from_the_parent(big_lattices):
