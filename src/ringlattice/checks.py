@@ -288,7 +288,7 @@ def doubled_ring(S, top):
     one = int(pos[S.one]) * n + int(pos[S.zero])
     return fr.FiniteRing.from_tables(
         fr.componentwise(tadd, tadd), mul.reshape(m, m), one,
-        label=f"{S.label}(+)M", kind="derived", size_cap=max(m, S.size_cap))
+        label=f"{S.label}(+)M", size_cap=max(m, S.size_cap))
 
 
 @check("idealization_transfer",
@@ -437,7 +437,7 @@ def loewy_boolean_steps(a):
     interior = [t for t in series if t not in (0, L.top)]
     if interior and not L.is_pinched_at(interior):
         return _na("not pinched at the Loewy series")
-    steps = [L.interval(u, v).check_boolean()[0]
+    steps = [L.interval(u, v).verdict().boolean_lattice
              for u, v in zip(series, series[1:])]
     return _iff(L.verdict().distributive, all(steps), {"steps": steps})
 
@@ -552,14 +552,11 @@ def two_atom_composite_profile(a):
             return CheckResult("", "", "fail", witness={
                 "atoms": [t, u], "case": "two non-inert",
                 "catenarian": cat_ok, "infra_integral": infra})
+        # M is closed under addition, so it holds the product ideal PQ iff
+        # it holds every product pq
         in_M = S.mask(M)
-        prod_in = False
-        for P in over[t]:
-            for Q in over[u]:
-                span = S.additive_closure(
-                    np.unique(S.mul[np.ix_(S.arr(P), S.arr(Q))]))
-                if in_M[span].all():
-                    prod_in = True
+        prod_in = any(in_M[S.mul[np.ix_(S.arr(P), S.arr(Q))]].all()
+                      for P in over[t] for Q in over[u])
         want = 2 if prod_in else 3
         if lev[j] != want:
             return CheckResult("", "", "fail", witness={
@@ -586,7 +583,7 @@ def b2_structure_cases(a):
     # node V: the conductors, supports and pair facts of all of its
     # length-2 intervals [V, W] are computed together
     lower = [v for v, ws in groups for _ in ws]
-    found = decide_intervals([(L, lower, [w for _, ws in groups for w in ws])], boolean=True)
+    found = decide_intervals([(L, lower, [w for _, ws in groups for w in ws])])
     k = 0
     for v, ws in groups:
         V, Ws = L.nodes[v], [L.nodes[w] for w in ws]
@@ -1025,12 +1022,7 @@ def branched_characterization(a):
     lower_dist = L.interval(0, t_idx).check_distributive()[0]
     upper_dist = L.interval(t_idx, L.top).check_distributive()[0]
     pinched = _pinched_at_t(a)
-    case2 = False
-    if not pinched:
-        usub = a.sub(d.u, a.top)
-        ut = a.sub(d.u, d.t)
-        case2 = (len(ut.profile().msupp) == 1
-                 and len(usub.profile().msupp) == 2)
+    case2 = not pinched and _splitter_ladder(a) is None
     rhs = two_max and lower_dist and upper_dist and (pinched or case2)
     return _iff(L.verdict().distributive, rhs,
                 {"two_max": two_max, "lower": lower_dist, "upper": upper_dist,
@@ -1046,54 +1038,58 @@ def branched_characterization(a):
 def branched_splitter_ladder(a):
     if not _proper(a) or not a.flags().branched:
         return _na("extension not branched")
-    L = a.lattice()
-    if not L.verdict().distributive:
+    if not a.lattice().verdict().distributive:
         return _na("extension not distributive")
-    d = a.decomposition()
-    t_idx = L.index[d.t]
     if _pinched_at_t(a):
         return _na("pinched at the t-closure (ladder case not exercised)")
+    witness = _splitter_ladder(a)
+    return CheckResult("", "", "pass" if witness is None else "fail", witness=witness)
+
+
+def _splitter_ladder(a):
+    """The witness of the first splitter-ladder condition that the branched
+    extension ``a``, not pinched at its t-closure, fails, or None when it
+    carries the ladder: the u-supports of [u, t] and [u, S] are 1 and 2
+    points, an ideal separates them, the splitter V is the co-subintegral
+    closure of [u, V v t], the ladders [V, V v t] and [u, t] are chains of
+    equal length whose rungs meet t, and the closure parts and rungs
+    partition the interval."""
+    L, d = a.lattice(), a.decomposition()
+    t_idx = L.index[d.t]
     usub = a.sub(d.u, a.top)
     ut = a.sub(d.u, d.t)
     if len(ut.profile().msupp) != 1 or len(usub.profile().msupp) != 2:
-        return CheckResult("", "", "fail", witness={
-            "usupp_t": len(ut.profile().msupp),
-            "usupp_top": len(usub.profile().msupp)})
+        return {"usupp_t": len(ut.profile().msupp),
+                "usupp_top": len(usub.profile().msupp)}
     M = ut.profile().msupp[0]
     others = [m for m in usub.profile().msupp if m != M]
     if len(others) != 1:
-        return CheckResult("", "", "fail",
-                           witness={"case": "support ideals do not separate"})
+        return {"case": "support ideals do not separate"}
     V = ex.splitter(usub, [others[0]])
     W = L.nodes[L.join[L.index[V], t_idx]]
     wsub = a.sub(d.u, W)
     if wsub.decomposition().cosub != V:
-        return CheckResult("", "", "fail",
-                           witness={"case": "splitter is not the co-subintegral "
-                                            "closure of the crossed square"})
+        return {"case": "splitter is not the co-subintegral closure of the "
+                        "crossed square"}
     vw = L.interval_nodes(L.index[V], L.index[W])
     utn = L.interval_nodes(L.index[d.u], t_idx)
     chain_vw = L.interval(L.index[V], L.index[W]).is_chain()
     chain_ut = L.interval(L.index[d.u], t_idx).is_chain()
     if not (chain_vw and chain_ut and len(vw) == len(utn)):
-        return CheckResult("", "", "fail", witness={
-            "ladders": [len(vw), len(utn)],
-            "chains": [chain_vw, chain_ut]})
+        return {"ladders": [len(vw), len(utn)], "chains": [chain_vw, chain_ut]}
     # rungs: V_i cap t = U_i, and the partition of the whole interval
     vw_sorted = sorted(vw, key=lambda i: len(L.nodes[i]))
     ut_sorted = sorted(utn, key=lambda i: len(L.nodes[i]))
     for vi, ui in zip(vw_sorted, ut_sorted):
         if int(L.meet[vi, t_idx]) != ui:
-            return CheckResult("", "", "fail",
-                               witness={"rung": [vi, ui]})
+            return {"rung": [vi, ui]}
     parts = set(L.interval_nodes(0, L.index[d.plus])) | \
         set(L.interval_nodes(t_idx, L.top))
     for vi in vw_sorted[:-1]:
         parts |= set(L.interval_nodes(int(L.meet[vi, t_idx]), vi))
-    ok = parts == set(range(len(L.nodes)))
-    return CheckResult("", "", "pass" if ok else "fail",
-                       witness=None if ok else {"covered": len(parts),
-                                                "nodes": len(L.nodes)})
+    if parts != set(range(len(L.nodes))):
+        return {"covered": len(parts), "nodes": len(L.nodes)}
+    return None
 
 
 @check("branched_splitter_consistency",
@@ -1498,10 +1494,9 @@ def chain_ring_quadratic_distributive(a):
     maxR = a.max_ideals_base()
     if len(maxR) != 1:
         return _na("base not local")
-    M = S.arr(maxR[0])
-    principal = any(
-        np.array_equal(S.ideal_closure(a.base, [m]), M)
-        for m in M.tolist())
+    M, base = S.arr(maxR[0]), S.arr(a.base)
+    # the ideal (m) of the base is m * base, closed under addition
+    principal = any(np.array_equal(np.unique(S.mul[m, base]), M) for m in M.tolist())
     if not principal:
         return _na("maximal ideal of the base not principal")
     base_list = sorted(a.base)

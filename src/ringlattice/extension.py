@@ -424,9 +424,10 @@ def classify_minimal_pair(S: fr.FiniteRing, lo, hi, assume_minimal=False):
                 len(hi) // len(Q1) == q and len(hi) // len(Q2) == q:
             cases.append(MinimalType.DECOMPOSED)
     if len(over) == 1:
+        # M is closed under addition, so it holds M'^2 iff it holds every
+        # product of two elements of M'
         Qp = S.arr(over[0])
-        sq = S.additive_closure(np.unique(S.mul[np.ix_(Qp, Qp)]))
-        sq_in_M = bool(S.mask(M)[sq].all())
+        sq_in_M = bool(S.mask(M)[S.mul[np.ix_(Qp, Qp)]].all())
         if sq_in_M and M < over[0] and \
                 len(hi) // len(M) == q * q and len(hi) // len(over[0]) == q:
             cases.append(MinimalType.RAMIFIED)

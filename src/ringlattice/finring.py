@@ -226,7 +226,7 @@ class FiniteRing:
         label: human-readable construction description.
     """
 
-    def __init__(self, *, add, mul, neg, zero, one, label, kind,
+    def __init__(self, *, add, mul, neg, zero, one, label,
                  elem_names=None, size_cap=DEFAULT_SIZE_CAP):
         self.size = len(add)
         self.add = add
@@ -235,7 +235,6 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.label = label
-        self.kind = kind
         self.orders = self.coeffs = self.monomials = None   # see from_struct
         self.varmap = {}
         self.factors = None             # component rings of a product
@@ -255,7 +254,7 @@ class FiniteRing:
     # construction
 
     @classmethod
-    def from_struct(cls, orders, struct, one_vec, *, label, kind,
+    def from_struct(cls, orders, struct, one_vec, *, label,
                     varmap=None, monomials=None, size_cap=DEFAULT_SIZE_CAP):
         """Build a ring from additive structure constants.
 
@@ -299,13 +298,13 @@ class FiniteRing:
                 mul[d * r:(d + 1) * r] = add[mul[(d - 1) * r:d * r], xe[j]]
 
         ring = cls.from_tables(add, mul, int(one_vec @ radix), label=label,
-                               kind=kind, size_cap=size_cap)
+                               size_cap=size_cap)
         ring.orders, ring.coeffs = orders, coeffs
         ring.varmap, ring.monomials = dict(varmap or {}), monomials
         return ring
 
     @classmethod
-    def from_tables(cls, add, mul, one, *, label, kind, elem_names=None,
+    def from_tables(cls, add, mul, one, *, label, elem_names=None,
                     size_cap=DEFAULT_SIZE_CAP):
         """Build a ring directly from operation tables.
 
@@ -335,7 +334,7 @@ class FiniteRing:
         if not np.array_equal(mul[one], idx):
             raise RingError("identity law fails")
         return cls(add=add, mul=mul, neg=neg, zero=zero, one=int(one),
-                   label=label, kind=kind, elem_names=elem_names, size_cap=size_cap)
+                   label=label, elem_names=elem_names, size_cap=size_cap)
 
     @staticmethod
     def _validate_struct(orders, struct, one_vec):
@@ -662,7 +661,7 @@ class FiniteRing:
         ring = FiniteRing.from_tables(
             add, mul, int(pos[unit]),
             label=label or f"{self.label}|{s.size}",
-            kind="derived", elem_names=names, size_cap=self.size_cap)
+            elem_names=names, size_cap=self.size_cap)
         return ring, s
 
     # ------------------------------------------------------------------
@@ -753,7 +752,7 @@ def zmod(n, size_cap=DEFAULT_SIZE_CAP):
     if n < 2:
         raise RingError(f"modulus must be >= 2, got {n}")
     return FiniteRing.from_struct(
-        (n,), np.array([[[1]]]), [1], label=f"zmod({n})", kind="zmod",
+        (n,), np.array([[[1]]]), [1], label=f"zmod({n})",
         varmap={}, monomials=[()], size_cap=size_cap)
 
 
@@ -808,14 +807,12 @@ def gf(p, k=1, size_cap=DEFAULT_SIZE_CAP):
     if k == 1:
         r = zmod(p, size_cap)
         r.label = f"gf({p})"
-        r.kind = "gf"
         return r
     base = zmod(p, size_cap)
     f = [((("x", k),), 1)] + [((("x", i),) if i else (), c)
                              for i, c in enumerate(least_irreducible(p, k)) if c]
     ring = quotient_by_relations(base, [resolve_relation(base, f)],
                                  size_cap=size_cap, label=f"gf({p},{k})")
-    ring.kind = "gf"
     return ring
 
 
@@ -847,7 +844,7 @@ def as_struct_ring(ring):
             struct[i, j] = coords[int(ring.mul[gens[i], gens[j]])]
     pos = {int(x): i for i, x in enumerate(old_of_new.tolist())}
     out = FiniteRing.from_struct(
-        orders, struct, coords[ring.one], label=ring.label, kind=ring.kind,
+        orders, struct, coords[ring.one], label=ring.label,
         size_cap=ring.size_cap)
     out.elem_names = [ring.elem_str(o) for o in old_of_new.tolist()]
     out.varmap = {name: pos[idx] for name, idx in ring.varmap.items()}
@@ -871,8 +868,7 @@ def product_ring(rings, size_cap=DEFAULT_SIZE_CAP, label=None):
         add, mul = componentwise(add, r.add), componentwise(mul, r.mul)
         one = one * r.size + r.one
     lab = label or "product(" + ", ".join(r.label for r in rings) + ")"
-    ring = FiniteRing.from_tables(add, mul, one, label=lab, kind="product",
-                                  size_cap=size_cap)
+    ring = FiniteRing.from_tables(add, mul, one, label=lab, size_cap=size_cap)
     ring.factors = list(rings)
     return ring
 
@@ -1050,7 +1046,7 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
                      for m in monos for b in range(kR)]
     lab = label or f"{R.label}[{','.join(newvars)}]/(rels)"
     trunc = FiniteRing.from_struct(
-        orders, struct, one_vec, label=lab, kind="quotient",
+        orders, struct, one_vec, label=lab,
         monomials=new_monomials, size_cap=size_cap)
     trunc.varmap = {}
     for name, idx in R.varmap.items():
@@ -1076,7 +1072,6 @@ def quotient_by_relations(R, relations, size_cap=DEFAULT_SIZE_CAP, label=None):
     pos = {int(x): i for i, x in enumerate(old_of_new.tolist())}
     out.varmap = {name: pos[idx] for name, idx in quo.varmap.items()}
     out.label = lab
-    out.kind = "quotient"
     return out
 
 
@@ -1141,7 +1136,7 @@ def idealization(R, module_orders, action=None, size_cap=DEFAULT_SIZE_CAP,
     monos = [tuple(m) for m in R.monomials] + [((f"m{j+1}", 1),) for j in range(kM)]
     try:
         ring = FiniteRing.from_struct(
-            orders, struct, one_vec, label=lab, kind="idealization",
+            orders, struct, one_vec, label=lab,
             monomials=monos, size_cap=size_cap)
     except SizeCapError:
         raise
@@ -1186,7 +1181,7 @@ def quotient_of_subring(S, subring, ideal, label=None):
         raise RingError("quotient has no unique identity")
     names = [f"[{S.elem_str(int(r))}]" for r in reps.tolist()]
     quo = FiniteRing.from_tables(
-        add, mul, units[0], label=label or f"{S.label}/I", kind="quotient",
+        add, mul, units[0], label=label or f"{S.label}/I",
         elem_names=names, size_cap=S.size_cap)
     return quo, proj
 

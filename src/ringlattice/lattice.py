@@ -8,11 +8,13 @@ search, covering-pair interval criterion); disagreement raises, it is
 never papered over.  The routes run as array tests over stacks of
 intervals (:func:`decide_intervals`), whose tables one routine,
 :func:`_gather`, restricts from a lattice and renumbers; it also cuts the
-sub-intervals (:meth:`ExtensionLattice.interval`).  A lattice's own
-verdicts are one row of that kernel, on itself as a stack of one.  The
-tables never change after construction, so that row, the packed order
-rows, levels, pinch points and sub-intervals are computed once per
-lattice, each a key of its one memo (``_cache``, a
+sub-intervals (:meth:`ExtensionLattice.interval`).  The kernel runs one
+way: every row carries every verdict, the complement test and the B2
+guard included.  A lattice's own verdicts are one row of it, on itself as
+a stack of one, and :meth:`ExtensionLattice.verdict` reads them off that
+row.  The tables never change after construction, so that row, the
+packed order rows, levels, pinch points and sub-intervals are computed
+once per lattice, each a key of its one memo (``_cache``, a
 :class:`~ringlattice.finring.Memo`).
 """
 
@@ -120,6 +122,10 @@ class ExtensionLattice:
     the least upper bound in the node set only.  A sub-interval of a
     checked lattice is not built here but gathered from its tables by the
     interval kernel (:meth:`interval`).
+
+    The order verdicts (:meth:`verdict`) are read off this lattice's one
+    row of the interval kernel, which raises its first failed guard;
+    :meth:`check_distributive` reads the same row.
     """
 
     def __init__(self, nodes, joins=None):
@@ -339,16 +345,11 @@ class ExtensionLattice:
 
     @memoised
     def _verdicts(self):
-        """This lattice's row of the interval kernel, with the complement
-        test and the B2 guard: the law scans, the forbidden sublattice, the
-        covering-pair criterion and the first failed guard.  Computed once:
-        the tables never change after construction."""
-        return _decide(self._stack(), boolean=True)
-
-    def modular_law_scan(self):
-        """First failing triple (x, y, z) in (x, y, z) order with x <= z but
-        x v (y ^ z) != (x v y) ^ z, or None."""
-        return _triple(self._verdicts().mod[0])
+        """This lattice's row of the interval kernel: the law scans, the
+        forbidden sublattice, the covering-pair criterion, the complement
+        test and the first failed guard.  Computed once: the tables never
+        change after construction."""
+        return _decide(self._stack())
 
     def forbidden_sublattice(self):
         """An M3 or N5 sublattice certificate, or None: the one
@@ -360,17 +361,10 @@ class ExtensionLattice:
 
     def check_distributive(self):
         """Distributivity by three independent routes; they must agree.
-        Raises the first failed guard other than the B2 one."""
+        Raises the first failed guard of this lattice's row."""
         found = self._verdicts()
-        if found.code[0] != _BOOLEAN:
-            found.check(0)
+        found.check(0)
         return bool(found.distributive[0]), found.witness(0)
-
-    def check_modular(self):
-        tri = self.modular_law_scan()
-        if tri is None:
-            return True, None
-        return False, {"law_triple": list(tri)}
 
     # ------------------------------------------------------------------
     # Boolean / complements / Loewy / pinched
@@ -379,13 +373,6 @@ class ExtensionLattice:
         """All v with t ^ v = bottom and t v v = top."""
         return np.flatnonzero((self.meet[t] == 0)
                               & (self.join[t] == self.n - 1)).tolist()
-
-    def check_boolean(self):
-        """(Boolean, B2): distributive with every node complemented, and 4
-        nodes of length 2; a B2 that is not Boolean raises."""
-        found = self._verdicts()
-        found.check(0)
-        return bool(found.boolean[0]), bool(found.is_b2[0])
 
     def loewy_series(self):
         """Iterated socles: S_0 = bottom, S_{i+1} = join of the atoms of
@@ -437,11 +424,14 @@ class ExtensionLattice:
 
     @memoised
     def verdict(self) -> LatticeVerdict:
-        """All order verdicts, computed once (like check_distributive)."""
-        dist, wit = self.check_distributive()
-        modular, mwit = self.check_modular()
-        boolean, is_b2 = self.check_boolean()
-        cat, cwit = self.check_catenarian()
+        """All order verdicts, computed once: read off this lattice's
+        kernel row, whose first failed guard it raises, with catenarity and
+        the chain test from the levels.  A distributive lattice is modular
+        and catenarian, so the witness is check_distributive's or None."""
+        found = self._verdicts()
+        found.check(0)
+        dist, modular = bool(found.distributive[0]), bool(found.mod[0, 0] < 0)
+        cat, _ = self.check_catenarian()
         chained = self.is_chain()
         if dist and not modular:
             raise LatticeError("distributive lattice reported non-modular")
@@ -449,14 +439,11 @@ class ExtensionLattice:
             raise LatticeError("distributive lattice reported non-catenarian")
         if chained and not dist:
             raise LatticeError("chain reported non-distributive")
-        witness = wit if not dist else (cwit if not cat else None)
-        if witness is None and not modular:
-            witness = mwit
         return LatticeVerdict(
-            distributive=bool(dist), modular=bool(modular),
-            boolean_lattice=bool(boolean), catenarian=bool(cat),
-            chained=bool(chained), length=self.length, is_b2=bool(is_b2),
-            witness=witness)
+            distributive=dist, modular=modular,
+            boolean_lattice=bool(found.boolean[0]), catenarian=cat,
+            chained=chained, length=self.length, is_b2=bool(found.is_b2[0]),
+            witness=found.witness(0))
 
 
 # ----------------------------------------------------------------------
@@ -477,10 +464,6 @@ _ERRORS = {
     _BOOLEAN: "4-node length-2 lattice must be Boolean",
 }
 _KINDS = ("none", "M3", "N5")
-
-
-def _triple(row):
-    return None if row[0] < 0 else tuple(row.tolist())
 
 
 def _sublattice(kind, nodes):
@@ -690,11 +673,11 @@ class IntervalVerdicts:
     failing triple; ``mod`` the modular scan's first failing triple;
     ``kind`` and ``nodes`` the constructed forbidden sublattice (kind 1 for
     M3, 2 for N5, 0 for none); ``pair`` the criterion's first failing pair
-    as (t, u, t ^ u, t v u, size); rows of -1 where a route found nothing.
-    ``boolean`` (distributive and complemented) and ``is_b2`` are filled
-    when asked for.  ``code`` holds the first guard each interval failed, 0
-    if none; :meth:`error` gives it as the :class:`LatticeError` the
-    slice's own routes raise."""
+    as (t, u, t ^ u, t v u, size); rows of -1 where a route found nothing;
+    ``boolean`` distributive and complemented, and ``is_b2`` 4 nodes of
+    length 2.  ``code`` holds the first guard each interval failed, 0 if
+    none; :meth:`error` gives it as the :class:`LatticeError` the slice's
+    own routes raise."""
     distributive: np.ndarray
     law: np.ndarray
     mod: np.ndarray
@@ -702,8 +685,8 @@ class IntervalVerdicts:
     nodes: np.ndarray
     pair: np.ndarray
     code: np.ndarray
-    boolean: np.ndarray | None = None
-    is_b2: np.ndarray | None = None
+    boolean: np.ndarray
+    is_b2: np.ndarray
 
     def error(self, k):
         """The LatticeError of interval k's failed guard, or None."""
@@ -736,8 +719,9 @@ class IntervalVerdicts:
         return witness
 
 
-def _decide(stack, boolean=False):
-    """The three routes and their guards on one stack."""
+def _decide(stack):
+    """The three routes, the complement test and their guards on one
+    stack; a B2 that is not Boolean fails the last guard."""
     law, mod = stack.law_scan(modular=False), stack.law_scan(modular=True)
     kind, nodes, code = stack.constructive(mod, law)
     if stack.m <= _FIVE_SUBSET_CAP:
@@ -747,12 +731,9 @@ def _decide(stack, boolean=False):
     pair = stack.criterion()
     law_ok = law[:, 0] < 0
     _fail(code, (law_ok != (kind == 0)) | (law_ok != (pair[:, 0] < 0)), _ROUTES)
-    found = IntervalVerdicts(law_ok, law, mod, kind, nodes, pair, code)
-    if boolean:
-        found.boolean = law_ok & stack.complemented()
-        found.is_b2 = stack.is_b2()
-        _fail(code, found.is_b2 & ~found.boolean, _BOOLEAN)
-    return found
+    boolean, is_b2 = law_ok & stack.complemented(), stack.is_b2()
+    _fail(code, is_b2 & ~boolean, _BOOLEAN)
+    return IntervalVerdicts(law_ok, law, mod, kind, nodes, pair, code, boolean, is_b2)
 
 
 def _gather(L, a, b):
@@ -814,12 +795,11 @@ def _gather(L, a, b):
                 ~inside.all(axis=(0, 2, 3))
 
 
-def decide_intervals(requests, boolean=False):
+def decide_intervals(requests):
     """Decide the intervals [a_k, b_k] of each (lattice, a, b) of
-    ``requests`` by the three distributivity routes of
-    :meth:`ExtensionLattice.check_distributive`, with their guards; with
-    ``boolean`` also the complement test and the B2 guard of
-    :meth:`ExtensionLattice.check_boolean`.
+    ``requests`` by the kernel that gives each lattice its own row
+    (:meth:`ExtensionLattice.verdict`): the three distributivity routes,
+    the complement test and their guards.
 
     The intervals of every request are grouped by node count, their local
     tables gathered from their lattice in one step, and each group, across
@@ -838,15 +818,13 @@ def decide_intervals(requests, boolean=False):
     for group in parts.values():
         pos, tables, open_ = zip(*group)
         tables = [np.concatenate(t) for t in zip(*tables)]
-        verdicts = _decide(_Stack(*tables), boolean=boolean)
+        verdicts = _decide(_Stack(*tables))
         verdicts.code[np.concatenate(open_)] = _CLOSURE
         found.append((np.concatenate(pos), verdicts))
     out = {}
     for field in fields(IntervalVerdicts):
-        rows = [(pos, getattr(v, field.name)) for pos, v in found]
-        if rows and rows[0][1] is not None:
-            value = np.empty((total,) + rows[0][1].shape[1:], dtype=rows[0][1].dtype)
-            for pos, r in rows:
-                value[pos] = r
-            out[field.name] = value
+        first = getattr(found[0][1], field.name)
+        out[field.name] = value = np.empty((total,) + first.shape[1:], dtype=first.dtype)
+        for pos, v in found:
+            value[pos] = getattr(v, field.name)
     return IntervalVerdicts(**out)

@@ -31,6 +31,10 @@ references for the polynomial span; ``scratch_adjoin`` is one such closure
 of lo and s from {0} with no memo; ``every_s_monogenic_subrings``, ``every_s_is_minimal_pair`` and
 ``every_s_is_simple`` close lo[s] with it for every s in hi - lo, the
 references for the closures that start from lo and take one s per coset.
+``closure_product_inside`` and ``closure_principal_ideal`` are the
+earlier product-ideal and principal-ideal tests, each by a closure (the
+additive span of the products, the ideal closure of one generator); they
+are the references for the tests on the products themselves.
 ``block_subring_unit`` is the earlier unit test of a subring, a compare of
 the whole |T| x |T| block of products, the reference for the
 decomposition's one-row test.  ``constructor_interval`` builds an interval
@@ -50,8 +54,8 @@ grouped cover conductors, the nilradical route and the size test.
 ``pairwise_b2_structure_cases`` is the earlier b2 check, one
 sub-extension, support profile and decomposition per length-2 pair, the
 reference for the pass per lower node.  ``slice_routes`` is the earlier
-per-slice ``check_distributive``/``check_boolean`` (each route on its
-own, with ``loop_is_m3``/``loop_is_n5`` as the node-by-node shape tests)
+per-slice distributivity and Boolean verdict (each route on its own,
+with ``loop_is_m3``/``loop_is_n5`` as the node-by-node shape tests)
 and ``slice_interval_agreement`` the earlier per-draw interval sample;
 they are the references for the stacked interval kernel.
 ``bitset_lattice_tables`` is the earlier table build (int bitsets and a
@@ -149,7 +153,7 @@ def struct_product_ring(rings, size_cap=fr.DEFAULT_SIZE_CAP, label=None):
         off += kf
     lab = label or "product(" + ", ".join(r.label for r in structs) + ")"
     P = fr.FiniteRing.from_struct(orders, struct, one_vec, label=lab,
-                                  kind="product", size_cap=size_cap)
+                                  size_cap=size_cap)
     P.factors = structs
     columns, off = [], 0
     for fac in structs:
@@ -161,7 +165,7 @@ def struct_product_ring(rings, size_cap=fr.DEFAULT_SIZE_CAP, label=None):
     return P
 
 
-def einsum_from_struct(cls, orders, struct, one_vec, *, label, kind,
+def einsum_from_struct(cls, orders, struct, one_vec, *, label,
                        varmap=None, monomials=None, size_cap=fr.DEFAULT_SIZE_CAP):
     """FiniteRing.from_struct with the earlier tables: addition encoded from
     the n x n x k sums of coefficient vectors, multiplication by an
@@ -192,7 +196,7 @@ def einsum_from_struct(cls, orders, struct, one_vec, *, label, kind,
         hi = min(size, lo + chunk)
         mul[lo:hi] = encode(np.einsum('yj,xjv->xyv', coeffs, xe[lo:hi]) % ordv)
     ring = cls.from_tables(add, mul, int(encode(one_vec)), label=label,
-                           kind=kind, size_cap=size_cap)
+                           size_cap=size_cap)
     assert ring.zero == 0 and np.array_equal(ring.neg, encode(-coeffs))
     ring.orders, ring.coeffs = orders, coeffs
     ring.varmap, ring.monomials = dict(varmap or {}), monomials
@@ -318,6 +322,17 @@ def loop_is_delta(E):
             if not in_tu[S.mul[np.ix_(tu, tu)]].all():
                 return False
     return True
+
+
+def closure_product_inside(S, P, Q, M):
+    """Whether the ideal M holds the product ideal PQ: the additive span of
+    every product pq (P, Q, M index arrays), inside M."""
+    return bool(S.mask(M)[S.additive_closure(np.unique(S.mul[np.ix_(P, Q)]))].all())
+
+
+def closure_principal_ideal(S, base, m):
+    """The ideal (m) of the subring ``base``, by the ideal closure."""
+    return S.ideal_closure(base, [m])
 
 
 def block_subring_unit(S, T):
@@ -812,7 +827,7 @@ def pairwise_b2_structure_cases(a):
     for v, w in pairs:
         V, W = L.nodes[v], L.nodes[w]
         pa = a.sub(V, W)
-        lhs = pa.lattice().check_boolean()[0]
+        lhs = pa.lattice().verdict().boolean_lattice
         prof = pa.profile()
         cond = prof.conductor
         rhs = False
@@ -834,10 +849,10 @@ def pairwise_b2_structure_cases(a):
 
 
 def slice_routes(L):
-    """The earlier ExtensionLattice.check_distributive and check_boolean of
-    one lattice, each route on its own: the listing law scans, the
-    constructive witness, the loop 5-subset sweep (at most 16 nodes) and
-    the loop covering-pair criterion, with their agreement guards; returns
+    """The earlier distributivity and Boolean verdict of one lattice, each
+    route on its own: the listing law scans, the constructive witness, the
+    loop 5-subset sweep (at most 16 nodes) and the loop covering-pair
+    criterion, with their agreement guards; returns
     (distributive, witness, boolean, is_b2).  The reference for the
     stacked interval kernel."""
     meet, join = L.meet, L.join

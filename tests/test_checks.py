@@ -1,5 +1,6 @@
 import collections
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from ringlattice import lattice as lt
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (PAIR_FACT_KINDS, SMALL_RINGS, doubled_ring_tables, memo_without,
+from oracles import (PAIR_FACT_KINDS, SMALL_RINGS, closure_principal_ideal,
+                     closure_product_inside, doubled_ring_tables, memo_without,
                      pairwise_b2_structure_cases, record_computes, small_ring)
 
 
@@ -255,9 +257,9 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
     computed = record_computes(monkeypatch)
     runs, decide, law_scan = collections.Counter(), lt._decide, lt._Stack.law_scan
 
-    def counting_decide(stack, boolean=False):
+    def counting_decide(stack):
         runs["kernel"] += 1
-        return decide(stack, boolean)
+        return decide(stack)
 
     def counting_scan(stack, modular):
         runs["modular scan"] += modular
@@ -287,6 +289,9 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
     # decide_intervals; slices have rows too
     rows = [id(memo) for memo, key in computed if key == ("_verdicts",)]
     assert len(rows) < runs["kernel"] == runs["modular scan"]
+    # one row per lattice or slice, and every verdict read off its row
+    assert len(rows) == len(set(rows))
+    assert {id(memo) for memo, key in computed if key == ("verdict",)} <= set(rows)
     slices = {id(memo[key]._cache) for memo, key in computed
               if isinstance(key, tuple) and key[0] == "interval"}
     assert slices & set(rows)
@@ -413,6 +418,22 @@ def test_module_check_joins_each_submodule_pair_once(monkeypatch):
     assert closures[0] == 293
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_RINGS), st.sets(st.integers(0, 7), max_size=2))
+def test_ideal_tests_on_products_match_the_closures(name, seed):
+    # an ideal M holds PQ iff it holds every product pq, and the ideal (m)
+    # of a subring is m times the subring: the tests of
+    # two_atom_composite_profile, classify_minimal_pair and
+    # chain_ring_quadratic_distributive against the closure routes
+    R = small_ring(name)
+    base = R.subring_closure(seed)
+    ideals = [R.arr(I) for I in R.all_ideals(base)]
+    for P, Q, M in itertools.product(ideals, repeat=3):
+        assert R.mask(M)[R.mul[np.ix_(P, Q)]].all() == closure_product_inside(R, P, Q, M)
+    for m in base.tolist():
+        assert np.array_equal(np.unique(R.mul[m, base]), closure_principal_ideal(R, base, m))
+
+
 def _census_extension(*blocks):
     # a product of local blocks over its prime subring; GR is the Galois
     # ring GR(4, 2) = Z4[y]/(y^2 + y + 1)
@@ -436,13 +457,28 @@ def test_branched_chained_lower_rule_applies(blocks, pair):
     assert r.status == "pass" and r.side == "lhs_true", r.reason
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: on F4 x GR(4, 2) over its prime subring (nodes 0 < 9) "
-    "the interval is not distributive, yet the split-case proxy of "
-    "branched_characterization holds (pinched False, split_case True)"))
 def test_branched_characterization_on_f4_times_gr42():
+    # the interval is not distributive and not pinched at the t-closure;
+    # its splitter ladder fails the partition (nodes 4 and 5 are missed),
+    # so the split case does not hold either
     E = _census_extension("F4", "GR")
     L = E.lattice()
     r = verify.run_check("branched_characterization",
                          E.sub(L.nodes[0], L.nodes[9]))
-    assert r.status == "pass", r.witness
+    assert r.status == "pass" and r.side == "lhs_false", r.witness
+
+
+_BRANCHED_CHECKS = ("branched_characterization", "branched_splitter_ladder",
+                    "branched_splitter_consistency", "count_formula_local",
+                    "pinched_iff_single_u_support")
+
+
+@pytest.mark.parametrize("blocks", [("F4", "GR"), ("F2x", "GR")])
+def test_branched_checks_hold_on_every_pair(blocks):
+    # every comparable pair V < W of [prime subring, S]
+    E = _census_extension(*blocks)
+    L = E.lattice()
+    fails = [(v, w, name) for v, w in np.argwhere(L.leq).tolist() if v != w
+             for name in _BRANCHED_CHECKS
+             if verify.run_check(name, E.sub(L.nodes[v], L.nodes[w])).status == "fail"]
+    assert fails == []

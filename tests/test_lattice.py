@@ -473,7 +473,7 @@ def _assert_scans_match_listing(L):
     whether L is distributive."""
     witness = _law_triple(L)
     assert witness == list_distributive_law_scan(L)
-    assert L.modular_law_scan() == list_modular_law_scan(L)
+    assert _law_triple(L, modular=True) == list_modular_law_scan(L)
     return witness is None
 
 
@@ -746,7 +746,7 @@ def _assert_sliced_intervals_match(L):
         assert sub.verdict() == ref.verdict()
         cat_ = sub.check_catenarian()
         crit = _criterion(sub)
-        mod = sub.modular_law_scan()
+        mod = _law_triple(sub, modular=True)
         comps = [sub.complements(t) for t in range(len(sub))]
         assert cat_ == loop_check_catenarian(sub)
         assert crit == loop_covering_pair_criterion(sub)
@@ -826,8 +826,8 @@ def test_length2_rule_matches_the_loop(reference_extensions):
 
 
 def test_verdict_runs_one_modular_scan(monkeypatch, big_lattices):
-    # the forbidden-sublattice route and check_modular read the one verdict
-    # row, whose kernel run holds the lattice's only modular scan
+    # the verdict, check_distributive and the forbidden sublattice read the
+    # one verdict row, whose kernel run holds the lattice's only modular scan
     computed = record_computes(monkeypatch)
     modular_scans, law_scan = [0], lt._Stack.law_scan
 
@@ -845,12 +845,10 @@ def test_verdict_runs_one_modular_scan(monkeypatch, big_lattices):
         modular_scans[0] = 0
         v = L.verdict()
         assert rows(L) == 1 and modular_scans[0] == 1
-        tri = list_modular_law_scan(L)
-        assert L.check_modular() == ((True, None) if tri is None
-                                     else (False, {"law_triple": list(tri)}))
-        assert L.modular_law_scan() == tri
+        tri, mod = list_modular_law_scan(L), L._verdicts().mod[0]
+        assert (None if mod[0] < 0 else tuple(mod.tolist())) == tri
         assert v.modular == (tri is None)
-        L.check_distributive(), L.check_boolean(), L.forbidden_sublattice()
+        L.check_distributive(), L.forbidden_sublattice()
         assert rows(L) == 1 and modular_scans[0] == 1
 
 
@@ -868,9 +866,12 @@ def test_slices_take_their_levels_from_the_parent(big_lattices):
 
 def _assert_kernel_matches_the_slices(L):
     """Every comparable pair of L through one decide_intervals call against
-    the earlier per-slice routes; returns the verdicts seen."""
+    the earlier per-slice routes and the slice's own verdict; every row
+    carries the Boolean and B2 verdicts.  Returns the verdicts seen."""
     i, j = np.nonzero(L.leq)
-    found = decide_intervals([(L, i, j)], boolean=True)
+    found = decide_intervals([(L, i, j)])
+    assert found.boolean.shape == found.is_b2.shape == i.shape
+    assert found.boolean.dtype == found.is_b2.dtype == bool
     seen = set()
     for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
         sub = L.interval(a, b)
@@ -880,7 +881,10 @@ def _assert_kernel_matches_the_slices(L):
             (dist, boolean, is_b2), (a, b)
         assert found.witness(k) == witness
         assert sub.check_distributive() == (dist, witness)
-        assert sub.check_boolean() == (boolean, is_b2)
+        v = sub.verdict()
+        assert (v.distributive, v.modular, v.boolean_lattice, v.is_b2, v.witness) == \
+            (found.distributive[k], found.mod[k, 0] < 0, found.boolean[k],
+             found.is_b2[k], found.witness(k)), (a, b)
         seen.add((dist, boolean, is_b2))
     return seen
 
@@ -933,7 +937,7 @@ def _diamond(L):
 def test_a_tampered_interval_raises_as_its_slice(where):
     _, L, top = _tampered_v4(where)
     i, j = np.nonzero(L.leq)
-    found = decide_intervals([(L, i, j)], boolean=True)
+    found = decide_intervals([(L, i, j)])
     k = int(np.flatnonzero((i == 0) & (j == top))[0])
     with pytest.raises(LatticeError) as want:
         slice_routes(L.interval(0, top))
