@@ -9,8 +9,8 @@ exercised, so the harness can report one-sided coverage.
 
 Each check takes the :class:`~ringlattice.extension.Extension` itself and
 reads its cached lattice, flags and closures; sub-extensions, localizations
-and quotients come from the same object (``sub``, ``localized``,
-``quotient``).
+and quotients come from its methods (``sub``, ``localized``, ``quotient``),
+memoised on the ambient ring, so each is one object however it is reached.
 """
 
 from __future__ import annotations
@@ -1272,9 +1272,9 @@ def one_generator_idempotent_like_fibers(a):
     sizes = sorted(len(v) for v in ex.fibers(a).values())
     if any(s > 2 for s in sizes):
         return CheckResult("", "", "fail", witness={"fiber_sizes": sizes})
-    I = a.profile().conductor
-    SI, _ = fr.quotient_of_subring(S, a.top, I)
-    RI, _ = fr.quotient_of_subring(S, a.base, I)
+    # the conductor lies in the base, so base/I is the base's image in top/I
+    Q = a.quotient(a.profile().conductor)
+    SI, RI = (Q.ambient.subset_ring(T, Q.ambient.one)[0] for T in (Q.top, Q.base))
     doubled = fr.product_ring([RI, RI], size_cap=max(S.size_cap, RI.size ** 2))
     ok = fr.rings_isomorphic(SI, doubled)
     return CheckResult("", "", "pass" if ok else "fail",

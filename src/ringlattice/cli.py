@@ -217,11 +217,11 @@ def analyze(specfile, dot_path, json_path, cap):
 @main.command(name="verify")
 @click.argument("pattern", required=False)
 @click.option("--all", "run_all", is_flag=True, help="run the whole catalog")
-@click.option("--random", "random_count", type=int, default=0,
+@click.option("--random", "random_count", type=click.IntRange(min=0), default=0,
               help="add this many seed-deterministic random instances")
 @click.option("--seed", type=int, default=None,
               help="seed for the random instances (default: RINGLATTICE_SEED or 0)")
-@click.option("--intervals", type=int, default=0,
+@click.option("--intervals", type=click.IntRange(min=0), default=0,
               help="sample this many random sub-intervals for the "
                    "distributivity route agreement stress")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False),

@@ -16,8 +16,8 @@ interval and assert the uniqueness of their extremum instead of trusting
 it, so a wrong uniqueness claim surfaces as a :class:`TheoremViolation`.
 
 Every lazy result has one home: the extension's memo holds its lattice,
-flags, decomposition, support, cover types and derived extensions, and
-the ambient ring's memo holds the pair facts by (kind, lo, hi), so they
+flags, decomposition, support and cover types, and the ambient ring's memo
+holds the pair facts by (kind, lo, hi) and the derived extensions, so they
 are shared by every extension on that ring.
 """
 
@@ -90,8 +90,8 @@ class ExtensionFlags:
 class Extension:
     """A pair base <= top of unital subrings of a fixed ambient ring.
 
-    Derived data (interval lattice, support, closures, localizations) is
-    computed lazily, each a key of the instance's one memo (``_cache``, a
+    Derived data (interval lattice, support, closures) is computed lazily,
+    each a key of the instance's one memo (``_cache``, a
     :class:`~ringlattice.finring.Memo`); everything is immutable after
     construction.
     """
@@ -153,43 +153,34 @@ class Extension:
         return self._cache.fetch("decomp", canonical_decomposition, self)
 
     def localized(self, M) -> "Extension":
-        """The localization at the maximal ideal M of the base.  A local
-        base has the primitive idempotent 1, so when the top is the whole
-        ambient ring the localization is this extension itself (sharing its
-        cached lattice and flags)."""
-        M = frozenset(M)
-
-        def localize(E):
-            if E.base_decomposition().maximal_ideals == [M] and \
-                    len(E.top) == E.ambient.size:
-                return E
-            return localize_at(E, M)
-        return self._cache.fetch(("loc", M), localize, self)
+        """The localization at the maximal ideal M of the base
+        (:func:`localize_at`)."""
+        return localize_at(self, M)
 
     def sub(self, lo, hi) -> "Extension":
         """The extension lo <= hi for two comparable nodes of the interval,
-        cached.  Nodes are unital subrings, so the constructor's subring
-        scans are skipped, and every ring between them is a node, so its
-        lattice is the interval [lo, hi] sliced out of this one."""
+        memoised on the ambient ring.  Nodes are unital subrings, so the
+        constructor's subring scans are skipped, and every ring between
+        them is a node, so its lattice is [lo, hi] sliced out of this one."""
         def between(parent):
             L = parent.lattice()
-            i, j = L.index[frozenset(lo)], L.index[frozenset(hi)]
+            i, j = L.index[lo], L.index[hi]
             E = Extension.__new__(Extension)
             E.ambient, E.base, E.top = parent.ambient, L.nodes[i], L.nodes[j]
             E.name = f"{parent.name}[sub]"
             E._cache = fr.Memo(lattice=L.interval(i, j))
             return E
-        return self._cache.fetch(("sub", frozenset(lo), frozenset(hi)), between, self)
+        lo, hi = frozenset(lo), frozenset(hi)
+        return self.ambient._cache.fetch(("sub", lo, hi), between, self)
 
     def quotient(self, I) -> "Extension":
-        """(base + I)/I <= top/I for an ideal I of the top.  The quotient
-        by {0} is this extension itself; any other ideal gets a fresh
-        quotient ring."""
+        """(base + I)/I <= top/I for an ideal I of the top
+        (:func:`quotient_extension`); the quotient by {0} is this extension
+        itself."""
+        I = frozenset(I)
         if len(I) == 1:
             return self
-        Q = quotient_extension(self.ambient, self.base, self.top, I)
-        Q.name = f"{self.name}/I"
-        return Q
+        return quotient_extension(self.ambient, self.base, self.top, I)
 
 
 # ----------------------------------------------------------------------
@@ -331,26 +322,28 @@ def support_profile(E: Extension) -> SupportProfile:
 
 
 def quotient_extension(S: fr.FiniteRing, lo, hi, I) -> Extension:
-    """(lo + I)/I <= hi/I for subrings lo <= hi of S and an ideal I of hi,
-    on the ring quotient_of_subring(S, hi, I)."""
-    ring, proj = fr.quotient_of_subring(S, hi, I)
-    return Extension(ring, frozenset(proj[S.arr(lo)].tolist()))
+    """(lo + I)/I <= hi/I for subrings lo <= hi of S and an ideal I of hi.
+    The ring hi/I and its projection are memoised on S by ("quotient", hi,
+    I), and the extension by ("quotient", hi, I, image of lo), so every lo
+    with the same lo + I shares one extension, lattice and flags."""
+    hi, I = frozenset(hi), frozenset(int(x) for x in I)
+    ring, proj = S._cache.fetch(("quotient", hi, I), fr.quotient_of_subring, S, hi, I)
+    image = frozenset(proj[S.arr(lo)].tolist())
+    return S._cache.fetch(("quotient", hi, I, image), Extension, ring, image)
 
 
 def localize_at(E: Extension, M) -> Extension:
     """The localization of the extension at a maximal ideal M of the base.
     With e the primitive idempotent of the base attached to M, the finite
-    (Artinian) localization is top/(1 - e)top over the image of the base."""
+    (Artinian) localization is the quotient of E by (1 - e)top: E itself
+    for a local base, where e = 1."""
     S = E.ambient
     dec = E.base_decomposition()
     try:
         e = dec.idempotents[dec.maximal_ideals.index(frozenset(M))]
     except ValueError:
         raise fr.RingError("not a maximal ideal of the base ring") from None
-    loc = quotient_extension(S, E.base, E.top,
-                             S.mul[S.sub(S.one, e), S.arr(E.top)])
-    loc.name = (E.name or "E") + "@loc"
-    return loc
+    return E.quotient(S.mul[S.sub(S.one, e), S.arr(E.top)].tolist())
 
 
 def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:

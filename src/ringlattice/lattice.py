@@ -821,6 +821,8 @@ def decide_intervals(requests):
         verdicts = _decide(_Stack(*tables))
         verdicts.code[np.concatenate(open_)] = _CLOSURE
         found.append((np.concatenate(pos), verdicts))
+    if not found:       # no interval: an empty stack gives each field's dtype and shape
+        found = [(np.zeros(0, np.intp), _decide(_Stack(*np.zeros((4, 0, 1, 1), np.int32))))]
     out = {}
     for field in fields(IntervalVerdicts):
         first = getattr(found[0][1], field.name)

@@ -8,9 +8,9 @@ are visible instead of silently green.  Failures always carry a witness.
 
 A check takes one :class:`~ringlattice.extension.Extension`.  Its lattice,
 flags, decomposition, support and cover types are computed lazily and
-cached on it, as are the derived extensions the checks move between
-(``sub``, ``localized``; ``quotient`` builds a fresh ring), so every check
-on an instance shares one cache.
+cached on it; the derived extensions the checks move between (``sub``,
+``localized``, ``quotient``) are cached on its ambient ring, one object
+each, however it is reached.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class CheckResult:
 def Analysis(name, E: ex.Extension, node_limit=ex.DEFAULT_NODE_LIMIT):
     """E under ``name``.  The benchmark's child process (perfbench/child.py)
     still builds its inputs through this name; it goes when the benchmark
-    is redefined (ROADMAP item 4).  Only the default node limit is known."""
+    is redefined (ROADMAP item 1).  Only the default node limit is known."""
     if node_limit != ex.DEFAULT_NODE_LIMIT:
         raise ValueError(f"node_limit must be {ex.DEFAULT_NODE_LIMIT}, "
                          f"got {node_limit}")

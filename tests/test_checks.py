@@ -1,6 +1,8 @@
 import collections
+import hashlib
 import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -250,10 +252,12 @@ def test_no_length2_pair_leaves_an_object_on_pi5():
 
 
 def test_no_memo_key_is_computed_twice(monkeypatch):
-    # analyze, every check and the interval sample on fresh Pi5 and V4 =
-    # F2 + F2^4 compute each key of each ring, extension and lattice memo
-    # once; the routes run once per lattice or slice (its verdict row) and
-    # once per stack of the interval sample, each with its one modular scan
+    # analyze, every check and the interval sample on fresh Pi5, V4 =
+    # F2 + F2^4, E9 and E14 (non-local bases, where the quotient and
+    # localization checks build quotient rings) compute each key of each
+    # ring, extension and lattice memo once; the routes run once per
+    # lattice or slice (its verdict row) and once per stack of the interval
+    # sample, each with its one modular scan
     computed = record_computes(monkeypatch)
     runs, decide, law_scan = collections.Counter(), lt._decide, lt._Stack.law_scan
 
@@ -267,8 +271,9 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
 
     monkeypatch.setattr(lt, "_decide", counting_decide)
     monkeypatch.setattr(lt._Stack, "law_scan", counting_scan)
-    for S in (fr.product_ring([fr.gf(2)] * 5), fr.idealization(fr.gf(2), (2, 2, 2, 2))):
-        E = ex.Extension(S, ex.prime_subring(S), name="fresh")
+    fresh = [ex.Extension(S, ex.prime_subring(S), name="fresh") for S in
+             (fr.product_ring([fr.gf(2)] * 5), fr.idealization(fr.gf(2), (2, 2, 2, 2)))]
+    for E in fresh + [analysis_of("E9"), analysis_of("E14")]:
         cli._print_analysis(E, io.StringIO())
         cli._analysis_doc(E)
         cli.dot_export(E)
@@ -280,9 +285,8 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
     kinds = {key[0] if isinstance(key, tuple) else key for _, key in computed}
     assert kinds >= {
         "arr", "adjoin", "decomposition", "nilpotent_mask", "conductor",
-        "spectral", "closed",                                       # rings
-        "lattice", "flags", "decomp", "profile", "cover_types", "sub",
-        "loc",                                                      # extensions
+        "spectral", "closed", "sub", "quotient",                    # rings
+        "lattice", "flags", "decomp", "profile", "cover_types",    # extensions
         "levels_from", "interval", "_verdicts", "_order_rows",
         "verdict", "pinch_points"}                                  # lattices
     # a kernel run is a verdict row of a lattice or a slice, or a stack of
@@ -466,6 +470,46 @@ def test_branched_characterization_on_f4_times_gr42():
     r = verify.run_check("branched_characterization",
                          E.sub(L.nodes[0], L.nodes[9]))
     assert r.status == "pass" and r.side == "lhs_false", r.witness
+
+
+# every check that reads a localization or a quotient of its extension
+_DERIVED_CHECKS = ("b2_structure_cases", "localization_equivalence",
+                   "module_lattice_correspondence", "one_generator_idempotent_like_fibers",
+                   "product_transfer", "quotient_transfer", "seminormal_fiber_converse",
+                   "shared_ideal_quotient_equivalence", "splitter_existence",
+                   "support_product_formulas", "t_closed_residual_distributivity",
+                   "unbranched_characterization")
+
+
+def test_census_slice_of_the_derived_extension_checks(monkeypatch):
+    # every pair V < W of [prime subring, X x Y] for two blocks X, Y of
+    # residue characteristic 2 through the checks above.  These localize
+    # sub-extensions with a proper top, which no catalog instance does.  The
+    # digest was taken with a localization cached per extension and a fresh
+    # quotient ring per call, so it shows that sharing one quotient per
+    # (ring, W, I), built once, changes no result
+    built, build = [], fr.quotient_of_subring
+
+    def counting(S, hi, I):
+        built.append((S, frozenset(hi), frozenset(I)))
+        return build(S, hi, I)
+    monkeypatch.setattr(fr, "quotient_of_subring", counting)
+    rows = []
+    for blocks in itertools.combinations_with_replacement(("F2", "Z4", "F4", "F2x", "GR"), 2):
+        E = _census_extension(*blocks)
+        L = E.lattice()
+        for v, w in np.argwhere(L.leq).tolist():
+            if v != w:
+                sub = E.sub(L.nodes[v], L.nodes[w])
+                for name in _DERIVED_CHECKS:
+                    r = verify.run_check(name, sub).as_dict()
+                    del r["instance"]
+                    rows.append([*blocks, v, w, r])
+    assert len(rows) == 369 * len(_DERIVED_CHECKS)
+    assert [row for row in rows if row[-1]["status"] == "fail"] == []
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == \
+        "019b9eb22e6390d87cdd4b6baf94cdf9d0671903ec6444436d5dbb372c1a1890"
+    assert len(built) == len(set(built))
 
 
 _BRANCHED_CHECKS = ("branched_characterization", "branched_splitter_ladder",

@@ -109,6 +109,17 @@ def test_verify_rejects_a_negative_seed(runner, monkeypatch):
     assert res.exit_code == 2 and "non-negative" in res.output
 
 
+@pytest.mark.parametrize("option", ["--random", "--intervals"])
+def test_verify_rejects_a_negative_count(runner, tmp_path, option):
+    # a negative count once ran nothing, reported n/a and went into the
+    # report's meta; it is a usage error, before any report is written
+    js = tmp_path / "rep.json"
+    res = runner.invoke(cli.main, ["verify", "E2", option, "-5", "--json", str(js)])
+    assert res.exit_code == 2 and option in res.output and not js.exists()
+    res = runner.invoke(cli.main, ["verify", "E2", option, "0", "--json", str(js)])
+    assert res.exit_code == 0, res.output
+
+
 def test_verify_single_instance(runner, tmp_path):
     js = tmp_path / "rep.json"
     res = runner.invoke(cli.main, ["verify", "E10", "--json", str(js)])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -903,6 +904,18 @@ def test_interval_kernel_matches_the_slices(reference_extensions):
 def test_interval_kernel_matches_the_slices_on_small_rings(name, seed):
     R = small_ring(name)
     _assert_kernel_matches_the_slices(ex.Extension(R, R.subring_closure(seed)).lattice())
+
+
+def test_no_interval_gives_zero_rows(reference_extensions):
+    # with no request, or requests of no interval, every field has zero
+    # rows and the dtype and trailing shape of a decided stack
+    L = reference_extensions[0].lattice()
+    want = decide_intervals([(L, [0], [L.top])])
+    for requests in ([], [(L, [], [])]):
+        found = decide_intervals(requests)
+        for field in fields(lt.IntervalVerdicts):
+            got, like = getattr(found, field.name), getattr(want, field.name)
+            assert got.shape == (0,) + like.shape[1:] and got.dtype == like.dtype, field.name
 
 
 def _tampered_v4(where):
