@@ -129,16 +129,20 @@ def support_via_chain_conductors(a):
 def cover_minimality_consistency(a):
     if not _proper(a):
         return _na("trivial extension")
-    L = a.lattice()
     # cover_types classified every cover (raising unless exactly one type
     # pattern holds), so its keys are the classified pairs
-    classified = ex.cover_types(a)
-    for i, j in np.argwhere(L.leq & ~np.eye(len(L), dtype=bool)).tolist():
-        minimal = ex.is_minimal_pair(a.ambient, L.nodes[i], L.nodes[j])
-        if minimal != ((i, j) in classified):
+    L, classified = a.lattice(), {}
+    for i, j in ex.cover_types(a):
+        classified.setdefault(i, []).append(j)
+    for i, ups, minimal in ex.minimal_uppers(a):
+        typed = np.zeros(L.n, dtype=bool)
+        typed[classified.get(i, [])] = True
+        bad = np.flatnonzero(minimal != typed[ups])
+        if bad.size:
+            j = int(ups[bad[0]])
             return CheckResult("", "", "fail",
                                witness={"pair": [i, j], "cover": bool(L.covers[i, j]),
-                                        "definitional": minimal})
+                                        "definitional": bool(minimal[bad[0]])})
     return CheckResult("", "", "pass")
 
 
@@ -575,70 +579,86 @@ def b2_structure_cases(a):
     if not _proper(a):
         return _na("trivial extension")
     L, S = a.lattice(), a.ambient
-    groups = [(v, np.flatnonzero(L.levels_from(v) == 2).tolist()) for v in range(L.n)]
-    groups = [(v, ws) for v, ws in groups if ws]
-    if not groups:
+    lower, upper, inner, middle = L.length2_intervals()
+    if not lower.size:
         return _na("no length-2 subinterval")
-    # the lhs of every pair from one kernel call; then one pass per lower
-    # node V: the conductors, supports and pair facts of all of its
-    # length-2 intervals [V, W] are computed together
-    lower = [v for v, ws in groups for _ in ws]
-    found = decide_intervals([(L, lower, [w for _, ws in groups for w in ws])])
-    k = 0
-    for v, ws in groups:
-        V, Ws = L.nodes[v], [L.nodes[w] for w in ws]
-        conds = ex.cover_conductors(S, V, Ws)
-        msupps = ex.msupp_of_pairs(S, V, V, Ws)
-        inner = _plus_inside(a, v, ws, msupps)
-        for w, W, cond, msupp in zip(ws, Ws, conds, msupps):
+    # every length-2 interval [V, W] at once: the lhs from one kernel call,
+    # and the supports, conductors and pair facts from one grouped fill
+    # each; the cases read a conductor only at one-point support.  The
+    # pairs are decided per lower node V, in order, and the failed guards
+    # of V's conductors and facts are raised when V is reached, so no
+    # guard of a later V hides the verdict of an earlier pair
+    found = decide_intervals([(L, lower, upper)])
+    Vs = [L.nodes[v] for v in lower.tolist()]
+    Ws = [L.nodes[w] for w in upper.tolist()]
+    msupps = ex.msupp_of_pairs(S, [(V, V, W) for V, W in zip(Vs, Ws)])
+    one = [k for k, msupp in enumerate(msupps) if len(msupp) == 1]
+    conds = dict(zip(one, ex.cover_conductors(S, [(Vs[k], Ws[k]) for k in one])))
+    facts, failed = _plus_inside(a, lower, upper, inner, middle, one)
+    starts = np.flatnonzero(np.diff(lower, prepend=-1)).tolist()
+    for start, end in zip(starts, starts[1:] + [lower.size]):
+        ex.raise_failed([conds[k] for k in range(start, end) if k in conds])
+        ex.raise_failed(failed.get(int(lower[start]), ()))
+        for k in range(start, end):
             found.check(k)
             lhs = bool(found.boolean[k])
-            k += 1
-            rhs = _b2_cases(a, V, W, cond, msupp, inner.get(w))
+            rhs = _b2_cases(a, Vs[k], Ws[k], conds.get(k), msupps[k], facts.get(k))
             if lhs != rhs:
                 return CheckResult("", "", "fail", witness={
-                    "interval": [v, w], "b2": lhs, "cases": rhs})
+                    "interval": [int(lower[k]), int(upper[k])], "b2": lhs, "cases": rhs})
     return CheckResult("", "", "pass")
 
 
-def _plus_inside(a, v, ws, msupps):
-    """{w: (infra-integral, R+ strictly inside, t-closed)} for the
-    length-2 intervals [V, W] of V with one-point support, from one grouped
-    pair-fact fill.  R+ of [V, W] is its greatest node subintegral over V,
-    and every middle node of a length-2 interval covers V, so R+ is W when
-    W is subintegral over V, else the one subintegral middle node, else V;
-    two subintegral middle nodes raise the canonical decomposition's
-    uniqueness guard.  A failed guard is returned in place of the triple
-    and raised when its pair is reached."""
+def _plus_inside(a, lower, upper, inner, middle, one):
+    """({k: (infra-integral, R+ strictly inside, t-closed)} for the
+    length-2 intervals [V, W] = [lower[k], upper[k]] with k in ``one``,
+    those with one-point support, and {v: [failed guard]} for the lower
+    nodes v whose facts failed the contraction guard), from one grouped
+    pair-fact fill over every lower node.  R+ of [V, W] is its greatest
+    node subintegral over V, and every middle node of a length-2 interval
+    covers V, so R+ is W when W is subintegral over V, else the one
+    subintegral middle node, else V; two subintegral middle nodes raise
+    the canonical decomposition's uniqueness guard.  A failed guard is
+    returned in place of the triple and raised when its pair is reached.
+    Each V asks for the spectral facts of V over itself, over the middle
+    nodes of its intervals and over their tops, and for the closed facts
+    of its tops."""
     L, S = a.lattice(), a.ambient
-    V = L.nodes[v]
-    ws = [w for w, ms in zip(ws, msupps) if len(ms) == 1]
-    if not ws:
-        return {}
-    mids = np.flatnonzero(L.covers[v])
-    inside = L.covers[np.ix_(mids, ws)]
-    mids, inside = mids[inside.any(axis=1)], inside[inside.any(axis=1)]
-    Xs = [V] + [L.nodes[x] for x in mids.tolist()] + [L.nodes[w] for w in ws]
-    facts = ex.pair_facts(S, [("spectral", V, X) for X in Xs]
-                          + [("closed", V, L.nodes[w]) for w in ws])
-    spectral, closed = facts[:len(Xs)], facts[len(Xs):]
-    sub_v, sub_mid = spectral[0][1], np.array([f[1] for f in spectral[1:1 + len(mids)]], dtype=bool)
-    kept = (inside & sub_mid[:, None]).sum(axis=0)
-    out = {}
-    for j, w in enumerate(ws):
-        infra, sub_w = spectral[1 + len(mids) + j]
-        count = 1 if sub_w else int(kept[j]) if kept[j] else int(sub_v)
-        if infra and count != 1:
-            out[w] = ex.uniqueness_violation("seminormalization (greatest subintegral)",
-                                             count, greatest=True)
-        else:
-            out[w] = (infra, infra and not sub_w and kept[j] == 1, closed[j][2])
-    return out
+    low, up, ends = lower.tolist(), upper.tolist(), np.cumsum(inner).tolist()
+    mids = {k: middle[ends[k] - inner[k]:ends[k]].tolist() for k in one}
+    groups, keys = [], []
+    for v, ks in itertools.groupby(one, key=low.__getitem__):
+        ks, V = list(ks), L.nodes[v]
+        over = [L.nodes[x] for x in [v, *sorted({x for k in ks for x in mids[k]}),
+                                     *(up[k] for k in ks)]]
+        keys += [("spectral", V, X) for X in over] + [("closed", V, L.nodes[up[k]]) for k in ks]
+        groups.append((v, ks, over))
+    facts = dict(zip(keys, ex.pair_facts(S, keys)))
+    out, failed = {}, {}
+    for v, ks, over in groups:
+        V = L.nodes[v]
+        spectral = {X: facts[("spectral", V, X)] for X in over}
+        guards = [f for f in spectral.values() if isinstance(f, Exception)]
+        if guards:
+            failed[v] = guards[:1]
+            continue
+        for k in ks:
+            W = L.nodes[up[k]]
+            infra, sub_w = spectral[W]
+            kept = sum(spectral[L.nodes[x]][1] for x in mids[k])
+            plus = 1 if sub_w else kept if kept else int(spectral[V][1])
+            if infra and plus != 1:
+                out[k] = ex.uniqueness_violation("seminormalization (greatest subintegral)",
+                                                 plus, greatest=True)
+            else:
+                out[k] = (infra, infra and not sub_w and kept == 1,
+                          facts[("closed", V, W)][2])
+    return out, failed
 
 
 def _b2_cases(a, V, W, cond, msupp, facts):
-    """The three cases for [V, W], given its conductor, MSupp_V(W/V) and,
-    for one-point support, its facts from :func:`_plus_inside`."""
+    """The three cases for [V, W], given MSupp_V(W/V) and, for one-point
+    support, its conductor and its facts from :func:`_plus_inside`."""
     if len(msupp) != 1:
         return len(msupp) == 2
     if isinstance(facts, Exception):

@@ -26,14 +26,19 @@ from .lattice import LatticeError
 _INPUT_ERRORS = (dsl.DslError, fr.RingError, ex.TheoremViolation, LatticeError)
 
 
-def _env_default(name, fallback):
+def _env_default(name, fallback, least=None):
+    """The integer in the environment variable ``name``, else ``fallback``;
+    a usage error unless it is an integer of at least ``least``."""
     val = os.environ.get(name)
     if val is None:
         return fallback
     try:
-        return int(val)
+        number = int(val)
     except ValueError:
         raise click.UsageError(f"environment variable {name} must be an integer")
+    if least is not None and number < least:
+        raise click.UsageError(f"environment variable {name} must be >= {least}, got {number}")
+    return number
 
 
 def node_label(E: ex.Extension, T: frozenset) -> str:
@@ -192,12 +197,12 @@ def main():
               help="write the Hasse diagram in DOT format")
 @click.option("--json", "json_path", type=click.Path(dir_okay=False),
               help="write the full structured result as JSON")
-@click.option("--cap", type=int, default=None,
+@click.option("--cap", type=click.IntRange(min=1), default=None,
               help="element-count cap (default: RINGLATTICE_CAP or 4096)")
 def analyze(specfile, dot_path, json_path, cap):
     """Build the extension declared in SPECFILE and report its lattice."""
     cap = cap if cap is not None else _env_default("RINGLATTICE_CAP",
-                                                   fr.DEFAULT_SIZE_CAP)
+                                                   fr.DEFAULT_SIZE_CAP, least=1)
     try:
         text = open(specfile, encoding="utf-8").read()
         E = dsl.build_extension(text, size_cap=cap)
@@ -227,7 +232,7 @@ def analyze(specfile, dot_path, json_path, cap):
 @click.option("--json", "json_path", type=click.Path(dir_okay=False),
               help="write the machine-readable report")
 @click.option("--timings", is_flag=True, help="include elapsed_ms in the report")
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=click.IntRange(min=1), default=None)
 @click.option("--regen-expectations", is_flag=True,
               help="recompute DERIVED catalog expectations from the "
                    "brute-force oracles and compare")
@@ -235,7 +240,7 @@ def verify_cmd(pattern, run_all, random_count, seed, intervals, json_path,
                timings, cap, regen_expectations):
     """Run the theorem-verification suite; exit status 0 iff no failures."""
     cap = cap if cap is not None else _env_default("RINGLATTICE_CAP",
-                                                   fr.DEFAULT_SIZE_CAP)
+                                                   fr.DEFAULT_SIZE_CAP, least=1)
     seed = seed if seed is not None else _env_default("RINGLATTICE_SEED", 0)
     if seed < 0:
         raise click.UsageError(f"seed must be a non-negative integer, got {seed}")

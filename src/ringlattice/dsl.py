@@ -320,7 +320,7 @@ class _Parser:
             self.expect("punct", "(")
             p_tok = self.peek()
             p = self.parse_int()
-            if p < 2:
+            if not fr.is_prime(p):
                 self.err("characteristic must be a prime >= 2", p_tok)
             k = 1
             if self.at_punct(","):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import enum
-import itertools
 
 import numpy as np
 
@@ -203,9 +202,15 @@ def generated_subring(S: fr.FiniteRing, base, elems) -> frozenset:
 def coset_leaders(S: fr.FiniteRing, lo, hi) -> list[int]:
     """The least element of each coset s + lo in hi - lo, ascending.  For b
     in lo, s and s + b generate each other over lo, so lo[s + b] = lo[s]
-    and one s per coset reaches every lo[s]."""
-    h = S.arr(hi)
-    return fr.orbit_leaders(S.add, h[~S.mask(lo)[h]], S.arr(lo))
+    and one s per coset reaches every lo[s].  A coset of an s in hi lies
+    in hi, so its least element is the least of the sums s + lo, taken
+    for every s at once, in blocks."""
+    h, lo = S.arr(hi), S.arr(lo)
+    pool = h[~S.mask(lo)[h]]
+    least = np.empty(pool.size, dtype=pool.dtype)
+    for blk in fr.row_blocks(pool.size, lo.size):
+        least[blk] = S.add[pool[blk, None], lo].min(axis=1)
+    return np.unique(least).tolist()
 
 
 def monogenic_subrings(E: Extension) -> dict[frozenset, int]:
@@ -249,65 +254,108 @@ def idempotent_style_generator(E: Extension) -> int | None:
 # ----------------------------------------------------------------------
 # conductor, support, localization, fibers, residues
 
-def cover_conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
-    """(lo : hi) = {z in lo : z*hi <= lo} for each ring hi of ``his`` over
-    the subring lo, the largest common ideal, memoised on S by
-    ("conductor", lo, hi); the missing ones are computed together.  One
-    gather of lo*S marks the products that leave lo, and one float32
-    product with the membership rows of the his counts them per (z, hi):
-    the conductor is where the count is 0.  As cond <= lo <= hi, an ideal
-    of hi is an ideal of lo, so only the hi side is checked."""
-    lo = frozenset(lo)
-    return S._cache.fetch_group([("conductor", lo, frozenset(hi)) for hi in his],
-                                lambda keys: _conductors(S, lo, [hi for _, _, hi in keys]))
+def raise_failed(values):
+    """``values``, after raising the first of them that is a failed guard.
+    The grouped fills (:func:`cover_conductors`, :func:`pair_facts`) put a
+    pair's failed guard, a TheoremViolation, in place of its value, so a
+    caller that decides pairs in order raises it when that pair is
+    reached."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
+    return values
 
 
-def _conductors(S: fr.FiniteRing, lo, his) -> list[frozenset]:
-    """The conductors of cover_conductors, each checked to be an ideal of
-    its upper ring; blocks of rows of lo of about 2^18 products bound the
-    memory."""
-    lo_arr = S.arr(lo)
-    in_lo = S.mask(lo_arr)
-    upper = _member_rows(S, his)
-    weights = upper.T.astype(np.float32)
-    cond = np.zeros_like(upper)
-    for blk in fr.row_blocks(lo_arr.size, upper.size):
-        leaving = (~in_lo[S.mul[lo_arr[blk]]]).astype(np.float32) @ weights
-        cond[:, lo_arr[blk]] = (leaving == 0).T
-    if not _rows_are_ideals(S, lo_arr, cond, upper):
-        raise TheoremViolation("conductor is not an ideal of both rings")
-    return [frozenset(np.flatnonzero(row).tolist()) for row in cond]
+def cover_conductors(S: fr.FiniteRing, pairs) -> list:
+    """(lo : hi) = {z in lo : z*hi <= lo} for each pair (lo, hi) of
+    subrings lo <= hi, the largest common ideal, memoised on S by
+    ("conductor", lo, hi); the missing ones are computed together
+    (:func:`_conductors`).  A conductor that is not an ideal of its upper
+    ring is the TheoremViolation in its place (:func:`raise_failed`)."""
+    keys = [("conductor", frozenset(lo), frozenset(hi)) for lo, hi in pairs]
+    return S._cache.fetch_group(keys, lambda missing: _conductors(
+        S, [lo for _, lo, _ in missing], [hi for _, _, hi in missing]))
+
+
+def _conductors(S: fr.FiniteRing, los, his) -> list:
+    """The conductors of the pairs (los[k], his[k]).  One row per distinct
+    lower ring lo and z in lo marks the products z*s that leave lo (one
+    gather per block), and the conductor of (lo, hi) is the z whose row
+    misses hi: one AND of packed rows per (pair, z), in blocks of pairs
+    and of entries.  As cond <= lo <= hi, an ideal of hi is an ideal of
+    lo, so only the hi side is checked, pair by pair."""
+    lows, lo_of = _distinct(los)
+    highs, hi_of = _distinct(his)
+    lo_rows, hi_rows = _member_rows(S, lows), _member_rows(S, highs)
+    owner, z = np.nonzero(lo_rows)                 # the rows, lo by lo
+    leaving = np.empty((z.size, -(-S.size // 64)), dtype=np.uint64)
+    for blk in fr.row_blocks(z.size, 16 * S.size):      # 2^16 bytes of products
+        leaving[blk] = fr.bit_rows(~lo_rows[owner[blk, None], S.mul[z[blk]]])
+    high = fr.bit_rows(hi_rows)
+    size = lo_rows.sum(axis=1)
+    first = np.cumsum(size) - size
+    out = []
+    for blk in fr.row_blocks(len(los), S.size):
+        # one entry per pair and element z of its lower ring
+        count = size[lo_of[blk]]
+        pair = np.repeat(np.arange(count.size), count)
+        row = np.repeat(first[lo_of[blk]], count) + fr.segment_ranks(count)
+        cond = np.zeros((count.size, S.size), dtype=bool)
+        for part in fr.row_blocks(row.size, 8 * high.shape[1]):
+            p, r = pair[part], row[part]
+            misses = ~(leaving[r] & high[hi_of[blk][p]]).any(axis=1)
+            cond[p[misses], z[r[misses]]] = True
+        ideal = _rows_are_ideals(S, cond, hi_rows[hi_of[blk]])
+        out += [frozenset(c) if ok else
+                TheoremViolation("conductor is not an ideal of both rings")
+                for c, ok in zip(_row_lists(cond), ideal.tolist())]
+    return out
+
+
+def _row_lists(rows) -> list[list[int]]:
+    """The indices of the True entries of each row of a bool matrix."""
+    k, x = np.nonzero(rows)
+    ends, x = np.cumsum(np.bincount(k, minlength=len(rows))).tolist(), x.tolist()
+    return [x[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _distinct(items):
+    """(the distinct items in first-seen order, the position of each item
+    among them)."""
+    at = {}
+    pos = np.array([at.setdefault(x, len(at)) for x in items], dtype=np.intp)
+    return list(at), pos
 
 
 def _member_rows(S: fr.FiniteRing, sets) -> np.ndarray:
     """Boolean membership rows, len(sets) x S.size, of the element sets."""
+    arrs = [S.arr(T) for T in sets]
     rows = np.zeros((len(sets), S.size), dtype=bool)
-    for row, T in zip(rows, sets):
-        row[S.arr(T)] = True
+    rows[np.repeat(np.arange(len(arrs)), [a.size for a in arrs]),
+         np.concatenate(arrs) if arrs else []] = True
     return rows
 
 
-def _rows_are_ideals(S: fr.FiniteRing, lo_arr, sets, rings) -> bool:
-    """Whether each boolean row of ``sets``, a subset of the subring with
-    index array lo_arr, is an ideal of the subring in the same row of
-    ``rings``: it holds 0, lies in that ring and holds the sums of its
-    elements and their products with the ring.  The closure tests run for
-    all rows at once over lo's sums and products, in blocks of rows."""
-    if not sets[:, S.zero].all() or (sets & ~rings).any():
-        return False
-    local = sets[:, lo_arr]
-    for blk in fr.row_blocks(lo_arr.size, rings.size):
-        elems, mine = lo_arr[blk], local[:, blk, None]
-        if (mine & local[:, None, :] & ~sets[:, S.add[elems[:, None], lo_arr]]).any() or \
-                (mine & rings[:, None, :] & ~sets[:, S.mul[elems]]).any():
-            return False
-    return True
+def _rows_are_ideals(S: fr.FiniteRing, sets, rings) -> np.ndarray:
+    """Whether each boolean row of ``sets`` is an ideal of the subring in
+    the same row of ``rings``: it holds 0, lies in that ring and holds the
+    sums of its elements and their products with the ring.  The closure
+    tests run for every (row, element) at once, in blocks."""
+    ok = sets[:, S.zero] & ~(sets & ~rings).any(axis=1)
+    row, x = np.nonzero(sets)
+    flat = sets.ravel()
+    for blk in fr.row_blocks(row.size, 16 * S.size):   # 2^16 bytes of sums
+        r = row[blk]
+        at = (r * S.size).astype(np.int32)[:, None]
+        broken = (sets[r] & ~flat[S.add[x[blk]] + at]).any(axis=1) | \
+            (rings[r] & ~flat[S.mul[x[blk]] + at]).any(axis=1)
+        ok[r[broken]] = False
+    return ok
 
 
 def conductor_pair(S: fr.FiniteRing, lo, hi) -> frozenset:
-    """(lo : hi) for subrings lo <= hi: cover_conductors with one upper
-    ring."""
-    return cover_conductors(S, lo, [hi])[0]
+    """(lo : hi) for subrings lo <= hi: cover_conductors of one pair."""
+    return raise_failed(cover_conductors(S, [(lo, hi)]))[0]
 
 
 def conductor(E: Extension) -> frozenset:
@@ -348,23 +396,38 @@ def localize_at(E: Extension, M) -> Extension:
 
 def msupp_of_pair(E: Extension, lo, hi) -> list[frozenset]:
     """MSupp_base(hi/lo) for base <= lo <= hi <= top, as ideals of base."""
-    return msupp_of_pairs(E.ambient, E.base, lo, [hi])[0]
+    return msupp_of_pairs(E.ambient, [(E.base, lo, hi)])[0]
 
 
-def msupp_of_pairs(S: fr.FiniteRing, base, lo, his) -> list[list[frozenset]]:
-    """MSupp_base(hi/lo) for each ring hi of ``his`` over lo, base <= lo,
-    as sorted lists of maximal ideals of base: the M_e, e a primitive
-    idempotent of base, with |e*lo| != |e*hi|.  x -> e*x is additive with
-    kernel {x : e*x = 0}, so |e*T| = |T| / |T & kernel|: one count of
-    every kernel in every ring, as one float32 product."""
-    dec = fr.primitive_idempotents(S, base, unit=S.one)
-    rows = _member_rows(S, [lo, *his]).astype(np.float32)
-    kernel = (S.mul[dec.idempotents] == S.zero).astype(np.float32)
-    inside = kernel @ rows.T                        # |T & kernel of e|
+def msupp_of_pairs(S: fr.FiniteRing, pairs) -> list[list[frozenset]]:
+    """MSupp_base(hi/lo) for each (base, lo, hi) of ``pairs``, base <= lo
+    <= hi, as sorted lists of maximal ideals of base: the M_e, e a
+    primitive idempotent of base, with |e*lo| != |e*hi|.  x -> e*x is
+    additive with kernel {x : e*x = 0}, so |e*T| = |T| / |T & kernel|: the
+    kernels of every base's idempotents are counted in the lo and hi of
+    their pairs at once (:func:`_common_counts`)."""
+    bases, base_of = _distinct([base for base, _, _ in pairs])
+    rings, ring_of = _distinct([T for _, lo, hi in pairs for T in (lo, hi)])
+    # each base's (M_e, e) in the order of the sorted lists of the M_e, so
+    # that every support comes out sorted
+    ranked = [sorted(zip(dec.maximal_ideals, dec.idempotents), key=lambda me: sorted(me[0]))
+              for dec in (fr.primitive_idempotents(S, base, unit=S.one) for base in bases)]
+    count = np.array([len(ranks) for ranks in ranked], dtype=np.intp)
+    kernels = S.mul[[e for ranks in ranked for _, e in ranks]] == S.zero
+    ideals = [M for ranks in ranked for M, _ in ranks]
+    # one entry per pair and idempotent e of its base
+    per = count[base_of]
+    pair = np.repeat(np.arange(len(pairs)), per)
+    e = np.repeat((np.cumsum(count) - count)[base_of], per) + fr.segment_ranks(per)
+    lo, hi = ring_of[0::2][pair], ring_of[1::2][pair]
+    rows = _member_rows(S, rings)
+    inside = _common_counts(kernels, np.concatenate([e, e]), rows, np.concatenate([lo, hi]))
     size = rows.sum(axis=1)
-    moved = (size[1:] * inside[:, :1] != size[0] * inside[:, 1:]).T.tolist()
-    return [sorted((M for M, m in zip(dec.maximal_ideals, row) if m), key=sorted)
-            for row in moved]
+    moved = size[hi] * inside[:e.size] != size[lo] * inside[e.size:]
+    out = [[] for _ in pairs]
+    for k, at in zip(pair[moved].tolist(), e[moved].tolist()):
+        out[k].append(ideals[at])
+    return out
 
 
 def fibers(E: Extension) -> dict[frozenset, list[frozenset]]:
@@ -438,35 +501,57 @@ def classify_minimal(E: Extension):
 
 
 def cover_types(E: Extension) -> dict[tuple[int, int], MinimalType]:
-    """Minimal type of every Hasse edge of the enumerated interval; the
-    conductors of each lower node under all of its covers are computed
-    together first."""
+    """Minimal type of every Hasse edge of the enumerated interval.  The
+    conductors of every cover are computed first, in one grouped fill
+    (:func:`cover_conductors`), whose first failed guard is raised before
+    any edge is classified."""
     def classify(E):
         S, L = E.ambient, E.lattice()
         edges = np.argwhere(L.covers).tolist()
-        for i, group in itertools.groupby(edges, key=lambda edge: edge[0]):
-            cover_conductors(S, L.nodes[i], [L.nodes[j] for _, j in group])
+        raise_failed(cover_conductors(S, [(L.nodes[i], L.nodes[j]) for i, j in edges]))
         return {(i, j): classify_minimal_pair(S, L.nodes[i], L.nodes[j],
                                               assume_minimal=True)
                 for i, j in edges}
     return E._cache.fetch("cover_types", classify, E)
 
 
+def minimal_uppers(E: Extension):
+    """For each node i of the interval, in order, (i, the nodes j above
+    it, whether each i < j is minimal), by the definitional monogenic
+    search of :func:`is_minimal_pair` run once per lower node lo.  A coset
+    s + lo with s in hi lies in hi, so the coset leaders of lo in hi are
+    the leaders of lo in top that lie in hi, and lo < hi is minimal iff
+    every leader in hi - lo generates hi.  The leaders are adjoined in
+    ascending order through the ring's memo, which names the node lo[s]
+    each one generates; every node holding s other than lo[s] is then not
+    minimal over lo.  A leader is skipped when every node holding it is
+    already known not to be minimal, as adjoining it could not change a
+    verdict.  One mask test per leader decides every j, and only the order
+    of the lattice is read, not its join table.  A generator, so a caller
+    that stops early adjoins no more."""
+    S, L = E.ambient, E.lattice()
+    rows = _member_rows(S, L.nodes).T
+    for i, lo in enumerate(L.nodes):
+        ups = np.flatnonzero(L.leq[i])
+        ups = ups[ups != i]
+        leaders = np.array(coset_leaders(S, lo, E.top), dtype=np.intp)
+        beaten = np.zeros(ups.size, dtype=bool)       # not minimal over lo
+        for s, holds in zip(leaders.tolist(), rows[np.ix_(leaders, ups)]):
+            if (holds > beaten).any():
+                beaten |= holds & (ups != L.index.get(S.adjoin(lo, s), -1))
+        yield i, ups, ~beaten
+
+
 # ----------------------------------------------------------------------
 # element-level closure predicates (pairs of nested subrings)
 
-def _segment_ranks(counts):
-    """0, 1, ..., c - 1 for each count c, concatenated."""
-    counts = np.asarray(counts, dtype=np.intp)
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _common_counts(A, ia, B, ib):
-    """|A[ia[k]] & B[ib[k]]| for each k, for boolean rows A and B, in blocks
-    of about 2^18 entries."""
+    """|A[ia[k]] & B[ib[k]]| for each k, for boolean rows A and B: a
+    popcount of their packed rows, in blocks of about 2^16 bytes."""
+    A, B = fr.bit_rows(A), fr.bit_rows(B)
     out = np.empty(len(ia), dtype=np.int64)
-    for blk in fr.row_blocks(len(ia), A.shape[1]):
-        out[blk] = np.count_nonzero(A[ia[blk]] & B[ib[blk]], axis=1)
+    for blk in fr.row_blocks(len(ia), 32 * A.shape[1]):
+        out[blk] = np.bitwise_count(A[ia[blk]] & B[ib[blk]]).sum(axis=1)
     return out
 
 
@@ -483,13 +568,15 @@ def _runs(weights, limit=1 << 13):
     return out
 
 
-def _closed_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
+def _closed_facts(S: fr.FiniteRing, rings, rows, lo, hi):
     """The seminormal, u-closed and t-closed facts (3 x pairs) of the pairs
     (rings[lo[k]], rings[hi[k]]), with ``rows`` the membership rows of
     ``rings``: lo is closed in hi for r when no b in hi - lo has b(b - r)
     and b^2(b - r) in lo, for r = 0, for r = 1 and for every r in lo.
     Each (kind, pair, r) meets every b of its pair, in runs of about 2^13
-    (r, b) entries, which keep the dozen index arrays of a run small."""
+    (r, b) entries, which keep the dozen index arrays of a run small.
+    There is no guard here, so the second value, the failed pairs, is all
+    False."""
     lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
     pairs = lo.size
     b_pair, b = np.nonzero(rows[hi] & ~rows[lo])
@@ -505,15 +592,15 @@ def _closed_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
     for run in _runs(per_r):
         counts = per_r[run]
         owner = np.repeat(slot[run], counts)
-        bb = b[np.repeat(b_first[run], counts) + _segment_ranks(counts)]
+        bb = b[np.repeat(b_first[run], counts) + fr.segment_ranks(counts)]
         c = S.mul[bb, S.add[bb, S.neg[np.repeat(r[run], counts)]]]
         base = lo[owner % pairs] * S.size
         bad = member[base + c] & member[base + S.mul[c, bb]]
         hits += np.bincount(owner, weights=bad, minlength=3 * pairs)
-    return (hits == 0).reshape(3, pairs)
+    return (hits == 0).reshape(3, pairs), np.zeros(pairs, dtype=bool)
 
 
-def _spectral_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
+def _spectral_facts(S: fr.FiniteRing, rings, rows, lo, hi):
     """The infra-integral and subintegral facts (2 x pairs) of the pairs
     (rings[lo[k]], rings[hi[k]]), with ``rows`` the membership rows of
     ``rings``.  The maximal ideal of a ring T at its primitive idempotent e
@@ -522,7 +609,8 @@ def _spectral_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
     contract to exactly one P.  The pair is infra-integral iff
     |lo / (Q & lo)| = |hi / Q| for every Q, and subintegral iff moreover
     every P is the contraction of exactly one Q.  The intersections are
-    counted over every (Q, P) of every pair at once."""
+    counted over every (Q, P) of every pair at once.  Also returns, per
+    pair, whether a Q of it fails to contract to exactly one P."""
     lo, hi = np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
     pairs = lo.size
     idems = [fr.primitive_idempotents(S, T).idempotents for T in rings]
@@ -533,49 +621,49 @@ def _spectral_facts(S: fr.FiniteRing, rings, rows, lo, hi) -> np.ndarray:
     size_ideal, size_ring = ideals.sum(axis=1), rows.sum(axis=1)
     nq, np_ = count[hi], count[lo]
     q_pair, p_pair = np.repeat(np.arange(pairs), nq), np.repeat(np.arange(pairs), np_)
-    q = first[hi][q_pair] + _segment_ranks(nq)
-    p = first[lo][p_pair] + _segment_ranks(np_)
+    q = first[hi][q_pair] + fr.segment_ranks(nq)
+    p = first[lo][p_pair] + fr.segment_ranks(np_)
     q_lo = _common_counts(ideals, q, rows, lo[q_pair])
     # every (Q, P) of a pair: Q entry qe and P entry pe
     combos = nq * np_
-    c_pair, rank = np.repeat(np.arange(pairs), combos), _segment_ranks(combos)
+    c_pair, rank = np.repeat(np.arange(pairs), combos), fr.segment_ranks(combos)
     qe = (np.cumsum(nq) - nq)[c_pair] + rank // np_[c_pair]
     pe = (np.cumsum(np_) - np_)[c_pair] + rank % np_[c_pair]
     common = _common_counts(ideals, q[qe], ideals, p[pe])
     match = (common == q_lo[qe]) & (common == size_ideal[p[pe]])
-    if (np.bincount(qe, weights=match, minlength=q.size) != 1).any():
-        raise TheoremViolation("contraction of a maximal ideal is not maximal")
+    astray = np.bincount(qe, weights=match, minlength=q.size) != 1
+    failed = np.bincount(q_pair, weights=astray, minlength=pairs) > 0
     per_p = np.bincount(pe, weights=match, minlength=p.size)
     residual = size_ring[lo[q_pair]] * size_ideal[q] == size_ring[hi[q_pair]] * q_lo
     infra = np.bincount(q_pair, weights=~residual, minlength=pairs) == 0
     bijective = np.bincount(p_pair, weights=per_p != 1, minlength=pairs) == 0
-    return np.array([infra, infra & bijective])
+    return np.array([infra, infra & bijective]), failed
 
 
-def pair_facts(S: fr.FiniteRing, keys) -> list[tuple]:
+def pair_facts(S: fr.FiniteRing, keys) -> list:
     """The facts of each key (kind, lo, hi) of ``keys``, memoised on S:
     kind "spectral" is (infra-integral, subintegral) and "closed" is
     (seminormal, u-closed, t-closed) of the pair lo <= hi.  The missing
     keys are computed together: their rings get one membership row each,
-    and each kernel runs once over all of its pairs."""
+    and each kernel runs once over all of its pairs.  A pair whose
+    maximal ideal fails to contract to a maximal ideal has the
+    TheoremViolation in place of its spectral facts
+    (:func:`raise_failed`)."""
     return S._cache.fetch_group(keys, lambda missing: _kernel_facts(S, missing))
 
 
-def _kernel_facts(S: fr.FiniteRing, keys) -> list[tuple]:
-    index = {}
-    for _, lo, hi in keys:
-        index.setdefault(lo, len(index))
-        index.setdefault(hi, len(index))
-    rings = list(index)
+def _kernel_facts(S: fr.FiniteRing, keys) -> list:
+    rings, ring_of = _distinct([T for _, lo, hi in keys for T in (lo, hi)])
     rows = _member_rows(S, rings)
-    out = {}
+    out = [None] * len(keys)
     for kind, kernel in (("spectral", _spectral_facts), ("closed", _closed_facts)):
-        mine = [key for key in keys if key[0] == kind]
+        mine = [k for k, key in enumerate(keys) if key[0] == kind]
         if mine:
-            values = kernel(S, rings, rows, [index[lo] for _, lo, _ in mine],
-                            [index[hi] for _, _, hi in mine])
-            out.update(zip(mine, zip(*values.tolist())))
-    return [out[key] for key in keys]
+            values, failed = kernel(S, rings, rows, ring_of[0::2][mine], ring_of[1::2][mine])
+            for k, value, bad in zip(mine, zip(*values.tolist()), failed.tolist()):
+                out[k] = TheoremViolation("contraction of a maximal ideal is not maximal") \
+                    if bad else value
+    return out
 
 
 def fill_decomposition_facts(S: fr.FiniteRing, lo, intervals):
@@ -583,12 +671,13 @@ def fill_decomposition_facts(S: fr.FiniteRing, lo, intervals):
     each (hi, nodes of [lo, hi]) of ``intervals``, in one grouped fill
     (:func:`pair_facts`): "spectral" over lo (lo, T), and "spectral" and
     "closed" under hi (T, hi), for every node T."""
-    pair_facts(S, [key for hi, nodes in intervals for T in nodes
-                   for key in (("spectral", lo, T), ("spectral", T, hi), ("closed", T, hi))])
+    raise_failed(pair_facts(S, [key for hi, nodes in intervals for T in nodes
+                                for key in (("spectral", lo, T), ("spectral", T, hi),
+                                            ("closed", T, hi))]))
 
 
 def _pair_fact(S: fr.FiniteRing, kind, lo, hi) -> tuple:
-    return pair_facts(S, [(kind, frozenset(lo), frozenset(hi))])[0]
+    return raise_failed(pair_facts(S, [(kind, frozenset(lo), frozenset(hi))]))[0]
 
 
 def is_seminormal(S: fr.FiniteRing, lo, hi) -> bool:
@@ -710,11 +799,7 @@ def _extremes(L, keeps, greatest):
     ends = np.empty(keeps.shape, dtype=bool)
     for blk in fr.row_blocks(L.n, L.n):
         ends[:, blk] = (order[blk].astype(np.float32) @ weights == 1).T
-    ends &= keeps
-    out = [[] for _ in range(len(keeps))]
-    for row, node in zip(*(ix.tolist() for ix in np.nonzero(ends))):
-        out[row].append(node)
-    return out
+    return _row_lists(ends & keeps)
 
 
 def uniqueness_violation(what, found, greatest):
@@ -742,8 +827,9 @@ def canonical_decomposition(E: Extension) -> CanonicalDecomposition:
     L = E.lattice()
     nodes = L.nodes
     n = len(nodes)
-    facts = pair_facts(S, [("spectral", E.base, T) for T in nodes]
-                       + [(kind, T, E.top) for kind in ("spectral", "closed") for T in nodes])
+    facts = raise_failed(pair_facts(
+        S, [("spectral", E.base, T) for T in nodes]
+        + [(kind, T, E.top) for kind in ("spectral", "closed") for T in nodes]))
     infra_over, sub_over = zip(*facts[:n])
     _, sub_under = zip(*facts[n:2 * n])
     seminormal, u_closed, t_closed = zip(*facts[2 * n:])
@@ -798,6 +884,17 @@ def complements(E: Extension, T) -> list[frozenset]:
     return [L.nodes[v] for v in L.complements(L.index[T])]
 
 
+def node_supports(E: Extension) -> tuple[list, list]:
+    """MSupp(T/base) and MSupp(top/T) for every node T, in node order, from
+    one grouped count (:func:`msupp_of_pairs`); computed once."""
+    def supports(E):
+        nodes, n = E.lattice().nodes, len(E.lattice().nodes)
+        found = msupp_of_pairs(E.ambient, [(E.base, E.base, T) for T in nodes]
+                               + [(E.base, T, E.top) for T in nodes])
+        return found[:n], found[n:]
+    return E._cache.fetch("node_supports", supports, E)
+
+
 def splitter(E: Extension, X) -> frozenset:
     """The unique T with MSupp(T/base) = X and MSupp(top/T) = msupp - X.
     Existence for integral extensions is guaranteed; absence raises."""
@@ -806,10 +903,8 @@ def splitter(E: Extension, X) -> frozenset:
     if any(m not in msupp for m in X):
         raise fr.RingError("X is not a subset of the support")
     rest = sorted((m for m in msupp if m not in X), key=sorted)
-    L = E.lattice()
-    hits = [T for T in L.nodes
-            if msupp_of_pair(E, E.base, T) == X
-            and msupp_of_pair(E, T, E.top) == rest]
+    hits = [T for T, over, under in zip(E.lattice().nodes, *node_supports(E))
+            if over == X and under == rest]
     if len(hits) != 1:
         raise TheoremViolation(
             f"splitter at {len(X)} support ideals: expected exactly one, "

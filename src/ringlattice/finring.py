@@ -209,6 +209,20 @@ def row_blocks(rows, width):
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def segment_ranks(counts) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def bit_rows(rows) -> np.ndarray:
+    """Each row of a bool matrix as little-endian uint64 words."""
+    n, width = rows.shape
+    out = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
+    out[:, :-(-width // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
 class FiniteRing:
     """A finite commutative unital ring with full operation tables.
 
@@ -796,11 +810,17 @@ def least_irreducible(p, k):
     return _irreducibles_upto(p, k)[k][0]
 
 
+def is_prime(p) -> bool:
+    """Whether the integer p is a prime, by trial division up to its
+    square root."""
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 def gf(p, k=1, size_cap=DEFAULT_SIZE_CAP):
     """The finite field with p^k elements, as F_p[x]/(f) for the
     lexicographically least monic irreducible f of degree k (sieve), built
     by :func:`quotient_by_relations`."""
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
+    if not is_prime(p):
         raise RingError(f"gf characteristic must be prime, got {p}")
     if k < 1:
         raise RingError(f"gf degree must be >= 1, got {k}")

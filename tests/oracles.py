@@ -30,7 +30,9 @@ and ``span_adjoin`` are the earlier ``FiniteRing.subring_closure`` and
 references for the polynomial span; ``scratch_adjoin`` is one such closure
 of lo and s from {0} with no memo; ``every_s_monogenic_subrings``, ``every_s_is_minimal_pair`` and
 ``every_s_is_simple`` close lo[s] with it for every s in hi - lo, the
-references for the closures that start from lo and take one s per coset.
+references for the closures that start from lo and take one s per coset;
+``every_s_is_minimal_pair`` and ``extension.is_minimal_pair`` are also the
+references for the leaders pass per lower node (``minimal_uppers``).
 ``closure_product_inside`` and ``closure_principal_ideal`` are the
 earlier product-ideal and principal-ideal tests, each by a closure (the
 additive span of the products, the ideal closure of one generator); they
@@ -45,7 +47,8 @@ its parent's tables by the interval kernel; ``loop_check_catenarian``,
 of the whole-array checks, and ``list_modular_law_scan`` (the
 per-row loop) is the reference for the blocked modular scan.
 ``loop_levels_from`` is the earlier per-node walk behind
-``ExtensionLattice.levels_from``, the reference for its frontier pass.
+``ExtensionLattice.levels_from``, the reference for its frontier pass and
+for the length-2 table read off the cover paths.
 ``scan_conductor_pair`` is the earlier per-pair conductor scan,
 ``unit_scan_decomposition`` the earlier primitive idempotents and maximal
 ideals (pairwise refinement and a unit scan), and ``loop_is_delta`` the
@@ -53,7 +56,7 @@ earlier pair loop behind the delta flag; they are the references for the
 grouped cover conductors, the nilradical route and the size test.
 ``pairwise_b2_structure_cases`` is the earlier b2 check, one
 sub-extension, support profile and decomposition per length-2 pair, the
-reference for the pass per lower node.  ``slice_routes`` is the earlier
+reference for the grouped pass over every length-2 pair.  ``slice_routes`` is the earlier
 per-slice distributivity and Boolean verdict (each route on its own,
 with ``loop_is_m3``/``loop_is_n5`` as the node-by-node shape tests)
 and ``slice_interval_agreement`` the earlier per-draw interval sample;
@@ -811,7 +814,7 @@ def doubled_ring_tables(S, top):
 def pairwise_b2_structure_cases(a):
     """The earlier checks.b2_structure_cases: one sub-extension, one full
     support profile and one decomposition per length-2 pair; the reference
-    for the pass per lower node."""
+    for the grouped pass over every length-2 pair."""
     from ringlattice import extension as ex
     from ringlattice.verify import CheckResult
     if a.trivial:

@@ -343,28 +343,78 @@ def test_b2_cases_fail_alike_on_a_tampered_fact(monkeypatch):
                                            "cases": False}
 
 
-def test_b2_cases_group_the_conductors_per_lower_node(monkeypatch):
-    # V4: one grouped conductor call per lower node with a level-2 upper,
-    # and no support profile per pair
-    S = fr.idealization(fr.gf(2), (2, 2, 2, 2))
-    a = ex.Extension(S, ex.prime_subring(S), name="V4")
-    L = a.lattice()
-    lower = [v for v in range(L.n) if (L.levels_from(v) == 2).any()]
-    calls = {"cover_conductors": 0, "support_profile": 0}
+def test_b2_cases_fail_alike_on_a_tampered_conductor(monkeypatch):
+    # the conductor of [F2, F64] is {0}, its maximal ideal; a tampered one
+    # leaves the t-closed case, so the B2 interval has no case
+    def gf64():
+        E = dsl.build_extension("ring S = gf(2, 6)\next GF64 = extension(S, base=[])\n")
+        monkeypatch.setitem(E.ambient._cache, ("conductor", E.base, E.top), E.base)
+        return E
+    got = verify.run_check("b2_structure_cases", gf64())
+    want = pairwise_b2_structure_cases(gf64())
+    assert got.status == want.status == "fail"
+    assert got.witness == want.witness == {"interval": [0, 3], "b2": True, "cases": False}
 
-    def counting(name):
-        original = getattr(ex, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(ex, name, wrapper)
+def _tampered_f64xf4(monkeypatch, fact, guard):
+    """F64 x F4 over F2 with the t-closed fact of its B2 interval [1, 9]
+    set to False (``fact``) and the conductor of [4, 10], the first
+    length-2 interval of node 4, replaced by a failed guard (``guard``)."""
+    E = dsl.build_extension("ring A = gf(2, 6)\nring B = gf(2, 2)\nring S = product(A, B)\n"
+                            "ext X = extension(S, base=[])\n")
+    L, S = E.lattice(), E.ambient
+    lower, upper, _, _ = L.length2_intervals()
+    pairs = list(zip(lower.tolist(), upper.tolist()))
+    assert pairs.index((1, 9)) < pairs.index((4, 10)) == lower.tolist().index(4)
+    if fact:
+        V, W = L.nodes[1], L.nodes[9]
+        assert L.interval(1, 9).verdict().boolean_lattice and ex.is_t_closed(S, V, W)
+        closed = ex.is_seminormal(S, V, W), ex.is_u_closed(S, V, W)
+        monkeypatch.setitem(S._cache, ("closed", V, W), (*closed, False))
+    if guard:
+        monkeypatch.setitem(S._cache, ("conductor", L.nodes[4], L.nodes[10]),
+                            ex.TheoremViolation("tampered conductor guard"))
+    return E
 
-    for name in calls:
-        counting(name)
-    assert verify.run_check("b2_structure_cases", a).status == "pass"
-    assert calls == {"cover_conductors": len(lower), "support_profile": 0}
-    assert len(lower) == 51
+
+def test_b2_cases_raise_a_failed_guard_when_its_pair_is_reached(monkeypatch):
+    # the conductors of every pair are filled at once, but a failed guard
+    # of a later lower node does not hide the failure of an earlier pair
+    got = verify.run_check("b2_structure_cases", _tampered_f64xf4(monkeypatch, True, True))
+    want = pairwise_b2_structure_cases(_tampered_f64xf4(monkeypatch, True, True))
+    assert got.status == want.status == "fail"
+    assert got.witness == want.witness == {"interval": [1, 9], "b2": True, "cases": False}
+    # with no earlier failure, both raise the guard at its pair
+    for run in (checks.b2_structure_cases, pairwise_b2_structure_cases):
+        with pytest.raises(ex.TheoremViolation, match="tampered conductor guard"):
+            run(_tampered_f64xf4(monkeypatch, False, True))
+
+
+@pytest.mark.parametrize("fill", ["b2_structure_cases", "cover_types",
+                                  "cover_minimality_consistency"])
+def test_whole_lattice_passes_make_a_fixed_number_of_fills(monkeypatch, fill):
+    # on fresh P5, V4 = F2 + F2^4 and Pi6 (52, 67 and 203 nodes) each pass
+    # runs the conductor and pair-fact kernels a number of times that does
+    # not grow with the lattice: one grouped fill each, not one per node
+    counts = []
+    for S in (fr.product_ring([fr.gf(2)] * 5), fr.idealization(fr.gf(2), (2, 2, 2, 2)),
+              fr.product_ring([fr.gf(2)] * 6)):
+        E = ex.Extension(S, ex.prime_subring(S))
+        E.lattice()
+        calls = collections.Counter()
+        with monkeypatch.context() as m:
+            for name in ("_conductors", "_kernel_facts"):
+                def counting(*args, name=name, kernel=getattr(ex, name)):
+                    calls[name] += 1
+                    return kernel(*args)
+                m.setattr(ex, name, counting)
+            if fill == "cover_types":
+                ex.cover_types(E)
+            else:
+                assert verify.run_check(fill, E).status == "pass"
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert all(count == 1 for count in counts[0].values())
 
 
 def test_chain_type_profile_reports_a_real_chain(monkeypatch, p5):

@@ -99,6 +99,25 @@ def test_verify_cap_flag_beats_env(runner, monkeypatch):
     assert res2.exit_code == 0, res2.output
 
 
+@pytest.mark.parametrize("args", [["analyze", "SPEC", "--cap", "-5"],
+                                  ["verify", "--all", "--cap", "0"],
+                                  ["verify", "E2", "--cap", "-3"]])
+def test_a_cap_below_one_is_a_usage_error(runner, tmp_path, args):
+    # a cap of 0 or less once ended in "ring size 2 exceeds cap 0", exit 1
+    args = [_write(tmp_path, E5_SPEC) if a == "SPEC" else a for a in args]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2 and "--cap" in res.output
+
+
+@pytest.mark.parametrize("command", [["analyze", "SPEC"], ["verify", "E2"]])
+def test_a_cap_below_one_in_the_environment_is_a_usage_error(runner, tmp_path,
+                                                             monkeypatch, command):
+    monkeypatch.setenv("RINGLATTICE_CAP", "-3")
+    args = [_write(tmp_path, E5_SPEC) if a == "SPEC" else a for a in command]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2 and "RINGLATTICE_CAP must be >= 1" in res.output
+
+
 def test_verify_rejects_a_negative_seed(runner, monkeypatch):
     # the seed is part of each random instance's name (RND_<seed>_<i>)
     res = runner.invoke(cli.main, ["verify", "E2", "--random", "1",

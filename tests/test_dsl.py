@@ -56,6 +56,15 @@ def test_degenerate_modulus_error_position():
     assert "modulus" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["ring R = gf(4)", "ring R = gf(9)", "ring R = gf(4, 2)"])
+def test_composite_characteristic_error_position(text):
+    # rejected at the characteristic's token, not later by the ring builder
+    with pytest.raises(dsl.DslError) as exc:
+        dsl.parse_spec(text)
+    assert (exc.value.line, exc.value.col) == (1, 13)
+    assert exc.value.message == "characteristic must be a prime >= 2"
+
+
 def test_semantic_errors_are_positioned():
     for text, fragment in [
         ("ring R = product(A, B)", "unknown ring name"),

@@ -378,6 +378,33 @@ def test_minimal_and_simple_agree_with_the_every_s_loop(e4, e5):
     assert seen == {(False, False), (True, True), (False, True)}
 
 
+def _assert_leaders_route_matches_the_pair_search(E, every_s):
+    """minimal_uppers, one leader pass per lower node, against
+    is_minimal_pair and the cover table on every comparable pair, and with
+    ``every_s`` against closing lo[s] for every s in hi - lo; returns the
+    verdicts seen."""
+    S, L = E.ambient, E.lattice()
+    seen = set()
+    for i, ups, minimal in ex.minimal_uppers(E):
+        assert ups.tolist() == [j for j in np.flatnonzero(L.leq[i]).tolist() if j != i]
+        for j, got in zip(ups.tolist(), minimal.tolist()):
+            lo, hi = L.nodes[i], L.nodes[j]
+            assert got == ex.is_minimal_pair(S, lo, hi) == bool(L.covers[i, j]), (i, j)
+            if every_s:
+                assert got == every_s_is_minimal_pair(S, lo, hi), (i, j)
+            seen.add(got)
+    return seen
+
+
+def test_leaders_route_matches_the_pair_search(reference_extensions):
+    # every curated instance, P5, V4 and Pi6; the closure for every s on
+    # the rings of at most 64 elements
+    seen = set()
+    for E in reference_extensions:
+        seen |= _assert_leaders_route_matches_the_pair_search(E, E.ambient.size <= 64)
+    assert seen == {True, False}
+
+
 def test_closure_predicates_match_the_element_loop(e4, e5, e6):
     # seminormal (r = 0), u-closed (r = 1) and t-closed (r in lo) on every
     # comparable node pair, V4 = F2 + F2^4 over F2 included
@@ -598,17 +625,16 @@ def test_monogenic_join_closure_invariant(gens):
 
 
 def _assert_conductors_match_the_pair_scan(E):
-    """The conductors of each node under every node above it, computed as
-    one group with no memo, against one scan per pair."""
+    """The conductors of every comparable pair of nodes, computed as one
+    group of many lower nodes with no memo, against one scan per pair."""
     S, L = E.ambient, E.lattice()
-    for i in range(L.n):
-        lo, his = L.nodes[i], [L.nodes[j] for j in np.flatnonzero(L.leq[i])]
-        memo, S._cache = S._cache, memo_without(S, *PAIR_FACT_KINDS, memo=_NoPairFacts)
-        try:
-            got = ex.cover_conductors(S, lo, his)
-        finally:
-            S._cache = memo
-        assert got == [scan_conductor_pair(S, lo, hi) for hi in his]
+    pairs = [(L.nodes[i], L.nodes[j]) for i, j in np.argwhere(L.leq).tolist()]
+    memo, S._cache = S._cache, memo_without(S, *PAIR_FACT_KINDS, memo=_NoPairFacts)
+    try:
+        got = ex.cover_conductors(S, pairs)
+    finally:
+        S._cache = memo
+    assert got == [scan_conductor_pair(S, lo, hi) for lo, hi in pairs]
 
 
 def _assert_decomposition_facts_match_the_pair_scans(S, lo, intervals):
@@ -692,6 +718,7 @@ def test_whole_lattice_passes_match_the_pair_routes_on_small_rings(name, seed):
     _assert_conductors_match_the_pair_scan(E)
     _assert_closed_facts_match_the_element_loop(E)
     _assert_grouped_b2_facts_match_the_pair_scans(E)
+    _assert_leaders_route_matches_the_pair_search(E, every_s=True)
     assert ex.is_delta(E) == loop_is_delta(E)
 
 
@@ -706,12 +733,12 @@ def test_the_conductor_guard_rejects_sets_that_are_not_ideals(e5):
     no_zero = ideal.copy()
     no_zero[S.zero] = False
     prime = S.mask(S.arr(ex.prime_subring(S)))
-    every = np.arange(S.size)
-    assert ex._rows_are_ideals(S, every, np.array([ideal, whole]),
-                               np.array([whole, whole]))
+    assert ex._rows_are_ideals(S, np.array([ideal, whole]),
+                               np.array([whole, whole])).tolist() == [True, True]
     for sets, rings in ((no_zero, whole), (not_a_group, whole), (prime, whole),
                         (ideal, prime)):
-        assert not ex._rows_are_ideals(S, every, sets[None], rings[None])
-        # one bad row fails its whole group
-        assert not ex._rows_are_ideals(S, every, np.array([ideal, sets]),
-                                       np.array([whole, rings]))
+        assert ex._rows_are_ideals(S, sets[None], rings[None]).tolist() == [False]
+        # one bad row fails only itself
+        assert ex._rows_are_ideals(S, np.array([ideal, sets, ideal]),
+                                   np.array([whole, rings, whole])).tolist() == \
+            [True, False, True]

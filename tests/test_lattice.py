@@ -711,6 +711,27 @@ def test_levels_match_the_per_node_walk(e5, e10, big_lattices):
             assert np.array_equal(got, loop_levels_from(L, a)), (a, got)
 
 
+def test_length2_table_matches_the_level_rows(reference_extensions):
+    # the pairs at longest-chain distance 2, read off the cover paths and
+    # the interval sizes, against the per-node walk's level-2 nodes, with
+    # their middle nodes, on every curated lattice, P5, V4, Pi6 and the
+    # lattices of the random-40 suite
+    randoms = [dsl.build_extension(inst.spec)
+               for inst in verify.generate_random_instances(0, 40)]
+    pairs = 0
+    for E in reference_extensions + randoms:
+        L = E.lattice()
+        lower, upper, inner, middle = L.length2_intervals()
+        want = [(v, w) for v in range(L.n)
+                for w in np.flatnonzero(loop_levels_from(L, v) == 2).tolist()]
+        assert list(zip(lower.tolist(), upper.tolist())) == want
+        ends = np.cumsum(inner).tolist()
+        for (v, w), start, end in zip(want, [0] + ends, ends):
+            assert middle[start:end].tolist() == L.interval_nodes(v, w)[1:-1]
+        pairs += len(want)
+    assert pairs > 1000
+
+
 def test_sub_analysis_takes_the_parent_interval(monkeypatch, big_lattices):
     # every ring between two nodes is a node: a sub-analysis enumerates nothing
     enumerate_interval, calls = ex.enumerate_interval, [0]
